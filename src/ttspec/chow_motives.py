@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpaceMismatch
+from .errors import InvalidArgument, SpaceMismatch
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ProjSpaceProduct:
 
     def __post_init__(self):
         if any(n < 0 for n in self.dims):
-            raise ValueError("projective space dimensions must be >= 0")
+            raise InvalidArgument("projective space dimensions must be >= 0")
         object.__setattr__(self, "dims", tuple(self.dims))
 
     @property
@@ -404,13 +404,6 @@ def hom_group(m: Motive, n: Motive) -> dict:
     }
 
 
-def _fixed_subspace_keys(m: Motive, n: Motive):
-    """Canonical key set for the compressed subgroup, used to compare
-    hom groups living in the same ambient cycle group."""
-    hom = hom_group(m, n)
-    return hom["rank"], frozenset(cls.terms for cls in hom["basis"])
-
-
 def rigidity_check(m: Motive, n: Motive, p: Motive) -> dict:
     """hom(m (x) n, p) = hom(m, dual(n) (x) p): both compressions live in
     the cycle group of the same triple product in the same codimension,
@@ -503,6 +496,6 @@ def parse_space(text: str) -> ProjSpaceProduct:
     for part in text.split("x"):
         part = part.strip()
         if not part.startswith(("P", "p")) or not part[1:].isdigit():
-            raise ValueError(f"cannot parse space factor {part!r}")
+            raise InvalidArgument(f"cannot parse space factor {part!r}")
         dims.append(int(part[1:]))
     return ProjSpaceProduct(tuple(dims))

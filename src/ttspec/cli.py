@@ -17,7 +17,7 @@ import sys
 
 from . import chow_motives, graded_spectrum, milnor_witt, quadratic_forms, tt_geometry
 from .errors import TtspecError
-from .finite_field import make_field, primitive_element
+from .finite_field import _is_prime, make_field, primitive_element
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -378,7 +378,7 @@ def _suite_spech():
         failures.append({"flagged": len(flagged)})
     want = {("[w]", "eta"), ("[w]", "2"), ("[w]", "eta", "2")}
     for p in range(3, 51):
-        if graded_spectrum._is_int_prime(p):
+        if _is_prime(p):
             want.add(("[w]", "eta", str(p)))
     got = {p.sorted_generators() for p in space.points}
     if got != want:

@@ -13,6 +13,10 @@ class NotPrime(TtspecError):
     """The given integer is not prime."""
 
 
+class InvalidArgument(TtspecError, ValueError):
+    """An argument lies outside the values the operation accepts."""
+
+
 class BoundExceeded(TtspecError):
     """Requested field cardinality exceeds the configured bound."""
 

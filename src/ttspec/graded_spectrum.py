@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import UnknownGenerator
-from .finite_field import PrimePower
+from .finite_field import PrimePower, _is_prime
 from .milnor_witt import KmwElement, eta, kmw_mul, omega_symbol
 
 GENERATOR_OMEGA = "[w]"
@@ -253,7 +253,7 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
     discrepancy exactly once.
     """
     nilradical_reduction(field)  # verifies the reduction witnesses
-    int_primes = [p for p in range(2, prime_bound + 1) if _is_int_prime(p)]
+    int_primes = [p for p in range(2, prime_bound + 1) if _is_prime(p)]
     candidates = []
     for use_eta in (False, True):
         for ip in [None] + int_primes:
@@ -288,14 +288,3 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
         sorted(certificates, key=lambda c: tuple(c["generators"]))
     )
     return SpecHSpace(points, prime_bound, degree_bound, certificates)
-
-
-def _is_int_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

@@ -489,14 +489,6 @@ def gw_class(f: DiagonalForm) -> GWClass:
     return GWClass(f.field, f.rank, disc)
 
 
-def gw_add(a: GWClass, b: GWClass) -> GWClass:
-    return a + b
-
-
-def gw_mul(a: GWClass, b: GWClass) -> GWClass:
-    return a * b
-
-
 def hyperbolic_class(field: PrimePower) -> GWClass:
     return gw_class(DiagonalForm(field, (field.one(), -field.one())))
 
@@ -504,38 +496,19 @@ def hyperbolic_class(field: PrimePower) -> GWClass:
 def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
     """The subgroup I^n of W(F_q), with explicit generators.
 
-    I^0 = W; for n >= 1, I^n is generated by n-fold products of Pfister
-    forms <1, -a>, computed by exhaustive product generation over
-    square-class representatives.
+    Closed form (Lam, Ch. II): I^0 = W; I = {0, <1,-w>}, generated by the
+    Pfister form <1,-w>, since <1,-1> is hyperbolic; I^n = 0 for n >= 2,
+    since <1,-w> (x) <1,-w> has rank 4 and square discriminant, hence is
+    hyperbolic over a finite field.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    members = witt_elements(field)  # 0, <1>, <w>, <1,-w>
     if n == 0:
-        members = witt_elements(field)
         generators = list(members)
     else:
-        omega = primitive_element(field)
-        reps = [field.one(), omega]
-        pfisters = [witt_class(DiagonalForm(field, (field.one(), -a))) for a in reps]
-        generators = []
-        for combo in itertools.product(pfisters, repeat=n):
-            prod = combo[0]
-            for c in combo[1:]:
-                prod = prod * c
-            generators.append(prod)
-        seen = {_witt_key(witt_zero(field)): witt_zero(field)}
-        frontier = [witt_zero(field)]
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in generators:
-                    cand = m + g
-                    key = _witt_key(cand)
-                    if key not in seen:
-                        seen[key] = cand
-                        new.append(cand)
-            frontier = new
-        members = list(seen.values())
+        members = [members[0], members[3]] if n == 1 else [members[0]]
+        generators = members[1:]
     return {
         "n": n,
         "order": len(members),

@@ -4,7 +4,9 @@ Objects are finite sums of rational lines Q(i)[m] (twist i, shift m);
 morphisms are slotwise rational matrices and every triangle splits, so
 cones, duals and thick tensor ideals are exactly computable.  Within a
 finite twist/shift window the only proper thick tensor ideal is zero,
-which is also the unique prime.  The module also builds the finite
+which is also the unique prime, so ideal closures are computed in closed
+form: a nonzero line tensored with its inverse line, which the symmetric
+window also holds, is the unit.  The module also builds the finite
 spectral spaces for the chromatic and equivariant posets, Thomason
 subsets, lattice-level quotient/localization, and the comparison map
 into the homogeneous spectrum of the degree-0 endomorphism ring.
@@ -16,7 +18,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundExceeded, NotSpecializationClosed, ShapeMismatch, UniverseTooSmall
+from .errors import (
+    BoundExceeded,
+    InvalidArgument,
+    NotSpecializationClosed,
+    ShapeMismatch,
+    UniverseTooSmall,
+)
+from .finite_field import _is_prime
 
 
 @dataclass(frozen=True)
@@ -168,22 +177,6 @@ def cone(f: TateMorphism) -> TateObject:
     return TateObject.from_dict(out)
 
 
-def duality_unit_check(a: TateObject) -> bool:
-    """Verify the triangle identity: a -> a (x) Da (x) a -> a is the
-    identity, with the coevaluation sum_j e_j (x) e_j* and the evaluation
-    pairing written out on basis vectors."""
-    for key, d in a.slots:
-        # composite on the slot: e_k -> sum_j e_k (x) f_j (x) e_j -> sum_j <f_j, e_k> e_j
-        composite = [[Fraction(0)] * d for _ in range(d)]
-        for k in range(d):
-            for j in range(d):
-                pairing = Fraction(int(j == k))  # <f_j, e_k>
-                composite[j][k] += pairing
-        if composite != [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TateUniverse:
     """Truncation window: lines Q(i)[m] with |i| <= twist_radius and
@@ -227,27 +220,16 @@ class ThickTensorIdeal:
 def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
     """Least thick tensor ideal containing the generators.
 
-    In a symmetric window any nonzero line reaches the unit by tensoring
-    with its inverse line, so the closure is zero or everything; the
-    computation below still runs the generic fixed point on line sets
-    (shift by one, tensor by any universe line, summand extraction is
-    implicit in working with lines).
+    Closed form: the zero ideal when every generator is zero, else the
+    whole window, because any nonzero line tensored with its inverse line
+    (in the symmetric window) is the unit, which generates every line.
     """
-    window = frozenset(universe.lines())
-    reached = set()
+    nonzero = False
     for g in generators:
         if not universe.contains(g):
             raise UniverseTooSmall(f"{g} is outside the window")
-        reached |= g.support_lines
-    changed = True
-    while changed:
-        changed = False
-        for (i, m), (j, k) in itertools.product(list(reached), [(0, 1), (0, -1)] + universe.lines()):
-            key = (i + j, m + k)
-            if key in window and key not in reached:
-                reached.add(key)
-                changed = True
-    return ThickTensorIdeal(universe, frozenset(reached))
+        nonzero = nonzero or not g.is_zero()
+    return ThickTensorIdeal(universe, frozenset(universe.lines() if nonzero else ()))
 
 
 def object_closure(generators, universe: TateUniverse, summand_rule: bool = True, dim_cap: int = 1) -> frozenset:
@@ -293,16 +275,15 @@ def object_closure(generators, universe: TateUniverse, summand_rule: bool = True
 def enumerate_primes(universe: TateUniverse) -> dict:
     """All prime thick tensor ideals of the windowed Tate model.
 
-    Candidate ideals are closures of line subsets; a proper ideal P is
+    The candidates are the only two thick tensor ideals of the window,
+    zero and the window itself (see `ideal_closure`); a proper ideal P is
     prime when a (x) b in P forces a in P or b in P, checked over lines
     and two-line sums.  Returns the primes plus a diagnostic for the
     degenerate window without a unit."""
     window = universe.lines()
     if (0, 0) not in window:
         return {"primes": [], "diagnostic": "window has no unit object; no proper prime exists"}
-    candidates = {ThickTensorIdeal(universe, frozenset())}
-    for line in window:
-        candidates.add(ideal_closure([tate_line(*line)], universe))
+    candidates = [ThickTensorIdeal(universe, frozenset()), ideal_closure([TATE_UNIT], universe)]
     primes = []
     samples = [TateObject(())] + [tate_line(*line) for line in window]
     samples += [
@@ -344,16 +325,23 @@ class FiniteSpectralSpace:
 
     @staticmethod
     def from_edges(points, edges) -> "FiniteSpectralSpace":
+        """Transitive closure of the edges plus a loop at each point, by one
+        depth-first search per node.  An edge end outside `points` gets a
+        loop only when a cycle passes through it."""
         points = tuple(points)
-        rel = {(p, p) for p in points}
-        rel |= {tuple(e) for e in edges}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+        successors = {p: {p} for p in points}
+        for a, b in edges:
+            successors.setdefault(a, set()).add(b)
+        rel = set()
+        for a, direct in successors.items():
+            reached = set(direct)
+            stack = list(direct)
+            while stack:
+                for c in successors.get(stack.pop(), ()):
+                    if c not in reached:
+                        reached.add(c)
+                        stack.append(c)
+            rel.update((a, b) for b in reached)
         return FiniteSpectralSpace(points, frozenset(rel))
 
     def closure(self, subset) -> set:
@@ -417,14 +405,6 @@ def lattice_localize(space: FiniteSpectralSpace, closed) -> FiniteSpectralSpace:
     return space.subspace(closed)
 
 
-def _int_primes_upto(bound: int) -> list[int]:
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            out.append(n)
-    return out
-
-
 def chromatic_label(p, n) -> str:
     return f"P_{p},{n}"
 
@@ -433,11 +413,11 @@ def spc_shtop(prime_bound: int, height_bound: int) -> FiniteSpectralSpace:
     """Chromatic poset: generic point P_0,1, chains P_p,1 -> ... ->
     P_p,height -> P_p,inf for each prime p <= prime_bound."""
     if prime_bound < 1 or height_bound < 1:
-        raise ValueError("bounds must be >= 1")
+        raise InvalidArgument("bounds must be >= 1")
     generic = chromatic_label(0, 1)
     points = [generic]
     edges = []
-    for p in _int_primes_upto(prime_bound):
+    for p in filter(_is_prime, range(2, prime_bound + 1)):
         chain = [chromatic_label(p, n) for n in range(1, height_bound + 1)]
         chain.append(chromatic_label(p, "inf"))
         points.extend(chain)
@@ -452,7 +432,7 @@ def spc_equivariant(n: int, prime_bound: int, height_bound: int, extra_relations
     copy per divisor of n, disjoint by default.  Cross-copy relations are
     not determined here; callers may supply extra specialization edges."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     divisors = [m for m in range(1, n + 1) if n % m == 0]
     base = spc_shtop(prime_bound, height_bound)
     points = []
@@ -464,7 +444,7 @@ def spc_equivariant(n: int, prime_bound: int, height_bound: int, extra_relations
         )
     for a, b in extra_relations:
         if a not in points or b not in points:
-            raise ValueError(f"unknown point in extra relation ({a}, {b})")
+            raise InvalidArgument(f"unknown point in extra relation ({a}, {b})")
         edges.append((a, b))
     return FiniteSpectralSpace.from_edges(points, edges)
 
@@ -498,11 +478,7 @@ def rho_bullet(prime: ThickTensorIdeal) -> dict:
             scalar_cone = cone(identity_morphism(TATE_UNIT))
             if not prime.contains(scalar_cone):
                 contributing.append(("scalar", nn))
-        else:
-            # only the zero map exists; its cone is target + 1[1], nonzero
-            zero_cone = cone(zero_morphism(TATE_UNIT, target))
-            if not prime.contains(zero_cone):
-                pass  # the zero map generates only the zero element
+        # other degrees hold only the zero map, which generates only zero
     return {"ideal_generators": contributing, "point": "zero ideal"}
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,28 @@ def test_usage_errors(capsys):
     assert run(capsys, "kmw", "reduce", "--q", "3", "--word", "[0]")[0] == 1
     assert cli.main(["nonsense"]) == 1
     assert cli.main(["kmw", "table"]) == 1  # missing --q
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kmw", "table", "--q", "3", "--range=-100..0"],
+        ["motive", "decompose", "--space", "P-1"],
+        ["spc", "sh-top", "--primes", "0"],
+        ["spc", "equivariant", "--n", "0"],
+    ],
+)
+def test_invalid_arguments_print_one_error_line(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttspec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_json_envelope_round_trip(capsys):

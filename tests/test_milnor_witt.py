@@ -237,6 +237,41 @@ def test_localize_eta(q):
             assert data["stabilization_index"] == 1
 
 
+def _eta_surjective_by_subgroup(field, n):
+    """Oracle: the subgroup search that `_eta_map_is_surjective` replaced,
+    generating the image of eta inside the finite target."""
+    tgt = mw.kmw_group(field, n - 1)
+    if tgt.order == 1 or not tgt.invariant_factors:
+        return True
+    src = mw.kmw_group(field, n)
+    if not src.invariant_factors:
+        return False
+    gen_images = []
+    for idx in range(len(src.invariant_factors)):
+        coords = tuple(int(j == idx) for j in range(len(src.invariant_factors)))
+        gen_images.append(mw.kmw_mul(mw.eta(field), mw.KmwElement(field, n, coords)))
+    zero = mw.kmw_zero(field, n - 1)
+    reached = {zero.coords}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gen_images:
+                y = mw.kmw_add(x, g)
+                if y.coords not in reached:
+                    reached.add(y.coords)
+                    new.append(y)
+        frontier = new
+    return len(reached) == tgt.order
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_eta_map_surjectivity_matches_subgroup_oracle(q):
+    field = _field(q)
+    for n in range(-8, 9):
+        assert mw._eta_map_is_surjective(field, n) == _eta_surjective_by_subgroup(field, n), n
+
+
 def test_closure_table():
     table = mw.kmw_closure_table(3)
     assert table[0] == "Z"

@@ -220,6 +220,47 @@ def test_fundamental_ideal_filtration(q):
         assert qf._witt_key(cls) in {qf._witt_key(m) for m in ideal["members"]}
 
 
+def _ideal_power_bfs(field, n):
+    """Oracle: the breadth-first search over sums of n-fold Pfister
+    products that `fundamental_ideal_power` replaced, on the exhaustive
+    Witt arithmetic."""
+    if n == 0:
+        return qf.witt_elements(field)
+    reps = [field.one(), primitive_element(field)]
+    pfisters = [qf.witt_class(qf.DiagonalForm(field, (field.one(), -a))) for a in reps]
+    generators = []
+    for combo in itertools.product(pfisters, repeat=n):
+        prod = combo[0]
+        for c in combo[1:]:
+            prod = qf.witt_mul(prod, c)
+        generators.append(prod)
+    zero = qf.witt_zero(field)
+    seen = {qf._witt_key(zero): zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in generators:
+                cand = qf.witt_add(m, g)
+                if qf._witt_key(cand) not in seen:
+                    seen[qf._witt_key(cand)] = cand
+                    new.append(cand)
+        frontier = new
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_fundamental_ideal_power_matches_bfs_oracle(q):
+    field = _field(q)
+    for n in range(4):
+        power = qf.fundamental_ideal_power(field, n)
+        want = _ideal_power_bfs(field, n)
+        assert sorted(power) == ["generators", "members", "n", "order"]
+        assert power["n"] == n
+        assert power["order"] == len(want)
+        assert power["members"] == want
+
+
 # ---------------------------------------------------------------- isometry
 
 

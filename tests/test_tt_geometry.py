@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,17 +49,6 @@ def test_morphism_shape_validation():
         tg.TateMorphism.from_dict(a, tg.TATE_UNIT, {(0, 0): [[1, 0], [0, 1]]})
 
 
-def test_duality_unit_check():
-    objects = [
-        tg.TATE_UNIT,
-        tg.tate_line(3, -1, 2),
-        tg.tate_line(1, 0).direct_sum(tg.tate_line(-2, 2, 3)),
-        tg.TateObject(()),
-    ]
-    for a in objects:
-        assert tg.duality_unit_check(a)
-
-
 # -------------------------------------------------------------- ideals
 
 
@@ -70,6 +60,37 @@ def test_ideal_closure_reaches_unit():
     zero = tg.ideal_closure([tg.TateObject(())], universe)
     assert zero.lines == frozenset()
     assert zero.is_proper()
+
+
+def _ideal_closure_fixed_point(generators, universe):
+    """Oracle: the generic fixed point on line sets (shift by one, tensor
+    by any window line) that `ideal_closure` replaced by its closed form."""
+    window = frozenset(universe.lines())
+    reached = set()
+    for g in generators:
+        reached |= g.support_lines
+    changed = True
+    while changed:
+        changed = False
+        steps = [(0, 1), (0, -1)] + universe.lines()
+        for (i, m), (j, k) in itertools.product(list(reached), steps):
+            key = (i + j, m + k)
+            if key in window and key not in reached:
+                reached.add(key)
+                changed = True
+    return frozenset(reached)
+
+
+def test_ideal_closure_matches_fixed_point_oracle():
+    for radii in itertools.product(range(-1, 3), repeat=2):
+        universe = tg.TateUniverse(*radii)
+        lines = [tg.tate_line(*k) for k in universe.lines()]
+        generator_sets = [[tg.TateObject(())]] + [[a] for a in lines]
+        for a, b in itertools.combinations(lines, 2):
+            generator_sets += [[a, b], [a.direct_sum(b)]]
+        for gens in generator_sets:
+            want = _ideal_closure_fixed_point(gens, universe)
+            assert tg.ideal_closure(gens, universe).lines == want, (radii, gens)
 
 
 def test_ideal_closure_universe_guard():
@@ -141,6 +162,38 @@ def test_spc_shtop_shape():
         cl = space.closure(subset)
         assert subset <= cl
         assert space.closure(cl) == cl
+
+
+def _transitive_closure_fixed_point(points, edges):
+    """Oracle: the repeated O(|R|^2) composition pass that `from_edges`
+    replaced by one depth-first search per node."""
+    rel = {(p, p) for p in points} | {tuple(e) for e in edges}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
+            if b == c and (a, d) not in rel:
+                rel.add((a, d))
+                changed = True
+    return frozenset(rel)
+
+
+def test_from_edges_matches_fixed_point_oracle():
+    # a cycle, an isolated point, and edge ends outside the points
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "out"), ("in", "a")]
+    cases = [(["a", "b", "c", "d"], edges)]
+    rng = random.Random(1608)
+    for _ in range(300):
+        points = [f"x{i}" for i in range(rng.randint(0, 10))]
+        labels = points + ["y0", "y1"]  # y0, y1 are not points
+        edges = [
+            (rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2 * len(labels)))
+        ]
+        cases.append((points, edges))
+    for points, edges in cases:
+        space = tg.FiniteSpectralSpace.from_edges(points, edges)
+        assert space.points == tuple(points)
+        assert space.specializes == _transitive_closure_fixed_point(points, edges), edges
 
 
 def test_thomason_subsets_chain():
