@@ -5,13 +5,19 @@ irreducible polynomial (the lexicographically least monic irreducible of
 the requested degree), so every downstream coordinate is reproducible.
 Elements are coefficient tuples of length e.  A fixed multiplicative
 generator (the least element of full order in representative order) is
-cached on the field together with its discrete-log table.
+cached on the field.  It is found by testing candidates against the prime
+factors of q - 1, never by walking their powers.  Discrete logs come from a
+cached table of all q - 1 powers for q <= LOG_TABLE_BOUND, and above it
+from Pohlig-Hellman with baby-step giant-step in each prime-order
+subgroup: O(sqrt(l)) multiplications for the largest prime l | q - 1
+instead of a scan over q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from math import isqrt
 
 from .errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput, FieldMismatch
 
@@ -19,15 +25,23 @@ CARDINALITY_BOUND = 1 << 20
 LOG_TABLE_BOUND = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 2 by trial division, primes ascending;
+    {} for n < 2."""
+    factors = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == {n: 1}
 
 
 @dataclass(frozen=True)
@@ -53,7 +67,8 @@ class PrimePower:
         the base-p enumeration of all q elements.
         """
         if isinstance(value, FieldElement):
-            if value.field != self:
+            # make_field caches fields, so identity settles almost every call
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of F_{value.field.q} used in F_{self.q}")
             return value
         if isinstance(value, int):
@@ -104,6 +119,8 @@ def _coeffs_to_int(coeffs: tuple[int, ...], p: int) -> int:
 def _poly_mul_mod(a, b, modulus, p):
     """Multiply coefficient tuples mod (modulus, p)."""
     e = len(modulus) - 1
+    if e == 1:  # prime field: residues mod p
+        return (a[0] * b[0] % p,)
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -240,58 +257,105 @@ def make_field(p: int, e: int = 1) -> PrimePower:
 
 
 def multiplicative_order(a: FieldElement) -> int:
+    """Order of a unit: start from q - 1 and divide out each prime l while
+    a^(n/l) is still 1."""
     if a.is_zero():
         raise ZeroInput("order of zero undefined")
-    x = a
-    n = 1
     one = a.field.one()
-    while x != one:
-        x = x * a
-        n += 1
+    n = a.field.q - 1
+    for ell in _prime_factors(n):
+        while n % ell == 0 and a ** (n // ell) == one:
+            n //= ell
     return n
 
 
 def primitive_element(field: PrimePower) -> FieldElement:
-    """Least element (in representative order) of multiplicative order q - 1."""
+    """Least element (in representative order) of multiplicative order q - 1:
+    the first a with a^((q-1)/l) != 1 for every prime l dividing q - 1."""
     cached = field._cache.get("primitive")
     if cached is not None:
         return cached
-    q = field.q
-    for v in range(2, q):
+    one = field.one()
+    cofactors = [(field.q - 1) // ell for ell in _prime_factors(field.q - 1)]
+    for v in range(2, field.q):
         a = field.from_index(v)
-        if multiplicative_order(a) == q - 1:
+        if all(a ** c != one for c in cofactors):
             field._cache["primitive"] = a
             return a
     raise AssertionError("no generator found; field construction is broken")
 
 
 def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
+    """coeffs of omega^k -> k for k in 0..q-2, built on bare coefficient
+    tuples (no FieldElement per step)."""
     table = field._cache.get("logs")
     if table is None:
-        omega = primitive_element(field)
+        omega = primitive_element(field).coeffs
+        modulus, p = field.modulus, field.p
         table = {}
-        x = field.one()
+        x = field.one().coeffs
         for k in range(field.q - 1):
-            table[x.coeffs] = k
-            x = x * omega
+            table[x] = k
+            x = _poly_mul_mod(x, omega, modulus, p)
         field._cache["logs"] = table
     return table
 
 
+def _subgroup_log(field: PrimePower, ell: int, h: FieldElement) -> int:
+    """d in 0..ell-1 with gamma^d = h, where gamma = omega^((q-1)/ell) has
+    prime order ell: baby-step giant-step with ceil(sqrt(ell)) steps.  The
+    baby-step table and the giant step gamma^-m are cached per ell."""
+    tables = field._cache.setdefault("bsgs", {})
+    if ell not in tables:
+        gamma = primitive_element(field) ** ((field.q - 1) // ell)
+        m = isqrt(ell - 1) + 1
+        baby = {}
+        x = field.one()
+        for j in range(m):
+            baby[x.coeffs] = j
+            x = x * gamma
+        tables[ell] = (m, baby, gamma ** (ell - m))
+    m, baby, giant = tables[ell]
+    y = h
+    for i in range(m):
+        j = baby.get(y.coeffs)
+        if j is not None:
+            return i * m + j
+        y = y * giant
+    raise AssertionError("unreachable: h lies in the subgroup of order ell")
+
+
+def _pohlig_hellman(a: FieldElement) -> int:
+    """Least k in [0, q-2] with omega^k = a (Pohlig-Hellman, 1978).
+
+    For each prime power l^e exactly dividing n = q - 1, the residue of k
+    mod l^e is found digit by digit in base l, each digit a log in the
+    subgroup of order l; the residues are joined by the CRT."""
+    field = a.field
+    n = field.q - 1
+    omega = primitive_element(field)
+    k = 0
+    for ell, e in _prime_factors(n).items():
+        modulus = ell ** e
+        g = omega ** (n // modulus)  # order l^e
+        target = a ** (n // modulus)  # = g^(k mod l^e)
+        x = 0
+        for i in range(e):
+            h = (target * g ** (modulus - x)) ** (modulus // ell ** (i + 1))
+            x += _subgroup_log(field, ell, h) * ell ** i
+        cofactor = n // modulus
+        k += x * cofactor * pow(cofactor, -1, modulus)
+    return k % n
+
+
 def discrete_log(a: FieldElement) -> int:
-    """Least k >= 0 with omega^k = a, for the fixed generator omega."""
+    """Least k >= 0 with omega^k = a, for the fixed generator omega: a table
+    lookup for q <= LOG_TABLE_BOUND, Pohlig-Hellman above it."""
     if a.is_zero():
         raise ZeroInput("discrete log of zero undefined")
-    field = a.field
-    if field.q <= LOG_TABLE_BOUND:
-        return _log_table(field)[a.coeffs]
-    omega = primitive_element(field)
-    x = field.one()
-    for k in range(field.q - 1):
-        if x == a:
-            return k
-        x = x * omega
-    raise AssertionError("unreachable: every unit is a power of the generator")
+    if a.field.q <= LOG_TABLE_BOUND:
+        return _log_table(a.field)[a.coeffs]
+    return _pohlig_hellman(a)
 
 
 def is_square(a: FieldElement) -> bool:

@@ -23,6 +23,7 @@ the independent Witt-ring model):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     DegreeMismatch,
@@ -545,21 +546,15 @@ def change_of_generator(x: KmwElement, new_omega: FieldElement) -> tuple[int, ..
     """Coordinates of x relative to a different multiplicative generator.
 
     Group shapes are unchanged; only degree-1 (and the bracket parts of
-    lower degrees) coordinates rescale by the discrete log of the old
-    generator in the new one.
+    lower degrees) coordinates rescale by k = log of the old generator in
+    the new one.  With new_omega = omega^d, new_omega generates F_q^* iff
+    gcd(d, q - 1) = 1, and then k = d^-1 mod (q - 1).
     """
-    from .finite_field import multiplicative_order
-
     field = x.field
-    if multiplicative_order(new_omega) != field.q - 1:
-        raise ValueError("not a multiplicative generator")
-    omega = primitive_element(field)
-    # omega = new_omega^k
-    k = 0
-    acc = field.one()
-    while acc != omega:
-        acc = acc * new_omega
-        k += 1
+    d = discrete_log(field.element(new_omega))
+    if gcd(d, field.q - 1) != 1:
+        raise InvalidArgument("not a multiplicative generator")
+    k = pow(d, -1, field.q - 1)  # omega = new_omega^k
     n = x.degree
     if n == 1:
         return ((x.coords[0] * k) % (field.q - 1),)

@@ -160,6 +160,23 @@ def test_usage_errors(capsys):
     assert cli.main(["kmw", "table"]) == 1  # missing --q
 
 
+def _run_cold(*argv):
+    """Run the CLI in a fresh interpreter; the timeout only guards against
+    a hang and is not a time budget."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "ttspec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def _cold_json_result(*argv):
+    proc = _run_cold(*argv, "--json")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)["result"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -170,16 +187,21 @@ def test_usage_errors(capsys):
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ttspec.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_cold(*argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_kmw_reduce_above_log_table_bound():
+    result = _cold_json_result("kmw", "reduce", "--q", "531441", "--word", "[2]")
+    assert [c["coords"] for c in result["components"]] == [[265720]]
+
+
+def test_spc_tate_wide_window():
+    result = _cold_json_result("spc", "tate", "--twist-radius", "40", "--shift-radius", "40")
+    assert result["primes"] == ["(0)"]
 
 
 def test_json_envelope_round_trip(capsys):

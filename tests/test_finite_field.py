@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from ttspec.errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput
+from ttspec import milnor_witt as mw
+from ttspec.errors import BoundExceeded, EvenCharacteristic, InvalidArgument, NotPrime, ZeroInput
 from ttspec.finite_field import (
     FieldElement,
+    _log_table,
+    _pohlig_hellman,
     discrete_log,
     is_square,
     make_field,
@@ -129,3 +133,96 @@ def test_log_table_large_field_path():
     omega = primitive_element(field)
     a = omega ** 12345
     assert discrete_log(a) == 12345
+
+
+# ------------------------------------------------- oracles for the set-up
+
+
+def _order_by_walk(a):
+    """Oracle: the O(q) power walk `multiplicative_order` replaced."""
+    x, n, one = a, 1, a.field.one()
+    while x != one:
+        x = x * a
+        n += 1
+    return n
+
+
+def _primitive_by_walk(field):
+    """Oracle: the first candidate of full order by the power walk."""
+    for v in range(2, field.q):
+        a = field.from_index(v)
+        if _order_by_walk(a) == field.q - 1:
+            return a
+    raise AssertionError("no generator")
+
+
+def _odd_prime_powers(bound):
+    primes = [p for p in range(3, bound + 1) if all(p % d for d in range(2, p))]
+    return [(p, e) for p in primes for e in range(1, 9) if p ** e <= bound]
+
+
+@pytest.mark.parametrize("p,e", _odd_prime_powers(400))
+def test_generator_and_order_match_power_walk(p, e):
+    field = make_field(p, e)
+    omega = primitive_element(field)
+    assert omega == _primitive_by_walk(field)
+    for v in range(1, min(field.q, 24)):
+        a = field.from_index(v)
+        assert multiplicative_order(a) == _order_by_walk(a), (field, v)
+
+
+@pytest.mark.parametrize("p", [65521, 65537, 67003, 1048573])
+def test_generator_matches_sympy_primitive_root(p):
+    sympy_ntheory = pytest.importorskip("sympy.ntheory")
+    assert primitive_element(make_field(p)).value == sympy_ntheory.primitive_root(p)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(7, 1), (3, 2), (5, 2), (3, 3), (11, 2), (5, 3), (3, 5), (3, 7)]
+)
+def test_pohlig_hellman_matches_log_table(p, e):
+    field = make_field(p, e)
+    for coeffs, k in _log_table(field).items():
+        assert _pohlig_hellman(FieldElement(field, coeffs)) == k
+
+
+@pytest.mark.parametrize("p,e", [(65537, 1), (67003, 1), (41, 3), (5, 7), (3, 12), (1048573, 1)])
+def test_discrete_log_above_table_bound(p, e):
+    field = make_field(p, e)
+    q = field.q
+    omega = primitive_element(field)
+    rng = random.Random(f"dlog:{q}")
+    for k in [0, 1, (q - 1) // 2, q - 2] + [rng.randrange(q - 1) for _ in range(16)]:
+        assert discrete_log(omega ** k) == k, (q, k)
+
+
+def _change_of_generator_by_walk(x, new_omega):
+    """Oracle: the walk `change_of_generator` replaced (k with
+    new_omega^k = omega, found by stepping through powers)."""
+    field = x.field
+    omega = primitive_element(field)
+    k, acc = 0, field.one()
+    while acc != omega:
+        acc = acc * new_omega
+        k += 1
+    n = x.degree
+    if n == 1:
+        return ((x.coords[0] * k) % (field.q - 1),)
+    if n == 0 or (n < 0 and field.q % 4 == 1):
+        return (x.coords[0], (x.coords[1] * k) % 2)
+    return x.coords
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)])
+def test_change_of_generator_matches_walk(p, e):
+    field = make_field(p, e)
+    elements = [
+        x for n in (-2, -1, 0, 1) for x in mw._kmw_elements_for_check(field, n)
+    ]
+    for a in field.units():
+        if _order_by_walk(a) != field.q - 1:
+            with pytest.raises(InvalidArgument):
+                mw.change_of_generator(elements[0], a)
+            continue
+        for x in elements:
+            assert mw.change_of_generator(x, a) == _change_of_generator_by_walk(x, a)

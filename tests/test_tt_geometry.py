@@ -118,6 +118,57 @@ def test_unique_prime():
         assert found["diagnostic"] is None
 
 
+def _primes_by_sample_pairs(universe):
+    """Oracle: the sample-pair prime check `enumerate_primes` replaced by
+    its closed form, with window membership read from the line list."""
+    window = universe.lines()
+    if (0, 0) not in window:
+        return []
+    in_window = frozenset(window)
+
+    def inside(a):
+        return a.support_lines <= in_window
+
+    candidates = [frozenset(), in_window]
+    samples = [tg.TateObject(())] + [tg.tate_line(*line) for line in window]
+    samples += [
+        tg.tate_line(*p).direct_sum(tg.tate_line(*q))
+        for p, q in itertools.combinations(window, 2)
+    ][:20]
+    primes = []
+    for cand in candidates:
+        if (0, 0) in cand:
+            continue
+        if all(
+            not (a.tensor(b).support_lines <= cand)
+            or a.support_lines <= cand
+            or b.support_lines <= cand
+            for a, b in itertools.product(samples, repeat=2)
+            if inside(a.tensor(b))
+        ):
+            primes.append(cand)
+    return sorted(primes, key=sorted)
+
+
+def test_enumerate_primes_matches_sample_pair_oracle():
+    for radii in itertools.product(range(-1, 4), repeat=2):
+        universe = tg.TateUniverse(*radii)
+        found = tg.enumerate_primes(universe)["primes"]
+        assert [p.lines for p in found] == _primes_by_sample_pairs(universe), radii
+
+
+def test_window_contains_is_a_range_check():
+    for radii in itertools.product(range(-1, 3), repeat=2):
+        universe = tg.TateUniverse(*radii)
+        window = frozenset(universe.lines())
+        assert universe.contains(tg.TateObject(()))
+        for i, m in itertools.product(range(-3, 4), repeat=2):
+            a = tg.tate_line(i, m)
+            b = a.direct_sum(tg.TATE_UNIT)
+            assert universe.contains(a) == ((i, m) in window), (radii, i, m)
+            assert universe.contains(b) == (b.support_lines <= window), (radii, i, m)
+
+
 def test_degenerate_universe():
     found = tg.enumerate_primes(tg.TateUniverse(-1, -1))
     assert found["primes"] == []
