@@ -16,22 +16,21 @@ integer column lattice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import InvalidArgument, SpaceMismatch
 
 
-@dataclass(frozen=True)
-class ProjSpaceProduct:
+class ProjSpaceProduct(Value):
     """Product P^{n_1} x ... x P^{n_k}; the empty product is the point."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        if any(n < 0 for n in self.dims):
+    def __init__(self, dims: tuple[int, ...]):
+        if any(n < 0 for n in dims):
             raise InvalidArgument("projective space dimensions must be >= 0")
-        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "dims", tuple(dims))
 
     @property
     def dimension(self) -> int:
@@ -63,13 +62,15 @@ class ProjSpaceProduct:
 POINT = ProjSpaceProduct(())
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Value):
     """Cycle class: integer (or Fraction) combination of hyperplane
     monomials, truncated by h_i^{n_i + 1} = 0."""
 
-    space: ProjSpaceProduct
-    terms: tuple[tuple[tuple[int, ...], object], ...]  # sorted (monomial, coeff)
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space: ProjSpaceProduct, terms: tuple[tuple[tuple[int, ...], object], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", terms)  # sorted (monomial, coeff) pairs
 
     @staticmethod
     def from_dict(space: ProjSpaceProduct, coeffs: dict) -> "ChowClass":
@@ -187,23 +188,23 @@ def degree(a: ChowClass):
     return a.coeffs().get(a.space.top_monomial(), 0)
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Value):
     """Degree-r correspondence X -> Y: a class in CH^{dim X + r}(X x Y)."""
 
-    source: ProjSpaceProduct
-    target: ProjSpaceProduct
-    shift: int
-    cls: ChowClass
+    __slots__ = ("source", "target", "shift", "cls")
 
-    def __post_init__(self):
-        product = self.source.times(self.target)
-        if self.cls.space != product:
-            raise SpaceMismatch(f"class lives on {self.cls.space}, expected {product}")
-        want = self.source.dimension + self.shift
-        if not self.cls.is_homogeneous(want):
+    def __init__(self, source: ProjSpaceProduct, target: ProjSpaceProduct, shift: int, cls: ChowClass):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "cls", cls)
+        product = source.times(target)
+        if cls.space != product:
+            raise SpaceMismatch(f"class lives on {cls.space}, expected {product}")
+        want = source.dimension + shift
+        if not cls.is_homogeneous(want):
             raise SpaceMismatch(
-                f"degree-{self.shift} correspondence needs codimension {want}"
+                f"degree-{shift} correspondence needs codimension {want}"
             )
 
     def transpose(self) -> "Correspondence":
@@ -264,17 +265,17 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     return Correspondence(alpha.source, beta.target, alpha.shift + beta.shift, down)
 
 
-@dataclass(frozen=True)
-class Motive:
+class Motive(Value):
     """Triple (X, p, n): idempotent correspondence p and twist n."""
 
-    space: ProjSpaceProduct
-    projector: Correspondence
-    twist: int
+    __slots__ = ("space", "projector", "twist")
 
-    def __post_init__(self):
-        p = self.projector
-        if p.source != self.space or p.target != self.space or p.shift != 0:
+    def __init__(self, space: ProjSpaceProduct, projector: Correspondence, twist: int):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "projector", projector)
+        object.__setattr__(self, "twist", twist)
+        p = projector
+        if p.source != space or p.target != space or p.shift != 0:
             raise SpaceMismatch("projector must be a degree-0 endocorrespondence")
         if compose(p, p) != p:
             raise ValueError("projector is not idempotent")

@@ -15,10 +15,10 @@ instead of a scan over q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import isqrt
 
+from ._value import Value
 from .errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput, FieldMismatch
 
 CARDINALITY_BOUND = 1 << 20
@@ -44,16 +44,21 @@ def _is_prime(n: int) -> bool:
     return _prime_factors(n) == {n: 1}
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """Field descriptor for F_q with q = p^e, q odd."""
+class PrimePower(Value):
+    """Field descriptor for F_q with q = p^e, q odd.  `modulus` is monic,
+    coefficients low-to-high, length e + 1; `_cache` is filled lazily and
+    left out of equality."""
 
-    p: int
-    e: int
-    modulus: tuple[int, ...]  # monic, coefficients low-to-high, length e + 1
+    __slots__ = ("p", "e", "modulus", "_cache")
 
-    # caches, filled lazily; excluded from equality
-    _cache: dict = dc_field(default_factory=dict, compare=False, repr=False, hash=False)
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_cache", {})
+
+    def __hash__(self):  # direct: every FieldElement hash calls it
+        return hash((self.p, self.e, self.modulus))
 
     @property
     def q(self) -> int:
@@ -63,8 +68,9 @@ class PrimePower:
         """Coerce a value into this field.
 
         Integers map through the ring homomorphism Z -> F_q (reduction
-        mod p); sequences are coefficient tuples.  Use `from_index` for
-        the base-p enumeration of all q elements.
+        mod p); sequences are coefficients low-to-high, reduced by the
+        modulus when longer than e.  Use `from_index` for the base-p
+        enumeration of all q elements.
         """
         if isinstance(value, FieldElement):
             # make_field caches fields, so identity settles almost every call
@@ -75,7 +81,10 @@ class PrimePower:
             coeffs = (value % self.p,) + (0,) * (self.e - 1)
         else:
             coeffs = tuple(c % self.p for c in value)
-            coeffs = coeffs + (0,) * (self.e - len(coeffs))
+            if len(coeffs) > self.e:
+                coeffs = _poly_mul_mod(coeffs, (1,), self.modulus, self.p)
+            else:
+                coeffs = coeffs + (0,) * (self.e - len(coeffs))
         return FieldElement(self, coeffs)
 
     def from_index(self, v: int) -> "FieldElement":
@@ -163,10 +172,21 @@ def _poly_divides(divisor, poly, p):
     return all(c == 0 for c in rem[:dd])
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    field: PrimePower
-    coeffs: tuple[int, ...]
+class FieldElement(Value):
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: PrimePower, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # the hottest class: direct methods rather than the generic ones of Value
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coeffs) == (other.field, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

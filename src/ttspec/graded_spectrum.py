@@ -11,8 +11,8 @@ and coefficient-bounded multiplicativity check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import UnknownGenerator
 from .finite_field import PrimePower, _is_prime
 from .milnor_witt import KmwElement, eta, kmw_mul, omega_symbol
@@ -21,19 +21,17 @@ GENERATOR_OMEGA = "[w]"
 GENERATOR_ETA = "eta"
 
 
-@dataclass(frozen=True)
-class ReducedElement:
+class ReducedElement(Value):
     """Homogeneous element of Z[eta]/(2 eta): degree 0 integers, or
     coefficient-mod-2 multiples of eta^d in degree -d."""
 
-    degree: int  # <= 0
-    coeff: int
+    __slots__ = ("degree", "coeff")
 
-    def __post_init__(self):
-        if self.degree > 0:
+    def __init__(self, degree: int, coeff: int):
+        if degree > 0:
             raise ValueError("reduced ring vanishes in positive degrees")
-        if self.degree < 0:
-            object.__setattr__(self, "coeff", self.coeff % 2)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeff", coeff % 2 if degree < 0 else coeff)
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -47,15 +45,25 @@ class ReducedElement:
         return f"{self.coeff}*eta^{-self.degree}"
 
 
-@dataclass(frozen=True)
-class GradedRingPresentation:
-    """Presentation tag for the reduced ring Z[t]/(m t), deg(t) = degree."""
+class GradedRingPresentation(Value):
+    """Presentation tag for the reduced ring Z[t]/(m t), deg(t) = degree;
+    `family` reads like "KMW(q)_red" and `torsion` is m."""
 
-    family: str  # "KMW(q)_red"
-    t_name: str
-    t_degree: int
-    torsion: int  # m in Z[t]/(m t)
-    nilpotent_witnesses: tuple[tuple[str, str], ...]
+    __slots__ = ("family", "t_name", "t_degree", "torsion", "nilpotent_witnesses")
+
+    def __init__(
+        self,
+        family: str,
+        t_name: str,
+        t_degree: int,
+        torsion: int,
+        nilpotent_witnesses: tuple[tuple[str, str], ...],
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "t_name", t_name)
+        object.__setattr__(self, "t_degree", t_degree)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "nilpotent_witnesses", nilpotent_witnesses)
 
     def element(self, degree: int, coeff: int) -> ReducedElement:
         return ReducedElement(degree, coeff)
@@ -81,16 +89,19 @@ def nilradical_reduction(field: PrimePower) -> GradedRingPresentation:
     )
 
 
-@dataclass(frozen=True)
-class HomogeneousPrime:
+class HomogeneousPrime(Value):
     """Named-generator homogeneous ideal of the reduced ring.
 
     Generators are drawn from {[w], eta, 2} plus odd integer primes; [w]
-    is always present (it generates the nilradical of K^MW).
+    is always present (it generates the nilradical of K^MW).  `discrepancy`
+    flags the ([w], eta, 2) point absent from the usual list.
     """
 
-    generators: frozenset[str]
-    discrepancy: bool = False  # the ([w], eta, 2) point absent from the usual list
+    __slots__ = ("generators", "discrepancy")
+
+    def __init__(self, generators: frozenset[str], discrepancy: bool = False):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "discrepancy", discrepancy)
 
     @property
     def has_eta(self) -> bool:
@@ -207,14 +218,22 @@ def is_prime_ideal(candidate: HomogeneousPrime, degree_bound: int = 12, coeff_bo
     return cert
 
 
-@dataclass(frozen=True)
-class SpecHSpace:
+class SpecHSpace(Value):
     """Finite truncation of Spec^h of the reduced ring."""
 
-    points: tuple[HomogeneousPrime, ...]
-    prime_bound: int
-    degree_bound: int
-    certificates: tuple[dict, ...]
+    __slots__ = ("points", "prime_bound", "degree_bound", "certificates")
+
+    def __init__(
+        self,
+        points: tuple[HomogeneousPrime, ...],
+        prime_bound: int,
+        degree_bound: int,
+        certificates: tuple[dict, ...],
+    ):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "prime_bound", prime_bound)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "certificates", certificates)
 
     def specializations(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with point j in the closure of point i (P_i <= P_j)."""

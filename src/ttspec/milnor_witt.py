@@ -22,9 +22,9 @@ the independent Witt-ring model):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import Value
 from .errors import (
     DegreeMismatch,
     FieldMismatch,
@@ -49,12 +49,14 @@ def _check_degree(n: int):
         raise InvalidArgument(f"degree {n} outside supported window [-{DEGREE_BOUND}, {DEGREE_BOUND}]")
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(Value):
     """Finitely generated abelian group: invariant factors (0 means Z)."""
 
-    invariant_factors: tuple[int, ...]
-    generators: tuple[str, ...]
+    __slots__ = ("invariant_factors", "generators")
+
+    def __init__(self, invariant_factors: tuple[int, ...], generators: tuple[str, ...]):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self):
@@ -97,14 +99,13 @@ def _normalize(field: PrimePower, n: int, coords) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KmwElement:
-    field: PrimePower
-    degree: int
-    coords: tuple[int, ...]
+class KmwElement(Value):
+    __slots__ = ("field", "degree", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _normalize(self.field, self.degree, self.coords))
+    def __init__(self, field: PrimePower, degree: int, coords: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coords", _normalize(field, degree, coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -162,16 +163,16 @@ def hyperbolic_kmw(field: PrimePower) -> KmwElement:
     return KmwElement(field, 0, (2, d % 2))
 
 
-@dataclass(frozen=True)
-class SymbolWord:
+class SymbolWord(Value):
     """Formal integer combination of monomials eta^i * [a_1]...[a_k]."""
 
-    field: PrimePower
-    terms: tuple[tuple[int, int, tuple[FieldElement, ...]], ...]
-    # each term: (coefficient, eta power i >= 0, bracket entries)
+    __slots__ = ("field", "terms")
 
-    def __post_init__(self):
-        for coeff, i, entries in self.terms:
+    def __init__(self, field: PrimePower, terms: tuple[tuple[int, int, tuple[FieldElement, ...]], ...]):
+        object.__setattr__(self, "field", field)
+        # each term: (coefficient, eta power i >= 0, bracket entries)
+        object.__setattr__(self, "terms", terms)
+        for coeff, i, entries in terms:
             if i < 0:
                 raise ValueError("eta power must be >= 0")
             for a in entries:
@@ -328,13 +329,16 @@ def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     return reduce_homogeneous(_to_word(x) * _to_word(y), n)
 
 
-@dataclass(frozen=True)
-class MilnorKElement:
-    """Element of Milnor K-theory: Z in degree 0, F_q^* in degree 1, 0 above."""
+class MilnorKElement(Value):
+    """Element of Milnor K-theory: Z in degree 0, F_q^* in degree 1, 0 above.
+    `value` is an int in degree 0, a FieldElement in degree 1, else None."""
 
-    field: PrimePower
-    degree: int
-    value: object  # int for degree 0, FieldElement for degree 1, None otherwise
+    __slots__ = ("field", "degree", "value")
+
+    def __init__(self, field: PrimePower, degree: int, value: object):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "value", value)
 
     def is_zero(self) -> bool:
         if self.degree == 0:

@@ -9,8 +9,8 @@ fixed generator of F_q^*.  This makes class equality a value comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DegenerateForm, FieldMismatch
 from .finite_field import (
     FieldElement,
@@ -25,21 +25,21 @@ from .finite_field import (
 _EXHAUSTIVE_Q = 1 << 7
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(Value):
     """Symmetric Gram matrix of a bilinear form over F_q."""
 
-    field: PrimePower
-    gram: tuple[tuple[FieldElement, ...], ...]
+    __slots__ = ("field", "gram")
 
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
+    def __init__(self, field: PrimePower, gram: tuple[tuple[FieldElement, ...], ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "gram", gram)
+        n = len(gram)
+        for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
 
     @property
@@ -54,13 +54,13 @@ def gram(field: PrimePower, rows) -> GramForm:
     return GramForm(field, tuple(tuple(field.element(x) for x in row) for row in rows))
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    field: PrimePower
-    entries: tuple[FieldElement, ...]
+class DiagonalForm(Value):
+    __slots__ = ("field", "entries")
 
-    def __post_init__(self):
-        for a in self.entries:
+    def __init__(self, field: PrimePower, entries: tuple[FieldElement, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
+        for a in entries:
             if a.is_zero():
                 raise DegenerateForm("diagonal entries must be nonzero")
 
@@ -316,13 +316,13 @@ def _orthogonal_complement(field, entries, vectors):
     return basis
 
 
-@dataclass(frozen=True)
-class WittClass:
-    field: PrimePower
-    anisotropic_kernel: DiagonalForm
+class WittClass(Value):
+    __slots__ = ("field", "anisotropic_kernel")
 
-    def __post_init__(self):
-        if self.anisotropic_kernel.rank > 2:
+    def __init__(self, field: PrimePower, anisotropic_kernel: DiagonalForm):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "anisotropic_kernel", anisotropic_kernel)
+        if anisotropic_kernel.rank > 2:
             raise ValueError("anisotropic kernel over a finite field has rank <= 2")
 
     def is_zero(self) -> bool:
@@ -431,16 +431,15 @@ def witt_ring_structure(field: PrimePower) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class GWClass:
+class GWClass(Value):
     """Element of GW(F_q) ~= Z (+) Z/2 as (virtual rank, discriminant bit)."""
 
-    field: PrimePower
-    rank: int
-    disc: int
+    __slots__ = ("field", "rank", "disc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "disc", self.disc % 2)
+    def __init__(self, field: PrimePower, rank: int, disc: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "disc", disc % 2)
 
     def __add__(self, other: "GWClass") -> "GWClass":
         self._check(other)

@@ -15,9 +15,9 @@ into the homogeneous spectrum of the degree-0 endomorphism ring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import (
     BoundExceeded,
     InvalidArgument,
@@ -28,11 +28,13 @@ from .errors import (
 from .finite_field import _is_prime
 
 
-@dataclass(frozen=True)
-class TateObject:
+class TateObject(Value):
     """Finite sum of lines Q(i)[m] with multiplicities."""
 
-    slots: tuple[tuple[tuple[int, int], int], ...]  # ((twist, shift), dim), sorted
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: tuple[tuple[tuple[int, int], int], ...]):
+        object.__setattr__(self, "slots", slots)  # sorted ((twist, shift), dim) pairs
 
     @staticmethod
     def from_dict(dims: dict) -> "TateObject":
@@ -97,13 +99,20 @@ def tate_line(twist: int, shift: int = 0, dim: int = 1) -> TateObject:
 TATE_UNIT = tate_line(0, 0)
 
 
-@dataclass(frozen=True)
-class TateMorphism:
+class TateMorphism(Value):
     """Slotwise rational matrices source -> target (rows = target dim)."""
 
-    source: TateObject
-    target: TateObject
-    blocks: tuple[tuple[tuple[int, int], tuple[tuple[Fraction, ...], ...]], ...]
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(
+        self,
+        source: TateObject,
+        target: TateObject,
+        blocks: tuple[tuple[tuple[int, int], tuple[tuple[Fraction, ...], ...]], ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "blocks", blocks)
 
     @staticmethod
     def from_dict(source: TateObject, target: TateObject, blocks: dict) -> "TateMorphism":
@@ -177,14 +186,16 @@ def cone(f: TateMorphism) -> TateObject:
     return TateObject.from_dict(out)
 
 
-@dataclass(frozen=True)
-class TateUniverse:
+class TateUniverse(Value):
     """Truncation window: lines Q(i)[m] with |i| <= twist_radius and
     |m| <= shift_radius.  A negative radius gives the degenerate
     universe containing only the zero object."""
 
-    twist_radius: int
-    shift_radius: int
+    __slots__ = ("twist_radius", "shift_radius")
+
+    def __init__(self, twist_radius: int, shift_radius: int):
+        object.__setattr__(self, "twist_radius", twist_radius)
+        object.__setattr__(self, "shift_radius", shift_radius)
 
     def lines(self):
         if self.twist_radius < 0 or self.shift_radius < 0:
@@ -202,13 +213,15 @@ class TateUniverse:
         )
 
 
-@dataclass(frozen=True)
-class ThickTensorIdeal:
+class ThickTensorIdeal(Value):
     """Thick tensor ideal of the windowed Tate model, recorded by the set
     of lines it contains (semisimplicity makes this complete data)."""
 
-    universe: TateUniverse
-    lines: frozenset
+    __slots__ = ("universe", "lines")
+
+    def __init__(self, universe: TateUniverse, lines: frozenset):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "lines", lines)
 
     def contains(self, a: TateObject) -> bool:
         return a.support_lines <= self.lines
@@ -297,13 +310,15 @@ def u_open(a: TateObject, primes) -> list[ThickTensorIdeal]:
     return [p for p in primes if p.contains(a)]
 
 
-@dataclass(frozen=True)
-class FiniteSpectralSpace:
+class FiniteSpectralSpace(Value):
     """Finite poset of points; (a, b) in specializes means b lies in the
-    closure of a."""
+    closure of a (a transitive reflexive relation on labels)."""
 
-    points: tuple[str, ...]
-    specializes: frozenset  # transitive reflexive relation on labels
+    __slots__ = ("points", "specializes")
+
+    def __init__(self, points: tuple[str, ...], specializes: frozenset):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "specializes", specializes)
 
     @staticmethod
     def from_edges(points, edges) -> "FiniteSpectralSpace":

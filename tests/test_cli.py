@@ -194,6 +194,19 @@ def test_invalid_arguments_print_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Both cost start-up time in every CLI process; -S keeps modules that
+    site-packages hooks import out of the check."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, ttspec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_kmw_reduce_above_log_table_bound():
     result = _cold_json_result("kmw", "reduce", "--q", "531441", "--word", "[2]")
     assert [c["coords"] for c in result["components"]] == [[265720]]

@@ -15,6 +15,7 @@ from ttspec.finite_field import (
     multiplicative_order,
     primitive_element,
     square_class,
+    _poly_divides,
     _poly_is_irreducible,
 )
 
@@ -125,6 +126,33 @@ def test_element_coercion_and_value():
     assert field.element(-1) == -field.one()
     assert field.element(3).is_zero()  # ring image of the characteristic
     assert field.element(4) == field.one()
+
+
+def test_element_reduces_long_sequences_by_the_modulus():
+    f5 = make_field(5)
+    assert f5.element((1, 2)) == f5.one()  # 1 + 2x with x = 0 in Z/5[x]/(x)
+    assert f5.element((1, 2)).value == 1
+    f9 = make_field(3, 2)
+    assert f9.modulus == (1, 0, 1)
+    assert f9.element((1, 0, 1)).is_zero()
+    assert f9.element((0, 0, 1)) == f9.element((-1,))  # x^2 = -1
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_element_sequence_oracle(p, e):
+    """Up to length e a sequence is padded as before; a longer one gives the
+    remainder of degree < e, checked by the modulus dividing the difference."""
+    field = make_field(p, e)
+    rng = random.Random(f"element {p}^{e}")
+    for _ in range(200):
+        seq = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(0, e + 3))]
+        coeffs = field.element(seq).coeffs
+        assert len(coeffs) == e and all(0 <= c < p for c in coeffs)
+        if len(seq) <= e:
+            assert coeffs == tuple(c % p for c in seq) + (0,) * (e - len(seq))
+        else:
+            diff = [(s - r) % p for s, r in zip(seq, coeffs + (0,) * len(seq))]
+            assert _poly_divides(field.modulus, diff, p)
 
 
 def test_log_table_large_field_path():

@@ -1,0 +1,95 @@
+"""Golden CLI corpus: the `--json` stdout of fixed commands, compared byte
+for byte with the files in tests/golden/.
+
+The corpus covers every subcommand, q = 1 and q = 3 mod 4, q = 9 and every
+`verify --suite`.  Regenerate it (only when an output change is intended)
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ttspec import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = Path(__file__).parent.parent / "schemas" / "envelope.schema.json"
+
+COMMANDS = {
+    "kmw_table_q3": ["kmw", "table", "--q", "3", "--range=-3..3"],
+    "kmw_table_q5": ["kmw", "table", "--q", "5", "--range=-3..3"],
+    "kmw_table_q9": ["kmw", "table", "--q", "9", "--range=-2..2"],
+    "kmw_reduce_q7": ["kmw", "reduce", "--q", "7", "--word", "eta[2] + h + [3][5]"],
+    "kmw_reduce_q9": ["kmw", "reduce", "--q", "9", "--word", "eta^2[w][w^3] - [w^5] + 3"],
+    "witt_classify_q5": ["witt", "classify", "--q", "5", "--form", "1,2,3"],
+    "witt_classify_q7": ["witt", "classify", "--q", "7", "--form", "1,1,1"],
+    "witt_classify_q9": ["witt", "classify", "--q", "9", "--form", "1,2"],
+    "gw_q3": ["gw", "--q", "3"],
+    "gw_q9": ["gw", "--q", "9"],
+    "gw_q13": ["gw", "--q", "13"],
+    "milnor_q5": ["milnor", "--q", "5", "--n", "1"],
+    "milnor_q9": ["milnor", "--q", "9", "--n", "2"],
+    "spech_q3": ["spech", "--q", "3", "--prime-bound", "20"],
+    "spech_q5": ["spech", "--q", "5", "--prime-bound", "10"],
+    "motive_decompose": ["motive", "decompose", "--space", "P2xP1"],
+    "motive_hom": ["motive", "hom", "--space", "P1", "--target-space", "P2", "--twist", "1"],
+    "motive_dual": ["motive", "dual", "--space", "P2", "--twist", "1"],
+    "motive_pairing": ["motive", "pairing", "--space", "P1xP1"],
+    "spc_tate": ["spc", "tate", "--twist-radius", "3", "--shift-radius", "2"],
+    "spc_shtop": ["spc", "sh-top", "--primes", "3", "--height", "2", "--dot"],
+    "spc_equivariant": ["spc", "equivariant", "--n", "6", "--primes", "2", "--height", "1"],
+    **{
+        f"verify_{suite}": ["verify", "--suite", suite]
+        for suite in ("tables", "witt", "ses", "spech", "eta", "motives", "tate", "spaces")
+    },
+}
+
+
+def _json_stdout(capsys, argv):
+    code = cli.main([*argv, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    return out
+
+
+def test_corpus_covers_every_subcommand_and_suite():
+    parser_commands = {argv[0] for argv in COMMANDS.values()}
+    assert parser_commands == {"kmw", "witt", "gw", "milnor", "spech", "motive", "spc", "verify"}
+    suites = {argv[2] for argv in COMMANDS.values() if argv[0] == "verify"}
+    assert suites == set(cli.SUITES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(capsys, name):
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert _json_stdout(capsys, COMMANDS[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_envelope_schema(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA.read_text())
+    jsonschema.validate(json.loads((GOLDEN / f"{name}.json").read_text()), schema)
+
+
+def _regenerate():
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        buf = StringIO()
+        with redirect_stdout(buf):
+            code = cli.main([*argv, "--json"])
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.json").write_text(buf.getvalue())
+
+
+if __name__ == "__main__":
+    _regenerate()
