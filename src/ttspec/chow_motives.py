@@ -2,10 +2,12 @@
 
 Chow rings of products of projective spaces are truncated polynomial
 rings Z[h_1, ..., h_k] / (h_i^{n_i + 1}), so every cycle-level operation
-(intersection, pullback, pushforward, correspondence composition) is
-exact polynomial bookkeeping.  Motives are triples (X, p, n) with p an
-idempotent correspondence; the Lefschetz motive is the point with twist
--1, and twisting by n corresponds to tensoring with its (-n)-th power.
+(intersection, transpose, external product, correspondence composition)
+is exact polynomial bookkeeping; h^n is the class of a point on P^n, so
+composition is a per-factor degree rule on monomials.  Motives are
+triples (X, p, n) with p an idempotent correspondence; the Lefschetz
+motive is the point with twist -1, and twisting by n corresponds to
+tensoring with its (-n)-th power.
 
 hom((X, p, n), (Y, q, m)) is the subgroup of classes a in
 CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p.  The compression
@@ -103,11 +105,6 @@ class ChowClass(Value):
             return len(cods) <= 1
         return cods <= {codim}
 
-    def graded_piece(self, codim: int) -> "ChowClass":
-        return ChowClass.from_dict(
-            self.space, {m: c for m, c in self.terms if sum(m) == codim}
-        )
-
     def _check(self, other: "ChowClass"):
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space} vs {other.space}")
@@ -118,15 +115,6 @@ class ChowClass(Value):
         for m, c in other.terms:
             out[m] = out.get(m, 0) + c
         return ChowClass.from_dict(self.space, out)
-
-    def __neg__(self):
-        return ChowClass.from_dict(self.space, {m: -c for m, c in self.terms})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ChowClass":
-        return ChowClass.from_dict(self.space, {m: c * v for m, v in self.terms})
 
     def __repr__(self):
         if not self.terms:
@@ -154,35 +142,6 @@ def chow_mul(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass.from_dict(a.space, out)
 
 
-def pullback(a: ChowClass, product: ProjSpaceProduct, positions: tuple[int, ...]) -> ChowClass:
-    """Pull a back along the projection of `product` onto the listed
-    factor positions (which must present a's space in order)."""
-    if tuple(product.dims[i] for i in positions) != a.space.dims:
-        raise SpaceMismatch(f"positions {positions} of {product} do not match {a.space}")
-    out = {}
-    for m, c in a.terms:
-        full = [0] * product.factors
-        for i, e in zip(positions, m):
-            full[i] = e
-        out[tuple(full)] = c
-    return ChowClass.from_dict(product, out)
-
-
-def pushforward(a: ChowClass, keep: tuple[int, ...]) -> ChowClass:
-    """Push a forward along the projection keeping the listed factor
-    positions.  A monomial survives iff every integrated-out factor
-    carries its top power; the coefficient is then transported."""
-    product = a.space
-    drop = [i for i in range(product.factors) if i not in keep]
-    target = ProjSpaceProduct(tuple(product.dims[i] for i in keep))
-    out = {}
-    for m, c in a.terms:
-        if all(m[i] == product.dims[i] for i in drop):
-            key = tuple(m[i] for i in keep)
-            out[key] = out.get(key, 0) + c
-    return ChowClass.from_dict(target, out)
-
-
 def degree(a: ChowClass):
     """Coefficient of the top monomial (the class of a point)."""
     return a.coeffs().get(a.space.top_monomial(), 0)
@@ -208,7 +167,7 @@ class Correspondence(Value):
             )
 
     def transpose(self) -> "Correspondence":
-        ks, kt = self.source.factors, self.target.factors
+        ks = self.source.factors
         out = {}
         for m, c in self.cls.terms:
             out[m[ks:] + m[:ks]] = c
@@ -221,8 +180,7 @@ class Correspondence(Value):
         src = self.source.times(other.source)
         tgt = self.target.times(other.target)
         big = src.times(tgt)
-        ks, kt = self.source.factors, self.target.factors
-        ks2, kt2 = other.source.factors, other.target.factors
+        ks, ks2 = self.source.factors, other.source.factors
         out = {}
         for m1, c1 in self.cls.terms:
             for m2, c2 in other.cls.terms:
@@ -250,19 +208,25 @@ def identity_correspondence(space: ProjSpaceProduct) -> Correspondence:
 
 
 def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
-    """beta o alpha via the triple product: pull both back, intersect,
-    push down to source x target."""
+    """beta o alpha by the per-factor degree rule: x^a y^b composed with
+    y^b' z^e is x^a z^e exactly when b + b' is the top monomial of Y, so
+    each term of alpha meets only the terms of beta whose Y-part is its
+    complement."""
     if alpha.target != beta.source:
         raise SpaceMismatch(f"cannot compose {beta.source}->{beta.target} after {alpha.source}->{alpha.target}")
-    kx = alpha.source.factors
-    ky = alpha.target.factors
-    kz = beta.target.factors
-    triple = alpha.source.times(alpha.target).times(beta.target)
-    a_up = pullback(alpha.cls, triple, tuple(range(kx + ky)))
-    b_up = pullback(beta.cls, triple, tuple(range(kx, kx + ky + kz)))
-    prod = chow_mul(a_up, b_up)
-    down = pushforward(prod, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
-    return Correspondence(alpha.source, beta.target, alpha.shift + beta.shift, down)
+    kx, ky = alpha.source.factors, beta.source.factors
+    by_middle = {}
+    for m, d in beta.cls.terms:
+        by_middle.setdefault(m[:ky], []).append((m[ky:], d))
+    top = beta.source.dims
+    out = {}
+    for m, c in alpha.cls.terms:
+        partner = tuple(n - b for n, b in zip(top, m[kx:]))
+        for e, d in by_middle.get(partner, ()):
+            key = m[:kx] + e
+            out[key] = out.get(key, 0) + c * d
+    cls = ChowClass.from_dict(alpha.source.times(beta.target), out)
+    return Correspondence(alpha.source, beta.target, alpha.shift + beta.shift, cls)
 
 
 class Motive(Value):
@@ -310,7 +274,6 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
     """Split the diagonal into Kunneth projectors; each summand is
     isomorphic to a power of the Lefschetz motive, returned as
     (motive, power) sorted by power."""
-    k = space.factors
     product = space.times(space)
     out = []
     for exps in itertools.product(*[range(n + 1) for n in space.dims]):
@@ -346,40 +309,31 @@ def _compression_matrix(m: Motive, n: Motive, basis):
 
 
 def _column_lattice_basis(cols):
-    """Hermite-style column reduction over Z; returns basis columns."""
-    cols = [list(c) for c in cols if any(c)]
+    """Hermite-style column reduction over Z; returns basis columns.
+    Position i is gcd-reduced by the first column of least |c[i]| until
+    one column, the pivot, is nonzero there; the rest are then zero at
+    every position up to i."""
+    cols = [list(c) for c in cols]
     rows = len(cols[0]) if cols else 0
     basis = []
-    r = 0
     for i in range(rows):
-        cols = [c for c in cols if any(c)]
-        pivots = [c for c in cols if c[i] != 0]
-        if not pivots:
+        live = [c for c in cols if c[i]]
+        while len(live) > 1:
+            small = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                if c is not small:
+                    f = c[i] // small[i]
+                    for j in range(i, rows):
+                        c[j] -= f * small[j]
+            live = [c for c in live if c[i]]
+        if not live:
             continue
-        # gcd-reduce the pivot position by repeated column subtraction
-        while True:
-            pivots = sorted((c for c in cols if c[i] != 0), key=lambda c: abs(c[i]))
-            if len(pivots) <= 1:
-                break
-            small = pivots[0]
-            for c in pivots[1:]:
-                f = c[i] // small[i]
-                for j in range(rows):
-                    c[j] -= f * small[j]
-        pivot = next((c for c in cols if c[i] != 0), None)
-        if pivot is None:
-            continue
+        pivot = live[0]
         if pivot[i] < 0:
-            for j in range(rows):
+            for j in range(i, rows):
                 pivot[j] = -pivot[j]
         basis.append(pivot)
         cols = [c for c in cols if c is not pivot]
-        for c in cols:
-            f = c[i] // pivot[i]
-            if f:
-                for j in range(rows):
-                    c[j] -= f * pivot[j]
-        r += 1
     return basis
 
 
@@ -389,8 +343,6 @@ def hom_group(m: Motive, n: Motive) -> dict:
     codim = m.space.dimension + n.twist - m.twist
     product = m.space.times(n.space)
     basis_monos = list(product.monomials(codim))
-    if not basis_monos:
-        return {"rank": 0, "ambient_codim": codim, "basis": [], "space": product}
     cols = _compression_matrix(m, n, basis_monos)
     image = _column_lattice_basis(cols)
     classes = [
@@ -469,22 +421,6 @@ def _int_det(matrix) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[i])]
     assert det.denominator == 1
     return int(det)
-
-
-def rationalize(hom: dict) -> dict:
-    """Tensor a hom-group basis with the rationals; the basis stays a
-    basis because the group is free."""
-    basis = [
-        ChowClass.from_dict(cls.space, {m: Fraction(c) for m, c in cls.terms})
-        for cls in hom["basis"]
-    ]
-    return {
-        "rank": hom["rank"],
-        "ambient_codim": hom["ambient_codim"],
-        "basis": basis,
-        "space": hom["space"],
-        "coefficients": "Q",
-    }
 
 
 def parse_space(text: str) -> ProjSpaceProduct:

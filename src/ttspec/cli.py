@@ -17,7 +17,7 @@ import sys
 
 from . import chow_motives, graded_spectrum, milnor_witt, quadratic_forms, tt_geometry
 from .errors import TtspecError
-from .finite_field import _is_prime, make_field, primitive_element
+from .finite_field import _is_prime, _prime_factors, make_field, primitive_element
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,18 +25,11 @@ EXIT_VERIFY = 2
 
 
 def _field_for(q: int):
-    # factor q = p^e
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise TtspecError(f"{q} is not a prime power")
-            return make_field(p, e)
-    raise TtspecError(f"{q} is not a prime power")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise TtspecError(f"{q} is not a prime power")
+    ((p, e),) = factors.items()
+    return make_field(p, e)
 
 
 # ---------------------------------------------------------------- word parser
@@ -510,7 +503,8 @@ def _render_table(payload, indent=0) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    json_flag = argparse.ArgumentParser(add_help=False)
+    # no default, so that a subcommand does not reset a --json given before it
+    json_flag = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     json_flag.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
     def _env_int(name, fallback):
@@ -606,10 +600,16 @@ def main(argv=None) -> int:
         },
         "result": payload,
     }
-    if args.json:
-        print(json.dumps(envelope, sort_keys=True, default=str))
-    else:
-        print(_render_table(payload))
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(envelope, sort_keys=True, default=str))
+        else:
+            print(_render_table(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`ttspec ... | head -1`).  Point
+        # stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "verify" and not payload["ok"]:
         return EXIT_VERIFY
     return EXIT_OK

@@ -62,9 +62,6 @@ class TateObject(Value):
     def shift_by(self, k: int) -> "TateObject":
         return TateObject.from_dict({(i, m + k): d for (i, m), d in self.slots})
 
-    def twist_by(self, j: int) -> "TateObject":
-        return TateObject.from_dict({(i + j, m): d for (i, m), d in self.slots})
-
     def direct_sum(self, other: "TateObject") -> "TateObject":
         out = self.dims()
         for k, d in other.slots:
@@ -483,9 +480,11 @@ def verify_comparison(universe: TateUniverse) -> dict:
     """Check that the comparison-map preimage of each principal open
     D(s) equals U(Cone(s)), scanning the homogeneous elements of the
     graded endomorphism ring (rational scalars in degree 0, zero in every
-    other degree)."""
+    other degree).  A prime lies over D(s) iff its rho_bullet image, the
+    whole ring if a unit generates it and zero otherwise, misses s."""
     report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
     primes = enumerate_primes(universe)["primes"]
+    unit_images = [bool(rho_bullet(p)["ideal_generators"]) for p in primes]
     u = tate_line(1, 2)
     scalars = [Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 2)]
     for nn in range(-universe.twist_radius, universe.twist_radius + 1):
@@ -498,8 +497,7 @@ def verify_comparison(universe: TateUniverse) -> dict:
         for s in values:
             f = TateMorphism.from_dict(TATE_UNIT, target, {} if s == 0 or nn != 0 else {(0, 0): [[s]]})
             c = cone(f)
-            d_open = s != 0  # the single point of Spec^h(Q) lies in D(s) iff s != 0
-            preimage = [p for p in primes if d_open]
+            preimage = [p for p, unit in zip(primes, unit_images) if s != 0 and not unit]
             u_cone = u_open(c, primes)
             ok = sorted(map(repr, preimage)) == sorted(map(repr, u_cone))
             report["cases"].append({"degree": nn, "scalar": str(s), "ok": ok})

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,90 @@ from ttspec import chow_motives as cm
 P1 = cm.ProjSpaceProduct((1,))
 P2 = cm.ProjSpaceProduct((2,))
 P1xP1 = cm.ProjSpaceProduct((1, 1))
+
+
+# ---------------------------------------------------------------- oracles
+# The triple-product route to composition (pull both classes back to
+# X x Y x Z, intersect, push down to X x Z) and the first version of the
+# column reduction.  `compose` and `_column_lattice_basis` must agree
+# with them exactly.
+
+
+def pullback(a, product, positions):
+    """Pull a back along the projection of `product` onto the listed
+    factor positions (which must present a's space in order)."""
+    if tuple(product.dims[i] for i in positions) != a.space.dims:
+        raise SpaceMismatch(f"positions {positions} of {product} do not match {a.space}")
+    out = {}
+    for m, c in a.terms:
+        full = [0] * product.factors
+        for i, e in zip(positions, m):
+            full[i] = e
+        out[tuple(full)] = c
+    return cm.ChowClass.from_dict(product, out)
+
+
+def pushforward(a, keep):
+    """Push a forward along the projection keeping the listed factor
+    positions.  A monomial survives iff every integrated-out factor
+    carries its top power; the coefficient is then transported."""
+    product = a.space
+    drop = [i for i in range(product.factors) if i not in keep]
+    target = cm.ProjSpaceProduct(tuple(product.dims[i] for i in keep))
+    out = {}
+    for m, c in a.terms:
+        if all(m[i] == product.dims[i] for i in drop):
+            key = tuple(m[i] for i in keep)
+            out[key] = out.get(key, 0) + c
+    return cm.ChowClass.from_dict(target, out)
+
+
+def compose_via_triple_product(beta, alpha):
+    if alpha.target != beta.source:
+        raise SpaceMismatch("cannot compose")
+    kx = alpha.source.factors
+    ky = alpha.target.factors
+    kz = beta.target.factors
+    triple = alpha.source.times(alpha.target).times(beta.target)
+    a_up = pullback(alpha.cls, triple, tuple(range(kx + ky)))
+    b_up = pullback(beta.cls, triple, tuple(range(kx, kx + ky + kz)))
+    prod = cm.chow_mul(a_up, b_up)
+    down = pushforward(prod, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
+    return cm.Correspondence(alpha.source, beta.target, alpha.shift + beta.shift, down)
+
+
+def column_lattice_basis_reference(cols):
+    cols = [list(c) for c in cols if any(c)]
+    rows = len(cols[0]) if cols else 0
+    basis = []
+    for i in range(rows):
+        cols = [c for c in cols if any(c)]
+        pivots = [c for c in cols if c[i] != 0]
+        if not pivots:
+            continue
+        while True:
+            pivots = sorted((c for c in cols if c[i] != 0), key=lambda c: abs(c[i]))
+            if len(pivots) <= 1:
+                break
+            small = pivots[0]
+            for c in pivots[1:]:
+                f = c[i] // small[i]
+                for j in range(rows):
+                    c[j] -= f * small[j]
+        pivot = next((c for c in cols if c[i] != 0), None)
+        if pivot is None:
+            continue
+        if pivot[i] < 0:
+            for j in range(rows):
+                pivot[j] = -pivot[j]
+        basis.append(pivot)
+        cols = [c for c in cols if c is not pivot]
+        for c in cols:
+            f = c[i] // pivot[i]
+            if f:
+                for j in range(rows):
+                    c[j] -= f * pivot[j]
+    return basis
 
 
 # -------------------------------------------------------------- Chow rings
@@ -25,10 +110,10 @@ def test_pushforward_point_degree():
     # top class of P1 x pt pushes to 1 on the point
     space = cm.ProjSpaceProduct((1,))
     top = cm.monomial_class(space, (1,))
-    down = cm.pushforward(top, ())
+    down = pushforward(top, ())
     assert down == cm.monomial_class(cm.POINT, ())
     # classes missing the top power of the integrated factor die
-    down0 = cm.pushforward(cm.monomial_class(space, (0,)), ())
+    down0 = pushforward(cm.monomial_class(space, (0,)), ())
     assert down0.is_zero()
 
 
@@ -36,7 +121,7 @@ def test_pushforward_coefficient_extraction_oracle():
     space = cm.ProjSpaceProduct((2, 1))
     for mono in space.monomials():
         cls = cm.monomial_class(space, mono, 3)
-        down = cm.pushforward(cls, (0,))
+        down = pushforward(cls, (0,))
         if mono[1] == 1:  # top power of the dropped P1 factor
             assert down == cm.monomial_class(cm.ProjSpaceProduct((2,)), (mono[0],), 3)
         else:
@@ -46,10 +131,10 @@ def test_pushforward_coefficient_extraction_oracle():
 def test_pullback_positions():
     cls = cm.monomial_class(P1, (1,))
     product = P1.times(P2)
-    up = cm.pullback(cls, product, (0,))
+    up = pullback(cls, product, (0,))
     assert up == cm.monomial_class(product, (1, 0))
     with pytest.raises(SpaceMismatch):
-        cm.pullback(cls, product, (1,))
+        pullback(cls, product, (1,))
 
 
 def test_degree():
@@ -113,6 +198,61 @@ def test_compose_space_mismatch():
     b = cm.identity_correspondence(P2)
     with pytest.raises(SpaceMismatch):
         cm.compose(b, a)
+
+
+def _random_class(rng, space, codim, picks, extra=()):
+    monos = list(space.monomials(codim))
+    chosen = rng.sample(monos, min(picks, len(monos))) + list(extra)
+    return cm.ChowClass.from_dict(space, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen})
+
+
+def _random_pair(rng, x, y, z, picks):
+    """Homogeneous alpha: X -> Y and beta: Y -> Z; beta also takes a
+    partner of about half of alpha's terms, so that few compositions
+    vanish."""
+    xy, yz = x.times(y), y.times(z)
+    codim_a = rng.randint(0, xy.dimension)
+    alpha_cls = _random_class(rng, xy, codim_a, picks)
+    codim = rng.randint(0, yz.dimension)
+    by_middle = {}
+    for m in yz.monomials(codim):
+        by_middle.setdefault(m[:y.factors], []).append(m)
+    partners = []
+    for m, _ in alpha_cls.terms:
+        partner = tuple(n - b for n, b in zip(y.dims, m[x.factors:]))
+        if partner in by_middle and rng.random() < 0.5:
+            partners.append(rng.choice(by_middle[partner]))
+    beta_cls = _random_class(rng, yz, codim, picks, partners)
+    alpha = cm.Correspondence(x, y, codim_a - x.dimension, alpha_cls)
+    beta = cm.Correspondence(y, z, codim - y.dimension, beta_cls)
+    return alpha, beta
+
+
+def _check_against_triple_product(rng, triples, picks, rounds):
+    nonzero = 0
+    for x, y, z in triples:
+        for _ in range(rounds):
+            alpha, beta = _random_pair(rng, x, y, z, picks)
+            got = cm.compose(beta, alpha)
+            assert got == compose_via_triple_product(beta, alpha), (x, y, z, alpha, beta)
+            nonzero += not got.cls.is_zero()
+    return nonzero
+
+
+def test_compose_matches_triple_product_small_spaces():
+    """Every (X, Y, Z) with at most 2 factors of dimension <= 2."""
+    spaces = [cm.ProjSpaceProduct(d) for k in range(3) for d in itertools.product(range(3), repeat=k)]
+    triples = list(itertools.product(spaces, repeat=3))
+    nonzero = _check_against_triple_product(random.Random(1), triples, 4, 2)
+    assert nonzero > len(triples) // 2
+
+
+def test_compose_matches_triple_product_three_factors():
+    rng = random.Random(2)
+    spaces = [cm.ProjSpaceProduct(d) for d in itertools.product(range(4), repeat=3)]
+    triples = [tuple(rng.choice(spaces) for _ in range(3)) for _ in range(200)]
+    nonzero = _check_against_triple_product(rng, triples, 12, 1)
+    assert nonzero > len(triples) // 2
 
 
 # ---------------------------------------------------------- decomposition
@@ -252,24 +392,33 @@ def test_pairing_small_products():
         assert cm.pairing_nondegenerate(cm.ProjSpaceProduct(dims))["nondegenerate"]
 
 
-# ------------------------------------------------------------ rationalize
-
-
-def test_rationalize_preserves_rank():
-    m = cm.Motive(P1, cm.identity_correspondence(P1), 0)
-    hom = cm.hom_group(m, m)
-    rat = cm.rationalize(hom)
-    assert rat["rank"] == hom["rank"] == 2
-    assert rat["coefficients"] == "Q"
-    from fractions import Fraction
-
-    for cls in rat["basis"]:
-        for _, c in cls.terms:
-            assert isinstance(c, Fraction)
-
-
 def test_parse_space():
     assert cm.parse_space("P2xP1").dims == (2, 1)
     assert cm.parse_space("pt") == cm.POINT
     with pytest.raises(ValueError):
         cm.parse_space("X3")
+
+
+def _random_matrix(rng):
+    """Column-major integer matrix with zero columns, repeated and
+    dependent columns, negative entries and non-unit pivots."""
+    rows = rng.randint(0, 7)
+    cols = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.15 or not rows:
+            cols.append([0] * rows)
+        elif kind < 0.3 and cols:
+            k = rng.choice((-2, -1, 1, 3))
+            cols.append([k * v for v in rng.choice(cols)])
+        else:
+            cols.append([rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -4, 6)) for _ in range(rows)])
+    return cols
+
+
+def test_column_lattice_basis_matches_reference():
+    rng = random.Random(3)
+    for _ in range(3000):
+        cols = _random_matrix(rng)
+        want = column_lattice_basis_reference([list(c) for c in cols])
+        assert cm._column_lattice_basis([list(c) for c in cols]) == want, cols

@@ -184,6 +184,12 @@ def _cold_json_result(*argv):
         ["motive", "decompose", "--space", "P-1"],
         ["spc", "sh-top", "--primes", "0"],
         ["spc", "equivariant", "--n", "0"],
+        ["gw", "--q=0"],
+        ["gw", "--q=1"],
+        ["gw", "--q=-3"],
+        ["gw", "--q=12"],
+        ["gw", "--q=1046529"],
+        ["gw", "--q=4"],
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
@@ -192,6 +198,56 @@ def test_invalid_arguments_print_one_error_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    if argv[0] == "gw":
+        q = argv[1].removeprefix("--q=")
+        want = "characteristic 2 is not supported" if q == "4" else f"{q} is not a prime power"
+        assert lines[0] == f"error: {want}"
+
+
+# one invocation of every subcommand (and of every motive operation)
+_EVERY_SUBCOMMAND = [
+    ["kmw", "table", "--q", "3", "--range=-2..2"],
+    ["kmw", "reduce", "--q", "3", "--word", "eta[2] + h"],
+    ["witt", "classify", "--q", "5", "--form", "1,2"],
+    ["gw", "--q", "3"],
+    ["milnor", "--q", "5", "--n", "1"],
+    ["spech", "--q", "3", "--prime-bound", "7"],
+    ["motive", "decompose", "--space", "P1xP1"],
+    ["motive", "hom", "--space", "P1", "--target-space", "P1"],
+    ["motive", "dual", "--space", "P2", "--twist", "1"],
+    ["motive", "pairing", "--space", "P1xP1"],
+    ["spc", "tate", "--twist-radius", "2", "--shift-radius", "1"],
+    ["spc", "sh-top", "--primes", "2", "--height", "2"],
+    ["spc", "equivariant", "--n", "6", "--primes", "2", "--height", "1"],
+    ["verify", "--suite", "witt"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _EVERY_SUBCOMMAND, ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-")
+)
+def test_json_flag_position_does_not_matter(capsys, argv):
+    before = run(capsys, "--json", *argv)
+    after = run(capsys, *argv, "--json")
+    assert before == after
+    assert json.loads(after[1])["command"] == argv[0]
+
+
+def test_closed_stdout_leaves_stderr_empty():
+    """`ttspec ... | head -1`: the reader is gone before the first write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttspec.cli", "spc", "sh-top", "--primes", "300", "--height", "30"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -210,6 +266,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_kmw_reduce_above_log_table_bound():
     result = _cold_json_result("kmw", "reduce", "--q", "531441", "--word", "[2]")
     assert [c["coords"] for c in result["components"]] == [[265720]]
+
+
+def test_motive_hom_three_factor_products():
+    result = _cold_json_result(
+        "motive", "hom", "--space", "P4xP4xP4", "--target-space", "P4xP4xP4"
+    )
+    assert result["rank"] == len(result["basis"]) == 1751
+    assert result["ambient_codim"] == 12
 
 
 def test_spc_tate_wide_window():

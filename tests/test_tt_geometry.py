@@ -359,6 +359,16 @@ def test_verify_comparison():
     assert 0 in degrees and 1 in degrees
 
 
+def test_verify_comparison_fails_on_wrong_rho_bullet(monkeypatch):
+    # sending the zero prime to the unit ideal empties every D(s) preimage
+    monkeypatch.setattr(
+        tg, "rho_bullet", lambda prime: {"ideal_generators": [("scalar", 0)], "point": "unit ideal"}
+    )
+    report = tg.verify_comparison(tg.TateUniverse(3, 2))
+    assert not report["ok"]
+    assert not all(case["ok"] for case in report["cases"])
+
+
 # ------------------------------------------------------------- nilpotence
 
 
