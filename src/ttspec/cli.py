@@ -376,6 +376,20 @@ def _suite_spech():
     got = {p.sorted_generators() for p in space.points}
     if got != want:
         failures.append({"got": sorted(got), "want": sorted(want)})
+    # the listed points against the bounded certificate and inclusion test
+    for cert in space.certificates:
+        if not (cert["prime"] and cert["proper"]):
+            failures.append({"not_prime": list(cert["generators"])})
+    if graded_spectrum.is_prime_ideal(graded_spectrum.HomogeneousPrime(frozenset({"[w]"})))["prime"]:
+        failures.append({"prime": ["[w]"]})
+    pairs = [
+        (i, j)
+        for i, a in enumerate(space.points)
+        for j, b in enumerate(space.points)
+        if i != j and b.includes(a)
+    ]
+    if space.specializations() != pairs:
+        failures.append({"specializations": space.specializations(), "want": pairs})
     return failures
 
 

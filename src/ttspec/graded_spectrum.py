@@ -3,9 +3,13 @@
 Killing the nilpotent generators ([w] and eta[w], both of square zero,
 verified by explicit multiplication) leaves the graded ring Z[t]/(2t) with
 t = eta in degree -1.  Homogeneous elements of the reduced ring are an
-integer in degree 0 or a Z/2 multiple of eta^d in degree -d; primes are
-enumerated over the named generator alphabet and certified by a degree-
-and coefficient-bounded multiplicativity check.
+integer in degree 0 or a Z/2 multiple of eta^d in degree -d.  Its
+homogeneous primes are known (Thornton, arXiv 1608.02913): (eta), (2),
+(eta, 2) and (eta, p) for each odd prime p, each with [w] added, and
+inclusion is the only specialization between them.  `enumerate_primes`
+lists them from that classification; the degree- and coefficient-bounded
+multiplicativity check `is_prime_ideal` runs only when a space's
+`certificates` are read.
 """
 
 from __future__ import annotations
@@ -13,12 +17,17 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import UnknownGenerator
+from .errors import BoundExceeded, UnknownGenerator
 from .finite_field import PrimePower, _is_prime
 from .milnor_witt import KmwElement, eta, kmw_mul, omega_symbol
 
 GENERATOR_OMEGA = "[w]"
 GENERATOR_ETA = "eta"
+
+# largest accepted prime bound: trial division makes the listing
+# super-linear, and a cold `spech --prime-bound 500000 --json` takes about
+# 4.7 s on a 2-CPU x86-64 VM (10^6 takes 11 s)
+PRIME_BOUND = 500_000
 
 
 class ReducedElement(Value):
@@ -219,30 +228,39 @@ def is_prime_ideal(candidate: HomogeneousPrime, degree_bound: int = 12, coeff_bo
 
 
 class SpecHSpace(Value):
-    """Finite truncation of Spec^h of the reduced ring."""
+    """Finite truncation of Spec^h of the reduced ring; `_certificates` is
+    filled when `certificates` is first read and left out of equality."""
 
-    __slots__ = ("points", "prime_bound", "degree_bound", "certificates")
+    __slots__ = ("points", "prime_bound", "degree_bound", "_certificates")
 
-    def __init__(
-        self,
-        points: tuple[HomogeneousPrime, ...],
-        prime_bound: int,
-        degree_bound: int,
-        certificates: tuple[dict, ...],
-    ):
+    def __init__(self, points: tuple[HomogeneousPrime, ...], prime_bound: int, degree_bound: int):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "prime_bound", prime_bound)
         object.__setattr__(self, "degree_bound", degree_bound)
-        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "_certificates", None)
+
+    @property
+    def certificates(self) -> tuple[dict, ...]:
+        """One `is_prime_ideal` certificate per point, in point order."""
+        if self._certificates is None:
+            certs = tuple(is_prime_ideal(p, degree_bound=self.degree_bound) for p in self.points)
+            object.__setattr__(self, "_certificates", certs)
+        return self._certificates
 
     def specializations(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with point j in the closure of point i (P_i <= P_j)."""
-        out = []
-        for i, a in enumerate(self.points):
-            for j, b in enumerate(self.points):
-                if i != j and b.includes(a):
-                    out.append((i, j))
-        return out
+        """Pairs (i, j) with point j in the closure of point i (P_i <= P_j).
+
+        Inclusion is the only specialization: the generic point ([w], eta)
+        lies in every other point that contains eta, and ([w], 2) lies in
+        ([w], eta, 2).
+        """
+        index = {p.generators: i for i, p in enumerate(self.points)}
+        generic = index[frozenset({GENERATOR_OMEGA, GENERATOR_ETA})]
+        out = [(generic, j) for j, p in enumerate(self.points) if p.has_eta and j != generic]
+        two = index.get(frozenset({GENERATOR_OMEGA, "2"}))
+        if two is not None:
+            out.append((two, index[frozenset({GENERATOR_OMEGA, GENERATOR_ETA, "2"})]))
+        return sorted(out)
 
     def v_closed(self, ideal: HomogeneousPrime) -> list[HomogeneousPrime]:
         """V(I) = points containing I."""
@@ -262,48 +280,28 @@ class SpecHSpace(Value):
 
 
 def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12) -> SpecHSpace:
-    """All certified homogeneous primes of the reduced presentation with
-    integer components <= prime_bound.
+    """The homogeneous primes of the reduced presentation with integer
+    generators <= prime_bound, sorted by their sorted generators.
 
-    Candidate ideals are generated from the named alphabet, deduplicated
-    by ideal equality, certified by `is_prime_ideal`, and returned with
-    the specialization (inclusion) order.  The point ([w], eta, 2), which
-    the usual classification folds into its neighbours, is flagged as a
-    discrepancy exactly once.
+    They are ([w], eta), ([w], 2) and ([w], eta, 2) when prime_bound >= 2,
+    and ([w], eta, p) for each odd prime p <= prime_bound.  The point
+    ([w], eta, 2), which the usual classification folds into its
+    neighbours, is flagged as a discrepancy.  `degree_bound` is the bound
+    of the certificates read from the returned space.
     """
+    if prime_bound > PRIME_BOUND:
+        raise BoundExceeded(f"prime bound {prime_bound} exceeds the bound {PRIME_BOUND}")
     nilradical_reduction(field)  # verifies the reduction witnesses
-    int_primes = [p for p in range(2, prime_bound + 1) if _is_prime(p)]
-    candidates = []
-    for use_eta in (False, True):
-        for ip in [None] + int_primes:
-            gens = {GENERATOR_OMEGA}
-            if use_eta:
-                gens.add(GENERATOR_ETA)
-            if ip is not None:
-                gens.add(str(ip))
-            candidates.append(frozenset(gens))
-    # canonicalize: an odd integer generator absorbs eta (odd * eta = eta)
-    seen = {}
-    for gens in candidates:
-        cand = HomogeneousPrime(gens)
-        ints = cand.integer_generators
-        canonical = set(gens)
-        if any(m % 2 == 1 for m in ints):
-            canonical.add(GENERATOR_ETA)
-        key = frozenset(canonical)
-        if key not in seen:
-            seen[key] = HomogeneousPrime(key)
-    points = []
-    certificates = []
-    for cand in seen.values():
-        cert = is_prime_ideal(cand, degree_bound=degree_bound)
-        if cert["prime"]:
-            flagged = cand.generators == frozenset({GENERATOR_OMEGA, GENERATOR_ETA, "2"})
-            points.append(HomogeneousPrime(cand.generators, discrepancy=flagged))
-            certificates.append(cert)
-    order = {p.sorted_generators(): p for p in points}
-    points = tuple(order[k] for k in sorted(order))
-    certificates = tuple(
-        sorted(certificates, key=lambda c: tuple(c["generators"]))
-    )
-    return SpecHSpace(points, prime_bound, degree_bound, certificates)
+    points = [HomogeneousPrime(frozenset({GENERATOR_OMEGA, GENERATOR_ETA}))]
+    if prime_bound >= 2:
+        points.append(HomogeneousPrime(frozenset({GENERATOR_OMEGA, "2"})))
+        points.append(
+            HomogeneousPrime(frozenset({GENERATOR_OMEGA, GENERATOR_ETA, "2"}), discrepancy=True)
+        )
+    points += [
+        HomogeneousPrime(frozenset({GENERATOR_OMEGA, GENERATOR_ETA, str(p)}))
+        for p in range(3, prime_bound + 1, 2)
+        if _is_prime(p)
+    ]
+    points.sort(key=HomogeneousPrime.sorted_generators)
+    return SpecHSpace(tuple(points), prime_bound, degree_bound)

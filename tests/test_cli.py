@@ -190,6 +190,7 @@ def _cold_json_result(*argv):
         ["gw", "--q=12"],
         ["gw", "--q=1046529"],
         ["gw", "--q=4"],
+        ["spech", "--q", "3", "--prime-bound", "500001"],
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
@@ -202,6 +203,8 @@ def test_invalid_arguments_print_one_error_line(argv):
         q = argv[1].removeprefix("--q=")
         want = "characteristic 2 is not supported" if q == "4" else f"{q} is not a prime power"
         assert lines[0] == f"error: {want}"
+    if argv[0] == "spech":
+        assert lines[0] == "error: prime bound 500001 exceeds the bound 500000"
 
 
 # one invocation of every subcommand (and of every motive operation)
@@ -274,6 +277,12 @@ def test_motive_hom_three_factor_products():
     )
     assert result["rank"] == len(result["basis"]) == 1751
     assert result["ambient_codim"] == 12
+
+
+def test_spech_large_prime_bound():
+    result = _cold_json_result("spech", "--q", "3", "--prime-bound", "100000")
+    assert len(result["points"]) == 9594  # 9591 odd primes, plus (eta), (2) and (eta, 2)
+    assert len(result["specializations"]) == 9593
 
 
 def test_spc_tate_wide_window():

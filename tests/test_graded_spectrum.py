@@ -1,12 +1,17 @@
+from functools import lru_cache
+from types import SimpleNamespace
+
 import pytest
 
-from ttspec.errors import UnknownGenerator
+from ttspec import cli
+from ttspec.errors import BoundExceeded, UnknownGenerator
 from ttspec.finite_field import make_field
 from ttspec import graded_spectrum as gs
 
 
 F3 = make_field(3)
 F5 = make_field(5)
+FIELDS_BY_Q = {q: make_field(p, e) for q, p, e in ((3, 3, 1), (5, 5, 1), (7, 7, 1), (9, 3, 2))}
 
 
 def test_reduced_element_normalization():
@@ -119,3 +124,123 @@ def test_certificate_is_bounded_and_reported():
     assert cert["prime"]
     assert cert["degree_bound"] == 6
     assert cert["coeff_bound"] == 5
+
+
+# ---------------------------------------------------------------- oracle
+# The search that `enumerate_primes` used before it listed the points from
+# the classification: candidates from the generator alphabet, an odd
+# integer generator absorbing eta, each candidate kept when its bounded
+# certificate says prime; the order is the pairwise inclusion scan.
+
+
+@lru_cache(maxsize=None)
+def _certify(generators, degree_bound):
+    # a certificate depends on the generators and the bound only, so the
+    # oracle runs for many bounds and fields share them
+    return gs.is_prime_ideal(gs.HomogeneousPrime(generators), degree_bound=degree_bound)
+
+
+def enumerate_primes_by_search(field, prime_bound, degree_bound=12):
+    """(points, certificates) of the candidates that certify as prime."""
+    gs.nilradical_reduction(field)
+    int_primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
+    seen = {}
+    for use_eta in (False, True):
+        for ip in [None] + int_primes:
+            gens = {"[w]"}
+            if use_eta:
+                gens.add("eta")
+            if ip is not None:
+                gens.add(str(ip))
+            if ip is not None and ip % 2 == 1:
+                gens.add("eta")
+            seen.setdefault(frozenset(gens), None)
+    found = []
+    for gens in seen:
+        cert = _certify(gens, degree_bound)
+        if cert["prime"]:
+            flagged = gens == frozenset({"[w]", "eta", "2"})
+            found.append((gs.HomogeneousPrime(gens, discrepancy=flagged), cert))
+    found.sort(key=lambda pc: pc[0].sorted_generators())
+    return tuple(p for p, _ in found), tuple(c for _, c in found)
+
+
+def specializations_by_scan(points):
+    return [
+        (i, j)
+        for i, a in enumerate(points)
+        for j, b in enumerate(points)
+        if i != j and b.includes(a)
+    ]
+
+
+def _assert_matches_oracle(field, prime_bound):
+    space = gs.enumerate_primes(field, prime_bound)
+    points, _ = enumerate_primes_by_search(field, prime_bound)
+    assert space.points == points
+    assert [p.discrepancy for p in space.points] == [p.discrepancy for p in points]
+    assert space.specializations() == specializations_by_scan(points)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS_BY_Q))
+def test_closed_form_matches_search(q):
+    for prime_bound in range(0, 61):
+        _assert_matches_oracle(FIELDS_BY_Q[q], prime_bound)
+    space = gs.enumerate_primes(FIELDS_BY_Q[q], 60)
+    assert space.certificates == enumerate_primes_by_search(FIELDS_BY_Q[q], 60)[1]
+
+
+def test_closed_form_matches_search_bound_500():
+    _assert_matches_oracle(F3, 500)
+    space = gs.enumerate_primes(F3, 500)
+    assert len(space.points) == 97  # 94 odd primes, plus (eta), (2) and (eta, 2)
+    assert space.certificates == enumerate_primes_by_search(F3, 500)[1]
+
+
+def test_points_sort_as_strings():
+    names = [p.sorted_generators() for p in gs.enumerate_primes(F3, 101).points]
+    assert names[:5] == [("[w]", "2"), ("[w]", "eta"), ("[w]", "eta", "101"),
+                         ("[w]", "eta", "11"), ("[w]", "eta", "13")]
+
+
+def test_degree_zero_lists_no_false_point():
+    # a degree-0 certificate cannot see eta, so the search let ([w]) in,
+    # although 2 * eta = 0 with neither factor in ([w])
+    omega = frozenset({"[w]"})
+    assert omega in {p.generators for p in enumerate_primes_by_search(F3, 7, degree_bound=0)[0]}
+    space = gs.enumerate_primes(F3, 7, degree_bound=0)
+    assert space.points == gs.enumerate_primes(F3, 7).points
+    assert omega not in {p.generators for p in space.points}
+    assert not gs.is_prime_ideal(gs.HomogeneousPrime(omega))["prime"]
+
+
+def test_prime_bound_limit():
+    assert len(gs.enumerate_primes(F3, 0).points) == 1
+    with pytest.raises(BoundExceeded, match=f"exceeds the bound {gs.PRIME_BOUND}"):
+        gs.enumerate_primes(F3, gs.PRIME_BOUND + 1)
+
+
+def test_certificates_only_on_demand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the request path")
+
+    monkeypatch.setattr(gs, "is_prime_ideal", refuse)
+    monkeypatch.setattr(gs.HomogeneousPrime, "includes", refuse)
+    space = gs.enumerate_primes(F3, 60)
+    assert space.specializations()
+    assert cli.cmd_spech(SimpleNamespace(q=3, prime_bound=60))["points"]
+    monkeypatch.undo()
+
+    calls = []
+    real = gs.is_prime_ideal
+
+    def counted(candidate, **kwargs):
+        calls.append(candidate)
+        return real(candidate, **kwargs)
+
+    monkeypatch.setattr(gs, "is_prime_ideal", counted)
+    first = space.certificates
+    assert calls == list(space.points)
+    assert space.certificates is first
+    assert len(calls) == len(space.points)
+    assert all(c["prime"] and c["proper"] for c in first)

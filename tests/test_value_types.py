@@ -42,7 +42,7 @@ FIELDS = {
     gs.ReducedElement: ("degree", "coeff"),
     gs.GradedRingPresentation: ("family", "t_name", "t_degree", "torsion", "nilpotent_witnesses"),
     gs.HomogeneousPrime: ("generators", "discrepancy"),
-    gs.SpecHSpace: ("points", "prime_bound", "degree_bound", "certificates"),
+    gs.SpecHSpace: ("points", "prime_bound", "degree_bound"),
     cm.ProjSpaceProduct: ("dims",),
     cm.ChowClass: ("space", "terms"),
     cm.Correspondence: ("source", "target", "shift", "cls"),
@@ -228,3 +228,12 @@ def test_prime_power_cache_is_not_a_field():
     with pytest.raises(AttributeError):
         f3._cache = {}
 
+
+
+def test_spech_certificates_are_not_a_field():
+    read, fresh = gs.enumerate_primes(make_field(3), 7), gs.enumerate_primes(make_field(3), 7)
+    assert read.certificates and fresh._certificates is None
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert pickle.loads(pickle.dumps(read)) == read
+    with pytest.raises(AttributeError):
+        read._certificates = None
