@@ -67,10 +67,22 @@ class _WordParser:
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
+        if tok is None:
+            want = f", expected {expected!r}" if expected else ""
+            raise TtspecError(f"expression ended early{want}")
+        if expected is not None and tok != expected:
             raise TtspecError(f"unexpected token {tok!r}, expected {expected!r}")
         self.pos += 1
         return tok
+
+    def exponent(self):
+        if self.peek() != "^":
+            return 1
+        self.take()
+        tok = self.take()
+        if not tok.isdigit():
+            raise TtspecError(f"exponent must be a nonnegative integer, got {tok!r}")
+        return int(tok)
 
     def parse(self):
         result = self.term()
@@ -97,17 +109,13 @@ class _WordParser:
     def factor(self):
         tok = self.peek()
         if tok is None:
-            raise TtspecError("unexpected end of expression")
+            raise TtspecError("expression ended early")
         if tok.isdigit():
             self.take()
             return int(tok) * milnor_witt.word_one(self.field)
         if tok == "eta":
             self.take()
-            power = 1
-            if self.peek() == "^":
-                self.take()
-                power = int(self.take())
-            return milnor_witt.word_eta(self.field, power)
+            return milnor_witt.word_eta(self.field, self.exponent())
         if tok == "h":
             self.take()
             return milnor_witt.word_h(self.field)
@@ -125,11 +133,7 @@ class _WordParser:
             sign = -1
         tok = self.take()
         if tok == "w":
-            power = 1
-            if self.peek() == "^":
-                self.take()
-                power = int(self.take())
-            value = primitive_element(self.field) ** power
+            value = primitive_element(self.field) ** self.exponent()
         elif tok.isdigit():
             value = self.field.element(int(tok))
         else:
@@ -191,7 +195,10 @@ def cmd_kmw_reduce(args):
 
 def cmd_witt_classify(args):
     field = _field_for(args.q)
-    entries = [int(x) for x in args.form.split(",") if x.strip()]
+    try:
+        entries = [int(x) for x in args.form.split(",") if x.strip()]
+    except ValueError:
+        raise TtspecError(f"form entries must be integers, got {args.form!r}") from None
     form = quadratic_forms.diagonal(field, entries)
     h, kernel = quadratic_forms.witt_decompose(form)
     cls = quadratic_forms.witt_class(form)
@@ -333,13 +340,25 @@ def _suite_ses():
 
 
 def _suite_witt():
+    """The closed-form W(F_q) against repeated `witt_add` by isotropy descent."""
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field_for(q)
         structure = quadratic_forms.witt_ring_structure(field)
-        expected = "Z/4" if q % 4 == 3 else "Z/2[e]/e^2"
-        if structure["type"] != expected:
-            failures.append({"q": q, "got": structure["type"], "want": expected})
+        one = quadratic_forms.witt_one(field)
+        order = quadratic_forms.additive_order(one)
+        table, acc = {}, quadratic_forms.witt_zero(field)
+        for k in range(order):
+            table[f"{k}*<1>"] = tuple(a.value for a in acc.anisotropic_kernel.entries)
+            acc = acc + one
+        want = {
+            "type": "Z/4" if order == 4 else "Z/2[e]/e^2",
+            "order_of_unit_form": order,
+            "generator_table": table,
+        }
+        got = {key: structure[key] for key in want}
+        if got != want:
+            failures.append({"q": q, "got": got, "want": want})
     return failures
 
 
@@ -451,6 +470,20 @@ def _suite_spaces():
     report = tt_geometry.verify_comparison(tt_geometry.TateUniverse(3, 2))
     if not report["ok"]:
         failures.append({"fact": "comparison", "report": report})
+    # the Thomason lattice of 2 chains of height 2 under a generic point:
+    # (height + 2)^#primes subsets without the generic point, plus the space
+    small = tt_geometry.spc_shtop(3, 2)
+    subsets = small.thomason_subsets()
+    if len(subsets) != 17:
+        failures.append({"fact": "thomason subsets", "got": len(subsets)})
+    for y in subsets:
+        rest = set(small.points) - y
+        quotient = tt_geometry.lattice_quotient(small, y)
+        if set(quotient.points) != rest or small.generization(rest) != rest:
+            failures.append({"fact": "quotient", "subset": sorted(y)})
+        local = tt_geometry.lattice_localize(small, y)
+        if set(local.points) != y or not local.is_closed(y):
+            failures.append({"fact": "localization", "subset": sorted(y)})
     return failures
 
 

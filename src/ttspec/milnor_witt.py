@@ -479,25 +479,20 @@ def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:
     Each graded piece stabilizes to the Witt group W(F_q).  The
     stabilization index of a degree is the least k >= 1 such that every
     transition map (multiplication by eta) after the k-th step is
-    surjective, i.e. the stage whose image already fills the colimit.  The
-    report also records the torsion facts used downstream: 4 = 0 always,
-    and 2 = 0 iff q = 1 mod 4.
+    surjective, i.e. the stage whose image already fills the colimit.  By
+    the K^MW table, eta * - : K^MW_m -> K^MW_(m-1) is onto for m <= 0,
+    where it carries the generators eta^j and eta^j[w] to eta^(j+1) and
+    eta^(j+1)[w], and for m >= 3, where the target is 0; it is not onto
+    for m = 1, where the image of [w] misses the free part of K^MW_0, nor
+    for m = 2, where the source is 0.  So degree n stabilizes at
+    max(1, n).  The report also records the torsion facts used
+    downstream: 4 = 0 always, and 2 = 0 iff q = 1 mod 4.
     """
-    q1 = field.q % 4 == 1
-    colimit_shape = (2, 2) if q1 else (4,)
-    degrees = {}
-    floor = -degree_window - 4
-    for n in range(degree_window, -degree_window - 1, -1):
-        k = 1
-        while not all(
-            _eta_map_is_surjective(field, m) for m in range(n - k, floor, -1)
-        ):
-            k += 1
-            assert k <= 2 * degree_window + 4
-        degrees[n] = {
-            "colimit_invariant_factors": colimit_shape,
-            "stabilization_index": k,
-        }
+    colimit_shape = (2, 2) if field.q % 4 == 1 else (4,)
+    degrees = {
+        n: {"colimit_invariant_factors": colimit_shape, "stabilization_index": max(1, n)}
+        for n in range(degree_window, -degree_window - 1, -1)
+    }
     return {
         "q": field.q,
         "ring": "W(F_q)[eta, eta^-1]",
@@ -507,19 +502,6 @@ def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:
     }
 
 
-def _eta_map_is_surjective(field: PrimePower, n: int) -> bool:
-    """Is eta * - : K^MW_n -> K^MW_(n-1) surjective?
-
-    Read off the K^MW table: onto for n <= 0, where eta carries the
-    source generators 1 or eta^m, and eta^j[w], to the target generators
-    eta^(m+1) and eta^(j+1)[w]; onto for n >= 3, where the target is 0.
-    Not onto for n = 1, where the image of [w] misses the free part of
-    K^MW_0, nor for n = 2, where the source is 0.
-    """
-    target = kmw_group(field, n - 1)
-    return n <= 0 or not target.invariant_factors
-
-
 def _localized_scalar_is_zero(field: PrimePower, scalar: int) -> bool:
     """Is the integer scalar zero in the eta-localization?
 
@@ -527,23 +509,6 @@ def _localized_scalar_is_zero(field: PrimePower, scalar: int) -> bool:
     kills it); the maps stabilize immediately in negative degrees.
     """
     return (scalar * eta(field, 1)).is_zero()
-
-
-def kmw_closure_table(p: int, window: int = 4) -> dict[int, str]:
-    """Symbolic degree-wise table of K^MW of the algebraic closure of F_p."""
-    if p == 2 or p < 2:
-        raise ValueError("p must be an odd prime")
-    table = {}
-    for n in range(-window, window + 1):
-        if n <= -1:
-            table[n] = "Z/2"
-        elif n == 0:
-            table[n] = "Z"
-        elif n == 1:
-            table[n] = f"F^* (colimit of the F_(p^e)^*; (+)_(l != {p}) Z[1/l]/Z)"
-        else:
-            table[n] = "0"
-    return table
 
 
 def change_of_generator(x: KmwElement, new_omega: FieldElement) -> tuple[int, ...]:

@@ -133,22 +133,6 @@ def _det(field: PrimePower, m) -> FieldElement:
     return det
 
 
-def _mat_mul(field, a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = field.zero()
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def diagonalize(g: GramForm) -> tuple[DiagonalForm, list[list[FieldElement]]]:
     """Diagonalize a nondegenerate Gram form by symmetric congruence.
 
@@ -411,23 +395,21 @@ def additive_order(cls: WittClass) -> int:
 
 
 def witt_ring_structure(field: PrimePower) -> dict:
-    """Isomorphism type of W(F_q) with an explicit additive generator table."""
-    one = witt_one(field)
-    order = additive_order(one)
-    kind = "Z/4" if order == 4 else "Z/2[e]/e^2"
-    table = {}
-    acc = witt_zero(field)
-    for k in range(order):
-        table[f"{k}*<1>"] = tuple(a.value for a in acc.anisotropic_kernel.entries)
-        acc = acc + one
-    elements = witt_elements(field)
-    assert len({_witt_key(c) for c in elements}) == 4
+    """Isomorphism type of W(F_q) with an explicit additive generator table.
+
+    Closed form (Lam, Ch. II): when q = 1 mod 4, -1 is a square, so <1,1>
+    is hyperbolic, <1> has order 2 and W = Z/2[e]/e^2.  When q = 3 mod 4,
+    <1,1> is the anisotropic <1,-w> and <1,1,1> is <w>, so <1> has order 4
+    and W = Z/4.  `additive_order` checks this in `verify --suite witt`.
+    """
+    elements = witt_elements(field)  # 0, <1>, <w>, <1,-w>
+    multiples = [elements[k] for k in ((0, 1, 3, 2) if field.q % 4 == 3 else (0, 1))]
     return {
         "q": field.q,
         "q_mod_4": field.q % 4,
-        "type": kind,
-        "order_of_unit_form": order,
-        "generator_table": table,
+        "type": "Z/4" if len(multiples) == 4 else "Z/2[e]/e^2",
+        "order_of_unit_form": len(multiples),
+        "generator_table": {f"{k}*<1>": _witt_key(c) for k, c in enumerate(multiples)},
     }
 
 
@@ -525,24 +507,3 @@ def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
     if f.field != g.field:
         raise FieldMismatch("forms over different fields")
     return f.rank == g.rank and f.determinant_class() == g.determinant_class()
-
-
-def isometric_bruteforce(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Brute-force isometry search over GL_n(F_q); oracle for `isometric`."""
-    if f.field != g.field:
-        raise FieldMismatch("forms over different fields")
-    if f.rank != g.rank:
-        return False
-    field = f.field
-    n = f.rank
-    if n == 0:
-        return True
-    fg = [list(r) for r in f.gram_form().gram]
-    gg = [list(r) for r in g.gram_form().gram]
-    for flat in itertools.product(range(field.q), repeat=n * n):
-        c = [[field.from_index(flat[i * n + j]) for j in range(n)] for i in range(n)]
-        if _det(field, c).is_zero():
-            continue
-        if _mat_mul(field, _transpose(c), _mat_mul(field, fg, c)) == gg:
-            return True
-    return False

@@ -245,46 +245,6 @@ def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
     return ThickTensorIdeal(universe, frozenset(universe.lines() if nonzero else ()))
 
 
-def object_closure(generators, universe: TateUniverse, summand_rule: bool = True, dim_cap: int = 1) -> frozenset:
-    """Object-level closure in a tiny universe, used to demonstrate that
-    the direct-summand rule matters.  Members are objects with support in
-    the window and slot dimensions <= dim_cap; rules: shifts, tensoring by
-    universe lines, cones of zero maps (direct sums), and, when enabled,
-    direct summands.  Results leaving the window or the cap are dropped."""
-    window = frozenset(universe.lines())
-
-    def admissible(a: TateObject) -> bool:
-        return a.support_lines <= window and all(d <= dim_cap for _, d in a.slots)
-
-    members = {TateObject(())}
-    for g in generators:
-        if not universe.contains(g):
-            raise UniverseTooSmall(f"{g} is outside the window")
-        members.add(g)
-    frontier = set(members)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            produced = [a.shift_by(1), a.shift_by(-1)]
-            for line in window:
-                produced.append(a.tensor(tate_line(*line)))
-            for b in members:
-                produced.append(a.direct_sum(b))
-            if summand_rule:
-                dims = a.dims()
-                keys = list(dims)
-                for pick in itertools.product(*[range(dims[k] + 1) for k in keys]):
-                    produced.append(
-                        TateObject.from_dict({k: d for k, d in zip(keys, pick)})
-                    )
-            for c in produced:
-                if admissible(c) and c not in members:
-                    nxt.add(c)
-        members |= nxt
-        frontier = nxt
-    return frozenset(members)
-
-
 def enumerate_primes(universe: TateUniverse) -> dict:
     """All prime thick tensor ideals of the windowed Tate model.
 
@@ -503,21 +463,3 @@ def verify_comparison(universe: TateUniverse) -> dict:
             report["cases"].append({"degree": nn, "scalar": str(s), "ok": ok})
             report["ok"] = report["ok"] and ok
     return report
-
-
-def nilpotence_dichotomy(f, max_power: int = 64) -> bool:
-    """True when every tensor power of f is nonzero.
-
-    Rational scalars on the Tate model are zero or invertible; graded
-    elements from the Milnor-Witt model are powered up by the symbolic
-    multiplication."""
-    if isinstance(f, (int, Fraction)):
-        return f != 0
-    from .milnor_witt import kmw_mul
-
-    power = f
-    for _ in range(max_power - 1):
-        if power.is_zero():
-            return False
-        power = kmw_mul(power, f)
-    return not power.is_zero()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ttspec import cli
+from ttspec.errors import TtspecError
 from ttspec.finite_field import make_field
 from ttspec import milnor_witt as mw
 
@@ -47,6 +48,8 @@ def test_word_grammar_errors():
     for bad in ("[0]", "eta +", "[w", "??", "[x]"):
         with pytest.raises(Exception):
             cli.parse_word(field, bad)
+    with pytest.raises(TtspecError, match="^expression ended early$"):
+        cli.parse_word(field, "eta^")
 
 
 def test_parse_range():
@@ -150,6 +153,34 @@ def test_verify_unknown_suite(capsys):
     assert code == 1
 
 
+def test_verify_spaces_fails_on_wrong_quotient(capsys, monkeypatch):
+    from ttspec import tt_geometry
+
+    monkeypatch.setattr(tt_geometry, "lattice_quotient", lambda space, subset: space)
+    code, out = run(capsys, "verify", "--suite", "spaces", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["spaces"]["failures"]
+    assert {f["fact"] for f in failures} == {"quotient"}
+
+
+def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
+    from ttspec import quadratic_forms
+
+    right = quadratic_forms.witt_ring_structure
+
+    def wrong(field):
+        structure = right(field)
+        table = dict(structure["generator_table"])
+        table["1*<1>"] = table["0*<1>"]
+        return dict(structure, generator_table=table)
+
+    monkeypatch.setattr(quadratic_forms, "witt_ring_structure", wrong)
+    code, out = run(capsys, "verify", "--suite", "witt", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["witt"]["failures"]
+    assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -205,6 +236,56 @@ def test_invalid_arguments_print_one_error_line(argv):
         assert lines[0] == f"error: {want}"
     if argv[0] == "spech":
         assert lines[0] == "error: prime bound 500001 exceeds the bound 500000"
+
+
+# a bad value for every subcommand: non-integers, even q, q = 1, zero or
+# negative sizes, and malformed words, forms, ranges and spaces
+_BAD_VALUES = [
+    ["kmw", "table", "--q", "abc"],
+    ["kmw", "table", "--q", "4"],
+    ["kmw", "table", "--q", "1"],
+    ["kmw", "table", "--q", "3", "--range", "1..x"],
+    ["kmw", "table", "--q", "3", "--range", "3..1"],
+    ["kmw", "reduce", "--q", "5", "--word", "eta^-1"],
+    ["kmw", "reduce", "--q", "7", "--word", "[w^-1]"],
+    ["kmw", "reduce", "--q", "5", "--word", "eta^"],
+    ["kmw", "reduce", "--q", "3", "--word", "[w"],
+    ["kmw", "reduce", "--q", "3", "--word", "[0]"],
+    ["kmw", "reduce", "--q", "3", "--word", "??"],
+    ["kmw", "reduce", "--q", "9", "--word", "[-]"],
+    ["witt", "classify", "--q", "7", "--form", "a,b"],
+    ["witt", "classify", "--q", "7", "--form", "1,0"],
+    ["witt", "classify", "--q", "8", "--form", "1"],
+    ["gw", "--q", "x"],
+    ["gw", "--q", "1"],
+    ["gw", "--q", "4"],
+    ["milnor", "--q", "5", "--n", "x"],
+    ["milnor", "--q", "1", "--n", "1"],
+    ["milnor", "--q", "6", "--n", "1"],
+    ["spech", "--q", "3", "--prime-bound", "x"],
+    ["spech", "--q", "2"],
+    ["spech", "--q", "1"],
+    ["motive", "decompose", "--space", "P-1"],
+    ["motive", "decompose", "--space", "Q2"],
+    ["motive", "hom", "--space", "P1", "--target-space", "P-2"],
+    ["motive", "dual", "--space", "P1", "--twist", "x"],
+    ["motive", "pairing", "--space", "P1xx"],
+    ["spc", "tate", "--twist-radius", "x"],
+    ["spc", "sh-top", "--primes", "0"],
+    ["spc", "sh-top", "--height", "-1"],
+    ["spc", "equivariant", "--n", "0"],
+    ["spc", "equivariant", "--n", "-2"],
+    ["verify", "--suite", "nope"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_VALUES, ids=" ".join)
+def test_bad_value_prints_one_error_line(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
 
 
 # one invocation of every subcommand (and of every motive operation)
@@ -283,6 +364,14 @@ def test_spech_large_prime_bound():
     result = _cold_json_result("spech", "--q", "3", "--prime-bound", "100000")
     assert len(result["points"]) == 9594  # 9591 odd primes, plus (eta), (2) and (eta, 2)
     assert len(result["specializations"]) == 9593
+
+
+def test_gw_large_q_three_mod_four():
+    result = _cold_json_result("gw", "--q", "1019")
+    assert result["witt"]["type"] == "Z/4"
+    assert result["witt"]["generator_table"] == {
+        "0*<1>": [], "1*<1>": [1], "2*<1>": [1, 1017], "3*<1>": [2],
+    }
 
 
 def test_spc_tate_wide_window():

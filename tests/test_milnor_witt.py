@@ -238,8 +238,8 @@ def test_localize_eta(q):
 
 
 def _eta_surjective_by_subgroup(field, n):
-    """Oracle: the subgroup search that `_eta_map_is_surjective` replaced,
-    generating the image of eta inside the finite target."""
+    """Oracle: is eta * - : K^MW_n -> K^MW_(n-1) onto?  Generates the
+    image of eta inside the finite target."""
     tgt = mw.kmw_group(field, n - 1)
     if tgt.order == 1 or not tgt.invariant_factors:
         return True
@@ -267,19 +267,19 @@ def _eta_surjective_by_subgroup(field, n):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_eta_map_surjectivity_matches_subgroup_oracle(q):
+    """The stabilization indices of `localize_eta` against the search they
+    replaced: the least k >= 1 after which every eta-map down to the floor
+    of the window is onto, with ontoness from the subgroup oracle."""
     field = _field(q)
-    for n in range(-8, 9):
-        assert mw._eta_map_is_surjective(field, n) == _eta_surjective_by_subgroup(field, n), n
-
-
-def test_closure_table():
-    table = mw.kmw_closure_table(3)
-    assert table[0] == "Z"
-    assert table[-1] == "Z/2"
-    assert table[2] == "0"
-    assert "F^*" in table[1]
-    with pytest.raises(ValueError):
-        mw.kmw_closure_table(2)
+    onto = {m: _eta_surjective_by_subgroup(field, m) for m in range(-14, 10)}
+    for window in range(10):
+        report = mw.localize_eta(field, window)
+        floor = -window - 4
+        for n, data in report["degreewise"].items():
+            k = 1
+            while not all(onto[m] for m in range(n - k, floor, -1)):
+                k += 1
+            assert data["stabilization_index"] == k, (window, n)
 
 
 # ------------------------------------------------------ coordinate plumbing

@@ -13,6 +13,43 @@ def _field(q):
     return make_field(3, 2) if q == 9 else make_field(q)
 
 
+def _mat_mul(field, a, b):
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = [[field.zero() for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            s = field.zero()
+            for t in range(k):
+                s = s + a[i][t] * b[t][j]
+            out[i][j] = s
+    return out
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def isometric_bruteforce(f, g):
+    """Brute-force isometry search over GL_n(F_q); oracle for `isometric`."""
+    if f.field != g.field:
+        raise FieldMismatch("forms over different fields")
+    if f.rank != g.rank:
+        return False
+    field = f.field
+    n = f.rank
+    if n == 0:
+        return True
+    fg = [list(r) for r in f.gram_form().gram]
+    gg = [list(r) for r in g.gram_form().gram]
+    for flat in itertools.product(range(field.q), repeat=n * n):
+        c = [[field.from_index(flat[i * n + j]) for j in range(n)] for i in range(n)]
+        if qf._det(field, c).is_zero():
+            continue
+        if _mat_mul(field, _transpose(c), _mat_mul(field, fg, c)) == gg:
+            return True
+    return False
+
+
 # ------------------------------------------------------------ diagonalization
 
 
@@ -27,8 +64,8 @@ def test_diagonalize_congruence_witness(p, e):
         if g.determinant().is_zero():
             continue
         diag, cmat = qf.diagonalize(g)
-        product = qf._mat_mul(
-            field, qf._transpose(cmat), qf._mat_mul(field, [list(r) for r in g.gram], cmat)
+        product = _mat_mul(
+            field, _transpose(cmat), _mat_mul(field, [list(r) for r in g.gram], cmat)
         )
         for i in range(2):
             for j in range(2):
@@ -36,8 +73,8 @@ def test_diagonalize_congruence_witness(p, e):
                 assert product[i][j] == want
     g3 = qf.gram(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     diag, cmat = qf.diagonalize(g3)
-    product = qf._mat_mul(
-        field, qf._transpose(cmat), qf._mat_mul(field, [list(r) for r in g3.gram], cmat)
+    product = _mat_mul(
+        field, _transpose(cmat), _mat_mul(field, [list(r) for r in g3.gram], cmat)
     )
     for i in range(3):
         for j in range(3):
@@ -147,6 +184,23 @@ def test_witt_ring_structure(q):
     for a in elements:
         assert qf._witt_key(a + zero) == qf._witt_key(a)
         assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("p,e", [(3, 3), (31, 1), (43, 1), (7, 2), (3, 4), (5, 3)])
+def test_witt_ring_structure_matches_witt_add_oracle(p, e):
+    """The closed form against the multiples k*<1> built by repeated
+    `witt_add`, i.e. by isotropy descent, up to the first zero."""
+    field = make_field(p, e)
+    structure = qf.witt_ring_structure(field)
+    one = qf.witt_one(field)
+    multiples = [qf.witt_zero(field)]
+    while not (multiples[-1] + one).is_zero():
+        multiples.append(multiples[-1] + one)
+    assert structure["order_of_unit_form"] == len(multiples) == qf.additive_order(one)
+    assert structure["type"] == ("Z/4" if len(multiples) == 4 else "Z/2[e]/e^2")
+    assert structure["generator_table"] == {
+        f"{k}*<1>": qf._witt_key(c) for k, c in enumerate(multiples)
+    }
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -272,7 +326,7 @@ def test_isometry_against_bruteforce_rank2():
         for entries in itertools.product(reps, repeat=2)
     ]
     for f, g in itertools.product(forms[:6], forms[:6]):
-        assert qf.isometric(f, g) == qf.isometric_bruteforce(f, g)
+        assert qf.isometric(f, g) == isometric_bruteforce(f, g)
 
 
 def test_isometry_rank1_bruteforce():
@@ -281,7 +335,7 @@ def test_isometry_rank1_bruteforce():
         for a, b in itertools.product(field.units(), repeat=2):
             f = qf.DiagonalForm(field, (a,))
             g = qf.DiagonalForm(field, (b,))
-            assert qf.isometric(f, g) == qf.isometric_bruteforce(f, g)
+            assert qf.isometric(f, g) == isometric_bruteforce(f, g)
 
 
 def test_field_mismatch():

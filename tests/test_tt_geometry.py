@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,6 @@ from ttspec.errors import (
     ShapeMismatch,
     UniverseTooSmall,
 )
-from ttspec.finite_field import make_field
-from ttspec.milnor_witt import eta
 from ttspec import tt_geometry as tg
 
 
@@ -97,17 +94,6 @@ def test_ideal_closure_universe_guard():
     universe = tg.TateUniverse(2, 1)
     with pytest.raises(UniverseTooSmall):
         tg.ideal_closure([tg.tate_line(3, 0)], universe)
-
-
-def test_summand_rule_matters():
-    tiny = tg.TateUniverse(1, 1)
-    gen = tg.tate_line(0, 0).direct_sum(tg.tate_line(1, 0))
-    with_rule = tg.object_closure([gen], tiny, summand_rule=True)
-    without_rule = tg.object_closure([gen], tiny, summand_rule=False)
-    assert tg.tate_line(0, 0) in with_rule
-    assert tg.tate_line(0, 0) not in without_rule
-    # dropping the rule yields a closed set that is not thick
-    assert without_rule < with_rule
 
 
 def test_unique_prime():
@@ -367,18 +353,3 @@ def test_verify_comparison_fails_on_wrong_rho_bullet(monkeypatch):
     report = tg.verify_comparison(tg.TateUniverse(3, 2))
     assert not report["ok"]
     assert not all(case["ok"] for case in report["cases"])
-
-
-# ------------------------------------------------------------- nilpotence
-
-
-def test_nilpotence_dichotomy():
-    assert tg.nilpotence_dichotomy(Fraction(2))
-    assert not tg.nilpotence_dichotomy(0)
-    for q in (3, 5):
-        field = make_field(q)
-        assert tg.nilpotence_dichotomy(eta(field))
-    # a genuinely nilpotent graded element dies
-    from ttspec.milnor_witt import omega_symbol
-
-    assert not tg.nilpotence_dichotomy(omega_symbol(make_field(3)))
