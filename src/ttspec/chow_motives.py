@@ -21,7 +21,13 @@ import itertools
 from fractions import Fraction
 
 from ._value import Value
-from .errors import InvalidArgument, SpaceMismatch
+from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
+
+# largest ambient monomial basis `hom_group` accepts, since its compression
+# matrix is dense in it: a cold `motive hom --space P9xP9xP9 --target-space
+# P4xP4xP4 --json` (3,812 monomials) takes 7.2 s on a 2-CPU x86-64 VM, and
+# P9xP9xP9 to P3xP5xP5 (4,932) takes 11.5 s
+HOM_BASIS_BOUND = 4_000
 
 
 class ProjSpaceProduct(Value):
@@ -343,6 +349,10 @@ def hom_group(m: Motive, n: Motive) -> dict:
     codim = m.space.dimension + n.twist - m.twist
     product = m.space.times(n.space)
     basis_monos = list(product.monomials(codim))
+    if len(basis_monos) > HOM_BASIS_BOUND:
+        raise BoundExceeded(
+            f"hom basis of {len(basis_monos)} monomials exceeds the bound {HOM_BASIS_BOUND}"
+        )
     cols = _compression_matrix(m, n, basis_monos)
     image = _column_lattice_basis(cols)
     classes = [

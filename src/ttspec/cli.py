@@ -201,13 +201,13 @@ def cmd_witt_classify(args):
         raise TtspecError(f"form entries must be integers, got {args.form!r}") from None
     form = quadratic_forms.diagonal(field, entries)
     h, kernel = quadratic_forms.witt_decompose(form)
-    cls = quadratic_forms.witt_class(form)
+    cls = quadratic_forms.kernel_class(kernel)
     gwc = quadratic_forms.gw_class(form)
     return {
         "q": args.q,
         "form": entries,
         "rank": form.rank,
-        "isotropic": quadratic_forms.is_isotropic(form),
+        "isotropic": h > 0,
         "hyperbolic_planes": h,
         "anisotropic_kernel": [a.value for a in kernel.entries],
         "witt_class": [a.value for a in cls.anisotropic_kernel.entries],
@@ -291,6 +291,7 @@ def cmd_motive(args):
 
 
 def cmd_spc(args):
+    _field_for(args.q)  # validated for every operation, though only tate echoes it
     if args.spc_op == "tate":
         universe = tt_geometry.TateUniverse(args.twist_radius, args.shift_radius)
         found = tt_geometry.enumerate_primes(universe)

@@ -15,9 +15,10 @@ multiplicativity check `is_prime_ideal` runs only when a space's
 from __future__ import annotations
 
 import itertools
+import math
 
 from ._value import Value
-from .errors import BoundExceeded, UnknownGenerator
+from .errors import BoundExceeded, InvalidArgument, UnknownGenerator
 from .finite_field import PrimePower, _is_prime
 from .milnor_witt import KmwElement, eta, kmw_mul, omega_symbol
 
@@ -144,7 +145,7 @@ class HomogeneousPrime(Value):
         """
         if x.is_zero():
             return True
-        g = _gcd_many(self.integer_generators)
+        g = math.gcd(*self.integer_generators)
         if x.degree == 0:
             return g != 0 and x.coeff % g == 0
         return self.has_eta or (g != 0 and g % 2 == 1)
@@ -163,15 +164,6 @@ class HomogeneousPrime(Value):
 
 
 _ALPHABET_SPECIALS = {GENERATOR_OMEGA, GENERATOR_ETA}
-
-
-def _gcd_many(values) -> int:
-    import math
-
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
 
 
 def _validate_generators(generators):
@@ -289,6 +281,8 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
     neighbours, is flagged as a discrepancy.  `degree_bound` is the bound
     of the certificates read from the returned space.
     """
+    if prime_bound < 0:
+        raise InvalidArgument(f"prime bound must be >= 0, got {prime_bound}")
     if prime_bound > PRIME_BOUND:
         raise BoundExceeded(f"prime bound {prime_bound} exceeds the bound {PRIME_BOUND}")
     nilradical_reduction(field)  # verifies the reduction witnesses

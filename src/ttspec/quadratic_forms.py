@@ -198,25 +198,21 @@ def is_isotropic(f: DiagonalForm) -> bool:
     if n == 2 and field.q > _EXHAUSTIVE_Q:
         # <a,b> isotropic iff -a/b is a square
         return is_square(-f.entries[0] / f.entries[1])
-    for vec in itertools.product(range(field.q), repeat=n):
-        if all(v == 0 for v in vec):
-            continue
-        if f.evaluate([field.from_index(v) for v in vec]).is_zero():
-            return True
-    return False
+    return _isotropic_vector(f) is not None
 
 
 def _isotropic_vector(f: DiagonalForm):
     field = f.field
     n = f.rank
     if n == 2 and field.q > _EXHAUSTIVE_Q:
-        # solve x^2 = -a/b directly
+        # <a,b> is isotropic iff -a/b is a square; then the scan finds a root
         target = -f.entries[0] / f.entries[1]
+        if not is_square(target):
+            return None
         for v in range(1, field.q):
             x = field.from_index(v)
             if x * x == target:
                 return [field.one(), x]
-        return None
     for vec in itertools.product(range(field.q), repeat=n):
         if all(v == 0 for v in vec):
             continue
@@ -229,75 +225,38 @@ def _isotropic_vector(f: DiagonalForm):
 def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """Split f as (hyperbolic plane)^h + anisotropic kernel.
 
-    Isotropy descent: find an isotropic vector, split off the hyperbolic
-    plane it spans together with a dual vector, restrict to the orthogonal
-    complement, repeat until the rest is anisotropic.
+    Isotropy descent, one vector search per step.  Let v be an isotropic
+    vector of <a_1, ..., a_n>, and i, k its first two nonzero coordinates
+    (it has two, since every a_j is nonzero).  Then v and e_i span a
+    hyperbolic plane, whose orthogonal complement has the basis
+    x_j = e_j - (a_j v_j / a_k v_k) e_k for j not in {i, k}.  Restrict to
+    that complement, diagonalize, and repeat until no isotropic vector is
+    left.
     """
     field = f.field
     h = 0
     current = f
-    while current.rank >= 2 and is_isotropic(current):
+    while current.rank >= 2:
         v = _isotropic_vector(current)
-        assert v is not None
-        n = current.rank
-        entries = current.entries
-
-        def bilin(u, w):
-            s = field.zero()
-            for i in range(n):
-                s = s + entries[i] * u[i] * w[i]
-            return s
-
-        # dual vector with b(v, u) != 0: some coordinate vector works
-        u = None
-        for i in range(n):
-            cand = [field.one() if j == i else field.zero() for j in range(n)]
-            if not bilin(v, cand).is_zero():
-                u = cand
-                break
-        assert u is not None, "form must be nondegenerate"
-        comp = _orthogonal_complement(field, entries, [v, u])
-        if comp:
-            sub_gram = tuple(
-                tuple(bilin(x, y) for y in comp) for x in comp
-            )
-            rest, _ = diagonalize(GramForm(field, sub_gram))
-            current = rest
-        else:
-            current = DiagonalForm(field, ())
+        if v is None:
+            break
+        a = current.entries
+        i, k = [j for j, x in enumerate(v) if not x.is_zero()][:2]
+        rest = [j for j in range(current.rank) if j != i and j != k]
+        # x_j has 1 at j and c_j at k, so b(x_j, x_l) = [j = l] a_j + a_k c_j c_l
+        c = [-(a[j] * v[j]) / (a[k] * v[k]) for j in rest]
+        sub_gram = []
+        for j, cj in zip(rest, c):
+            row = []
+            for l, cl in zip(rest, c):
+                entry = a[k] * cj * cl
+                if j == l:
+                    entry = entry + a[j]
+                row.append(entry)
+            sub_gram.append(tuple(row))
+        current, _ = diagonalize(GramForm(field, tuple(sub_gram)))
         h += 1
     return h, current
-
-
-def _orthogonal_complement(field, entries, vectors):
-    """Basis of the subspace orthogonal to the given vectors, for the
-    diagonal form with the given entries (Gaussian elimination over F_q)."""
-    n = len(entries)
-    rows = [[entries[j] * v[j] for j in range(n)] for v in vectors]
-    reduced, pivots = [], []
-    for row in rows:
-        row = row[:]
-        for prow, pcol in zip(reduced, pivots):
-            if not row[pcol].is_zero():
-                factor = row[pcol] * prow[pcol].inverse()
-                row = [x - factor * y for x, y in zip(row, prow)]
-        pcol = next((j for j in range(n) if not row[j].is_zero()), None)
-        if pcol is not None:
-            reduced.append(row)
-            pivots.append(pcol)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [field.zero()] * n
-        vec[fcol] = field.one()
-        for prow, pcol in reversed(list(zip(reduced, pivots))):
-            s = field.zero()
-            for j in range(n):
-                if j != pcol:
-                    s = s + prow[j] * vec[j]
-            vec[pcol] = -s * prow[pcol].inverse()
-        basis.append(vec)
-    return basis
 
 
 class WittClass(Value):
@@ -333,20 +292,20 @@ class WittClass(Value):
         return witt_mul(self, other)
 
 
-def _canonical_kernel(field: PrimePower, kernel: DiagonalForm) -> DiagonalForm:
-    omega = primitive_element(field)
+def kernel_class(kernel: DiagonalForm) -> WittClass:
+    """The Witt class of an anisotropic kernel, as its canonical
+    representative from `witt_elements`: 0, <1>, <w> or <1,-w>."""
+    elements = witt_elements(kernel.field)
     r = kernel.rank
     if r == 0:
-        return DiagonalForm(field, ())
+        return elements[0]
     if r == 1:
-        rep = field.one() if is_square(kernel.entries[0]) else omega
-        return DiagonalForm(field, (rep,))
-    return DiagonalForm(field, (field.one(), -omega))
+        return elements[1] if is_square(kernel.entries[0]) else elements[2]
+    return elements[3]
 
 
 def witt_class(f: DiagonalForm) -> WittClass:
-    _, kernel = witt_decompose(f)
-    return WittClass(f.field, _canonical_kernel(f.field, kernel))
+    return kernel_class(witt_decompose(f)[1])
 
 
 def witt_zero(field: PrimePower) -> WittClass:
@@ -448,19 +407,13 @@ class GWClass(Value):
             raise FieldMismatch("GW classes over different fields")
 
     def to_witt(self) -> WittClass:
-        """Canonical quotient GW -> W: the class of the representative
-        form <1>^(rank - disc) + <w>^disc, computed by Witt arithmetic.
-        Exponents are reduced mod 4 (the additive exponent of W)."""
+        """Canonical quotient GW -> W: the Witt class of the representative
+        form <1>^(rank - disc) + <w>^disc.  The exponent of <1> is reduced
+        mod 4 (the additive exponent of W)."""
         field = self.field
-        omega = primitive_element(field)
-        one = witt_one(field)
-        om = WittClass(field, DiagonalForm(field, (omega,)))
-        result = witt_zero(field)
-        for _ in range((self.rank - self.disc) % 4):
-            result = result + one
-        for _ in range(self.disc % 2):
-            result = result + om
-        return result
+        ones = (field.one(),) * ((self.rank - self.disc) % 4)
+        omegas = (primitive_element(field),) * self.disc
+        return witt_class(DiagonalForm(field, ones + omegas))
 
 
 def gw_class(f: DiagonalForm) -> GWClass:

@@ -422,17 +422,14 @@ def rho_bullet(prime: ThickTensorIdeal) -> dict:
     zero element.  Every prime therefore lands on the zero ideal, the
     unique point of Spec^h(Q)."""
     contributing = []
-    u = tate_line(1, 2)
-    for nn in range(-prime.universe.twist_radius, prime.universe.twist_radius + 1):
-        target = TATE_UNIT
-        for _ in range(abs(nn)):
-            target = target.tensor(u if nn > 0 else u.dual())
-        if target == TATE_UNIT:
-            # degree 0: generators are nonzero scalars, cone = 0 is in the prime
-            scalar_cone = cone(identity_morphism(TATE_UNIT))
-            if not prime.contains(scalar_cone):
-                contributing.append(("scalar", nn))
-        # other degrees hold only the zero map, which generates only zero
+    # u^n = Q(n)[2n] is the unit only in degree 0, which lies in the window
+    # unless its radius is negative; other degrees hold only the zero map,
+    # which generates only zero
+    if prime.universe.twist_radius >= 0:
+        # degree 0: generators are nonzero scalars, cone = 0 is in the prime
+        scalar_cone = cone(identity_morphism(TATE_UNIT))
+        if not prime.contains(scalar_cone):
+            contributing.append(("scalar", 0))
     return {"ideal_generators": contributing, "point": "zero ideal"}
 
 
@@ -445,12 +442,9 @@ def verify_comparison(universe: TateUniverse) -> dict:
     report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
     primes = enumerate_primes(universe)["primes"]
     unit_images = [bool(rho_bullet(p)["ideal_generators"]) for p in primes]
-    u = tate_line(1, 2)
     scalars = [Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 2)]
     for nn in range(-universe.twist_radius, universe.twist_radius + 1):
-        target = TATE_UNIT
-        for _ in range(abs(nn)):
-            target = target.tensor(u if nn > 0 else u.dual())
+        target = tate_line(nn, 2 * nn)  # u^n for u = Q(1)[2]
         if not universe.contains(target):
             continue
         values = scalars if nn == 0 else [Fraction(0)]

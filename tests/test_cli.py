@@ -10,6 +10,7 @@ from ttspec import cli
 from ttspec.errors import TtspecError
 from ttspec.finite_field import make_field
 from ttspec import milnor_witt as mw
+from ttspec import quadratic_forms
 
 
 def run(capsys, *argv):
@@ -222,6 +223,7 @@ def _cold_json_result(*argv):
         ["gw", "--q=1046529"],
         ["gw", "--q=4"],
         ["spech", "--q", "3", "--prime-bound", "500001"],
+        ["motive", "hom", "--space", "P9xP9xP9", "--target-space", "P9xP9xP9"],
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
@@ -236,6 +238,8 @@ def test_invalid_arguments_print_one_error_line(argv):
         assert lines[0] == f"error: {want}"
     if argv[0] == "spech":
         assert lines[0] == "error: prime bound 500001 exceeds the bound 500000"
+    if argv[0] == "motive" and argv[1] == "hom":
+        assert lines[0] == "error: hom basis of 55252 monomials exceeds the bound 4000"
 
 
 # a bad value for every subcommand: non-integers, even q, q = 1, zero or
@@ -265,12 +269,16 @@ _BAD_VALUES = [
     ["spech", "--q", "3", "--prime-bound", "x"],
     ["spech", "--q", "2"],
     ["spech", "--q", "1"],
+    ["spech", "--q", "3", "--prime-bound", "-1"],
     ["motive", "decompose", "--space", "P-1"],
     ["motive", "decompose", "--space", "Q2"],
     ["motive", "hom", "--space", "P1", "--target-space", "P-2"],
     ["motive", "dual", "--space", "P1", "--twist", "x"],
     ["motive", "pairing", "--space", "P1xx"],
+    ["motive", "hom", "--space", "P9xP9xP9", "--target-space", "P9xP9xP9"],
     ["spc", "tate", "--twist-radius", "x"],
+    ["spc", "tate", "--q", "4"],
+    ["spc", "sh-top", "--q", "6"],
     ["spc", "sh-top", "--primes", "0"],
     ["spc", "sh-top", "--height", "-1"],
     ["spc", "equivariant", "--n", "0"],
@@ -286,6 +294,22 @@ def test_bad_value_prints_one_error_line(capsys, argv):
     assert code == 1
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+def test_witt_classify_decomposes_once(capsys, monkeypatch):
+    calls = {"witt_decompose": 0, "is_isotropic": 0}
+    for name in calls:
+        original = getattr(quadratic_forms, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(quadratic_forms, name, counted)
+    code, out = run(capsys, "witt", "classify", "--q", "37", "--form", "1,2,3", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["isotropic"] is True
+    assert calls == {"witt_decompose": 1, "is_isotropic": 0}
 
 
 # one invocation of every subcommand (and of every motive operation)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -345,3 +346,111 @@ def test_field_mismatch():
         qf.diagonal(f3, [1]).concat(qf.diagonal(f5, [1]))
     with pytest.raises(FieldMismatch):
         qf.witt_one(f3) + qf.witt_one(f5)
+
+
+# ------------------------------------------------------- descent oracle
+
+
+def _orthogonal_complement(field, entries, vectors):
+    """Basis of the subspace orthogonal to the given vectors, for the
+    diagonal form with the given entries (Gaussian elimination over F_q)."""
+    n = len(entries)
+    rows = [[entries[j] * v[j] for j in range(n)] for v in vectors]
+    reduced, pivots = [], []
+    for row in rows:
+        row = row[:]
+        for prow, pcol in zip(reduced, pivots):
+            if not row[pcol].is_zero():
+                factor = row[pcol] * prow[pcol].inverse()
+                row = [x - factor * y for x, y in zip(row, prow)]
+        pcol = next((j for j in range(n) if not row[j].is_zero()), None)
+        if pcol is not None:
+            reduced.append(row)
+            pivots.append(pcol)
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [field.zero()] * n
+        vec[fcol] = field.one()
+        for prow, pcol in reversed(list(zip(reduced, pivots))):
+            s = field.zero()
+            for j in range(n):
+                if j != pcol:
+                    s = s + prow[j] * vec[j]
+            vec[pcol] = -s * prow[pcol].inverse()
+        basis.append(vec)
+    return basis
+
+
+def _descent_oracle(f):
+    """The isotropy descent `witt_decompose` replaced: an `is_isotropic`
+    pre-check, a second search for the same vector, a dual coordinate
+    vector u with b(v, u) != 0, and the complement of span(v, u) by
+    Gaussian elimination."""
+    field = f.field
+    h = 0
+    current = f
+    while current.rank >= 2 and qf.is_isotropic(current):
+        v = qf._isotropic_vector(current)
+        n = current.rank
+        entries = current.entries
+
+        def bilin(x, y):
+            s = field.zero()
+            for i in range(n):
+                s = s + entries[i] * x[i] * y[i]
+            return s
+
+        u = None
+        for i in range(n):
+            cand = [field.one() if j == i else field.zero() for j in range(n)]
+            if not bilin(v, cand).is_zero():
+                u = cand
+                break
+        comp = _orthogonal_complement(field, entries, [v, u])
+        if comp:
+            sub_gram = tuple(tuple(bilin(x, y) for y in comp) for x in comp)
+            current, _ = qf.diagonalize(qf.GramForm(field, sub_gram))
+        else:
+            current = qf.DiagonalForm(field, ())
+        h += 1
+    return h, current
+
+
+def _descent_cases(full=False):
+    """Forms for the descent oracle.  In full, every form of rank <= 3 for
+    q <= 13 and of rank 4 for q <= 7, then 400 seeded forms of rank 2-5
+    over six larger fields in turn: 5,908 forms, minutes of run time.
+    Otherwise a Tier-1 sample of them: every form of rank <= 2, every
+    32nd of the rest over q <= 13, every 12th round of seeded forms over
+    q <= 31, and the seeded binary forms over q = 131 and 243 (a form of
+    rank 3 or more there costs up to seconds in the vector search)."""
+    cases = []
+    for q in (3, 5, 7, 9, 11, 13):
+        field = _field(q)
+        units = list(field.units())
+        for r in range(5 if q <= 7 else 4):
+            forms = [qf.DiagonalForm(field, e) for e in itertools.product(units, repeat=r)]
+            cases.extend(forms if full or r <= 2 else forms[::32])
+    fields = [make_field(p, e) for p, e in ((17, 1), (5, 2), (3, 3), (31, 1), (131, 1), (3, 5))]
+    rng = random.Random("witt descent oracle")
+    for i in range(400):
+        field = fields[i % len(fields)]
+        units = [field.from_index(rng.randrange(1, field.q)) for _ in range(rng.randint(2, 5))]
+        small = field.q <= 31 and i // len(fields) % 12 == 0
+        if full or small or (field.q > 31 and len(units) == 2):
+            cases.append(qf.DiagonalForm(field, tuple(units)))
+    return cases
+
+
+def test_witt_decompose_matches_descent_oracle(full=False):
+    """One search per step and the closed-form complement give the same h
+    and the same kernel entries as the old descent.  For the full sweep:
+    cd tests && PYTHONPATH=../src python -c "import test_quadratic_forms
+    as t; t.test_witt_decompose_matches_descent_oracle(full=True)" """
+    for form in _descent_cases(full):
+        h, kernel = qf.witt_decompose(form)
+        want_h, want_kernel = _descent_oracle(form)
+        got = (h, [a.value for a in kernel.entries])
+        want = (want_h, [a.value for a in want_kernel.entries])
+        assert got == want, (form.field.q, [a.value for a in form.entries])
