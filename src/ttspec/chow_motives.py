@@ -28,6 +28,10 @@ from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
 # P4xP4xP4 --json` (3,812 monomials) takes 7.2 s on a 2-CPU x86-64 VM, and
 # P9xP9xP9 to P3xP5xP5 (4,932) takes 11.5 s
 HOM_BASIS_BOUND = 4_000
+# most entries, one chow_mul each, `pairing_nondegenerate` accepts over all
+# its degree matrices: a cold `motive pairing --space P12xP12xP12` (204,763)
+# takes 1.5 s on a 2-CPU x86-64 VM, and P15xP15xP15 (577,744) 4.5 s
+PAIRING_ENTRY_BOUND = 250_000
 
 
 class ProjSpaceProduct(Value):
@@ -57,6 +61,15 @@ class ProjSpaceProduct(Value):
         for mono in itertools.product(*ranges):
             if codim is None or sum(mono) == codim:
                 yield mono
+
+    def monomial_counts(self) -> list[int]:
+        """Number of monomials of each codimension 0..dim: the coefficients
+        of the product of 1 + t + ... + t^n over the factors P^n."""
+        counts = [1]
+        for n in self.dims:
+            prefix = [0, *itertools.accumulate(counts)]
+            counts = [prefix[min(c + 1, len(counts))] - prefix[max(0, c - n)] for c in range(len(counts) + n)]
+        return counts
 
     def top_monomial(self) -> tuple[int, ...]:
         return self.dims
@@ -196,21 +209,9 @@ class Correspondence(Value):
 
 
 def identity_correspondence(space: ProjSpaceProduct) -> Correspondence:
-    """Kunneth diagonal: product over factors of sum_a h^a (x) h^{n-a}."""
-    product = space.times(space)
-    k = space.factors
-    acc = [((0,) * (2 * k), 1)]
-    for f, n in enumerate(space.dims):
-        nxt = []
-        for mono, c in acc:
-            for a in range(n + 1):
-                m = list(mono)
-                m[f] = a
-                m[k + f] = n - a
-                nxt.append((tuple(m), c))
-        acc = nxt
-    cls = ChowClass.from_dict(product, dict(acc))
-    return Correspondence(space, space, 0, cls)
+    """Kunneth diagonal: the sum of h^a (x) h^(n - a) over the monomials h^a."""
+    terms = {a + tuple(n - x for n, x in zip(space.dims, a)): 1 for a in space.monomials()}
+    return Correspondence(space, space, 0, ChowClass.from_dict(space.times(space), terms))
 
 
 def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
@@ -288,13 +289,12 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
         weight = sum(n - a for n, a in zip(space.dims, exps))
         out.append((Motive(space, proj, 0), weight))
     out.sort(key=lambda pair: (pair[1], pair[0].projector.cls.terms))
-    total = identity_correspondence(space)
-    acc = None
+    total = {}
     for m, _ in out:
-        acc = m.projector if acc is None else Correspondence(
-            space, space, 0, acc.cls + m.projector.cls
-        )
-    assert acc == total, "projectors must sum to the diagonal"
+        for mono, c in m.projector.cls.terms:
+            total[mono] = total.get(mono, 0) + c
+    diagonal = identity_correspondence(space).cls
+    assert ChowClass.from_dict(product, total) == diagonal, "projectors must sum to the diagonal"
     return out
 
 
@@ -348,11 +348,11 @@ def hom_group(m: Motive, n: Motive) -> dict:
     twist(m)}(X x Y), as the image of the idempotent compression."""
     codim = m.space.dimension + n.twist - m.twist
     product = m.space.times(n.space)
+    counts = product.monomial_counts()
+    size = counts[codim] if 0 <= codim < len(counts) else 0
+    if size > HOM_BASIS_BOUND:
+        raise BoundExceeded(f"hom basis of {size} monomials exceeds the bound {HOM_BASIS_BOUND}")
     basis_monos = list(product.monomials(codim))
-    if len(basis_monos) > HOM_BASIS_BOUND:
-        raise BoundExceeded(
-            f"hom basis of {len(basis_monos)} monomials exceeds the bound {HOM_BASIS_BOUND}"
-        )
     cols = _compression_matrix(m, n, basis_monos)
     image = _column_lattice_basis(cols)
     classes = [
@@ -390,19 +390,17 @@ def pairing_nondegenerate(space: ProjSpaceProduct) -> dict:
     """Intersection pairing CH^i x CH^{d-i} -> CH^d = Z on monomial
     bases; nondegenerate in each degree iff the matrix is unimodular."""
     d = space.dimension
+    counts = space.monomial_counts()
+    entries = sum(a * b for a, b in zip(counts, reversed(counts)))
+    if entries > PAIRING_ENTRY_BOUND:
+        raise BoundExceeded(f"pairing matrices of {entries} entries exceed the bound {PAIRING_ENTRY_BOUND}")
     per_degree = {}
     all_ok = True
     for i in range(d + 1):
-        rows_basis = list(space.monomials(i))
-        cols_basis = list(space.monomials(d - i))
-        matrix = []
-        for a in rows_basis:
-            row = []
-            for b in cols_basis:
-                prod = chow_mul(monomial_class(space, a), monomial_class(space, b))
-                row.append(degree(prod))
-            matrix.append(row)
-        square = len(rows_basis) == len(cols_basis)
+        rows = [monomial_class(space, a) for a in space.monomials(i)]
+        cols = [monomial_class(space, b) for b in space.monomials(d - i)]
+        matrix = [[degree(chow_mul(a, b)) for b in cols] for a in rows]
+        square = len(rows) == len(cols)
         det = _int_det(matrix) if square else 0
         ok = square and det in (1, -1)
         all_ok = all_ok and ok

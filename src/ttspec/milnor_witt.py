@@ -157,10 +157,9 @@ def symbol(a: FieldElement) -> KmwElement:
 
 
 def hyperbolic_kmw(field: PrimePower) -> KmwElement:
-    """h = 1 + (eta[-1] + 1) = 2 + eta[-1] in degree 0."""
-    minus_one = -field.one()
-    d = discrete_log(minus_one)
-    return KmwElement(field, 0, (2, d % 2))
+    """h = 1 + (eta[-1] + 1) = 2 + eta[-1] in degree 0.  Only log(-1) =
+    (q - 1)/2 mod 2 enters: 0 iff -1 is a square iff q = 1 mod 4."""
+    return KmwElement(field, 0, (2, (field.q - 1) // 2 % 2))
 
 
 class SymbolWord(Value):

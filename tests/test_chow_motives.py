@@ -283,6 +283,24 @@ def test_decompose_orthogonal_complete():
             assert cm.compose(m1.projector, m2.projector).cls.is_zero()
 
 
+def test_decompose_check_fails_without_one_projector(monkeypatch):
+    real = cm.monomial_class
+
+    def dropping(space, mono, coeff=1):  # the projector h1 (x) 1 becomes zero
+        return real(space, mono, 0 if mono == (1, 0) else coeff)
+
+    monkeypatch.setattr(cm, "monomial_class", dropping)
+    with pytest.raises(AssertionError, match="projectors must sum to the diagonal"):
+        cm.motive_decompose(P1)
+
+
+def test_monomial_counts_match_walk():
+    for dims in [(), (0,), (3,), (2, 1), (4, 3, 2), (1, 1, 1, 1), (5, 0, 2)]:
+        space = cm.ProjSpaceProduct(dims)
+        walked = [sum(1 for _ in space.monomials(c)) for c in range(space.dimension + 1)]
+        assert space.monomial_counts() == walked, dims
+
+
 def test_non_idempotent_rejected():
     product = P1.times(P1)
     bad = cm.Correspondence(P1, P1, 0, cm.monomial_class(product, (1, 0), 2))

@@ -224,6 +224,8 @@ def _cold_json_result(*argv):
         ["gw", "--q=4"],
         ["spech", "--q", "3", "--prime-bound", "500001"],
         ["motive", "hom", "--space", "P9xP9xP9", "--target-space", "P9xP9xP9"],
+        ["motive", "hom", "--space", "P20xP20xP20", "--target-space", "P20xP20xP20"],
+        ["motive", "pairing", "--space", "P15xP15xP15"],
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
@@ -239,7 +241,10 @@ def test_invalid_arguments_print_one_error_line(argv):
     if argv[0] == "spech":
         assert lines[0] == "error: prime bound 500001 exceeds the bound 500000"
     if argv[0] == "motive" and argv[1] == "hom":
-        assert lines[0] == "error: hom basis of 55252 monomials exceeds the bound 4000"
+        size = 55252 if argv[3] == "P9xP9xP9" else 2248575
+        assert lines[0] == f"error: hom basis of {size} monomials exceeds the bound 4000"
+    if argv[0] == "motive" and argv[1] == "pairing":
+        assert lines[0] == "error: pairing matrices of 577744 entries exceed the bound 250000"
 
 
 # a bad value for every subcommand: non-integers, even q, q = 1, zero or
@@ -374,6 +379,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_kmw_reduce_above_log_table_bound():
     result = _cold_json_result("kmw", "reduce", "--q", "531441", "--word", "[2]")
     assert [c["coords"] for c in result["components"]] == [[265720]]
+
+
+def test_kmw_reduce_between_table_bounds():
+    # 2^12 < 19683 = 3^9 <= 2^16: a Pohlig-Hellman solve in a fresh process
+    result = _cold_json_result("kmw", "reduce", "--q", "19683", "--word", "[w^12345]")
+    assert [c["coords"] for c in result["components"]] == [[12345]]
 
 
 def test_motive_hom_three_factor_products():

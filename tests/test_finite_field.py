@@ -6,7 +6,9 @@ import pytest
 from ttspec import milnor_witt as mw
 from ttspec.errors import BoundExceeded, EvenCharacteristic, InvalidArgument, NotPrime, ZeroInput
 from ttspec.finite_field import (
+    LOG_TABLE_BOUND,
     FieldElement,
+    PrimePower,
     _log_table,
     _pohlig_hellman,
     discrete_log,
@@ -214,7 +216,11 @@ def test_pohlig_hellman_matches_log_table(p, e):
         assert _pohlig_hellman(FieldElement(field, coeffs)) == k
 
 
-@pytest.mark.parametrize("p,e", [(65537, 1), (67003, 1), (41, 3), (5, 7), (3, 12), (1048573, 1)])
+@pytest.mark.parametrize(
+    "p,e",
+    [(4099, 1), (3, 8), (13, 4), (65521, 1), (65537, 1), (67003, 1), (41, 3), (5, 7), (3, 12),
+     (1048573, 1)],
+)
 def test_discrete_log_above_table_bound(p, e):
     field = make_field(p, e)
     q = field.q
@@ -222,6 +228,48 @@ def test_discrete_log_above_table_bound(p, e):
     rng = random.Random(f"dlog:{q}")
     for k in [0, 1, (q - 1) // 2, q - 2] + [rng.randrange(q - 1) for _ in range(16)]:
         assert discrete_log(omega ** k) == k, (q, k)
+
+
+def _fresh_field(p, e):
+    """The field of make_field(p, e) with an empty cache."""
+    return PrimePower(p, e, make_field(p, e).modulus)
+
+
+def _logs_by_walk(field):
+    """Oracle: coeffs of omega^k -> k from a walk over all q - 1 powers."""
+    omega, x, table = primitive_element(field), field.one(), {}
+    for k in range(field.q - 1):
+        table[x.coeffs] = k
+        x = x * omega
+    return table
+
+
+def test_pohlig_hellman_every_unit_of_largest_prime_below_table_bound():
+    field = _fresh_field(4093, 1)  # the largest prime below 2^12
+    for coeffs, k in _logs_by_walk(field).items():
+        assert _pohlig_hellman(FieldElement(field, coeffs)) == k
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (13, 4)])
+def test_discrete_log_matches_walk_on_seeded_units(p, e):
+    field = _fresh_field(p, e)
+    table = _logs_by_walk(field)
+    rng = random.Random(f"units:{field.q}")
+    for _ in range(2000):
+        a = field.from_index(rng.randrange(1, field.q))
+        assert discrete_log(a) == table[a.coeffs], (field, a)
+
+
+def test_log_table_only_up_to_bound():
+    assert LOG_TABLE_BOUND == 1 << 12
+    small = _fresh_field(3, 7)  # 2187
+    discrete_log(small.from_index(5))
+    assert "logs" in small._cache
+    for p, e in [(4099, 1), (3, 8), (13, 4), (65521, 1)]:
+        field = _fresh_field(p, e)
+        omega = primitive_element(field)
+        assert discrete_log(omega ** 1000) == 1000
+        assert "logs" not in field._cache, field
 
 
 def _change_of_generator_by_walk(x, new_omega):

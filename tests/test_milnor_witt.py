@@ -111,6 +111,17 @@ def test_symbol_coordinates(q):
 # ---------------------------------------------------- degree-0 ring = GW
 
 
+def test_hyperbolic_kmw_matches_log_of_minus_one():
+    for q in range(3, 244, 2):
+        factors = [p for p in range(3, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+        if len(factors) != 1:
+            continue
+        p = factors[0]
+        e = next(e for e in range(1, 6) if p ** e == q)
+        field = make_field(p, e)
+        assert mw.hyperbolic_kmw(field).coords == (2, discrete_log(-field.one()) % 2), q
+
+
 @pytest.mark.parametrize("q", QS)
 def test_degree_zero_is_gw(q):
     field = _field(q)
