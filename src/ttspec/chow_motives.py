@@ -343,15 +343,23 @@ def _column_lattice_basis(cols):
     return basis
 
 
-def hom_group(m: Motive, n: Motive) -> dict:
-    """Free abelian basis of hom(m, n) inside CH^{dim X + twist(n) -
-    twist(m)}(X x Y), as the image of the idempotent compression."""
-    codim = m.space.dimension + n.twist - m.twist
-    product = m.space.times(n.space)
-    counts = product.monomial_counts()
+def hom_ambient_codim(space: ProjSpaceProduct, twist: int, target: ProjSpaceProduct, target_twist: int) -> int:
+    """Codimension dim X + twist(n) - twist(m) of the ambient group of
+    hom((X, p, twist), (Y, q, target_twist)) in CH(X x Y), after checking
+    from the spaces alone that its monomial basis is within HOM_BASIS_BOUND."""
+    codim = space.dimension + target_twist - twist
+    counts = space.times(target).monomial_counts()
     size = counts[codim] if 0 <= codim < len(counts) else 0
     if size > HOM_BASIS_BOUND:
         raise BoundExceeded(f"hom basis of {size} monomials exceeds the bound {HOM_BASIS_BOUND}")
+    return codim
+
+
+def hom_group(m: Motive, n: Motive) -> dict:
+    """Free abelian basis of hom(m, n) inside CH^{dim X + twist(n) -
+    twist(m)}(X x Y), as the image of the idempotent compression."""
+    codim = hom_ambient_codim(m.space, m.twist, n.space, n.twist)
+    product = m.space.times(n.space)
     basis_monos = list(product.monomials(codim))
     cols = _compression_matrix(m, n, basis_monos)
     image = _column_lattice_basis(cols)

@@ -10,7 +10,9 @@ abbreviates the hyperbolic element 2 + eta[-1].
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -270,6 +272,7 @@ def cmd_motive(args):
         }
     if args.motive_op == "hom":
         target = chow_motives.parse_space(args.target_space)
+        chow_motives.hom_ambient_codim(space, args.twist, target, args.target_twist)
         m = chow_motives.Motive(space, chow_motives.identity_correspondence(space), args.twist)
         n = chow_motives.Motive(target, chow_motives.identity_correspondence(target), args.target_twist)
         hom = chow_motives.hom_group(m, n)
@@ -363,22 +366,118 @@ def _suite_witt():
     return failures
 
 
+def _witt_model(field):
+    """W(F_q) and its powers I^n by closed forms, with no form decomposed.
+
+    GW(F_q) = Z (+) Z/2 as GWClass (rank, discriminant square class), and
+    W = GW / <h>.  A class of W is keyed by its rank parity and the square
+    class of its signed discriminant (-1)^(r(r-1)/2) det: adding h = <1,-1>
+    changes neither, and the four keys name the four classes.  I is the
+    even-rank part, and I^(n+1) is spanned by the products of I^n with I.
+    Returns (key, add, mul, ideal): the key of a GWClass, the addition and
+    multiplication tables on keys, and ideal(n), the key set of I^n (W for
+    n <= 0).
+    """
+    gw = quadratic_forms.GWClass
+    minus_one = quadratic_forms.gw_class(quadratic_forms.diagonal(field, [-1])).disc
+
+    def key(c):
+        return c.rank % 2, (c.disc + c.rank * (c.rank - 1) // 2 * minus_one) % 2
+
+    reps = {key(gw(field, rank, disc)): gw(field, rank, disc) for rank in range(4) for disc in range(2)}
+    add = {(a, b): key(reps[a] + reps[b]) for a in reps for b in reps}
+    mul = {(a, b): key(reps[a] * reps[b]) for a in reps for b in reps}
+    powers = [set(reps), {k for k in reps if k[0] == 0}]
+    while len(powers) < 7:
+        products = {mul[a, b] for a in powers[-1] for b in powers[1]}
+        span = {key(gw(field, 0, 0))}
+        while not span >= (more := {add[a, b] for a in span for b in products}):
+            span |= more
+        powers.append(span)
+    return key, add, mul, lambda n: powers[max(n, 0)]
+
+
 def _suite_tables():
+    """K^MW against Morel's fiber product K^MW_n = I^n x_(I^n/I^(n+1)) K^M_n
+    (Comment. Math. Helv. 79, 2004) for q <= 13 and degrees -4..4, with
+    I^n = W for n <= 0 and K^M_n = 0 for n < 0.  The coordinates map to
+    W x K^M by 1 -> (<1>, 1), [w] -> (<w> - <1>, {w}), eta[w] ->
+    (<w> - <1>, 0), eta^m -> (<1>, 0) and eta^(m+1)[w] -> (<w> - <1>, 0).
+    Checked: each group order against the fiber product's; the map is
+    well defined, injective and lands in the fiber product; and every
+    product of generators by `kmw_mul` against the product in W x K^M."""
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field_for(q)
-        for n in range(-6, 7):
-            shape = milnor_witt.kmw_group(field, n)
-            if n >= 2 and shape.invariant_factors != ():
-                failures.append({"q": q, "n": n})
-            if n == 1 and shape.invariant_factors != (q - 1,):
-                failures.append({"q": q, "n": n})
-            if n == 0 and shape.invariant_factors != (0, 2):
-                failures.append({"q": q, "n": n})
-            if n < 0:
-                want = (4,) if q % 4 == 3 else (2, 2)
-                if shape.invariant_factors != want:
-                    failures.append({"q": q, "n": n})
+        key, add, mul, ideal = _witt_model(field)
+        gw = quadratic_forms.GWClass
+        zero, one = key(gw(field, 0, 0)), key(gw(field, 1, 0))
+        omega = primitive_element(field)
+        # <a> - <1> for a = w^c: the Pfister map {a} -> I/I^2 on K^M_1
+        pfister = [
+            key(quadratic_forms.gw_class(quadratic_forms.diagonal(field, [omega ** c])) - gw(field, 1, 0))
+            for c in range(q - 1)
+        ]
+
+        def milnor(n, coords):
+            factors = milnor_witt.milnor_group(field, n).invariant_factors
+            return tuple(c % f if f else c for c, f in zip(coords, factors))
+
+        def scale(c, w):
+            out = zero
+            for _ in range(c % 4):  # 4 W = 0, since 4 <1> = <1,1,1,1> is hyperbolic
+                out = add[out, w]
+            return out
+
+        # (W key, K^M coefficient) of the generators in degrees 1, 0 and < 0
+        bracket = pfister[1]
+        generators = {1: [(bracket, 1)], 0: [(one, 1), (bracket, 0)], -1: [(one, 0), (bracket, 0)]}
+        images = {}
+
+        def to_model(n, coords):
+            """(W key, K^M coordinates) of the K^MW_n element `coords`."""
+            if (n, coords) not in images:
+                w, k = zero, 0
+                for c, (g, km) in zip(coords, generators[max(n, -1)] if n < 2 else ()):
+                    w, k = add[w, scale(c, g)], k + c * km
+                images[n, coords] = w, milnor(n, (k,))
+            return images[n, coords]
+
+        def in_fiber(n, w, k):
+            """w in I^n, and w = mu(k) mod I^(n+1) for the Pfister map mu."""
+            mu = scale(k[0], one) if n == 0 else pfister[k[0]] if n == 1 else zero
+            return w in ideal(n) and add[w, scale(-1, mu)] in ideal(n + 1)
+
+        gens = {}
+        for n in range(-4, 5):
+            factors = milnor_witt.kmw_group(field, n).invariant_factors
+            km_factors = milnor_witt.milnor_group(field, n).invariant_factors
+            # orders: the free rank and the order of the torsion subgroup
+            torsion = itertools.product(*(range(f) if f else (0,) for f in km_factors))
+            fiber = sum(in_fiber(n, w, k) for k in torsion for w in ideal(n))
+            got = (factors.count(0), math.prod(f for f in factors if f))
+            if got != (km_factors.count(0), fiber):
+                failures.append({"q": q, "n": n, "order": got, "fiber_product": fiber})
+                continue
+            units = [tuple(int(j == i) for j in range(len(factors))) for i in range(len(factors))]
+            origin = to_model(n, (0,) * len(factors))
+            for f, unit in zip(factors, units):
+                if f and to_model(n, tuple(f * c for c in unit)) != origin:
+                    failures.append({"q": q, "n": n, "not_well_defined": list(unit)})
+            box = [to_model(n, c) for c in itertools.product(*(range(f) if f else range(-2, 3) for f in factors))]
+            if len(set(box)) != len(box) or not all(in_fiber(n, w, k) for w, k in box):
+                failures.append({"q": q, "n": n, "not_injective_into_fiber_product": True})
+            gens[n] = [milnor_witt.KmwElement(field, n, unit) for unit in units]
+        for (n1, xs), (n2, ys) in itertools.product(gens.items(), repeat=2):
+            for x, y in itertools.product(xs, ys):
+                z = milnor_witt.kmw_mul(x, y)
+                (w1, k1), (w2, k2) = to_model(n1, x.coords), to_model(n2, y.coords)
+                if n1 < 0 or n2 < 0 or n1 + n2 >= 2:
+                    k = (0,)  # K^M vanishes in negative degrees and above 1
+                else:
+                    k = (k1[0] * k2[0],)
+                if to_model(z.degree, z.coords) != (mul[w1, w2], milnor(n1 + n2, k)):
+                    failures.append({"q": q, "product": [n1, list(x.coords), n2, list(y.coords)]})
     return failures
 
 

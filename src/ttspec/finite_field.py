@@ -10,7 +10,12 @@ factors of q - 1, never by walking their powers.  Discrete logs come from a
 cached table of all q - 1 powers for q <= LOG_TABLE_BOUND = 2^12, and above
 it from Pohlig-Hellman with a cached per-field plan and baby-step giant-step
 in each prime-order subgroup: O(sqrt(l)) multiplications for the largest
-prime l | q - 1.
+prime l | q - 1.  Inverses come from the extended Euclidean algorithm on
+coefficient tuples, and squareness from the norm N(a) = Res(modulus, a) in
+F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
+(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a prime
+field both are a single builtin `pow`.  `**` keeps the square-and-multiply
+ladder.
 """
 
 from __future__ import annotations
@@ -149,6 +154,68 @@ def _poly_mul_mod(a, b, modulus, p):
     return tuple(prod)
 
 
+def _trim(coeffs):
+    """The coefficient sequence without leading (high) zeros."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
+
+
+def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and trimmed remainder of a by b over F_p, for coefficient
+    sequences low-to-high with b trimmed and nonzero."""
+    rem, db = list(a), len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv_lead, quot = pow(b[-1], -1, p), [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv_lead % p
+        if c:
+            quot[i - db] = c
+            for j in range(db):
+                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % p
+    del rem[db:]
+    return quot, _trim(rem)
+
+
+def _poly_inverse(coeffs, modulus, p: int) -> tuple[int, ...]:
+    """The inverse of a nonzero residue mod (modulus, p) by the extended
+    Euclidean algorithm: s * a = r mod modulus along the remainder sequence
+    r, which ends in a nonzero constant since the modulus is irreducible."""
+    r0, r1 = modulus, _trim(coeffs)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1, p)
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(quot):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % p
+        r0, r1, s0, s1 = r1, rem, s1, s
+    scale = pow(r1[0], -1, p)
+    for i, c in enumerate(s1):
+        s1[i] = c * scale % p
+    return tuple(s1 + [0] * (len(modulus) - 1 - len(s1)))
+
+
+def _norm(coeffs, modulus, p: int) -> int:
+    """N(a) = Res(modulus, a) in F_p for a nonzero residue a, by the
+    Euclidean remainder sequence: Res(f, g) = (-1)^(deg f deg g)
+    lc(g)^(deg f - deg r) Res(g, r) with r = f mod g, and Res(f, c) =
+    c^(deg f) for a constant c."""
+    f, g = modulus, _trim(coeffs)
+    res = 1
+    while len(g) > 1:
+        r = _poly_divmod(f, g, p)[1]
+        m, n = len(f) - 1, len(g) - 1
+        res = res * pow(g[-1], m - len(r) + 1, p) % p
+        if m & n & 1:
+            res = -res
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p
+
+
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Brute-force irreducibility: no root/factor found by trial division."""
     e = len(poly) - 1
@@ -158,21 +225,9 @@ def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     for d in range(1, e // 2 + 1):
         for v in range(p ** d):
             divisor = list(_int_to_coeffs(v, p, d)) + [1]
-            if _poly_divides(divisor, poly, p):
+            if not _poly_divmod(poly, divisor, p)[1]:
                 return False
     return True
-
-
-def _poly_divides(divisor, poly, p):
-    rem = list(poly)
-    dd = len(divisor) - 1
-    inv_lead = pow(divisor[-1], -1, p)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i] * inv_lead % p
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * divisor[j]) % p
-    return all(c == 0 for c in rem[:dd])
 
 
 class FieldElement(Value):
@@ -230,10 +285,10 @@ class FieldElement(Value):
         return self.__mul__(other)
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        if not any(self.coeffs):
             raise ZeroInput("zero has no inverse")
-        # q is small; a^(q-2) is the inverse
-        return self ** (self.field.q - 2)
+        field = self.field
+        return FieldElement(field, _poly_inverse(self.coeffs, field.modulus, field.p))
 
     def __truediv__(self, other):
         other = self.field.element(other)
@@ -277,19 +332,6 @@ def make_field(p: int, e: int = 1) -> PrimePower:
                 break
         assert modulus is not None
     return PrimePower(p, e, modulus)
-
-
-def multiplicative_order(a: FieldElement) -> int:
-    """Order of a unit: start from q - 1 and divide out each prime l while
-    a^(n/l) is still 1."""
-    if a.is_zero():
-        raise ZeroInput("order of zero undefined")
-    one = a.field.one()
-    n = a.field.q - 1
-    for ell in _prime_factors(n):
-        while n % ell == 0 and a ** (n // ell) == one:
-            n //= ell
-    return n
 
 
 def primitive_element(field: PrimePower) -> FieldElement:
@@ -399,10 +441,12 @@ def discrete_log(a: FieldElement) -> int:
 
 
 def is_square(a: FieldElement) -> bool:
-    """Euler criterion a^((q-1)/2) == 1."""
-    if a.is_zero():
+    """Euler criterion on the norm: N(a)^((p-1)/2) == 1 in F_p."""
+    if not any(a.coeffs):
         raise ZeroInput("squareness of zero undefined")
-    return a ** ((a.field.q - 1) // 2) == a.field.one()
+    field = a.field
+    p = field.p
+    return pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1
 
 
 def square_class(a: FieldElement) -> int:

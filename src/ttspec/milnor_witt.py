@@ -10,19 +10,33 @@ F_q^* chosen by `finite_field.primitive_element`:
                   Z/2 (+) Z/2 on eta^m, eta^(m+1)[w] if q = 1 mod 4
 
 The rewriting facts used (each re-derived in the test suite from the
-defining relations plus the degree-2 vanishing, and cross-checked against
-the independent Witt-ring model):
+defining relations plus the degree-2 vanishing, and checked by `verify
+--suite tables` against Morel's fiber product I^n x_(I^n/I^(n+1)) K^M_n):
 
   * any monomial with two or more bracket factors vanishes,
   * [a] = dlog(a) * [w] in degree 1,
   * eta*[a] = dlog(a) * eta[w] in degree 0, with eta[w] of order 2,
   * eta^(j)[a] = 2 * dlog(a) * eta^(j-1) in negative degrees when
     q = 3 mod 4, and dlog(a) * eta^(j)[w] (order 2) when q = 1 mod 4.
+
+`_monomial` is this table for one monomial c * eta^i [a]^k, k <= 1:
+
+  k = 0:         c * 1 (i = 0), c * eta^i (i >= 1)
+  k = 1, d = dlog(a):
+    i = 0:       c*d * [w]
+    i = 1:       c*d * eta[w]
+    i >= 2:      2*c*d * eta^(i-1)  if q = 3 mod 4
+                 c*d * eta^i[w]     if q = 1 mod 4
+
+`reduce_word` applies it to each monomial of a word.  `kmw_mul` writes
+each factor as at most two generator terms c * eta^i [w]^k, multiplies
+them pairwise (eta powers and bracket counts add, so [w]*[w] = 0), and
+applies it with d = 1.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
 
 from ._value import Value
 from .errors import (
@@ -58,45 +72,33 @@ class GroupShape(Value):
         object.__setattr__(self, "invariant_factors", invariant_factors)
         object.__setattr__(self, "generators", generators)
 
-    @property
-    def order(self):
-        if any(f == 0 for f in self.invariant_factors):
-            return None  # infinite
-        prod = 1
-        for f in self.invariant_factors:
-            prod *= f
-        return prod
 
-    def elements(self):
-        """All elements for finite groups; raises for infinite ones."""
-        if self.order is None:
-            raise ValueError("infinite group")
-        from itertools import product
-
-        yield from product(*(range(f) for f in self.invariant_factors))
+@lru_cache(maxsize=None)
+def _factors(q: int, n: int) -> tuple[int, ...]:
+    """Invariant factors of K^MW_n(F_q) (0 means Z); cached, since every
+    KmwElement is normalized by them."""
+    _check_degree(n)
+    if n >= 2:
+        return ()
+    if n == 1:
+        return (q - 1,)
+    if n == 0:
+        return (0, 2)
+    return (4,) if q % 4 == 3 else (2, 2)
 
 
 def kmw_group(field: PrimePower, n: int) -> GroupShape:
     """The abelian group K^MW_n(F_q) with generator names."""
-    _check_degree(n)
+    factors = _factors(field.q, n)
     if n >= 2:
-        return GroupShape((), ())
-    if n == 1:
-        return GroupShape((field.q - 1,), ("[w]",))
-    if n == 0:
-        return GroupShape((0, 2), ("1", "eta[w]"))
-    m = -n
-    if field.q % 4 == 3:
-        return GroupShape((4,), (f"eta^{m}",))
-    return GroupShape((2, 2), (f"eta^{m}", f"eta^{m + 1}[w]"))
-
-
-def _normalize(field: PrimePower, n: int, coords) -> tuple[int, ...]:
-    shape = kmw_group(field, n)
-    out = []
-    for c, f in zip(coords, shape.invariant_factors):
-        out.append(c if f == 0 else c % f)
-    return tuple(out)
+        names = ()
+    elif n == 1:
+        names = ("[w]",)
+    elif n == 0:
+        names = ("1", "eta[w]")
+    else:
+        names = (f"eta^{-n}", f"eta^{1 - n}[w]")[: len(factors)]
+    return GroupShape(factors, names)
 
 
 class KmwElement(Value):
@@ -105,7 +107,8 @@ class KmwElement(Value):
     def __init__(self, field: PrimePower, degree: int, coords: tuple[int, ...]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", _normalize(field, degree, coords))
+        factors = _factors(field.q, degree)
+        object.__setattr__(self, "coords", tuple([c % f if f else c for c, f in zip(coords, factors)]))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -127,8 +130,7 @@ class KmwElement(Value):
 
 
 def kmw_zero(field: PrimePower, n: int) -> KmwElement:
-    shape = kmw_group(field, n)
-    return KmwElement(field, n, (0,) * len(shape.invariant_factors))
+    return KmwElement(field, n, (0,) * len(_factors(field.q, n)))
 
 
 def kmw_one(field: PrimePower) -> KmwElement:
@@ -232,6 +234,21 @@ def word_h(field: PrimePower) -> SymbolWord:
     return SymbolWord(field, ((2, 0, ()), (1, 1, (-field.one(),))))
 
 
+def _monomial(q3: bool, c: int, i: int, bracket: int, d: int = 1) -> tuple[int, tuple[int, ...]]:
+    """(degree, coordinates) of c * eta^i, or of c * eta^i [a] with
+    d = dlog(a) when `bracket` is 1; q3 is q = 3 mod 4."""
+    if not bracket:
+        if i == 0:
+            return 0, (c, 0)
+        return -i, (c,) if q3 else (c, 0)
+    c *= d
+    if i == 0:
+        return 1, (c,)
+    if i == 1:
+        return 0, (0, c)
+    return 1 - i, (2 * c,) if q3 else (0, c)
+
+
 def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
     """Reduce a formal word to canonical coordinates, one element per degree.
 
@@ -240,36 +257,16 @@ def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
     field = w.field
     q3 = field.q % 4 == 3
     acc: dict[int, list[int]] = {}
-
-    def add(degree, coords):
-        shape = kmw_group(field, degree)
-        cur = acc.setdefault(degree, [0] * len(shape.invariant_factors))
+    for coeff, i, entries in w.terms:
+        if coeff == 0 or len(entries) >= 2:
+            continue  # a double bracket lies in K^MW_2 = 0 and kills the monomial
+        d = discrete_log(entries[0]) if entries else 1
+        degree, coords = _monomial(q3, coeff, i, len(entries), d)
+        cur = acc.get(degree)
+        if cur is None:
+            cur = acc[degree] = [0] * len(_factors(field.q, degree))
         for idx, c in enumerate(coords):
             cur[idx] += c
-
-    for coeff, i, entries in w.terms:
-        if coeff == 0:
-            continue
-        k = len(entries)
-        degree = k - i
-        if k >= 2:
-            continue  # a double bracket lies in K^MW_2 = 0 and kills the monomial
-        if k == 0:
-            if i == 0:
-                add(0, (coeff, 0))
-            else:
-                add(-i, (coeff,) if q3 else (coeff, 0))
-        else:
-            d = discrete_log(entries[0])
-            if i == 0:
-                add(1, (coeff * d,))
-            elif i == 1:
-                add(0, (0, coeff * d))
-            else:
-                if q3:
-                    add(1 - i, (2 * coeff * d,))
-                else:
-                    add(1 - i, (0, coeff * d))
     out = {}
     for degree, coords in acc.items():
         el = KmwElement(field, degree, tuple(coords))
@@ -291,41 +288,33 @@ def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
     return KmwElement(x.field, x.degree, tuple(a + b for a, b in zip(x.coords, y.coords)))
 
 
-def _to_word(x: KmwElement) -> SymbolWord:
-    """Expand canonical coordinates into a generator word."""
-    field = x.field
-    omega = primitive_element(field)
-    n = x.degree
-    terms = []
-    if n >= 2 or x.is_zero():
-        return SymbolWord(field, ())
+def _generator_terms(x: KmwElement) -> tuple[tuple[int, int, int], ...]:
+    """x as at most two terms (coefficient, eta power, bracket count)."""
+    n, c = x.degree, x.coords
+    if n >= 2:
+        return ()
     if n == 1:
-        terms.append((x.coords[0], 0, (omega,)))
-    elif n == 0:
-        m, t = x.coords
-        if m:
-            terms.append((m, 0, ()))
-        if t:
-            terms.append((t, 1, (omega,)))
-    else:
-        m = -n
-        if field.q % 4 == 3:
-            terms.append((x.coords[0], m, ()))
-        else:
-            s, t = x.coords
-            if s:
-                terms.append((s, m, ()))
-            if t:
-                terms.append((t, m + 1, (omega,)))
-    return SymbolWord(field, tuple(terms))
+        return ((c[0], 0, 1),)
+    if n == 0:
+        return ((c[0], 0, 0), (c[1], 1, 1))
+    if len(c) == 1:
+        return ((c[0], -n, 0),)
+    return ((c[0], -n, 0), (c[1], 1 - n, 1))
 
 
 def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
-    if x.field != y.field:
+    field = x.field
+    if field is not y.field and field != y.field:
         raise FieldMismatch("elements over different fields")
-    n = x.degree + y.degree
-    _check_degree(n)
-    return reduce_homogeneous(_to_word(x) * _to_word(y), n)
+    q3 = field.q % 4 == 3
+    acc = [0, 0]  # KmwElement keeps as many coordinates as K^MW_n has factors
+    for c1, i1, b1 in _generator_terms(x):
+        if c1:
+            for c2, i2, b2 in _generator_terms(y):
+                if c2 and b1 + b2 < 2:
+                    for idx, c in enumerate(_monomial(q3, c1 * c2, i1 + i2, b1 + b2)[1]):
+                        acc[idx] += c
+    return KmwElement(field, x.degree + y.degree, acc)
 
 
 class MilnorKElement(Value):
@@ -462,13 +451,10 @@ def verify_ses(field: PrimePower, n: int) -> dict:
 
 
 def _kmw_elements_for_check(field: PrimePower, n: int) -> list[KmwElement]:
-    shape = kmw_group(field, n)
     # free factors sampled in {-1, 0, 1}; torsion enumerated fully
     from itertools import product
 
-    ranges = []
-    for f in shape.invariant_factors:
-        ranges.append(range(-1, 2) if f == 0 else range(f))
+    ranges = [range(-1, 2) if f == 0 else range(f) for f in _factors(field.q, n)]
     return [KmwElement(field, n, coords) for coords in product(*ranges)]
 
 
@@ -508,26 +494,3 @@ def _localized_scalar_is_zero(field: PrimePower, scalar: int) -> bool:
     kills it); the maps stabilize immediately in negative degrees.
     """
     return (scalar * eta(field, 1)).is_zero()
-
-
-def change_of_generator(x: KmwElement, new_omega: FieldElement) -> tuple[int, ...]:
-    """Coordinates of x relative to a different multiplicative generator.
-
-    Group shapes are unchanged; only degree-1 (and the bracket parts of
-    lower degrees) coordinates rescale by k = log of the old generator in
-    the new one.  With new_omega = omega^d, new_omega generates F_q^* iff
-    gcd(d, q - 1) = 1, and then k = d^-1 mod (q - 1).
-    """
-    field = x.field
-    d = discrete_log(field.element(new_omega))
-    if gcd(d, field.q - 1) != 1:
-        raise InvalidArgument("not a multiplicative generator")
-    k = pow(d, -1, field.q - 1)  # omega = new_omega^k
-    n = x.degree
-    if n == 1:
-        return ((x.coords[0] * k) % (field.q - 1),)
-    if n == 0:
-        return (x.coords[0], (x.coords[1] * k) % 2)
-    if n < 0 and field.q % 4 == 1:
-        return (x.coords[0], (x.coords[1] * k) % 2)
-    return x.coords

@@ -182,6 +182,34 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
     assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
 
 
+def _eta_order_two(z):
+    """Breaks the order of eta^m when q = 3 mod 4: coordinates mod 2."""
+    if z.degree < 0 and z.field.q % 4 == 3:
+        return mw.KmwElement(z.field, z.degree, (z.coords[0] % 2,))
+    return z
+
+
+def _no_eta_bracket_term(z):
+    """Breaks degree-0 products: the eta[w] term is dropped."""
+    if z.degree == 0:
+        return mw.KmwElement(z.field, 0, (z.coords[0], 0))
+    return z
+
+
+@pytest.mark.parametrize("breaker", [None, _eta_order_two, _no_eta_bracket_term])
+def test_verify_tables_fails_on_a_broken_product_rule(capsys, monkeypatch, breaker):
+    if breaker is not None:
+        right = mw.kmw_mul
+        monkeypatch.setattr(mw, "kmw_mul", lambda x, y: breaker(right(x, y)))
+    code, out = run(capsys, "verify", "--suite", "tables", "--json")
+    assert code == (0 if breaker is None else 2)
+    failures = json.loads(out)["result"]["suites"]["tables"]["failures"]
+    if breaker is _eta_order_two:
+        assert {f["q"] for f in failures} == {3, 7, 11}
+    elif breaker is _no_eta_bracket_term:
+        assert {f["q"] for f in failures} == {3, 5, 7, 9, 11, 13}
+
+
 # --------------------------------------------------------------- exit codes
 
 

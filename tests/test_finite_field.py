@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -14,11 +15,11 @@ from ttspec.finite_field import (
     discrete_log,
     is_square,
     make_field,
-    multiplicative_order,
     primitive_element,
     square_class,
-    _poly_divides,
+    _poly_divmod,
     _poly_is_irreducible,
+    _prime_factors,
 )
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
@@ -85,10 +86,10 @@ def test_field_arithmetic(p, e):
 def test_primitive_element_and_dlog(p, e):
     field = make_field(p, e)
     omega = primitive_element(field)
-    assert multiplicative_order(omega) == field.q - 1
+    assert _order_by_walk(omega) == field.q - 1
     # omega is the least full-order element in representative order
     for v in range(2, omega.value):
-        assert multiplicative_order(field.from_index(v)) < field.q - 1
+        assert _order_by_walk(field.from_index(v)) < field.q - 1
     for a in field.units():
         k = discrete_log(a)
         assert omega ** k == a
@@ -106,6 +107,48 @@ def test_squares(p, e):
     units = list(field.units())[:8]
     for a, b in itertools.product(units, repeat=2):
         assert square_class(a * b) == (square_class(a) ^ square_class(b))
+
+
+def _inverse_by_ladder(a):
+    return a ** (a.field.q - 2)
+
+
+def _is_square_by_ladder(a):
+    return a ** ((a.field.q - 1) // 2) == a.field.one()
+
+
+@pytest.mark.parametrize(
+    "p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3), (3, 5), (3, 7)]
+)
+def test_inverse_and_is_square_match_power_ladder_on_every_unit(p, e):
+    """Euclid's inverse and the norm's Euler criterion against a^(q-2) and
+    a^((q-1)/2) by the square-and-multiply ladder of `**`."""
+    field = make_field(p, e)
+    for a in field.units():
+        assert a.inverse() == _inverse_by_ladder(a), a
+        assert is_square(a) == _is_square_by_ladder(a), a
+
+
+@pytest.mark.parametrize("p,e", [(3, 10), (65521, 1), (1048573, 1)])
+def test_inverse_and_is_square_match_power_ladder_on_seeded_units(p, e):
+    field = make_field(p, e)
+    rng = random.Random(f"inverse:{field.q}")
+    for _ in range(16):
+        a = field.from_index(rng.randrange(1, field.q))
+        assert a.inverse() == _inverse_by_ladder(a), a
+        assert is_square(a) == _is_square_by_ladder(a), a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 127, 4093, 65521, 1048573])
+def test_is_square_matches_sympy_quadratic_residue(p):
+    """Prime fields against sympy's residue test (its `legendre_symbol` in
+    `sympy.ntheory` is deprecated, and the symbolic one is 30x slower)."""
+    sympy_ntheory = pytest.importorskip("sympy.ntheory")
+    field = make_field(p)
+    rng = random.Random(f"legendre:{p}")
+    values = range(1, p) if p < 5000 else [rng.randrange(1, p) for _ in range(16)]
+    for v in values:
+        assert is_square(field.element(v)) == sympy_ntheory.is_quad_residue(v, p), v
 
 
 def test_zero_input_errors():
@@ -154,7 +197,7 @@ def test_element_sequence_oracle(p, e):
             assert coeffs == tuple(c % p for c in seq) + (0,) * (e - len(seq))
         else:
             diff = [(s - r) % p for s, r in zip(seq, coeffs + (0,) * len(seq))]
-            assert _poly_divides(field.modulus, diff, p)
+            assert not _poly_divmod(diff, field.modulus, p)[1]
 
 
 def test_log_table_large_field_path():
@@ -169,7 +212,7 @@ def test_log_table_large_field_path():
 
 
 def _order_by_walk(a):
-    """Oracle: the O(q) power walk `multiplicative_order` replaced."""
+    """Oracle: the multiplicative order of a unit by the O(q) power walk."""
     x, n, one = a, 1, a.field.one()
     while x != one:
         x = x * a
@@ -193,12 +236,16 @@ def _odd_prime_powers(bound):
 
 @pytest.mark.parametrize("p,e", _odd_prime_powers(400))
 def test_generator_and_order_match_power_walk(p, e):
+    """The generator, and the full-order test it is found by (a^((q-1)/l)
+    != 1 for every prime l | q - 1), against the power walk."""
     field = make_field(p, e)
     omega = primitive_element(field)
     assert omega == _primitive_by_walk(field)
+    one, n = field.one(), field.q - 1
     for v in range(1, min(field.q, 24)):
         a = field.from_index(v)
-        assert multiplicative_order(a) == _order_by_walk(a), (field, v)
+        full = all(a ** (n // ell) != one for ell in _prime_factors(n))
+        assert full == (_order_by_walk(a) == n), (field, v)
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 67003, 1048573])
@@ -272,9 +319,25 @@ def test_log_table_only_up_to_bound():
         assert "logs" not in field._cache, field
 
 
+def _change_of_generator(x, new_omega):
+    """K^MW coordinates of x relative to another generator new_omega =
+    omega^d: the degree-1 and bracket coordinates rescale by k = d^-1 mod
+    (q - 1), since omega = new_omega^k; the group shapes are unchanged."""
+    field = x.field
+    d = discrete_log(new_omega)
+    if gcd(d, field.q - 1) != 1:
+        raise InvalidArgument("not a multiplicative generator")
+    k = pow(d, -1, field.q - 1)
+    n = x.degree
+    if n == 1:
+        return ((x.coords[0] * k) % (field.q - 1),)
+    if n == 0 or (n < 0 and field.q % 4 == 1):
+        return (x.coords[0], (x.coords[1] * k) % 2)
+    return x.coords
+
+
 def _change_of_generator_by_walk(x, new_omega):
-    """Oracle: the walk `change_of_generator` replaced (k with
-    new_omega^k = omega, found by stepping through powers)."""
+    """Oracle: k with new_omega^k = omega found by stepping through powers."""
     field = x.field
     omega = primitive_element(field)
     k, acc = 0, field.one()
@@ -289,8 +352,26 @@ def _change_of_generator_by_walk(x, new_omega):
     return x.coords
 
 
+def _from_new_generator(field, n, coords, new_omega):
+    """The element with coordinates `coords` on the generators of degree n
+    with [new_omega] in place of [omega], built by `symbol` and `kmw_mul`."""
+    bracket = mw.symbol(new_omega)
+    if n == 1:
+        gens = [bracket]
+    elif n == 0:
+        gens = [mw.kmw_one(field), mw.kmw_mul(mw.eta(field), bracket)]
+    else:
+        gens = [mw.eta(field, -n), mw.kmw_mul(mw.eta(field, 1 - n), bracket)]
+    out = mw.kmw_zero(field, n)
+    for c, g in zip(coords, gens):
+        out = out + c * g
+    return out
+
+
 @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)])
 def test_change_of_generator_matches_walk(p, e):
+    """The change-of-generator rule against the walk, and the new
+    coordinates rebuilt through `symbol` and `kmw_mul` give back x."""
     field = make_field(p, e)
     elements = [
         x for n in (-2, -1, 0, 1) for x in mw._kmw_elements_for_check(field, n)
@@ -298,7 +379,9 @@ def test_change_of_generator_matches_walk(p, e):
     for a in field.units():
         if _order_by_walk(a) != field.q - 1:
             with pytest.raises(InvalidArgument):
-                mw.change_of_generator(elements[0], a)
+                _change_of_generator(elements[0], a)
             continue
         for x in elements:
-            assert mw.change_of_generator(x, a) == _change_of_generator_by_walk(x, a)
+            coords = _change_of_generator(x, a)
+            assert coords == _change_of_generator_by_walk(x, a)
+            assert _from_new_generator(field, x.degree, coords, a) == x, (x, a)
