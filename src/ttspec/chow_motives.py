@@ -18,16 +18,24 @@ integer column lattice.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
 
-# largest ambient monomial basis `hom_group` accepts, since its compression
-# matrix is dense in it: a cold `motive hom --space P9xP9xP9 --target-space
-# P4xP4xP4 --json` (3,812 monomials) takes 7.2 s on a 2-CPU x86-64 VM, and
-# P9xP9xP9 to P3xP5xP5 (4,932) takes 11.5 s
+# largest ambient monomial basis `hom_group` accepts: its column reduction
+# scans the remaining columns once per row, so the time grows with the square
+# of the basis.  On a 2-CPU x86-64 VM a cold `motive hom --space P9xP9xP9
+# --target-space P4xP4xP4 --json` (3,812 monomials) takes 0.52 s and 19 MB
 HOM_BASIS_BOUND = 4_000
+# most monomials `parse_space` accepts on one space; it also refuses more than
+# 16 = log2(SPACE_BOUND) factors, since a monomial holds one exponent per factor
+# and P0 factors lengthen it without adding monomials.  Cold on a 2-CPU x86-64
+# VM, the slowest accepted spaces take: `motive decompose --space` P1^16 3.1 s,
+# `motive dual` P1^16 1.9 s, `motive hom` P1^16 to P1^16 (a 496-monomial basis)
+# 2.2 s and 136 MB, and `motive pairing --space P65535` 1.5 s
+SPACE_BOUND = 2 ** 16
 # most entries, one chow_mul each, `pairing_nondegenerate` accepts over all
 # its degree matrices: a cold `motive pairing --space P12xP12xP12` (204,763)
 # takes 1.5 s on a 2-CPU x86-64 VM, and P15xP15xP15 (577,744) 4.5 s
@@ -56,11 +64,20 @@ class ProjSpaceProduct(Value):
         return ProjSpaceProduct(self.dims + other.dims)
 
     def monomials(self, codim: int = None):
-        """Monomial basis (exponent tuples), optionally of one codimension."""
-        ranges = [range(n + 1) for n in self.dims]
-        for mono in itertools.product(*ranges):
-            if codim is None or sum(mono) == codim:
-                yield mono
+        """Monomial basis (exponent tuples) in lex order; with `codim`, only
+        the monomials of that codimension, built factor by factor."""
+        if codim is None:
+            return itertools.product(*[range(n + 1) for n in self.dims])
+        rest = self.dimension
+        prefixes = [((), codim)]  # (exponents so far, codimension still to place)
+        for n in self.dims:
+            rest -= n
+            prefixes = [
+                (mono + (e,), left - e)
+                for mono, left in prefixes
+                for e in range(max(0, left - rest), min(n, left) + 1)
+            ]
+        return [mono for mono, left in prefixes if not left]
 
     def monomial_counts(self) -> list[int]:
         """Number of monomials of each codimension 0..dim: the coefficients
@@ -283,8 +300,8 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
     (motive, power) sorted by power."""
     product = space.times(space)
     out = []
-    for exps in itertools.product(*[range(n + 1) for n in space.dims]):
-        mono = tuple(exps) + tuple(n - a for n, a in zip(space.dims, exps))
+    for exps in space.monomials():
+        mono = exps + tuple(n - a for n, a in zip(space.dims, exps))
         proj = Correspondence(space, space, 0, monomial_class(product, mono))
         weight = sum(n - a for n, a in zip(space.dims, exps))
         out.append((Motive(space, proj, 0), weight))
@@ -298,46 +315,33 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
     return out
 
 
-def _compression_matrix(m: Motive, n: Motive, basis):
-    """Matrix of a -> q o a o p on the listed monomial basis."""
-    product = m.space.times(n.space)
-    cols = []
-    index = {mono: i for i, mono in enumerate(basis)}
-    shift = n.twist - m.twist
-    for mono in basis:
-        alpha = Correspondence(m.space, n.space, shift, monomial_class(product, mono))
-        image = compose(n.projector, compose(alpha, m.projector))
-        col = [0] * len(basis)
-        for mo, c in image.cls.terms:
-            col[index[mo]] = c
-        cols.append(col)
-    return cols  # column-major
-
-
 def _column_lattice_basis(cols):
-    """Hermite-style column reduction over Z; returns basis columns.
-    Position i is gcd-reduced by the first column of least |c[i]| until
-    one column, the pivot, is nonzero there; the rest are then zero at
-    every position up to i."""
-    cols = [list(c) for c in cols]
-    rows = len(cols[0]) if cols else 0
+    """Hermite-style column reduction over Z on sparse {row: nonzero entry}
+    columns; returns basis columns.  Rows are taken in sorted order.  Row i is
+    gcd-reduced by the first column of least |c[i]| until one column, the
+    pivot, is nonzero there; the rest are then zero at every row up to i."""
+    cols = [dict(c) for c in cols]
     basis = []
-    for i in range(rows):
-        live = [c for c in cols if c[i]]
+    for i in sorted({r for c in cols for r in c}):
+        live = [c for c in cols if i in c]
         while len(live) > 1:
             small = min(live, key=lambda c: abs(c[i]))
             for c in live:
                 if c is not small:
                     f = c[i] // small[i]
-                    for j in range(i, rows):
-                        c[j] -= f * small[j]
-            live = [c for c in live if c[i]]
+                    for r, v in small.items():
+                        w = c.get(r, 0) - f * v
+                        if w:
+                            c[r] = w
+                        else:
+                            c.pop(r, None)
+            live = [c for c in live if i in c]
         if not live:
             continue
         pivot = live[0]
         if pivot[i] < 0:
-            for j in range(i, rows):
-                pivot[j] = -pivot[j]
+            for r in pivot:
+                pivot[r] = -pivot[r]
         basis.append(pivot)
         cols = [c for c in cols if c is not pivot]
     return basis
@@ -357,16 +361,24 @@ def hom_ambient_codim(space: ProjSpaceProduct, twist: int, target: ProjSpaceProd
 
 def hom_group(m: Motive, n: Motive) -> dict:
     """Free abelian basis of hom(m, n) inside CH^{dim X + twist(n) -
-    twist(m)}(X x Y), as the image of the idempotent compression."""
+    twist(m)}(X x Y), as the image of the idempotent compression
+    a -> q o a o p.  By the per-factor degree rule, x^c y^b meets only the
+    terms x^u x^v of p with v = dims(X) - c and the terms y^s y^t of q with
+    s = dims(Y) - b, and goes to the sum of p_uv q_st x^u y^t."""
     codim = hom_ambient_codim(m.space, m.twist, n.space, n.twist)
+    kx, ky = m.space.factors, n.space.factors
+    by_target, by_source = {}, {}
+    for mono, c in m.projector.cls.terms:
+        by_target.setdefault(mono[kx:], []).append((mono[:kx], c))
+    for mono, c in n.projector.cls.terms:
+        by_source.setdefault(mono[:ky], []).append((mono[ky:], c))
     product = m.space.times(n.space)
-    basis_monos = list(product.monomials(codim))
-    cols = _compression_matrix(m, n, basis_monos)
-    image = _column_lattice_basis(cols)
-    classes = [
-        ChowClass.from_dict(product, {mono: c for mono, c in zip(basis_monos, col) if c})
-        for col in image
-    ]
+    cols = []
+    for mono in product.monomials(codim):
+        v = tuple(d - e for d, e in zip(m.space.dims, mono[:kx]))
+        s = tuple(d - e for d, e in zip(n.space.dims, mono[kx:]))
+        cols.append({u + t: pc * qc for u, pc in by_target.get(v, ()) for t, qc in by_source.get(s, ())})
+    classes = [ChowClass.from_dict(product, col) for col in _column_lattice_basis(cols)]
     return {
         "rank": len(classes),
         "ambient_codim": codim,
@@ -451,4 +463,10 @@ def parse_space(text: str) -> ProjSpaceProduct:
         if not part.startswith(("P", "p")) or not part[1:].isdigit():
             raise InvalidArgument(f"cannot parse space factor {part!r}")
         dims.append(int(part[1:]))
+    size = math.prod(n + 1 for n in dims)
+    if max(size, 2 ** len(dims)) > SPACE_BOUND:
+        raise BoundExceeded(
+            f"space of {len(dims)} factors and {size} monomials exceeds the space bound of "
+            f"{SPACE_BOUND} monomials and {SPACE_BOUND.bit_length() - 1} factors"
+        )
     return ProjSpaceProduct(tuple(dims))

@@ -254,22 +254,6 @@ class SpecHSpace(Value):
             out.append((two, index[frozenset({GENERATOR_OMEGA, GENERATOR_ETA, "2"})]))
         return sorted(out)
 
-    def v_closed(self, ideal: HomogeneousPrime) -> list[HomogeneousPrime]:
-        """V(I) = points containing I."""
-        return [p for p in self.points if p.includes(ideal)]
-
-    def d_open(self, s: ReducedElement) -> list[HomogeneousPrime]:
-        """D(s) = points not containing the homogeneous element s."""
-        return [p for p in self.points if not p.contains(s)]
-
-    def closure(self, subset) -> list[HomogeneousPrime]:
-        subset = list(subset)
-        return [
-            p
-            for p in self.points
-            if any(p.includes(q) for q in subset)
-        ]
-
 
 def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12) -> SpecHSpace:
     """The homogeneous primes of the reduced presentation with integer

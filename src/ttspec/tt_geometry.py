@@ -259,10 +259,6 @@ def enumerate_primes(universe: TateUniverse) -> dict:
     return {"primes": [ThickTensorIdeal(universe, frozenset())], "diagnostic": None}
 
 
-def support(a: TateObject, primes) -> list[ThickTensorIdeal]:
-    return [p for p in primes if not p.contains(a)]
-
-
 def u_open(a: TateObject, primes) -> list[ThickTensorIdeal]:
     return [p for p in primes if p.contains(a)]
 

