@@ -55,7 +55,7 @@ def _tokenize(text: str):
 
 class _WordParser:
     """expr := term (('+'|'-') term)*
-    term := ['-'] factor+          (juxtaposition is product)
+    term := ['-'] factor (['*'] factor)*   (juxtaposition or '*' is product)
     factor := INT | 'eta' ['^' INT] | 'h' | '[' entry ']'
     entry := ['-'] INT | 'w' ['^' INT]"""
 
@@ -653,15 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no default, so that a subcommand does not reset a --json given before it
     json_flag = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     json_flag.add_argument("--json", action="store_true", help="emit a JSON envelope")
-
-    def _env_int(name, fallback):
-        raw = os.environ.get(name)
-        if raw is None:
-            return fallback
-        try:
-            return int(raw)
-        except ValueError:
-            raise TtspecError(f"{name} must be an integer, got {raw!r}")
     parser = argparse.ArgumentParser(prog="ttspec", parents=[json_flag])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -694,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spech = sub.add_parser("spech", parents=[json_flag], help="homogeneous prime spectrum")
     spech.add_argument("--q", type=int, required=True)
-    spech.add_argument("--prime-bound", type=int, default=_env_int("TTSPEC_PRIME_BOUND", 50))
+    spech.add_argument("--prime-bound", type=int, default=50)
     spech.set_defaults(func=cmd_spech)
 
     motive = sub.add_parser("motive", parents=[json_flag], help="Chow motive computations")
@@ -708,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     spc = sub.add_parser("spc", parents=[json_flag], help="spectra of tensor-triangular models")
     spc.add_argument("spc_op", choices=["tate", "sh-top", "equivariant"])
     spc.add_argument("--q", type=int, default=3)
-    spc.add_argument("--twist-radius", type=int, default=_env_int("TTSPEC_TWIST_RADIUS", 4))
-    spc.add_argument("--shift-radius", type=int, default=_env_int("TTSPEC_SHIFT_RADIUS", 2))
+    spc.add_argument("--twist-radius", type=int, default=4)
+    spc.add_argument("--shift-radius", type=int, default=2)
     spc.add_argument("--primes", type=int, default=3)
     spc.add_argument("--height", type=int, default=3)
     spc.add_argument("--n", type=int, default=1)
@@ -725,12 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except TtspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

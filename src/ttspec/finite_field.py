@@ -14,8 +14,8 @@ prime l | q - 1.  Inverses come from the extended Euclidean algorithm on
 coefficient tuples, and squareness from the norm N(a) = Res(modulus, a) in
 F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
 (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a prime
-field both are a single builtin `pow`.  `**` keeps the square-and-multiply
-ladder.
+field both are a single builtin `pow`, and so is `**`, which everywhere
+runs the one ladder `_tuple_pow` on coefficient tuples.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class FieldElement(Value):
         return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def value(self) -> int:
@@ -295,16 +295,9 @@ class FieldElement(Value):
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.inverse() if n < 0 else self
+        field = self.field
+        return FieldElement(field, _tuple_pow(base.coeffs, abs(n), field.modulus, field.p))
 
     def __repr__(self):
         return f"{self.value}@F_{self.field.q}"

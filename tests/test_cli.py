@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,8 @@ _BAD_VALUES = [
     ["spc", "sh-top", "--height", "-1"],
     ["spc", "equivariant", "--n", "0"],
     ["spc", "equivariant", "--n", "-2"],
+    ["spc", "sh-top", "--primes", "2000", "--height", "200"],
+    ["spc", "equivariant", "--n", "1000000000", "--primes", "1000", "--height", "100"],
     ["verify", "--suite", "nope"],
 ]
 
@@ -337,6 +340,27 @@ def test_bad_value_prints_one_error_line(capsys, argv):
     assert code == 1
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["spc", "sh-top", "--primes", "2000", "--height", "200"], 6212107),
+        (["spc", "equivariant", "--n", "1000000000", "--primes", "1000", "--height", "100"], 88233700),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_spc_limits_refuse_cold_within_two_seconds(argv, pairs):
+    """The pairs are counted before any point is built, so the refusal
+    costs about a process start."""
+    start = time.perf_counter()
+    proc = _run_cold(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: {pairs} specialization pairs exceed the spc pair bound 100000"
+    ]
+    assert elapsed < 2
 
 
 def test_witt_classify_decomposes_once(capsys, monkeypatch):
@@ -458,17 +482,6 @@ def test_json_envelope_round_trip(capsys):
     assert payload["command"] == "gw"
     assert payload["parameters"]["q"] == 3
     assert json.loads(json.dumps(payload)) == payload
-
-
-def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("TTSPEC_TWIST_RADIUS", "2")
-    _, out = run(capsys, "spc", "tate", "--q", "3", "--json")
-    assert json.loads(out)["result"]["window"] == [2, 2]
-    monkeypatch.setenv("TTSPEC_PRIME_BOUND", "7")
-    _, out = run(capsys, "spech", "--q", "3", "--json")
-    assert json.loads(out)["parameters"]["prime_bound"] == 7
-    monkeypatch.setenv("TTSPEC_TWIST_RADIUS", "zzz")
-    assert run(capsys, "spc", "tate", "--q", "3")[0] == 1
 
 
 def test_envelope_matches_shipped_schema(capsys):

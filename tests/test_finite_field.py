@@ -80,6 +80,14 @@ def test_field_arithmetic(p, e):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+    for a in sample:
+        assert a.is_zero() == (a == field.zero())
+        power = one
+        for n in range(6):  # `**` against repeated multiplication
+            assert a ** n == power
+            if not a.is_zero():
+                assert a ** -n == power.inverse()
+            power = power * a
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -122,7 +130,8 @@ def _is_square_by_ladder(a):
 )
 def test_inverse_and_is_square_match_power_ladder_on_every_unit(p, e):
     """Euclid's inverse and the norm's Euler criterion against a^(q-2) and
-    a^((q-1)/2) by the square-and-multiply ladder of `**`."""
+    a^((q-1)/2) by the power ladder of `**` (builtin `pow` on a prime
+    field), which uses neither Euclid nor the norm."""
     field = make_field(p, e)
     for a in field.units():
         assert a.inverse() == _inverse_by_ladder(a), a
@@ -155,6 +164,8 @@ def test_zero_input_errors():
     field = make_field(5)
     with pytest.raises(ZeroInput):
         field.zero().inverse()
+    with pytest.raises(ZeroInput):
+        field.zero() ** -1
     with pytest.raises(ZeroInput):
         discrete_log(field.zero())
     with pytest.raises(ZeroInput):

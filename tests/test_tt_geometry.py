@@ -10,6 +10,7 @@ from ttspec.errors import (
     UniverseTooSmall,
 )
 from ttspec import tt_geometry as tg
+from ttspec.finite_field import _is_prime
 
 
 # ------------------------------------------------------------ Tate objects
@@ -219,7 +220,7 @@ def _transitive_closure_fixed_point(points, edges):
     return frozenset(rel)
 
 
-def test_from_edges_matches_fixed_point_oracle():
+def _random_edge_cases():
     # a cycle, an isolated point, and edge ends outside the points
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "out"), ("in", "a")]
     cases = [(["a", "b", "c", "d"], edges)]
@@ -231,7 +232,11 @@ def test_from_edges_matches_fixed_point_oracle():
             (rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2 * len(labels)))
         ]
         cases.append((points, edges))
-    for points, edges in cases:
+    return cases
+
+
+def test_from_edges_matches_fixed_point_oracle():
+    for points, edges in _random_edge_cases():
         space = tg.FiniteSpectralSpace.from_edges(points, edges)
         assert space.points == tuple(points)
         assert space.specializes == _transitive_closure_fixed_point(points, edges), edges
@@ -308,11 +313,85 @@ def test_spc_equivariant():
         assert a.split(":")[0] == b.split(":")[0]
     two = tg.spc_equivariant(2, 2, 1)
     assert len(two.points) == 2 * 3
-    # user-supplied cross-copy relations are honored
-    wired = tg.spc_equivariant(2, 2, 1, extra_relations=[("H1:P_2,inf", "H2:P_0,1")])
-    assert "H2:P_2,inf" in wired.closure({"H1:P_2,inf"})
-    with pytest.raises(ValueError):
-        tg.spc_equivariant(2, 2, 1, extra_relations=[("H1:P_2,inf", "H9:P_0,1")])
+
+
+def _chromatic_edges(prime_bound, height_bound):
+    """Oracle: the generating edges that `spc_shtop` closed by `from_edges`
+    before it wrote its relation down."""
+    generic = tg.chromatic_label(0, 1)
+    points = [generic]
+    edges = []
+    for p in filter(_is_prime, range(2, prime_bound + 1)):
+        chain = [tg.chromatic_label(p, n) for n in range(1, height_bound + 1)]
+        chain.append(tg.chromatic_label(p, "inf"))
+        points.extend(chain)
+        edges.append((generic, chain[0]))
+        edges.extend(zip(chain, chain[1:]))
+    return points, edges
+
+
+def _equivariant_edges(n, base):
+    """Oracle: one copy of `base`'s strict pairs per divisor of n, the
+    divisors found by walking 1..n, as `spc_equivariant` built them."""
+    points = []
+    edges = []
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        points.extend(f"H{m}:{p}" for p in base.points)
+        edges.extend((f"H{m}:{a}", f"H{m}:{b}") for a, b in base.specializes if a != b)
+    return points, edges
+
+
+def test_chromatic_spaces_match_from_edges_oracle():
+    for prime_bound, height in itertools.product(range(1, 14), range(1, 5)):
+        base = tg.FiniteSpectralSpace.from_edges(*_chromatic_edges(prime_bound, height))
+        got = tg.spc_shtop(prime_bound, height)
+        assert (got.points, got.specializes) == (base.points, base.specializes)
+        for n in range(1, 37):
+            want = tg.FiniteSpectralSpace.from_edges(*_equivariant_edges(n, base))
+            got = tg.spc_equivariant(n, prime_bound, height)
+            assert (got.points, got.specializes) == (want.points, want.specializes), n
+
+
+def test_spc_limits(monkeypatch):
+    with pytest.raises(BoundExceeded, match="spc prime bound"):
+        tg.spc_shtop(tg.SPC_PRIME_BOUND + 1, 1)
+    with pytest.raises(BoundExceeded, match="spc pair bound"):
+        tg.spc_shtop(3, 10 ** 9)
+    # the closed-form pair count is exact: the bound admits a space of
+    # exactly as many pairs as it allows, and refuses one pair fewer
+    for build in (lambda: tg.spc_shtop(13, 3), lambda: tg.spc_equivariant(12, 5, 2)):
+        space = build()
+        monkeypatch.setattr(tg, "SPC_PAIR_BOUND", len(space.specializes))
+        assert build() == space
+        monkeypatch.setattr(tg, "SPC_PAIR_BOUND", len(space.specializes) - 1)
+        with pytest.raises(BoundExceeded, match="spc pair bound"):
+            build()
+        monkeypatch.undo()
+
+
+def _dot_by_covers_scan(space, name="spc"):
+    """Oracle: `to_dot` before covers came from successor sets; a pair is
+    a cover when no third point lies between, scanning every point."""
+
+    def covers(a, b):
+        return not any(
+            c not in (a, b) and (a, c) in space.specializes and (c, b) in space.specializes
+            for c in space.points
+        )
+
+    lines = [f"digraph {name} {{"] + [f'  "{p}";' for p in space.points]
+    for a, b in sorted(space.specializes):
+        if a != b and covers(a, b):
+            lines.append(f'  "{a}" -> "{b}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_dot_matches_covers_scan_oracle():
+    spaces = [tg.FiniteSpectralSpace.from_edges(*case) for case in _random_edge_cases()]
+    spaces += [tg.spc_shtop(13, 3), tg.spc_shtop(2, 6), tg.spc_equivariant(12, 5, 2)]
+    for space in spaces:
+        assert space.to_dot("x") == _dot_by_covers_scan(space, "x"), space.specializes
 
 
 def test_dot_output():
