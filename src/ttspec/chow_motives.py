@@ -88,9 +88,6 @@ class ProjSpaceProduct(Value):
             counts = [prefix[min(c + 1, len(counts))] - prefix[max(0, c - n)] for c in range(len(counts) + n)]
         return counts
 
-    def top_monomial(self) -> tuple[int, ...]:
-        return self.dims
-
     def __repr__(self):
         if not self.dims:
             return "pt"
@@ -132,15 +129,6 @@ class ChowClass(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def codimensions(self) -> set[int]:
-        return {sum(m) for m, _ in self.terms}
-
-    def is_homogeneous(self, codim: int = None) -> bool:
-        cods = self.codimensions()
-        if codim is None:
-            return len(cods) <= 1
-        return cods <= {codim}
-
     def _check(self, other: "ChowClass"):
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space} vs {other.space}")
@@ -172,15 +160,13 @@ def chow_mul(a: ChowClass, b: ChowClass) -> ChowClass:
     for ma, ca in a.terms:
         for mb, cb in b.terms:
             m = tuple(x + y for x, y in zip(ma, mb))
-            if any(e > n for e, n in zip(m, a.space.dims)):
-                continue
             out[m] = out.get(m, 0) + ca * cb
     return ChowClass.from_dict(a.space, out)
 
 
 def degree(a: ChowClass):
     """Coefficient of the top monomial (the class of a point)."""
-    return a.coeffs().get(a.space.top_monomial(), 0)
+    return a.coeffs().get(a.space.dims, 0)
 
 
 class Correspondence(Value):
@@ -197,7 +183,7 @@ class Correspondence(Value):
         if cls.space != product:
             raise SpaceMismatch(f"class lives on {cls.space}, expected {product}")
         want = source.dimension + shift
-        if not cls.is_homogeneous(want):
+        if any(sum(m) != want for m, _ in cls.terms):
             raise SpaceMismatch(
                 f"degree-{shift} correspondence needs codimension {want}"
             )
@@ -270,10 +256,6 @@ class Motive(Value):
 
     def __repr__(self):
         return f"({self.space}, p, {self.twist})"
-
-
-def unit_motive() -> Motive:
-    return Motive(POINT, identity_correspondence(POINT), 0)
 
 
 def lefschetz_motive(power: int = 1) -> Motive:
@@ -460,7 +442,7 @@ def parse_space(text: str) -> ProjSpaceProduct:
     dims = []
     for part in text.split("x"):
         part = part.strip()
-        if not part.startswith(("P", "p")) or not part[1:].isdigit():
+        if not part.startswith(("P", "p")) or not part[1:].isdigit() or len(part) > 4000:
             raise InvalidArgument(f"cannot parse space factor {part!r}")
         dims.append(int(part[1:]))
     size = math.prod(n + 1 for n in dims)

@@ -18,8 +18,8 @@ import re
 import sys
 
 from . import chow_motives, graded_spectrum, milnor_witt, quadratic_forms, tt_geometry
-from .errors import TtspecError
-from .finite_field import _is_prime, _prime_factors, make_field, primitive_element
+from .errors import BoundExceeded, TtspecError
+from .finite_field import CARDINALITY_BOUND, _is_prime, _prime_factors, make_field, primitive_element
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,6 +27,8 @@ EXIT_VERIFY = 2
 
 
 def _field_for(q: int):
+    if q > CARDINALITY_BOUND:  # before the trial division, which takes sqrt(q) steps
+        raise BoundExceeded(f"q = {q} exceeds the field bound {CARDINALITY_BOUND}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise TtspecError(f"{q} is not a prime power")
@@ -48,6 +50,8 @@ def _tokenize(text: str):
             if text[pos:].strip():
                 raise TtspecError(f"cannot tokenize {text[pos:]!r}")
             break
+        if len(m.group(1)) > 4000:  # int() refuses more than 4300 digits
+            raise TtspecError(f"a word integer may have at most 4000 digits, got {len(m.group(1))}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -547,13 +551,24 @@ def _suite_motives():
 
 
 def _suite_tate():
+    """The `spc tate` answers against the lines of TateUniverse(4, 2): a (x) a^dual
+    = 1, so zero is the only proper ideal; a (x) b != 0, so zero is prime; and
+    hom(1, u^n) is Q exactly when u^n = Q(n)[2n] is the unit."""
     universe = tt_geometry.TateUniverse(4, 2)
-    found = tt_geometry.enumerate_primes(universe)
+    unit = tt_geometry.TATE_UNIT
+    lines = [tt_geometry.tate_line(*key) for key in universe.lines()]
     failures = []
-    if len(found["primes"]) != 1 or found["primes"][0].lines:
-        failures.append({"primes": [repr(p) for p in found["primes"]]})
-    if tt_geometry.graded_endomorphism_ring(universe)["unit"] != "Q":
-        failures.append({"end_of_unit": "not Q"})
+    if not all(a.tensor(a.dual()) == unit for a in lines):
+        failures.append({"fact": "a (x) a^dual = 1"})
+    if any(a.tensor(b).is_zero() for a in lines for b in lines):
+        failures.append({"fact": "a (x) b != 0"})
+    found = tt_geometry.enumerate_primes(universe)["primes"]
+    if found != [tt_geometry.ThickTensorIdeal(universe, frozenset())]:
+        failures.append({"primes": [repr(p) for p in found]})
+    ring = tt_geometry.graded_endomorphism_ring(universe)
+    want = {n: "Q" if tt_geometry.tate_line(n, 2 * n) == unit else "0" for n in range(-4, 5)}
+    if ring["degrees"] != want or ring["unit"] != want[0]:
+        failures.append({"end_of_unit": ring["unit"], "degrees": ring["degrees"]})
     return failures
 
 
@@ -617,7 +632,7 @@ def cmd_verify(args):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    m = re.fullmatch(r"(-?\d{1,4000})\.\.(-?\d{1,4000})", text.strip())
     if not m:
         raise TtspecError(f"range must look like -3..2, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -715,8 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads `--q=--` as an empty list
+            parser.error("an option value may not be '--'")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -55,48 +55,15 @@ class ReducedElement(Value):
         return f"{self.coeff}*eta^{-self.degree}"
 
 
-class GradedRingPresentation(Value):
-    """Presentation tag for the reduced ring Z[t]/(m t), deg(t) = degree;
-    `family` reads like "KMW(q)_red" and `torsion` is m."""
-
-    __slots__ = ("family", "t_name", "t_degree", "torsion", "nilpotent_witnesses")
-
-    def __init__(
-        self,
-        family: str,
-        t_name: str,
-        t_degree: int,
-        torsion: int,
-        nilpotent_witnesses: tuple[tuple[str, str], ...],
-    ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "t_name", t_name)
-        object.__setattr__(self, "t_degree", t_degree)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "nilpotent_witnesses", nilpotent_witnesses)
-
-    def element(self, degree: int, coeff: int) -> ReducedElement:
-        return ReducedElement(degree, coeff)
-
-
-def nilradical_reduction(field: PrimePower) -> GradedRingPresentation:
-    """Compute the reduced presentation, verifying each killed generator
-    is nilpotent and that eta is not."""
+def nilradical_reduction(field: PrimePower) -> None:
+    """Check, by explicit multiplication, that the killed generators [w]
+    and eta[w] are nilpotent and that eta is not."""
     w = omega_symbol(field)
-    ww = kmw_mul(w, w)
-    assert ww.is_zero(), "[w]^2 must vanish"
+    assert kmw_mul(w, w).is_zero(), "[w]^2 must vanish"
     ew = KmwElement(field, 0, (0, 1))  # eta[w]
-    eww = kmw_mul(ew, ew)
-    assert eww.is_zero(), "(eta[w])^2 must vanish"
+    assert kmw_mul(ew, ew).is_zero(), "(eta[w])^2 must vanish"
     e = eta(field)
     assert not kmw_mul(e, e).is_zero(), "eta must not be nilpotent"
-    return GradedRingPresentation(
-        family=f"KMW({field.q})_red",
-        t_name="eta",
-        t_degree=-1,
-        torsion=2,
-        nilpotent_witnesses=(("[w]", "[w]*[w] = 0"), ("eta[w]", "(eta[w])^2 = 0")),
-    )
 
 
 class HomogeneousPrime(Value):
@@ -256,7 +223,7 @@ class SpecHSpace(Value):
 
 
 def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12) -> SpecHSpace:
-    """The homogeneous primes of the reduced presentation with integer
+    """The homogeneous primes of the reduced ring with integer
     generators <= prime_bound, sorted by their sorted generators.
 
     They are ([w], eta), ([w], 2) and ([w], eta, 2) when prime_bound >= 2,

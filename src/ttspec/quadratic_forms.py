@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import DegenerateForm, FieldMismatch
+from .errors import BoundExceeded, DegenerateForm, FieldMismatch
 from .finite_field import (
     FieldElement,
     PrimePower,
@@ -23,6 +23,10 @@ from .finite_field import (
 # exhaustive isotropy search is used up to this cardinality; beyond it the
 # rank >= 3 theorem (re-verified exhaustively in the tests) is applied
 _EXHAUSTIVE_Q = 1 << 7
+# most `_descent_cost` that `witt_decompose` accepts.  Cold `witt classify` near
+# it (2-CPU x86-64 VM): F_125 rank 8 (cost 563,292) 4.2 s, F_243 rank 4 3.4 s,
+# F_337 rank 3 3.0 s, F_3 rank 47 1.5 s; above it, F_343 rank 4 took 7.1 s
+DESCENT_BOUND = 700_000
 
 
 class GramForm(Value):
@@ -204,15 +208,6 @@ def is_isotropic(f: DiagonalForm) -> bool:
 def _isotropic_vector(f: DiagonalForm):
     field = f.field
     n = f.rank
-    if n == 2 and field.q > _EXHAUSTIVE_Q:
-        # <a,b> is isotropic iff -a/b is a square; then the scan finds a root
-        target = -f.entries[0] / f.entries[1]
-        if not is_square(target):
-            return None
-        for v in range(1, field.q):
-            x = field.from_index(v)
-            if x * x == target:
-                return [field.one(), x]
     for vec in itertools.product(range(field.q), repeat=n):
         if all(v == 0 for v in vec):
             continue
@@ -222,24 +217,34 @@ def _isotropic_vector(f: DiagonalForm):
     return None
 
 
+def _descent_cost(rank: int, q: int) -> int:
+    """Worst-case field operations of `witt_decompose`: each step of rank m >= 3
+    looks at about 2q^2 vectors of m entries, then diagonalizes in about m^3."""
+    return sum(2 * q * q * m + m ** 3 for m in range(rank, 2, -2))
+
+
 def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """Split f as (hyperbolic plane)^h + anisotropic kernel.
 
-    Isotropy descent, one vector search per step.  Let v be an isotropic
-    vector of <a_1, ..., a_n>, and i, k its first two nonzero coordinates
-    (it has two, since every a_j is nonzero).  Then v and e_i span a
-    hyperbolic plane, whose orthogonal complement has the basis
+    Isotropy descent, one vector search per step of rank >= 3.  Let v be
+    an isotropic vector of <a_1, ..., a_n>, and i, k its first two nonzero
+    coordinates (it has two, since every a_j is nonzero).  Then v and e_i
+    span a hyperbolic plane, whose orthogonal complement has the basis
     x_j = e_j - (a_j v_j / a_k v_k) e_k for j not in {i, k}.  Restrict to
-    that complement, diagonalize, and repeat until no isotropic vector is
-    left.
+    that complement, diagonalize, and repeat; every form of rank >= 3 over
+    F_q is isotropic.  A binary form is a hyperbolic plane iff it is
+    isotropic, so the last step asks `is_isotropic` and reads no vector.
     """
     field = f.field
+    cost = _descent_cost(f.rank, field.q)
+    if cost > DESCENT_BOUND:
+        raise BoundExceeded(
+            f"rank-{f.rank} descent over F_{field.q} costs {cost}, over the descent bound {DESCENT_BOUND}"
+        )
     h = 0
     current = f
-    while current.rank >= 2:
+    while current.rank >= 3:
         v = _isotropic_vector(current)
-        if v is None:
-            break
         a = current.entries
         i, k = [j for j, x in enumerate(v) if not x.is_zero()][:2]
         rest = [j for j in range(current.rank) if j != i and j != k]
@@ -256,6 +261,8 @@ def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
             sub_gram.append(tuple(row))
         current, _ = diagonalize(GramForm(field, tuple(sub_gram)))
         h += 1
+    if current.rank == 2 and is_isotropic(current):
+        return h + 1, DiagonalForm(field, ())
     return h, current
 
 
@@ -270,10 +277,6 @@ class WittClass(Value):
 
     def is_zero(self) -> bool:
         return self.anisotropic_kernel.rank == 0
-
-    @property
-    def rank_mod_2(self) -> int:
-        return self.anisotropic_kernel.rank % 2
 
     def __add__(self, other: "WittClass") -> "WittClass":
         return witt_add(self, other)

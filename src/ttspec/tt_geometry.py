@@ -95,6 +95,8 @@ def tate_line(twist: int, shift: int = 0, dim: int = 1) -> TateObject:
 
 
 TATE_UNIT = tate_line(0, 0)
+TATE_RADIUS_BOUND = 2 ** 16  # most twists `graded_endomorphism_ring` lists, each way
+THOMASON_POINT_BOUND = 12  # most points `thomason_subsets` takes the 2^points subsets of
 
 
 class TateMorphism(Value):
@@ -140,10 +142,6 @@ def identity_morphism(a: TateObject) -> TateMorphism:
     for key, d in a.slots:
         blocks[key] = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     return TateMorphism.from_dict(a, a, blocks)
-
-
-def zero_morphism(a: TateObject, b: TateObject) -> TateMorphism:
-    return TateMorphism.from_dict(a, b, {})
 
 
 def _matrix_rank(mat) -> int:
@@ -306,10 +304,10 @@ class FiniteSpectralSpace(Value):
     def is_closed(self, subset) -> bool:
         return self.closure(subset) == set(subset)
 
-    def thomason_subsets(self, bound: int = 12) -> list[frozenset]:
+    def thomason_subsets(self) -> list[frozenset]:
         """All specialization-closed subsets, by brute force."""
-        if len(self.points) > bound:
-            raise BoundExceeded(f"{len(self.points)} points exceeds the bound {bound}")
+        if len(self.points) > THOMASON_POINT_BOUND:
+            raise BoundExceeded(f"{len(self.points)} points exceeds the bound {THOMASON_POINT_BOUND}")
         out = []
         for r in range(len(self.points) + 1):
             for combo in itertools.combinations(self.points, r):
@@ -368,6 +366,9 @@ def chromatic_label(p, n) -> str:
 # 400 --height 1 (93,840 pairs) 0.53 s, sh-top --primes 10000 --height 1 0.12 s.
 SPC_PRIME_BOUND = 10_000
 SPC_PAIR_BOUND = 100_000
+# largest group order `spc_equivariant` factors: trial division takes up to
+# sqrt(n) steps, and a cold `spc equivariant --n 999999999989` (a prime) 0.3 s
+SPC_ORDER_BOUND = 10 ** 12
 
 
 def spc_shtop(prime_bound: int, height_bound: int) -> FiniteSpectralSpace:
@@ -406,6 +407,8 @@ def spc_equivariant(n: int, prime_bound: int, height_bound: int) -> FiniteSpectr
     copies of a closed relation are closed, so each copy is a renaming."""
     if n < 1:
         raise InvalidArgument("n must be >= 1")
+    if n > SPC_ORDER_BOUND:
+        raise BoundExceeded(f"group order {n} exceeds the spc order bound {SPC_ORDER_BOUND}")
     divisors = [1]
     for p, e in _prime_factors(n).items():
         divisors = [d * p ** k for d in divisors for k in range(e + 1)]
@@ -420,8 +423,11 @@ def spc_equivariant(n: int, prime_bound: int, height_bound: int) -> FiniteSpectr
 def graded_endomorphism_ring(universe: TateUniverse) -> dict:
     """The ring sum_n hom(1, u^n) for u = Q(1)[2]: Q in degree 0, zero
     elsewhere (the lines 1 and u^n differ for n != 0)."""
+    r = universe.twist_radius
+    if r > TATE_RADIUS_BOUND:
+        raise BoundExceeded(f"twist radius {r} exceeds the tate radius bound {TATE_RADIUS_BOUND}")
     degrees = {}
-    for nn in range(-universe.twist_radius, universe.twist_radius + 1):
+    for nn in range(-r, r + 1):
         degrees[nn] = "Q" if nn == 0 else "0"
     return {"unit": "Q", "degrees": degrees}
 

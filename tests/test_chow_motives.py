@@ -376,7 +376,7 @@ def test_hom_tate_twists():
 def test_hom_projective_line():
     m = cm.Motive(P1, cm.identity_correspondence(P1), 0)
     assert cm.hom_group(m, m)["rank"] == 2
-    assert cm.hom_group(cm.unit_motive(), cm.unit_motive())["rank"] == 1
+    assert cm.hom_group(cm.lefschetz_motive(0), cm.lefschetz_motive(0))["rank"] == 1
 
 
 def test_hom_rank_equals_cycle_rank():
@@ -444,20 +444,20 @@ def test_dual_involution():
     for m, _ in parts:
         twisted = cm.Motive(m.space, m.projector, 1)
         assert cm.motive_dual(cm.motive_dual(twisted)) == twisted
-    unit = cm.unit_motive()
+    unit = cm.lefschetz_motive(0)
     assert cm.motive_dual(unit) == unit
 
 
 def test_dual_lefschetz_behavior():
     lef = cm.lefschetz_motive(1)
-    pairing_hom = cm.hom_group(cm.motive_tensor(lef, cm.motive_dual(lef)), cm.unit_motive())
+    pairing_hom = cm.hom_group(cm.motive_tensor(lef, cm.motive_dual(lef)), cm.lefschetz_motive(0))
     assert pairing_hom["rank"] == 1
     # a P1-model of L: (P1, [P1 x pt], 0) has the same homs as L
     product = P1.times(P1)
     pi = cm.Correspondence(P1, P1, 0, cm.monomial_class(product, (0, 1)))
     model = cm.Motive(P1, pi, 0)
     assert cm.hom_group(model, lef)["rank"] == 1
-    assert cm.hom_group(model, cm.unit_motive())["rank"] == 0
+    assert cm.hom_group(model, cm.lefschetz_motive(0))["rank"] == 0
     d = cm.motive_dual(model)
     assert d.twist == 1
     assert cm.hom_group(d, cm.lefschetz_motive(-1))["rank"] == 1
@@ -476,10 +476,10 @@ def test_rigidity_tate_triples():
 
 def test_rigidity_with_projective_line():
     m = cm.Motive(P1, cm.identity_correspondence(P1), 0)
-    report = cm.rigidity_check(m, cm.unit_motive(), m)
+    report = cm.rigidity_check(m, cm.lefschetz_motive(0), m)
     assert report["bijective"]
     assert report["left_rank"] == report["right_rank"] == 2
-    report2 = cm.rigidity_check(cm.unit_motive(), m, m)
+    report2 = cm.rigidity_check(cm.lefschetz_motive(0), m, m)
     assert report2["bijective"]
 
 

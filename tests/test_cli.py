@@ -197,6 +197,32 @@ def _no_eta_bracket_term(z):
     return z
 
 
+def test_verify_tate_fails_without_the_zero_prime(capsys, monkeypatch):
+    from ttspec import tt_geometry
+
+    monkeypatch.setattr(tt_geometry, "enumerate_primes", lambda universe: {"primes": [], "diagnostic": None})
+    code, out = run(capsys, "verify", "--suite", "tate", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["suites"]["tate"]["failures"] == [{"primes": []}]
+
+
+def test_verify_tate_fails_on_a_unit_in_nonzero_degree(capsys, monkeypatch):
+    from ttspec import tt_geometry
+
+    right = tt_geometry.graded_endomorphism_ring
+
+    def wrong(universe):
+        ring = right(universe)
+        return dict(ring, degrees={**ring["degrees"], 1: "Q"})
+
+    monkeypatch.setattr(tt_geometry, "graded_endomorphism_ring", wrong)
+    code, out = run(capsys, "verify", "--suite", "tate", "--json")
+    assert code == 2
+    assert [set(f) for f in json.loads(out)["result"]["suites"]["tate"]["failures"]] == [
+        {"end_of_unit", "degrees"}
+    ]
+
+
 @pytest.mark.parametrize("breaker", [None, _eta_order_two, _no_eta_bracket_term])
 def test_verify_tables_fails_on_a_broken_product_rule(capsys, monkeypatch, breaker):
     if breaker is not None:
@@ -330,6 +356,17 @@ _BAD_VALUES = [
     ["spc", "sh-top", "--primes", "2000", "--height", "200"],
     ["spc", "equivariant", "--n", "1000000000", "--primes", "1000", "--height", "100"],
     ["verify", "--suite", "nope"],
+    ["gw", "--q", "1000000000000000003"],
+    ["kmw", "table", "--q", "1000000000000000003"],
+    ["spc", "tate", "--q", "1000000000000000003"],
+    ["spc", "tate", "--twist-radius", "65537"],
+    ["spc", "equivariant", "--n", "1000000000000000003", "--primes", "3", "--height", "1"],
+    ["witt", "classify", "--q", "3", "--form", ",".join(["1"] * 200)],
+    ["witt", "classify", "--q", "1019", "--form", "1,1,1"],
+    ["kmw", "reduce", "--q", "5", "--word", "9" * 5000],
+    ["kmw", "table", "--q", "5", "--range", "1.." + "9" * 5000],
+    ["kmw", "table", "--q", "5", "--q=--"],
+    ["motive", "dual", "--space", "P" + "9" * 5000],
 ]
 
 
@@ -360,6 +397,30 @@ def test_spc_limits_refuse_cold_within_two_seconds(argv, pairs):
     assert proc.stderr.splitlines() == [
         f"error: {pairs} specialization pairs exceed the spc pair bound 100000"
     ]
+    assert elapsed < 2
+
+
+_HUGE = "1000000000000000003"  # a prime near 10^18: sqrt(n) trial divisions never finish
+_REFUSED_COLD = [
+    (["gw", "--q", _HUGE], "the field bound 1048576"),
+    (["kmw", "table", "--q", _HUGE], "the field bound 1048576"),
+    (["spc", "tate", "--q", _HUGE], "the field bound 1048576"),
+    (["spc", "equivariant", "--n", _HUGE, "--primes", "3", "--height", "1"],
+     "the spc order bound 1000000000000"),
+    (["witt", "classify", "--q", "3", "--form", ",".join(["1"] * 200)], "the descent bound 700000"),
+    (["witt", "classify", "--q", "1019", "--form", "1,1,1"], "the descent bound 700000"),
+]
+
+
+@pytest.mark.parametrize("argv, limit", _REFUSED_COLD, ids=[" ".join(a)[:40] for a, _ in _REFUSED_COLD])
+def test_unbounded_inputs_refuse_cold_within_two_seconds(argv, limit):
+    """Each limit is checked before the factorization or search it bounds."""
+    start = time.perf_counter()
+    proc = _run_cold(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(limit)
     assert elapsed < 2
 
 

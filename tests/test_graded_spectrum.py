@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from ttspec import cli
 from ttspec.errors import BoundExceeded, UnknownGenerator
 from ttspec.finite_field import make_field
 from ttspec import graded_spectrum as gs
+from ttspec import milnor_witt as mw
 
 
 F3 = make_field(3)
@@ -25,12 +27,27 @@ def test_reduced_element_normalization():
 
 
 @pytest.mark.parametrize("field", [F3, F5])
-def test_nilradical_reduction(field):
-    pres = gs.nilradical_reduction(field)
-    assert pres.t_degree == -1
-    assert pres.torsion == 2
-    assert len(pres.nilpotent_witnesses) == 2
-    assert pres.element(-3, 1).coeff == 1
+def test_nilradical_reduction(field, monkeypatch):
+    """Each of the three checks fails when `kmw_mul` gets its product wrong:
+    a square of [w] or eta[w] that is not zero, or an eta^2 that is."""
+    assert gs.nilradical_reduction(field) is None
+    true_mul = gs.kmw_mul
+    cases = [
+        (mw.omega_symbol(field), "[w]^2 must vanish"),
+        (mw.KmwElement(field, 0, (0, 1)), "(eta[w])^2 must vanish"),
+        (mw.eta(field), "eta must not be nilpotent"),
+    ]
+    for factor, message in cases:
+
+        def broken(x, y, _factor=factor):
+            z = true_mul(x, y)
+            if x != _factor:
+                return z
+            return mw.kmw_one(field) if z.is_zero() else mw.kmw_zero(field, z.degree)
+
+        monkeypatch.setattr(gs, "kmw_mul", broken)
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            gs.nilradical_reduction(field)
 
 
 def test_membership_rules():

@@ -1,9 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from ttspec.errors import DegenerateForm, FieldMismatch
+from ttspec.errors import BoundExceeded, DegenerateForm, FieldMismatch
 from ttspec.finite_field import make_field, primitive_element, square_class
 from ttspec import quadratic_forms as qf
 
@@ -143,6 +144,52 @@ def test_witt_decompose_examples():
     assert (h, kernel.rank) == (2, 0)
 
 
+def test_witt_decompose_searches_only_at_rank_three_and_up(monkeypatch):
+    """A binary step asks `is_isotropic`, which decides it: h = 1 iff the
+    form is isotropic, and the kernel rank is 2 - 2h.  `witt_decompose`
+    itself searches only at rank >= 3, and above _EXHAUSTIVE_Q no binary
+    form is searched at all."""
+    calls = []
+    search = qf._isotropic_vector
+
+    def recorded(f):
+        calls.append((sys._getframe(1).f_code.co_name, f.rank, f.field.q))
+        return search(f)
+
+    monkeypatch.setattr(qf, "_isotropic_vector", recorded)
+    rng = random.Random("binary descent")
+    fields = (make_field(7), make_field(3, 2), make_field(131), make_field(139), make_field(3, 5))
+    for field in fields:
+        for _ in range(40):
+            a, b = (field.from_index(rng.randrange(1, field.q)) for _ in range(2))
+            h, kernel = qf.witt_decompose(qf.DiagonalForm(field, (a, b)))
+            assert h == (square_class(-a / b) == 0)
+            assert [x.value for x in kernel.entries] == ([] if h else [a.value, b.value])
+    for field, rank in [(f, r) for f in fields[:2] for r in (3, 4, 5)] + [(fields[2], 4)]:
+        entries = [field.from_index(rng.randrange(1, field.q)) for _ in range(rank)]
+        h, kernel = qf.witt_decompose(qf.DiagonalForm(field, tuple(entries)))
+        assert kernel.rank == rank - 2 * h
+    own = [rank for caller, rank, _ in calls if caller == "witt_decompose"]
+    assert own and min(own) >= 3
+    assert not [q for _, rank, q in calls if rank == 2 and q > qf._EXHAUSTIVE_Q]
+
+
+def test_descent_bound_refuses_before_any_search(monkeypatch):
+    def no_search(f):
+        raise AssertionError("searched past the descent bound")
+
+    # the largest rank over F_3 within the bound, and one more
+    top = max(n for n in range(1, 80) if qf._descent_cost(n, 3) <= qf.DESCENT_BOUND)
+    assert qf._descent_cost(top + 1, 3) > qf.DESCENT_BOUND
+    assert qf._descent_cost(2, 1 << 20) == 0  # a binary form never searches
+    assert qf._descent_cost(3, 7) == 2 * 49 * 3 + 27
+    assert qf._descent_cost(5, 7) == 2 * 49 * 5 + 125 + 2 * 49 * 3 + 27
+    monkeypatch.setattr(qf, "_isotropic_vector", no_search)
+    for field, rank in ((make_field(3), top + 1), (make_field(1019), 3), (make_field(3), 200)):
+        with pytest.raises(BoundExceeded, match=f"descent bound {qf.DESCENT_BOUND}"):
+            qf.witt_decompose(qf.diagonal(field, [1] * rank))
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_witt_decompose_invariants(q):
     field = _field(q)
@@ -268,7 +315,7 @@ def test_fundamental_ideal_filtration(q):
     ideal = qf.fundamental_ideal_power(field, 1)
     # I = even-rank classes
     for member in ideal["members"]:
-        assert member.rank_mod_2 == 0
+        assert member.anisotropic_kernel.rank % 2 == 0
     # Pfister forms <1,-a> all land in I
     for a in field.units():
         cls = qf.witt_class(qf.DiagonalForm(field, (field.one(), -a)))
@@ -420,7 +467,8 @@ def _descent_oracle(f):
 def _descent_cases(full=False):
     """Forms for the descent oracle.  In full, every form of rank <= 3 for
     q <= 13 and of rank 4 for q <= 7, then 400 seeded forms of rank 2-5
-    over six larger fields in turn: 5,908 forms, minutes of run time.
+    over six larger fields in turn, less the 15 rank-5 forms over F_243
+    that exceed DESCENT_BOUND: 5,893 forms, minutes of run time.
     Otherwise a Tier-1 sample of them: every form of rank <= 2, every
     32nd of the rest over q <= 13, every 12th round of seeded forms over
     q <= 31, and the seeded binary forms over q = 131 and 243 (a form of
@@ -438,6 +486,8 @@ def _descent_cases(full=False):
         field = fields[i % len(fields)]
         units = [field.from_index(rng.randrange(1, field.q)) for _ in range(rng.randint(2, 5))]
         small = field.q <= 31 and i // len(fields) % 12 == 0
+        if qf._descent_cost(len(units), field.q) > qf.DESCENT_BOUND:
+            continue  # witt_decompose refuses it
         if full or small or (field.q > 31 and len(units) == 2):
             cases.append(qf.DiagonalForm(field, tuple(units)))
     return cases

@@ -30,7 +30,7 @@ def test_object_algebra():
 def test_cone_examples():
     unit = tg.TATE_UNIT
     assert tg.cone(tg.identity_morphism(unit)).is_zero()
-    assert tg.cone(tg.zero_morphism(unit, unit)) == unit.direct_sum(unit.shift_by(1))
+    assert tg.cone(tg.TateMorphism.from_dict(unit, unit, {})) == unit.direct_sum(unit.shift_by(1))
     two = tg.tate_line(0, 0, 2)
     f = tg.TateMorphism.from_dict(two, two, {(0, 0): [[1, 0], [0, 0]]})
     c = tg.cone(f)
@@ -367,6 +367,25 @@ def test_spc_limits(monkeypatch):
         with pytest.raises(BoundExceeded, match="spc pair bound"):
             build()
         monkeypatch.undo()
+
+
+def test_spc_order_bound_refuses_before_factoring(monkeypatch):
+    at_bound = tg.spc_equivariant(tg.SPC_ORDER_BOUND, 2, 1)  # 10^12: 13 * 13 divisors
+    assert len(at_bound.points) == 169 * 3
+
+    def no_factoring(n):
+        raise AssertionError("factored past the spc order bound")
+
+    monkeypatch.setattr(tg, "_prime_factors", no_factoring)
+    with pytest.raises(BoundExceeded, match="spc order bound"):
+        tg.spc_equivariant(tg.SPC_ORDER_BOUND + 1, 2, 1)
+
+
+def test_graded_endomorphism_ring_radius_bound():
+    ring = tg.graded_endomorphism_ring(tg.TateUniverse(tg.TATE_RADIUS_BOUND, 0))
+    assert len(ring["degrees"]) == 2 * tg.TATE_RADIUS_BOUND + 1
+    with pytest.raises(BoundExceeded, match="tate radius bound"):
+        tg.graded_endomorphism_ring(tg.TateUniverse(tg.TATE_RADIUS_BOUND + 1, 0))
 
 
 def _dot_by_covers_scan(space, name="spc"):
