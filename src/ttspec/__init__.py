@@ -3,62 +3,3 @@ motives of Tate type, and desk-scale tensor-triangular geometry over
 small finite fields of odd characteristic."""
 
 __version__ = "0.1.0"
-
-from .finite_field import make_field, primitive_element, discrete_log, is_square
-from .quadratic_forms import (
-    diagonal,
-    diagonalize,
-    witt_class,
-    witt_ring_structure,
-    gw_class,
-    fundamental_ideal_power,
-)
-from .milnor_witt import (
-    kmw_group,
-    reduce_word,
-    verify_ses,
-    localize_eta,
-    eta_power_nonzero,
-)
-from .graded_spectrum import enumerate_primes as spech_enumerate_primes
-from .chow_motives import (
-    ProjSpaceProduct,
-    motive_decompose,
-    hom_group,
-    pairing_nondegenerate,
-)
-from .tt_geometry import (
-    TateUniverse,
-    enumerate_primes as tate_enumerate_primes,
-    spc_shtop,
-    spc_equivariant,
-    verify_comparison,
-)
-
-__all__ = [
-    "make_field",
-    "primitive_element",
-    "discrete_log",
-    "is_square",
-    "diagonal",
-    "diagonalize",
-    "witt_class",
-    "witt_ring_structure",
-    "gw_class",
-    "fundamental_ideal_power",
-    "kmw_group",
-    "reduce_word",
-    "verify_ses",
-    "localize_eta",
-    "eta_power_nonzero",
-    "spech_enumerate_primes",
-    "ProjSpaceProduct",
-    "motive_decompose",
-    "hom_group",
-    "pairing_nondegenerate",
-    "TateUniverse",
-    "tate_enumerate_primes",
-    "spc_shtop",
-    "spc_equivariant",
-    "verify_comparison",
-]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
@@ -98,7 +97,7 @@ POINT = ProjSpaceProduct(())
 
 
 class ChowClass(Value):
-    """Cycle class: integer (or Fraction) combination of hyperplane
+    """Cycle class: integer combination of hyperplane
     monomials, truncated by h_i^{n_i + 1} = 0."""
 
     __slots__ = ("space", "terms")
@@ -411,26 +410,28 @@ def pairing_nondegenerate(space: ProjSpaceProduct) -> dict:
 
 
 def _int_det(matrix) -> int:
-    n = len(matrix)
-    if n == 0:
-        return 1
-    mat = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
+    """Determinant over Z by fraction-free (Bareiss) elimination: after step
+    i, each entry right of and below the pivot is a minor of order i + 2,
+    so the division by the previous pivot is exact.  A row with zero in the
+    pivot column is left as it is when the pivot equals the previous one,
+    which keeps the sparse pairing matrices at quadratic cost."""
+    mat = [list(row) for row in matrix]
+    n = len(mat)
+    sign, previous = 1, 1
     for i in range(n):
-        pivot = next((r for r in range(i, n) if mat[r][i] != 0), None)
+        pivot = next((r for r in range(i, n) if mat[r][i]), None)
         if pivot is None:
             return 0
         if pivot != i:
             mat[i], mat[pivot] = mat[pivot], mat[i]
-            det = -det
-        det *= mat[i][i]
-        inv = mat[i][i]
+            sign = -sign
+        top, p = mat[i][i + 1:], mat[i][i]
         for r in range(i + 1, n):
-            f = mat[r][i] / inv
-            if f:
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[i])]
-    assert det.denominator == 1
-    return int(det)
+            row, f = mat[r], mat[r][i]
+            if f or p != previous:
+                mat[r] = row[:i + 1] + [(x * p - f * y) // previous for x, y in zip(row[i + 1:], top)]
+        previous = p
+    return sign * previous
 
 
 def parse_space(text: str) -> ProjSpaceProduct:

@@ -17,9 +17,11 @@ import os
 import re
 import sys
 
-from . import chow_motives, graded_spectrum, milnor_witt, quadratic_forms, tt_geometry
 from .errors import BoundExceeded, TtspecError
 from .finite_field import CARDINALITY_BOUND, _is_prime, _prime_factors, make_field, primitive_element
+
+# The compute modules are imported by the functions that run them, so that
+# each command loads only what it uses.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +115,7 @@ class _WordParser:
         return sign * result if sign == -1 else result
 
     def factor(self):
+        from . import milnor_witt
         tok = self.peek()
         if tok is None:
             raise TtspecError("expression ended early")
@@ -164,6 +167,7 @@ def _group_text(shape) -> str:
 
 
 def cmd_kmw_table(args):
+    from . import milnor_witt
     field = _field_for(args.q)
     lo, hi = _parse_range(args.range)
     rows = []
@@ -181,6 +185,7 @@ def cmd_kmw_table(args):
 
 
 def cmd_kmw_reduce(args):
+    from . import milnor_witt
     field = _field_for(args.q)
     w = parse_word(field, args.word)
     reduced = milnor_witt.reduce_word(w)
@@ -200,6 +205,7 @@ def cmd_kmw_reduce(args):
 
 
 def cmd_witt_classify(args):
+    from . import quadratic_forms
     field = _field_for(args.q)
     try:
         entries = [int(x) for x in args.form.split(",") if x.strip()]
@@ -222,6 +228,7 @@ def cmd_witt_classify(args):
 
 
 def cmd_gw(args):
+    from . import quadratic_forms
     field = _field_for(args.q)
     witt = quadratic_forms.witt_ring_structure(field)
     return {
@@ -239,6 +246,7 @@ def cmd_gw(args):
 
 
 def cmd_milnor(args):
+    from . import milnor_witt
     field = _field_for(args.q)
     shape = milnor_witt.milnor_group(field, args.n)
     return {
@@ -250,6 +258,7 @@ def cmd_milnor(args):
 
 
 def cmd_spech(args):
+    from . import graded_spectrum
     field = _field_for(args.q)
     space = graded_spectrum.enumerate_primes(field, args.prime_bound)
     points = []
@@ -265,14 +274,22 @@ def cmd_spech(args):
     }
 
 
+def _kunneth_twists(space) -> list[int]:
+    """Twists of the Kunneth summands L^w of a product of projective spaces,
+    ascending: one per monomial of codimension dim - w."""
+    counts = space.monomial_counts()
+    return [w for w, n in enumerate(reversed(counts)) for _ in range(n)]
+
+
 def cmd_motive(args):
+    from . import chow_motives
     space = chow_motives.parse_space(args.space)
     if args.motive_op == "decompose":
-        parts = chow_motives.motive_decompose(space)
+        twists = _kunneth_twists(space)
         return {
             "space": repr(space),
-            "summands": [f"L^{w}" if w else "1" for _, w in parts],
-            "twists": [w for _, w in parts],
+            "summands": [f"L^{w}" if w else "1" for w in twists],
+            "twists": twists,
         }
     if args.motive_op == "hom":
         target = chow_motives.parse_space(args.target_space)
@@ -287,17 +304,15 @@ def cmd_motive(args):
             "ambient_codim": hom["ambient_codim"],
             "basis": [repr(b) for b in hom["basis"]],
         }
-    if args.motive_op == "dual":
-        m = chow_motives.Motive(space, chow_motives.identity_correspondence(space), args.twist)
-        d = chow_motives.motive_dual(m)
-        return {"space": repr(space), "twist": args.twist, "dual_twist": d.twist}
+    if args.motive_op == "dual":  # (X, id, n)^dual = (X, id, dim X - n)
+        return {"space": repr(space), "twist": args.twist, "dual_twist": space.dimension - args.twist}
     if args.motive_op == "pairing":
-        report = chow_motives.pairing_nondegenerate(space)
-        return report
+        return chow_motives.pairing_nondegenerate(space)
     raise TtspecError(f"unknown motive operation {args.motive_op!r}")
 
 
 def cmd_spc(args):
+    from . import tt_geometry
     _field_for(args.q)  # validated for every operation, though only tate echoes it
     if args.spc_op == "tate":
         universe = tt_geometry.TateUniverse(args.twist_radius, args.shift_radius)
@@ -307,16 +322,12 @@ def cmd_spc(args):
             "window": [args.twist_radius, args.shift_radius],
             "primes": [repr(p) for p in found["primes"]],
             "diagnostic": found["diagnostic"],
-            "end_of_unit": tt_geometry.graded_endomorphism_ring(universe)["unit"],
+            "end_of_unit": tt_geometry.END_OF_UNIT,
         }
     if args.spc_op == "sh-top":
         space = tt_geometry.spc_shtop(args.primes, args.height)
-        out = {
-            "points": list(space.points),
-            "specializations": sorted(
-                [a, b] for a, b in space.specializes if a != b
-            ),
-        }
+        pairs = sorted(pair for pair in space.specializes if pair[0] != pair[1])  # tuples sort faster
+        out = {"points": list(space.points), "specializations": list(map(list, pairs))}
         if args.dot:
             out["dot"] = space.to_dot("shtop")
         return out
@@ -337,6 +348,7 @@ def cmd_spc(args):
 
 
 def _suite_ses():
+    from . import milnor_witt
     failures = []
     for q in (3, 5, 7, 9):
         field = _field_for(q)
@@ -349,6 +361,7 @@ def _suite_ses():
 
 def _suite_witt():
     """The closed-form W(F_q) against repeated `witt_add` by isotropy descent."""
+    from . import quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field_for(q)
@@ -382,6 +395,7 @@ def _witt_model(field):
     multiplication tables on keys, and ideal(n), the key set of I^n (W for
     n <= 0).
     """
+    from . import quadratic_forms
     gw = quadratic_forms.GWClass
     minus_one = quadratic_forms.gw_class(quadratic_forms.diagonal(field, [-1])).disc
 
@@ -410,6 +424,7 @@ def _suite_tables():
     Checked: each group order against the fiber product's; the map is
     well defined, injective and lands in the fiber product; and every
     product of generators by `kmw_mul` against the product in W x K^M."""
+    from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field_for(q)
@@ -486,6 +501,7 @@ def _suite_tables():
 
 
 def _suite_spech():
+    from . import graded_spectrum
     failures = []
     field = _field_for(3)
     space = graded_spectrum.enumerate_primes(field, 50)
@@ -517,6 +533,7 @@ def _suite_spech():
 
 
 def _suite_eta():
+    from . import milnor_witt
     failures = []
     for q in (3, 5, 7, 9):
         field = _field_for(q)
@@ -532,21 +549,37 @@ def _suite_eta():
 
 
 def _suite_motives():
+    """`motive_decompose` against the Kunneth twists read off the monomial
+    counts, each projector idempotent and their sum the diagonal; and
+    rigidity on triples of Lefschetz motives.  A decomposition that raises
+    (`Motive` refuses a projector that is not idempotent) is a failure."""
+    from . import chow_motives
     failures = []
-    for n in range(5):
-        space = chow_motives.ProjSpaceProduct((n,))
-        if len(chow_motives.motive_decompose(space)) != n + 1:
-            failures.append({"space": f"P{n}"})
-    for i in range(-3, 4):
-        for j in range(-3, 4):
-            for k in range(-3, 4):
-                check = chow_motives.rigidity_check(
-                    chow_motives.lefschetz_motive(i),
-                    chow_motives.lefschetz_motive(j),
-                    chow_motives.lefschetz_motive(k),
-                )
-                if not check["bijective"]:
-                    failures.append({"twists": [i, j, k]})
+    for text in ("P0", "P1", "P2", "P3", "P4", "P1xP1", "P2xP1", "P1xP1xP1"):
+        space = chow_motives.parse_space(text)
+        try:
+            parts = chow_motives.motive_decompose(space)
+        except (TtspecError, ValueError, AssertionError) as exc:
+            failures.append({"space": text, "error": str(exc)})
+            continue
+        twists = [w for _, w in parts]
+        if twists != _kunneth_twists(space):
+            failures.append({"space": text, "twists": twists})
+        diagonal = chow_motives.identity_correspondence(space).cls
+        total = chow_motives.ChowClass(diagonal.space, ())
+        for m, _ in parts:
+            p = m.projector
+            if chow_motives.compose(p, p) != p:
+                failures.append({"space": text, "not_idempotent": repr(p.cls)})
+            total = total + p.cls
+        if total != diagonal:
+            failures.append({"space": text, "fact": "projectors sum to the diagonal"})
+    for i, j, k in itertools.product(range(-3, 4), repeat=3):
+        check = chow_motives.rigidity_check(
+            chow_motives.lefschetz_motive(i), chow_motives.lefschetz_motive(j), chow_motives.lefschetz_motive(k)
+        )
+        if not check["bijective"]:
+            failures.append({"twists": [i, j, k]})
     return failures
 
 
@@ -554,6 +587,7 @@ def _suite_tate():
     """The `spc tate` answers against the lines of TateUniverse(4, 2): a (x) a^dual
     = 1, so zero is the only proper ideal; a (x) b != 0, so zero is prime; and
     hom(1, u^n) is Q exactly when u^n = Q(n)[2n] is the unit."""
+    from . import tt_geometry
     universe = tt_geometry.TateUniverse(4, 2)
     unit = tt_geometry.TATE_UNIT
     lines = [tt_geometry.tate_line(*key) for key in universe.lines()]
@@ -573,6 +607,7 @@ def _suite_tate():
 
 
 def _suite_spaces():
+    from . import tt_geometry
     failures = []
     space = tt_geometry.spc_shtop(3, 3)
     generic = tt_geometry.chromatic_label(0, 1)

@@ -95,7 +95,7 @@ def tate_line(twist: int, shift: int = 0, dim: int = 1) -> TateObject:
 
 
 TATE_UNIT = tate_line(0, 0)
-TATE_RADIUS_BOUND = 2 ** 16  # most twists `graded_endomorphism_ring` lists, each way
+END_OF_UNIT = "Q"  # hom(1, 1) = Q: the unit's endomorphisms are the rational scalars
 THOMASON_POINT_BOUND = 12  # most points `thomason_subsets` takes the 2^points subsets of
 
 
@@ -424,12 +424,10 @@ def graded_endomorphism_ring(universe: TateUniverse) -> dict:
     """The ring sum_n hom(1, u^n) for u = Q(1)[2]: Q in degree 0, zero
     elsewhere (the lines 1 and u^n differ for n != 0)."""
     r = universe.twist_radius
-    if r > TATE_RADIUS_BOUND:
-        raise BoundExceeded(f"twist radius {r} exceeds the tate radius bound {TATE_RADIUS_BOUND}")
     degrees = {}
     for nn in range(-r, r + 1):
-        degrees[nn] = "Q" if nn == 0 else "0"
-    return {"unit": "Q", "degrees": degrees}
+        degrees[nn] = END_OF_UNIT if nn == 0 else "0"
+    return {"unit": END_OF_UNIT, "degrees": degrees}
 
 
 def rho_bullet(prime: ThickTensorIdeal) -> dict:

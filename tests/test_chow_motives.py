@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +16,8 @@ P1xP1 = cm.ProjSpaceProduct((1, 1))
 # ---------------------------------------------------------------- oracles
 # The triple-product route to composition (pull both classes back to
 # X x Y x Z, intersect, push down to X x Z) and the first version of the
-# column reduction.  `compose` and `_column_lattice_basis` must agree
-# with them exactly.
+# column reduction, and determinants by elimination over Q.  `compose`,
+# `_column_lattice_basis` and `_int_det` must agree with them exactly.
 
 
 def pullback(a, product, positions):
@@ -147,6 +148,26 @@ def hom_basis_dense(m, n):
     basis = [mono for mono in product.monomials() if sum(mono) == codim]
     image = column_lattice_basis_dense(compression_matrix_dense(m, n, basis))
     return [cm.ChowClass.from_dict(product, {mono: c for mono, c in zip(basis, col) if c}) for col in image]
+
+
+def int_det_reference(matrix):
+    """Gaussian elimination over Q with `Fraction` entries."""
+    n = len(matrix)
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if mat[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            mat[i], mat[pivot] = mat[pivot], mat[i]
+            det = -det
+        det *= mat[i][i]
+        for r in range(i + 1, n):
+            f = mat[r][i] / mat[i][i]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[i])]
+    assert det.denominator == 1
+    return int(det)
 
 
 # -------------------------------------------------------------- Chow rings
@@ -501,6 +522,20 @@ def test_pairing_matrices():
 def test_pairing_small_products():
     for dims in ((1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)):
         assert cm.pairing_nondegenerate(cm.ProjSpaceProduct(dims))["nondegenerate"]
+
+
+def test_int_det_matches_fraction_elimination():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        pool = rng.choice([(0, 1, -1), (0, 0, 1, -1, 2, -3, 7), tuple(range(-40, 41))])
+        matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a dependent row
+            matrix[-1] = [a - 3 * b for a, b in zip(matrix[0], matrix[1])]
+        assert cm._int_det(matrix) == int_det_reference(matrix), matrix
+    for dims in ((2, 1), (3, 2)):
+        for entry in cm.pairing_nondegenerate(cm.ProjSpaceProduct(dims))["degrees"].values():
+            assert entry["determinant"] == int_det_reference(entry["matrix"]) in (1, -1), dims
 
 
 def test_parse_space():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,63 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
     assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
 
 
+def _wrong_decomposition(fault):
+    """`motive_decompose` with one fault on P1xP1, in its first summand."""
+    from ttspec import chow_motives as cm
+
+    right = cm.motive_decompose
+
+    def wrong(space):
+        parts = right(space)
+        if space.dims != (1, 1):
+            return parts
+        (m, w), rest = parts[0], parts[1:]
+        doubled = cm.Correspondence(space, space, 0, m.projector.cls + m.projector.cls)
+        if fault == "weight":
+            first = m, w + 1
+        elif fault == "identity":  # idempotent, but the sum is not the diagonal
+            first = cm.Motive(space, cm.identity_correspondence(space), 0), w
+        elif fault == "doubled":  # a summand not built through Motive's check
+            first = types.SimpleNamespace(projector=doubled), w
+        else:
+            first = cm.Motive(space, doubled, 0), w  # raises: not idempotent
+        return [first, *rest]
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "fault, want",
+    [
+        ("weight", [{"space": "P1xP1", "twists": [1, 1, 1, 2]}]),
+        ("identity", [{"space": "P1xP1", "fact": "projectors sum to the diagonal"}]),
+        ("doubled", [
+            {"space": "P1xP1", "not_idempotent": "2*h1^1*h2^1 @P1xP1xP1xP1"},
+            {"space": "P1xP1", "fact": "projectors sum to the diagonal"},
+        ]),
+        ("raises", [{"space": "P1xP1", "error": "projector is not idempotent"}]),
+    ],
+)
+def test_verify_motives_fails_on_a_wrong_decomposition(capsys, monkeypatch, fault, want):
+    from ttspec import chow_motives
+
+    monkeypatch.setattr(chow_motives, "motive_decompose", _wrong_decomposition(fault))
+    code, out = run(capsys, "verify", "--suite", "motives", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["suites"]["motives"]["failures"] == want
+
+
+@pytest.mark.parametrize("text", ["pt", "P0", "P1", "P2", "P1xP1", "P2xP1", "P1xP1xP1", "P3xP2"])
+def test_motive_decompose_twists_match_the_projectors(capsys, text):
+    """The small spaces of the CLI property test, and one more."""
+    from ttspec import chow_motives
+
+    code, out = run(capsys, "motive", "decompose", "--space", text, "--json")
+    assert code == 0
+    want = [w for _, w in chow_motives.motive_decompose(chow_motives.parse_space(text))]
+    assert json.loads(out)["result"]["twists"] == want
+
+
 def _eta_order_two(z):
     """Breaks the order of eta^m when q = 3 mod 4: coordinates mod 2."""
     if z.degree < 0 and z.field.q % 4 == 3:
@@ -359,7 +417,6 @@ _BAD_VALUES = [
     ["gw", "--q", "1000000000000000003"],
     ["kmw", "table", "--q", "1000000000000000003"],
     ["spc", "tate", "--q", "1000000000000000003"],
-    ["spc", "tate", "--twist-radius", "65537"],
     ["spc", "equivariant", "--n", "1000000000000000003", "--primes", "3", "--height", "1"],
     ["witt", "classify", "--q", "3", "--form", ",".join(["1"] * 200)],
     ["witt", "classify", "--q", "1019", "--form", "1,1,1"],
@@ -535,6 +592,38 @@ def test_gw_large_q_three_mod_four():
 def test_spc_tate_wide_window():
     result = _cold_json_result("spc", "tate", "--twist-radius", "40", "--shift-radius", "40")
     assert result["primes"] == ["(0)"]
+
+
+def test_spc_tate_answers_cold_at_any_twist_radius():
+    """End(1) is read without listing the twists of the window."""
+    start = time.perf_counter()
+    result = _cold_json_result("spc", "tate", "--twist-radius", "1000000000")
+    assert time.perf_counter() - start < 2
+    assert result["primes"] == ["(0)"] and result["end_of_unit"] == "Q"
+
+
+_IMPORT_PROBE = """
+import json, sys
+import ttspec.cli
+loaded = sorted(sys.modules)
+ttspec.cli.main(["gw", "--q", "3"])
+print(json.dumps([loaded, sorted(sys.modules)]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, after = map(set, json.loads(proc.stdout.splitlines()[-1]))
+    compute = {
+        f"ttspec.{m}" for m in ("quadratic_forms", "milnor_witt", "graded_spectrum", "chow_motives", "tt_geometry")
+    }
+    assert not loaded & (compute | {"fractions", "decimal"})
+    assert {m for m in after - loaded if m.startswith("ttspec")} == {"ttspec.quadratic_forms"}
 
 
 def test_json_envelope_round_trip(capsys):

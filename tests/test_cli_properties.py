@@ -31,7 +31,6 @@ LIMITS = (
     chow_motives.HOM_BASIS_BOUND,
     chow_motives.SPACE_BOUND,
     chow_motives.PAIRING_ENTRY_BOUND,
-    tt_geometry.TATE_RADIUS_BOUND,
     tt_geometry.THOMASON_POINT_BOUND,
     tt_geometry.SPC_PRIME_BOUND,
     tt_geometry.SPC_PAIR_BOUND,

@@ -381,13 +381,6 @@ def test_spc_order_bound_refuses_before_factoring(monkeypatch):
         tg.spc_equivariant(tg.SPC_ORDER_BOUND + 1, 2, 1)
 
 
-def test_graded_endomorphism_ring_radius_bound():
-    ring = tg.graded_endomorphism_ring(tg.TateUniverse(tg.TATE_RADIUS_BOUND, 0))
-    assert len(ring["degrees"]) == 2 * tg.TATE_RADIUS_BOUND + 1
-    with pytest.raises(BoundExceeded, match="tate radius bound"):
-        tg.graded_endomorphism_ring(tg.TateUniverse(tg.TATE_RADIUS_BOUND + 1, 0))
-
-
 def _dot_by_covers_scan(space, name="spc"):
     """Oracle: `to_dot` before covers came from successor sets; a pair is
     a cover when no third point lies between, scanning every point."""
