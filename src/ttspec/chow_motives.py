@@ -2,17 +2,19 @@
 
 Chow rings of products of projective spaces are truncated polynomial
 rings Z[h_1, ..., h_k] / (h_i^{n_i + 1}), so every cycle-level operation
-(intersection, transpose, external product, correspondence composition)
-is exact polynomial bookkeeping; h^n is the class of a point on P^n, so
-composition is a per-factor degree rule on monomials.  Motives are
-triples (X, p, n) with p an idempotent correspondence; the Lefschetz
-motive is the point with twist -1, and twisting by n corresponds to
-tensoring with its (-n)-th power.
+(transpose, external product, correspondence composition) is exact
+polynomial bookkeeping.  h^n is the class of a point on P^n, so composition
+is a per-factor degree rule on monomials, and h^a . h^b is the point class
+exactly when a + b is the top monomial: the intersection pairing is an
+anti-identity on monomial bases.  Motives are triples (X, p, n) with p an
+idempotent correspondence; the Lefschetz motive is the point with twist -1,
+and twisting by n corresponds to tensoring with its (-n)-th power.
 
 hom((X, p, n), (Y, q, m)) is the subgroup of classes a in
 CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p.  The compression
 operator is idempotent, so the hom group is its image, computed as an
-integer column lattice.
+integer column lattice; between identity motives it is the whole group,
+spanned by the monomials of that codimension.
 """
 
 from __future__ import annotations
@@ -23,21 +25,22 @@ import math
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
 
-# largest ambient monomial basis `hom_group` accepts: its column reduction
-# scans the remaining columns once per row, so the time grows with the square
-# of the basis.  On a 2-CPU x86-64 VM a cold `motive hom --space P9xP9xP9
-# --target-space P4xP4xP4 --json` (3,812 monomials) takes 0.52 s and 19 MB
+# largest ambient monomial basis of a hom group.  The library's `hom_group`
+# scans the remaining columns once per row of its reduction, so its time grows
+# with the square of the basis: in-process on a 2-CPU x86-64 VM, identity
+# motives of P9xP9xP9 and P4xP4xP4 (3,812 monomials) take 0.68 s.  A cold
+# `motive hom --json` of that pair prints 199 kB in 0.15 s
 HOM_BASIS_BOUND = 4_000
-# most monomials `parse_space` accepts on one space; it also refuses more than
-# 16 = log2(SPACE_BOUND) factors, since a monomial holds one exponent per factor
-# and P0 factors lengthen it without adding monomials.  Cold on a 2-CPU x86-64
-# VM, the slowest accepted spaces take: `motive decompose --space` P1^16 3.1 s,
-# `motive dual` P1^16 1.9 s, `motive hom` P1^16 to P1^16 (a 496-monomial basis)
-# 2.2 s and 136 MB, and `motive pairing --space P65535` 1.5 s
+# most monomials `parse_space` accepts on one space, and at most 16 factors,
+# since P0 factors lengthen a monomial without adding any.  It bounds the
+# idempotency check of the library's `Motive`: the identity motives of P1^16
+# take 1.6 s each in-process on a 2-CPU x86-64 VM.  Cold, `motive decompose`
+# P1^16 prints 685 kB in 0.12 s, and `motive pairing --space P65535` 4.5 MB
+# in 0.55 s
 SPACE_BOUND = 2 ** 16
-# most entries, one chow_mul each, `pairing_nondegenerate` accepts over all
-# its degree matrices: a cold `motive pairing --space P12xP12xP12` (204,763)
-# takes 1.5 s on a 2-CPU x86-64 VM, and P15xP15xP15 (577,744) 4.5 s
+# most matrix entries `pairing_nondegenerate` returns, all printed by `motive
+# pairing`: P12xP12xP12 has 204,763 (621 kB of `--json` in 0.13 s cold on a
+# 2-CPU x86-64 VM), P15xP15xP15 577,744
 PAIRING_ENTRY_BOUND = 250_000
 
 
@@ -151,21 +154,6 @@ class ChowClass(Value):
 
 def monomial_class(space: ProjSpaceProduct, mono, coeff=1) -> ChowClass:
     return ChowClass.from_dict(space, {tuple(mono): coeff})
-
-
-def chow_mul(a: ChowClass, b: ChowClass) -> ChowClass:
-    a._check(b)
-    out = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            m = tuple(x + y for x, y in zip(ma, mb))
-            out[m] = out.get(m, 0) + ca * cb
-    return ChowClass.from_dict(a.space, out)
-
-
-def degree(a: ChowClass):
-    """Coefficient of the top monomial (the class of a point)."""
-    return a.coeffs().get(a.space.dims, 0)
 
 
 class Correspondence(Value):
@@ -389,49 +377,19 @@ def rigidity_check(m: Motive, n: Motive, p: Motive) -> dict:
 
 def pairing_nondegenerate(space: ProjSpaceProduct) -> dict:
     """Intersection pairing CH^i x CH^{d-i} -> CH^d = Z on monomial
-    bases; nondegenerate in each degree iff the matrix is unimodular."""
-    d = space.dimension
+    bases.  h^a . h^b is the point class exactly when a + b = dims, and
+    a -> dims - a reverses lex order, so each degree's matrix is the k x k
+    anti-identity, of determinant (-1)^(k(k-1)/2): the pairing is
+    unimodular in every degree."""
     counts = space.monomial_counts()
     entries = sum(a * b for a, b in zip(counts, reversed(counts)))
     if entries > PAIRING_ENTRY_BOUND:
         raise BoundExceeded(f"pairing matrices of {entries} entries exceed the bound {PAIRING_ENTRY_BOUND}")
     per_degree = {}
-    all_ok = True
-    for i in range(d + 1):
-        rows = [monomial_class(space, a) for a in space.monomials(i)]
-        cols = [monomial_class(space, b) for b in space.monomials(d - i)]
-        matrix = [[degree(chow_mul(a, b)) for b in cols] for a in rows]
-        square = len(rows) == len(cols)
-        det = _int_det(matrix) if square else 0
-        ok = square and det in (1, -1)
-        all_ok = all_ok and ok
-        per_degree[i] = {"matrix": matrix, "determinant": det, "nondegenerate": ok}
-    return {"space": repr(space), "degrees": per_degree, "nondegenerate": all_ok}
-
-
-def _int_det(matrix) -> int:
-    """Determinant over Z by fraction-free (Bareiss) elimination: after step
-    i, each entry right of and below the pivot is a minor of order i + 2,
-    so the division by the previous pivot is exact.  A row with zero in the
-    pivot column is left as it is when the pivot equals the previous one,
-    which keeps the sparse pairing matrices at quadratic cost."""
-    mat = [list(row) for row in matrix]
-    n = len(mat)
-    sign, previous = 1, 1
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if mat[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            mat[i], mat[pivot] = mat[pivot], mat[i]
-            sign = -sign
-        top, p = mat[i][i + 1:], mat[i][i]
-        for r in range(i + 1, n):
-            row, f = mat[r], mat[r][i]
-            if f or p != previous:
-                mat[r] = row[:i + 1] + [(x * p - f * y) // previous for x, y in zip(row[i + 1:], top)]
-        previous = p
-    return sign * previous
+    for i, k in enumerate(counts):
+        matrix = [[int(r + c == k - 1) for c in range(k)] for r in range(k)]
+        per_degree[i] = {"matrix": matrix, "determinant": (-1) ** (k * (k - 1) // 2), "nondegenerate": True}
+    return {"space": repr(space), "degrees": per_degree, "nondegenerate": True}
 
 
 def parse_space(text: str) -> ProjSpaceProduct:

@@ -18,7 +18,7 @@ import re
 import sys
 
 from .errors import BoundExceeded, TtspecError
-from .finite_field import CARDINALITY_BOUND, _is_prime, _prime_factors, make_field, primitive_element
+from .finite_field import CARDINALITY_BOUND, _prime_factors, make_field, primitive_element
 
 # The compute modules are imported by the functions that run them, so that
 # each command loads only what it uses.
@@ -291,18 +291,17 @@ def cmd_motive(args):
             "summands": [f"L^{w}" if w else "1" for w in twists],
             "twists": twists,
         }
-    if args.motive_op == "hom":
+    if args.motive_op == "hom":  # between identity motives: all of CH^codim(X x Y)
         target = chow_motives.parse_space(args.target_space)
-        chow_motives.hom_ambient_codim(space, args.twist, target, args.target_twist)
-        m = chow_motives.Motive(space, chow_motives.identity_correspondence(space), args.twist)
-        n = chow_motives.Motive(target, chow_motives.identity_correspondence(target), args.target_twist)
-        hom = chow_motives.hom_group(m, n)
+        codim = chow_motives.hom_ambient_codim(space, args.twist, target, args.target_twist)
+        product = space.times(target)
+        basis = [repr(chow_motives.monomial_class(product, m)) for m in product.monomials(codim)]
         return {
             "source": repr(space),
             "target": repr(target),
-            "rank": hom["rank"],
-            "ambient_codim": hom["ambient_codim"],
-            "basis": [repr(b) for b in hom["basis"]],
+            "rank": len(basis),
+            "ambient_codim": codim,
+            "basis": basis,
         }
     if args.motive_op == "dual":  # (X, id, n)^dual = (X, id, dim X - n)
         return {"space": repr(space), "twist": args.twist, "dual_twist": space.dimension - args.twist}
@@ -501,16 +500,21 @@ def _suite_tables():
 
 
 def _suite_spech():
-    from . import graded_spectrum
+    from . import graded_spectrum, milnor_witt
     failures = []
-    field = _field_for(3)
-    space = graded_spectrum.enumerate_primes(field, 50)
+    for q in (3, 5, 7, 9):  # the killed [w] and eta[w] square to zero, eta does not
+        field = _field_for(q)
+        ew = milnor_witt.KmwElement(field, 0, (0, 1))  # eta[w]
+        for name, x in (("[w]", milnor_witt.omega_symbol(field)), ("eta[w]", ew), ("eta", milnor_witt.eta(field))):
+            if milnor_witt.kmw_mul(x, x).is_zero() != (name != "eta"):
+                failures.append({"q": q, "square": name})
+    space = graded_spectrum.enumerate_primes(_field_for(3), 50)
     flagged = [p for p in space.points if p.discrepancy]
     if len(flagged) != 1:
         failures.append({"flagged": len(flagged)})
     want = {("[w]", "eta"), ("[w]", "2"), ("[w]", "eta", "2")}
-    for p in range(3, 51):
-        if _is_prime(p):
+    for p in range(3, 51, 2):  # odd primes by trial division
+        if all(p % d for d in range(3, p, 2)):
             want.add(("[w]", "eta", str(p)))
     got = {p.sorted_generators() for p in space.points}
     if got != want:
@@ -550,8 +554,9 @@ def _suite_eta():
 
 def _suite_motives():
     """`motive_decompose` against the Kunneth twists read off the monomial
-    counts, each projector idempotent and their sum the diagonal; and
-    rigidity on triples of Lefschetz motives.  A decomposition that raises
+    counts, each projector idempotent and their sum the diagonal; `hom_group`
+    of identity motives against the monomial basis; and rigidity on triples
+    of Lefschetz motives.  A decomposition or a hom group that raises
     (`Motive` refuses a projector that is not idempotent) is a failure."""
     from . import chow_motives
     failures = []
@@ -574,6 +579,23 @@ def _suite_motives():
             total = total + p.cls
         if total != diagonal:
             failures.append({"space": text, "fact": "projectors sum to the diagonal"})
+    # hom of identity motives is all of CH^codim(X x Y): the basis `motive hom`
+    # prints, here from a filtered walk over every monomial
+    for source, target in (("P1xP1", "P2"), ("P2xP1", "P1xP1")):
+        x, y = chow_motives.parse_space(source), chow_motives.parse_space(target)
+        for twist, target_twist in itertools.product(range(-1, 2), repeat=2):
+            case = {"hom": [source, twist, target, target_twist]}
+            codim = x.dimension + target_twist - twist
+            want = [chow_motives.monomial_class(x.times(y), m) for m in x.times(y).monomials() if sum(m) == codim]
+            try:
+                m = chow_motives.Motive(x, chow_motives.identity_correspondence(x), twist)
+                n = chow_motives.Motive(y, chow_motives.identity_correspondence(y), target_twist)
+                hom = chow_motives.hom_group(m, n)
+            except (TtspecError, ValueError) as exc:
+                failures.append({**case, "error": str(exc)})
+                continue
+            if (hom["ambient_codim"], hom["rank"], hom["basis"]) != (codim, len(want), want):
+                failures.append({**case, "rank": hom["rank"]})
     for i, j, k in itertools.product(range(-3, 4), repeat=3):
         check = chow_motives.rigidity_check(
             chow_motives.lefschetz_motive(i), chow_motives.lefschetz_motive(j), chow_motives.lefschetz_motive(k)

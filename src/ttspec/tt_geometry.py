@@ -16,7 +16,6 @@ endomorphism ring.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from ._value import Value
 from .errors import (
@@ -116,6 +115,7 @@ class TateMorphism(Value):
 
     @staticmethod
     def from_dict(source: TateObject, target: TateObject, blocks: dict) -> "TateMorphism":
+        from fractions import Fraction  # loaded only where a morphism is built
         kept = {}
         for key, mat in blocks.items():
             key = tuple(key)
@@ -129,6 +129,7 @@ class TateMorphism(Value):
         return TateMorphism(source, target, tuple(sorted(kept.items())))
 
     def block_at(self, key):
+        from fractions import Fraction
         for k, mat in self.blocks:
             if k == tuple(key):
                 return mat
@@ -140,7 +141,7 @@ class TateMorphism(Value):
 def identity_morphism(a: TateObject) -> TateMorphism:
     blocks = {}
     for key, d in a.slots:
-        blocks[key] = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        blocks[key] = [[int(i == j) for j in range(d)] for i in range(d)]  # from_dict makes Fractions
     return TateMorphism.from_dict(a, a, blocks)
 
 
@@ -457,6 +458,7 @@ def verify_comparison(universe: TateUniverse) -> dict:
     graded endomorphism ring (rational scalars in degree 0, zero in every
     other degree).  A prime lies over D(s) iff its rho_bullet image, the
     whole ring if a unit generates it and zero otherwise, misses s."""
+    from fractions import Fraction
     report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
     primes = enumerate_primes(universe)["primes"]
     unit_images = [bool(rho_bullet(p)["ideal_generators"]) for p in primes]

@@ -15,9 +15,27 @@ P1xP1 = cm.ProjSpaceProduct((1, 1))
 
 # ---------------------------------------------------------------- oracles
 # The triple-product route to composition (pull both classes back to
-# X x Y x Z, intersect, push down to X x Z) and the first version of the
-# column reduction, and determinants by elimination over Q.  `compose`,
-# `_column_lattice_basis` and `_int_det` must agree with them exactly.
+# X x Y x Z, intersect, push down to X x Z), the first version of the
+# column reduction, and the pairing matrices from intersection products
+# with determinants by elimination over Q.  `compose`,
+# `_column_lattice_basis` and `pairing_nondegenerate` must agree with them
+# exactly.
+
+
+def chow_mul(a, b):
+    """Intersection product: exponents add, and h_i^{n_i + 1} = 0."""
+    assert a.space == b.space
+    out = {}
+    for ma, ca in a.terms:
+        for mb, cb in b.terms:
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return cm.ChowClass.from_dict(a.space, out)
+
+
+def degree(a):
+    """Coefficient of the top monomial (the class of a point)."""
+    return a.coeffs().get(a.space.dims, 0)
 
 
 def pullback(a, product, positions):
@@ -58,7 +76,7 @@ def compose_via_triple_product(beta, alpha):
     triple = alpha.source.times(alpha.target).times(beta.target)
     a_up = pullback(alpha.cls, triple, tuple(range(kx + ky)))
     b_up = pullback(beta.cls, triple, tuple(range(kx, kx + ky + kz)))
-    prod = cm.chow_mul(a_up, b_up)
+    prod = chow_mul(a_up, b_up)
     down = pushforward(prod, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
     return cm.Correspondence(alpha.source, beta.target, alpha.shift + beta.shift, down)
 
@@ -175,9 +193,9 @@ def int_det_reference(matrix):
 
 def test_truncated_ring():
     h = cm.monomial_class(P2, (1,))
-    h2 = cm.chow_mul(h, h)
+    h2 = chow_mul(h, h)
     assert h2 == cm.monomial_class(P2, (2,))
-    assert cm.chow_mul(h, h2).is_zero()
+    assert chow_mul(h, h2).is_zero()
 
 
 def test_pushforward_point_degree():
@@ -212,8 +230,8 @@ def test_pullback_positions():
 
 
 def test_degree():
-    assert cm.degree(cm.monomial_class(P1xP1, (1, 1), 5)) == 5
-    assert cm.degree(cm.monomial_class(P1xP1, (1, 0))) == 0
+    assert degree(cm.monomial_class(P1xP1, (1, 1), 5)) == 5
+    assert degree(cm.monomial_class(P1xP1, (1, 0))) == 0
 
 
 # --------------------------------------------------------- correspondences
@@ -524,18 +542,30 @@ def test_pairing_small_products():
         assert cm.pairing_nondegenerate(cm.ProjSpaceProduct(dims))["nondegenerate"]
 
 
-def test_int_det_matches_fraction_elimination():
-    rng = random.Random(5)
-    for _ in range(2000):
-        n = rng.randint(0, 6)
-        pool = rng.choice([(0, 1, -1), (0, 0, 1, -1, 2, -3, 7), tuple(range(-40, 41))])
-        matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.2:  # a dependent row
-            matrix[-1] = [a - 3 * b for a, b in zip(matrix[0], matrix[1])]
-        assert cm._int_det(matrix) == int_det_reference(matrix), matrix
-    for dims in ((2, 1), (3, 2)):
-        for entry in cm.pairing_nondegenerate(cm.ProjSpaceProduct(dims))["degrees"].values():
-            assert entry["determinant"] == int_det_reference(entry["matrix"]) in (1, -1), dims
+def pairing_by_intersection(space):
+    """`pairing_nondegenerate` from intersection products of the monomials
+    of each degree, listed by a filtered walk, and Q-elimination
+    determinants."""
+    d = space.dimension
+    per_degree, all_ok = {}, True
+    for i in range(d + 1):
+        rows = [cm.monomial_class(space, a) for a in space.monomials() if sum(a) == i]
+        cols = [cm.monomial_class(space, b) for b in space.monomials() if sum(b) == d - i]
+        matrix = [[degree(chow_mul(a, b)) for b in cols] for a in rows]
+        det = int_det_reference(matrix) if len(rows) == len(cols) else 0
+        ok = len(rows) == len(cols) and det in (1, -1)
+        all_ok = all_ok and ok
+        per_degree[i] = {"matrix": matrix, "determinant": det, "nondegenerate": ok}
+    return {"space": repr(space), "degrees": per_degree, "nondegenerate": all_ok}
+
+
+def test_pairing_matches_intersection_oracle():
+    """Every product of at most three factors of dimension <= 3, P0 factors
+    and the point included."""
+    for k in range(4):
+        for dims in itertools.product(range(4), repeat=k):
+            space = cm.ProjSpaceProduct(dims)
+            assert cm.pairing_nondegenerate(space) == pairing_by_intersection(space), dims
 
 
 def test_parse_space():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -228,6 +229,59 @@ def test_verify_motives_fails_on_a_wrong_decomposition(capsys, monkeypatch, faul
     code, out = run(capsys, "verify", "--suite", "motives", "--json")
     assert code == 2
     assert json.loads(out)["result"]["suites"]["motives"]["failures"] == want
+
+
+def test_verify_motives_fails_on_a_hom_group_missing_a_class(capsys, monkeypatch):
+    from ttspec import chow_motives
+
+    right = chow_motives.hom_group
+
+    def dropping(m, n):  # the last basis class goes missing from P2xP1
+        hom = right(m, n)
+        if m.space.dims != (2, 1):
+            return hom
+        return dict(hom, basis=hom["basis"][:-1], rank=hom["rank"] - 1)
+
+    monkeypatch.setattr(chow_motives, "hom_group", dropping)
+    code, out = run(capsys, "verify", "--suite", "motives", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["motives"]["failures"]
+    assert [f["hom"] for f in failures] == [
+        ["P2xP1", t, "P1xP1", u] for t in range(-1, 2) for u in range(-1, 2)
+    ]
+
+
+_HOM_SPACES = [
+    "pt", "P1", "P2", "P3", "P0xP1", "P1xP1", "P2xP1",
+    "P1xP2", "P3xP1", "P2xP2", "P1xP1xP1", "P2xP1xP1", "P1xP0xP2", "P3xP2xP1",
+]
+# every 13th of the 14 x 14 x 6 x 6 cases, so that each twist pair occurs
+_HOM_CASES = list(itertools.product(_HOM_SPACES, _HOM_SPACES, range(-2, 4), range(-2, 4)))[::13]
+
+
+def test_motive_hom_matches_hom_group_of_identity_motives(capsys):
+    """`motive hom` prints the monomials of the ambient codimension; the
+    library's compression and column reduction must find the same basis."""
+    from ttspec import chow_motives as cm
+
+    for source, target, twist, target_twist in _HOM_CASES:
+        x, y = cm.parse_space(source), cm.parse_space(target)
+        hom = cm.hom_group(
+            cm.Motive(x, cm.identity_correspondence(x), twist),
+            cm.Motive(y, cm.identity_correspondence(y), target_twist),
+        )
+        code, out = run(
+            capsys, "motive", "hom", "--space", source, "--target-space", target,
+            f"--twist={twist}", f"--target-twist={target_twist}", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "source": source if x.dims else "pt",
+            "target": target if y.dims else "pt",
+            "rank": hom["rank"],
+            "ambient_codim": hom["ambient_codim"],
+            "basis": [repr(b) for b in hom["basis"]],
+        }, (source, target, twist, target_twist)
 
 
 @pytest.mark.parametrize("text", ["pt", "P0", "P1", "P2", "P1xP1", "P2xP1", "P1xP1xP1", "P3xP2"])
@@ -602,28 +656,54 @@ def test_spc_tate_answers_cold_at_any_twist_radius():
     assert result["primes"] == ["(0)"] and result["end_of_unit"] == "Q"
 
 
+def test_motive_hom_and_pairing_answer_cold_at_the_largest_spaces():
+    """Both are read off the monomials: no correspondence, no product."""
+    p1 = "x".join(["P1"] * 16)
+    start = time.perf_counter()
+    result = _cold_json_result("motive", "hom", "--space", p1, "--target-space", p1, "--target-twist", "-14")
+    assert time.perf_counter() - start < 2
+    assert result["rank"] == len(result["basis"]) == 496
+    start = time.perf_counter()
+    result = _cold_json_result("motive", "pairing", "--space", "P12xP12xP12")
+    assert time.perf_counter() - start < 2
+    assert result["nondegenerate"] and len(result["degrees"]) == 37
+
+
 _IMPORT_PROBE = """
 import json, sys
 import ttspec.cli
 loaded = sorted(sys.modules)
-ttspec.cli.main(["gw", "--q", "3"])
+ttspec.cli.main(sys.argv[1:])
 print(json.dumps([loaded, sorted(sys.modules)]))
 """
 
+_COMMAND_MODULES = [
+    (["gw", "--q", "3"], {"ttspec.quadratic_forms"}),
+    (["spech", "--q", "3"], {"ttspec.graded_spectrum"}),
+    (["spc", "sh-top", "--primes", "3"], {"ttspec.tt_geometry"}),
+    (["motive", "hom", "--space", "P2xP1", "--target-space", "P1"], {"ttspec.chow_motives"}),
+    (["motive", "pairing", "--space", "P2xP1"], {"ttspec.chow_motives"}),
+]
+
 
 def test_each_command_loads_only_the_modules_it_runs():
+    """Each command in a fresh process: `import ttspec.cli` loads no compute
+    module, and the command adds only its own, and no `fractions`."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, after = map(set, json.loads(proc.stdout.splitlines()[-1]))
     compute = {
         f"ttspec.{m}" for m in ("quadratic_forms", "milnor_witt", "graded_spectrum", "chow_motives", "tt_geometry")
     }
-    assert not loaded & (compute | {"fractions", "decimal"})
-    assert {m for m in after - loaded if m.startswith("ttspec")} == {"ttspec.quadratic_forms"}
+    for argv, modules in _COMMAND_MODULES:
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, after = map(set, json.loads(proc.stdout.splitlines()[-1]))
+        assert not loaded & (compute | {"fractions", "decimal"})
+        added = after - loaded
+        assert {m for m in added if m.startswith("ttspec")} == modules, argv
+        assert not added & {"fractions", "decimal"}, argv
 
 
 def test_json_envelope_round_trip(capsys):

@@ -39,6 +39,8 @@ COMMANDS = {
     "motive_hom": ["motive", "hom", "--space", "P1", "--target-space", "P2", "--twist", "1"],
     "motive_dual": ["motive", "dual", "--space", "P2", "--twist", "1"],
     "motive_pairing": ["motive", "pairing", "--space", "P1xP1"],
+    "motive_hom_product": ["motive", "hom", "--space", "P2xP1xP1", "--target-space", "P1xP2", "--twist", "1"],
+    "motive_pairing_product": ["motive", "pairing", "--space", "P2xP1xP1"],
     "spc_tate": ["spc", "tate", "--twist-radius", "3", "--shift-radius", "2"],
     "spc_shtop": ["spc", "sh-top", "--primes", "3", "--height", "2", "--dot"],
     "spc_equivariant": ["spc", "equivariant", "--n", "6", "--primes", "2", "--height", "1"],
