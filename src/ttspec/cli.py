@@ -537,13 +537,17 @@ def _suite_spech():
 
 
 def _suite_eta():
+    """eta^n from `kmw_mul` has the additive order of <1> in W(F_q) = K^MW_-n."""
     from . import milnor_witt
     failures = []
     for q in (3, 5, 7, 9):
         field = _field_for(q)
+        powers = list(itertools.accumulate([milnor_witt.eta(field)] * 64, milnor_witt.kmw_mul))
         for n in (1, 16, 64):
-            if not milnor_witt.eta_power_nonzero(field, n):
-                failures.append({"q": q, "n": n})
+            multiples = itertools.accumulate([powers[n - 1]] * 4, milnor_witt.kmw_add)
+            order = next((k for k, m in enumerate(multiples, 1) if m.is_zero()), None)
+            if order != (4 if q % 4 == 3 else 2):
+                failures.append({"q": q, "n": n, "order": order})
         local = milnor_witt.localize_eta(field)
         if not local["four_is_zero"]:
             failures.append({"q": q, "fact": "4=0"})

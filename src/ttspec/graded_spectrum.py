@@ -18,16 +18,11 @@ import itertools
 import math
 
 from ._value import Value
-from .errors import BoundExceeded, InvalidArgument, UnknownGenerator
-from .finite_field import PrimePower, _is_prime
+from .errors import InvalidArgument, UnknownGenerator
+from .finite_field import PrimePower, _primes_upto
 
 GENERATOR_OMEGA = "[w]"
 GENERATOR_ETA = "eta"
-
-# largest accepted prime bound: trial division makes the listing
-# super-linear, and a cold `spech --prime-bound 500000 --json` takes about
-# 4.7 s on a 2-CPU x86-64 VM (10^6 takes 11 s)
-PRIME_BOUND = 500_000
 
 
 class ReducedElement(Value):
@@ -74,11 +69,7 @@ class HomogeneousPrime(Value):
 
     @property
     def integer_generators(self) -> tuple[int, ...]:
-        out = []
-        for g in self.generators:
-            if g not in (GENERATOR_OMEGA, GENERATOR_ETA):
-                out.append(int(g))
-        return tuple(sorted(out))
+        return tuple(sorted(int(g) for g in self.generators if g not in _ALPHABET_SPECIALS))
 
     def sorted_generators(self) -> tuple[str, ...]:
         def key(g):
@@ -218,13 +209,11 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
     and ([w], eta, p) for each odd prime p <= prime_bound.  The point
     ([w], eta, 2), which the usual classification folds into its
     neighbours, is flagged as a discrepancy.  The points are the same for
-    every field.  `degree_bound` is the bound of the certificates read from
-    the returned space.
+    every field; the sieve refuses a prime_bound above PRIME_BOUND.  The
+    certificates read from the returned space are bounded by `degree_bound`.
     """
     if prime_bound < 0:
         raise InvalidArgument(f"prime bound must be >= 0, got {prime_bound}")
-    if prime_bound > PRIME_BOUND:
-        raise BoundExceeded(f"prime bound {prime_bound} exceeds the bound {PRIME_BOUND}")
     points = [HomogeneousPrime(frozenset({GENERATOR_OMEGA, GENERATOR_ETA}))]
     if prime_bound >= 2:
         points.append(HomogeneousPrime(frozenset({GENERATOR_OMEGA, "2"})))
@@ -233,8 +222,7 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
         )
     points += [
         HomogeneousPrime(frozenset({GENERATOR_OMEGA, GENERATOR_ETA, str(p)}))
-        for p in range(3, prime_bound + 1, 2)
-        if _is_prime(p)
+        for p in _primes_upto(prime_bound)[1:]
     ]
     points.sort(key=HomogeneousPrime.sorted_generators)
     return SpecHSpace(tuple(points), prime_bound, degree_bound)

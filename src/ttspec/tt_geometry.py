@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     UniverseTooSmall,
 )
-from .finite_field import _is_prime, _prime_factors
+from .finite_field import _prime_factors, _primes_upto
 
 
 class TateObject(Value):
@@ -361,11 +361,10 @@ def chromatic_label(p, n) -> str:
     return f"P_{p},{n}"
 
 
-# Cold `spc ... --dot --json` near the limits, median of 3 (2-CPU x86-64 VM,
-# Python 3.11): sh-top --primes 600 --height 40 (98,319 pairs) 0.64 s, one
-# chain of height 440 (97,903 pairs) 0.52 s, equivariant --n 720720 --primes
-# 400 --height 1 (93,840 pairs) 0.53 s, sh-top --primes 10000 --height 1 0.12 s.
-SPC_PRIME_BOUND = 10_000
+# Cold `spc ... --dot --json` near the limits, median of 5 (2-CPU x86-64 VM,
+# Python 3.11): sh-top --primes 600 --height 40 (98,319 pairs) 0.49 s, one
+# chain of height 440 (97,903 pairs) 0.40 s, equivariant --n 720720 --primes
+# 400 --height 1 (93,840 pairs) 0.30 s, sh-top --primes 200000 --height 1 0.49 s.
 SPC_PAIR_BOUND = 100_000
 # largest group order `spc_equivariant` factors: trial division takes up to
 # sqrt(n) steps, and a cold `spc equivariant --n 999999999989` (a prime) 0.3 s
@@ -380,15 +379,12 @@ def spc_shtop(prime_bound: int, height_bound: int) -> FiniteSpectralSpace:
 
 
 def _chromatic_space(prime_bound: int, height_bound: int, copies: int) -> FiniteSpectralSpace:
-    """`spc_shtop`, after checking both spc limits for `copies` disjoint
-    copies: the prime bound before any prime is listed, and the pairs,
+    """`spc_shtop`, after checking the pairs of `copies` disjoint copies,
     1 + P*L(L+3)/2 per copy for P chains of L points, before any point is
-    built."""
+    built.  The primes come from the sieve, which PRIME_BOUND caps."""
     if prime_bound < 1 or height_bound < 1:
         raise InvalidArgument("bounds must be >= 1")
-    if prime_bound > SPC_PRIME_BOUND:
-        raise BoundExceeded(f"prime bound {prime_bound} exceeds the spc prime bound {SPC_PRIME_BOUND}")
-    primes = list(filter(_is_prime, range(2, prime_bound + 1)))
+    primes = _primes_upto(prime_bound)
     pairs = copies * (1 + len(primes) * (height_bound + 1) * (height_bound + 4) // 2)
     if pairs > SPC_PAIR_BOUND:
         raise BoundExceeded(f"{pairs} specialization pairs exceed the spc pair bound {SPC_PAIR_BOUND}")

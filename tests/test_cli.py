@@ -185,6 +185,35 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
     assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
 
 
+def test_verify_eta_fails_on_a_product_that_vanishes_below_degree_minus_eight(capsys, monkeypatch):
+    right = mw.kmw_mul
+
+    def wrong(x, y):
+        z = right(x, y)
+        return mw.kmw_zero(z.field, z.degree) if z.degree < -8 else z
+
+    monkeypatch.setattr(mw, "kmw_mul", wrong)
+    code, out = run(capsys, "verify", "--suite", "eta", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["eta"]["failures"]
+    assert [(f["q"], f["n"], f["order"]) for f in failures] == [
+        (q, n, 1) for q in (3, 5, 7, 9) for n in (16, 64)
+    ]
+
+
+def test_verify_ses_fails_when_the_class_of_i_maps_to_zero(capsys, monkeypatch):
+    right = mw.from_fundamental_ideal
+
+    def wrong(field, n, w):
+        return mw.kmw_zero(field, 0) if n == 0 else right(field, n, w)
+
+    monkeypatch.setattr(mw, "from_fundamental_ideal", wrong)
+    code, out = run(capsys, "verify", "--suite", "ses", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["ses"]["failures"]
+    assert [(f["field"], f["degree"], f["ok"]) for f in failures] == [(q, 0, False) for q in (3, 5, 7, 9)]
+
+
 def _wrong_decomposition(fault):
     """`motive_decompose` with one fault on P1xP1, in its first summand."""
     from ttspec import chow_motives as cm
@@ -518,6 +547,7 @@ _REFUSED_COLD = [
     (["spc", "tate", "--q", _HUGE], "the field bound 1048576"),
     (["spc", "equivariant", "--n", _HUGE, "--primes", "3", "--height", "1"],
      "the spc order bound 1000000000000"),
+    (["spc", "sh-top", "--primes", "500001", "--height", "1"], "prime bound 500001 exceeds the bound 500000"),
     (["witt", "classify", "--q", "3", "--form", ",".join(["1"] * 200)], "the descent bound 700000"),
     (["witt", "classify", "--q", "1019", "--form", "1,1,1"], "the descent bound 700000"),
 ]
@@ -633,6 +663,23 @@ def test_spech_large_prime_bound():
     result = _cold_json_result("spech", "--q", "3", "--prime-bound", "100000")
     assert len(result["points"]) == 9594  # 9591 odd primes, plus (eta), (2) and (eta, 2)
     assert len(result["specializations"]) == 9593
+
+
+def test_spech_at_the_prime_bound_answers_cold_within_two_seconds():
+    start = time.perf_counter()
+    result = _cold_json_result("spech", "--q", "3", "--prime-bound", "500000")
+    assert time.perf_counter() - start < 2
+    assert len(result["points"]) == 41540  # 41537 odd primes, plus (eta), (2) and (eta, 2)
+    assert len(result["specializations"]) == 41539
+
+
+def test_spc_shtop_lists_primes_past_ten_thousand_cold_within_two_seconds():
+    """Only the pair bound limits `--primes` below the listing bound."""
+    start = time.perf_counter()
+    result = _cold_json_result("spc", "sh-top", "--primes", "200000", "--height", "1")
+    assert time.perf_counter() - start < 2
+    assert len(result["points"]) == 35969  # the generic point and 17984 chains of 2
+    assert len(result["specializations"]) == 53952  # 89921 pairs less the 35969 reflexive ones
 
 
 def test_gw_large_q_three_mod_four():

@@ -20,19 +20,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ttspec import chow_motives, cli, finite_field, graded_spectrum, milnor_witt  # noqa: E402
+from ttspec import chow_motives, cli, finite_field, milnor_witt  # noqa: E402
 from ttspec import quadratic_forms, tt_geometry  # noqa: E402
 
 LIMITS = (
     finite_field.CARDINALITY_BOUND,
     quadratic_forms.DESCENT_BOUND,
     milnor_witt.DEGREE_BOUND,
-    graded_spectrum.PRIME_BOUND,
+    finite_field.PRIME_BOUND,
     chow_motives.HOM_BASIS_BOUND,
     chow_motives.SPACE_BOUND,
     chow_motives.PAIRING_ENTRY_BOUND,
     tt_geometry.THOMASON_POINT_BOUND,
-    tt_geometry.SPC_PRIME_BOUND,
     tt_geometry.SPC_PAIR_BOUND,
     tt_geometry.SPC_ORDER_BOUND,
 )

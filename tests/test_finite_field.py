@@ -8,6 +8,7 @@ from ttspec import milnor_witt as mw
 from ttspec.errors import BoundExceeded, EvenCharacteristic, InvalidArgument, NotPrime, ZeroInput
 from ttspec.finite_field import (
     LOG_TABLE_BOUND,
+    PRIME_BOUND,
     FieldElement,
     PrimePower,
     _log_table,
@@ -20,6 +21,7 @@ from ttspec.finite_field import (
     _poly_divmod,
     _poly_is_irreducible,
     _prime_factors,
+    _primes_upto,
 )
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
@@ -36,6 +38,20 @@ def test_rejects_bad_parameters():
         make_field(11, 6)  # 11^6 > 2^20
     with pytest.raises(ValueError):
         make_field(3, 0)
+
+
+def test_sieve_matches_trial_division():
+    oracle = [p for p in range(3001) if _prime_factors(p) == {p: 1}]
+    for n in range(3001):
+        assert _primes_upto(n) == [p for p in oracle if p <= n], n
+    assert _primes_upto(-5) == []
+
+
+def test_sieve_at_the_prime_bound():
+    primes = _primes_upto(PRIME_BOUND)
+    assert (len(primes), primes[-1]) == (41538, 499979)
+    with pytest.raises(BoundExceeded, match=f"prime bound {PRIME_BOUND + 1} exceeds the bound {PRIME_BOUND}"):
+        _primes_upto(PRIME_BOUND + 1)
 
 
 @pytest.mark.parametrize("p,e", FIELDS)

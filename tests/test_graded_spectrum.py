@@ -6,7 +6,7 @@ import pytest
 
 from ttspec import cli
 from ttspec.errors import BoundExceeded, UnknownGenerator
-from ttspec.finite_field import make_field
+from ttspec.finite_field import PRIME_BOUND, make_field
 from ttspec import graded_spectrum as gs
 from ttspec import milnor_witt as mw
 
@@ -249,8 +249,8 @@ def test_degree_zero_lists_no_false_point():
 
 def test_prime_bound_limit():
     assert len(gs.enumerate_primes(F3, 0).points) == 1
-    with pytest.raises(BoundExceeded, match=f"exceeds the bound {gs.PRIME_BOUND}"):
-        gs.enumerate_primes(F3, gs.PRIME_BOUND + 1)
+    with pytest.raises(BoundExceeded, match=f"exceeds the bound {PRIME_BOUND}"):
+        gs.enumerate_primes(F3, PRIME_BOUND + 1)
 
 
 def test_certificates_only_on_demand(monkeypatch):

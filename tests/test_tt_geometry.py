@@ -10,7 +10,7 @@ from ttspec.errors import (
     UniverseTooSmall,
 )
 from ttspec import tt_geometry as tg
-from ttspec.finite_field import _is_prime
+from ttspec.finite_field import PRIME_BOUND, _prime_factors
 
 
 # ------------------------------------------------------------ Tate objects
@@ -321,7 +321,7 @@ def _chromatic_edges(prime_bound, height_bound):
     generic = tg.chromatic_label(0, 1)
     points = [generic]
     edges = []
-    for p in filter(_is_prime, range(2, prime_bound + 1)):
+    for p in (p for p in range(2, prime_bound + 1) if _prime_factors(p) == {p: 1}):
         chain = [tg.chromatic_label(p, n) for n in range(1, height_bound + 1)]
         chain.append(tg.chromatic_label(p, "inf"))
         points.extend(chain)
@@ -353,8 +353,8 @@ def test_chromatic_spaces_match_from_edges_oracle():
 
 
 def test_spc_limits(monkeypatch):
-    with pytest.raises(BoundExceeded, match="spc prime bound"):
-        tg.spc_shtop(tg.SPC_PRIME_BOUND + 1, 1)
+    with pytest.raises(BoundExceeded, match=f"exceeds the bound {PRIME_BOUND}"):
+        tg.spc_shtop(PRIME_BOUND + 1, 1)
     with pytest.raises(BoundExceeded, match="spc pair bound"):
         tg.spc_shtop(3, 10 ** 9)
     # the closed-form pair count is exact: the bound admits a space of
