@@ -6,17 +6,22 @@ the requested degree), so every downstream coordinate is reproducible.
 Elements are coefficient tuples of length e.  A fixed multiplicative
 generator (the least element of full order in representative order) is
 cached on the field.  It is found by testing candidates against the prime
-factors of q - 1, never by walking their powers.  Discrete logs come from a
-cached table of all q - 1 powers for q <= LOG_TABLE_BOUND = 2^12, and above
-it from Pohlig-Hellman with a cached per-field plan and baby-step giant-step
-in each prime-order subgroup: O(sqrt(l)) multiplications for the largest
-prime l | q - 1.  Inverses come from the extended Euclidean algorithm on
-coefficient tuples, and squareness from the norm N(a) = Res(modulus, a) in
-F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
-(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a prime
-field both are a single builtin `pow`, and so is `**`, which everywhere
-runs the one ladder `_tuple_pow` on coefficient tuples.  Every list of
-primes comes from one bytearray sieve of Eratosthenes, `_primes_upto`.
+factors l of q - 1, never by walking their powers: for l | p - 1 the test
+a^((q-1)/l) != 1 is N(a)^((p-1)/l) != 1 in F_p, and only the other l take a
+power in F_q.  Discrete logs come from a cached table of all q - 1 powers
+for q <= LOG_TABLE_BOUND = 2^12, and above it from Pohlig-Hellman with a
+cached per-field plan and baby-step giant-step in each prime-order
+subgroup: O(sqrt(l)) multiplications for the largest prime l | q - 1.  The
+table walk multiplies by w alone, q - 1 times, so it runs `_times`, that
+multiplication as an F_p-linear map on packed integers; every other product
+runs `_poly_mul_mod`.  Inverses come from the extended Euclidean algorithm
+on coefficient tuples, and squareness from the norm N(a) = Res(modulus, a)
+in F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
+(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a
+prime field both are a single builtin `pow`, and so is `**`, which
+everywhere runs the one ladder `_tuple_pow` on coefficient tuples.  Every
+list of primes comes from one bytearray sieve of Eratosthenes,
+`_primes_upto`.
 """
 
 from __future__ import annotations
@@ -24,14 +29,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
+from operator import mul
 
 from ._value import Value
 from .errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput, FieldMismatch
 
 CARDINALITY_BOUND = 1 << 20
-# first log in a fresh process, table build vs planned Pohlig-Hellman solve
-# (2-CPU x86-64 VM, Python 3.11): 70 vs 1.6 ms at 6561, 243 vs 2.2 ms at
-# 19683, 1.0 s vs 2.8 ms at 59049.  Warm: lookup 1.5 us, solve 13 us-1 ms.
+# first log in a fresh process once the generator is known, table build vs
+# planned Pohlig-Hellman solve, best of 5 (2-CPU x86-64 VM, Python 3.11):
+# 3.1 vs 0.8 ms at 2187, 2.4 vs 0.07 ms at 4093 (the largest q below the
+# bound), 11 vs 1.2 ms at 6561.  Warm: lookup 0.1-0.4 us, solve 7-500 us.
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
 # `spech --q 3 --prime-bound 500000 --json` prints 3.1 MB in 0.35-0.45 s (2-CPU x86-64 VM)
@@ -164,6 +171,34 @@ def _poly_mul_mod(a, b, modulus, p):
                 prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
     prod = prod[:e] + [0] * max(0, e - len(prod))
     return tuple(prod)
+
+
+def _times(c, modulus, p: int):
+    """x -> c*x mod (modulus, p) on coefficient tuples, for a fixed c: the
+    F_p-linear map whose column i is c*x^i, each column packed into one
+    integer in slots of s = bit_length(e(p-1)^2) bits.  A slot of
+    sum(x_i * column_i) is at most e(p-1)^2, so none carries into the next,
+    and each is reduced mod p once."""
+    e = len(modulus) - 1
+    s = (e * (p - 1) ** 2).bit_length()
+    mask, col, columns = (1 << s) - 1, list(c), []
+    for _ in range(e):
+        packed = 0
+        for cj in reversed(col):
+            packed = packed << s | cj
+        columns.append(packed)
+        top = col.pop()  # col * x, reduced by the monic modulus
+        col = [(cj - top * mj) % p for cj, mj in zip([0] + col, modulus)]
+    slots = range(e)
+
+    def times(y):
+        v, out = sum(map(mul, y, columns)), []
+        for _ in slots:
+            out.append((v & mask) % p)
+            v >>= s
+        return tuple(out)
+
+    return times
 
 
 def _trim(coeffs):
@@ -341,15 +376,19 @@ def make_field(p: int, e: int = 1) -> PrimePower:
 
 def primitive_element(field: PrimePower) -> FieldElement:
     """Least element (in representative order) of multiplicative order q - 1:
-    the first a with a^((q-1)/l) != 1 for every prime l dividing q - 1."""
+    the first a with a^((q-1)/l) != 1 for every prime l dividing q - 1.
+    For l | p - 1 that power is N(a)^((p-1)/l) in F_p, since
+    a^((q-1)/(p-1)) = N(a); only the other l take a power in F_q."""
     cached = field._cache.get("primitive")
     if cached is not None:
         return cached
-    one = field.one()
-    cofactors = [(field.q - 1) // ell for ell in _prime_factors(field.q - 1)]
+    p, n, modulus, one = field.p, field.q - 1, field.modulus, field.one()
+    by_norm = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+    by_power = [n // ell for ell in _prime_factors(n) if (p - 1) % ell]
     for v in range(2, field.q):
         a = field.from_index(v)
-        if all(a ** c != one for c in cofactors):
+        norm = _norm(a.coeffs, modulus, p)
+        if all(pow(norm, c, p) != 1 for c in by_norm) and all(a ** c != one for c in by_power):
             field._cache["primitive"] = a
             return a
     raise AssertionError("no generator found; field construction is broken")
@@ -360,13 +399,12 @@ def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
     tuples (no FieldElement per step)."""
     table = field._cache.get("logs")
     if table is None:
-        omega = primitive_element(field).coeffs
-        modulus, p = field.modulus, field.p
+        times_omega = _times(primitive_element(field).coeffs, field.modulus, field.p)
         table = {}
         x = field.one().coeffs
         for k in range(field.q - 1):
             table[x] = k
-            x = _poly_mul_mod(x, omega, modulus, p)
+            x = times_omega(x)
         field._cache["logs"] = table
     return table
 

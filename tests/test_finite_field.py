@@ -13,6 +13,8 @@ from ttspec.finite_field import (
     PrimePower,
     _log_table,
     _pohlig_hellman,
+    _poly_mul_mod,
+    _times,
     discrete_log,
     is_square,
     make_field,
@@ -235,6 +237,28 @@ def test_log_table_large_field_path():
     assert discrete_log(a) == 12345
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
+def test_times_matches_poly_mul_mod_on_every_pair(p, e):
+    field = make_field(p, e)
+    elements = [a.coeffs for a in field.elements()]
+    for c in elements:
+        times_c = _times(c, field.modulus, p)
+        for x in elements:
+            assert times_c(x) == _poly_mul_mod(x, c, field.modulus, p), (c, x)
+
+
+@pytest.mark.parametrize("p,e", [(3, 12), (43, 3), (1021, 2), (1048573, 1)])
+def test_times_matches_poly_mul_mod_on_seeded_pairs(p, e):
+    """Large e or p, where the slots of sum(x_i * column_i) are widest; at
+    e = 1 the pair of all-(p-1) tuples fills its slot to (p-1)^2."""
+    field = make_field(p, e)
+    rng = random.Random(f"times:{field.q}")
+    draws = [field.from_index(rng.randrange(field.q)).coeffs for _ in range(400)]
+    top = (p - 1,) * e
+    for c, x in [(top, top)] + list(zip(draws[::2], draws[1::2])):
+        assert _times(c, field.modulus, p)(x) == _poly_mul_mod(x, c, field.modulus, p), (c, x)
+
+
 # ------------------------------------------------- oracles for the set-up
 
 
@@ -273,6 +297,26 @@ def test_generator_and_order_match_power_walk(p, e):
         a = field.from_index(v)
         full = all(a ** (n // ell) != one for ell in _prime_factors(n))
         assert full == (_order_by_walk(a) == n), (field, v)
+
+
+def _primitive_by_cofactors(field):
+    """Oracle: the first candidate with a^((q-1)/l) != 1 for every prime
+    l | q - 1, every power taken in F_q by `**` (no norm)."""
+    one, n = field.one(), field.q - 1
+    cofactors = [n // ell for ell in _prime_factors(n)]
+    for v in range(2, field.q):
+        a = field.from_index(v)
+        if all(a ** c != one for c in cofactors):
+            return a
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize("p,e", [(7, 5), (13, 4), (31, 3), (41, 3), (43, 3), (5, 7), (3, 10)])
+def test_generator_through_the_norm_matches_every_cofactor_in_f_q(p, e):
+    """primitive_element tests the primes l | p - 1 on N(a) in F_p; the
+    oracle takes every cofactor power in F_q."""
+    field = _fresh_field(p, e)
+    assert primitive_element(field) == _primitive_by_cofactors(field)
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 67003, 1048573])
@@ -316,6 +360,14 @@ def _logs_by_walk(field):
         table[x.coeffs] = k
         x = x * omega
     return table
+
+
+@pytest.mark.parametrize("p,e", [(3, 7), (5, 5), (7, 4), (4093, 1)])
+def test_log_table_matches_walk_in_order(p, e):
+    """The table walked by the packed multiply-by-omega map against the
+    walk by FieldElement multiplication: the same keys, values and order."""
+    field = _fresh_field(p, e)
+    assert list(_log_table(field).items()) == list(_logs_by_walk(field).items())
 
 
 def test_pohlig_hellman_every_unit_of_largest_prime_below_table_bound():
