@@ -2,19 +2,22 @@
 
 Fields are represented as Z/p[x] modulo a deterministically chosen
 irreducible polynomial (the lexicographically least monic irreducible of
-the requested degree), so every downstream coordinate is reproducible.
-Elements are coefficient tuples of length e.  A fixed multiplicative
-generator (the least element of full order in representative order) is
-cached on the field.  It is found by testing candidates against the prime
-factors l of q - 1, never by walking their powers: for l | p - 1 the test
-a^((q-1)/l) != 1 is N(a)^((p-1)/l) != 1 in F_p, and only the other l take a
-power in F_q.  Discrete logs come from a cached table of all q - 1 powers
+the requested degree, by Ben-Or's test), so every downstream coordinate is
+reproducible.  Elements are coefficient tuples of length e.  A fixed
+multiplicative generator (the least element of full order in
+representative order) is cached on the field.  It is found by testing
+candidates against the prime factors l of q - 1, never by walking their
+powers: for l | p - 1 the test a^((q-1)/l) != 1 is N(a)^((p-1)/l) != 1 in
+F_p, and only the other l take a power in F_q.  Discrete logs come from a cached table of all q - 1 powers
 for q <= LOG_TABLE_BOUND = 2^12, and above it from Pohlig-Hellman with a
 cached per-field plan and baby-step giant-step in each prime-order
-subgroup: O(sqrt(l)) multiplications for the largest prime l | q - 1.  The
-table walk multiplies by w alone, q - 1 times, so it runs `_times`, that
-multiplication as an F_p-linear map on packed integers; every other product
-runs `_poly_mul_mod`.  Inverses come from the extended Euclidean algorithm
+subgroup: O(sqrt(l)) multiplications for the largest prime l | q - 1.  A
+product of two elements runs `_poly_mul_mod`: for e >= 2 one integer product
+of the operands packed in bit slots (Kronecker substitution), with the high
+slots folded back through packed powers x^(e+j) mod the modulus, and for
+e = 1 a residue product.  The table walk multiplies by w alone, q - 1
+times, so it runs `_times`, that multiplication as an F_p-linear map on
+packed integers.  Inverses come from the extended Euclidean algorithm
 on coefficient tuples, and squareness from the norm N(a) = Res(modulus, a)
 in F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
 (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a
@@ -36,9 +39,11 @@ from .errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput, Fiel
 
 CARDINALITY_BOUND = 1 << 20
 # first log in a fresh process once the generator is known, table build vs
-# planned Pohlig-Hellman solve, best of 5 (2-CPU x86-64 VM, Python 3.11):
-# 3.1 vs 0.8 ms at 2187, 2.4 vs 0.07 ms at 4093 (the largest q below the
-# bound), 11 vs 1.2 ms at 6561.  Warm: lookup 0.1-0.4 us, solve 7-500 us.
+# planned Pohlig-Hellman solve, best of 7 (2-CPU x86-64 VM, Python 3.11):
+# 3.3 vs 0.34 ms at 2187, 3.5 vs 0.11 ms at 4093 (the largest q below the
+# bound), 16 vs 0.5 ms at 6561.  Warm, mean of 2,000 seeded units: lookup
+# 0.2-0.6 us; solve 2 us at 7, 8 us at 4093, 140 us at 2187, 210-390 us at
+# 3^8, 13^4, 3^10 and 5^7.
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
 # `spech --q 3 --prime-bound 500000 --json` prints 3.1 MB in 0.35-0.45 s (2-CPU x86-64 VM)
@@ -73,15 +78,16 @@ def _primes_upto(n: int) -> list[int]:
 
 class PrimePower(Value):
     """Field descriptor for F_q with q = p^e, q odd.  `modulus` is monic,
-    coefficients low-to-high, length e + 1; `_cache` is filled lazily and
-    left out of equality."""
+    coefficients low-to-high, length e + 1; `_q` = p^e is computed once, and
+    `_cache` is filled lazily; both are left out of equality."""
 
-    __slots__ = ("p", "e", "modulus", "_cache")
+    __slots__ = ("p", "e", "modulus", "_q", "_cache")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_q", p ** e)
         object.__setattr__(self, "_cache", {})
 
     def __hash__(self):  # direct: every FieldElement hash calls it
@@ -89,7 +95,7 @@ class PrimePower(Value):
 
     @property
     def q(self) -> int:
-        return self.p ** self.e
+        return self._q
 
     def element(self, value) -> "FieldElement":
         """Coerce a value into this field.
@@ -109,9 +115,8 @@ class PrimePower(Value):
         else:
             coeffs = tuple(c % self.p for c in value)
             if len(coeffs) > self.e:
-                coeffs = _poly_mul_mod(coeffs, (1,), self.modulus, self.p)
-            else:
-                coeffs = coeffs + (0,) * (self.e - len(coeffs))
+                coeffs = tuple(_poly_divmod(coeffs, self.modulus, self.p)[1])
+            coeffs = coeffs + (0,) * (self.e - len(coeffs))
         return FieldElement(self, coeffs)
 
     def from_index(self, v: int) -> "FieldElement":
@@ -152,25 +157,59 @@ def _coeffs_to_int(coeffs: tuple[int, ...], p: int) -> int:
     return v
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p)."""
+def _pack(coeffs, s: int) -> int:
+    """The coefficients as one integer, coefficient i in bits [i*s, (i+1)*s)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v << s | c
+    return v
+
+
+def _times_x_powers(c, modulus, p: int, count: int) -> list:
+    """c, c*x, ..., c*x^(count-1) mod (modulus, p), as coefficient lists."""
+    col, out = list(c), []
+    for _ in range(count):
+        out.append(col)
+        top = col[-1]  # col * x, reduced by the monic modulus
+        col = [(cj - top * mj) % p for cj, mj in zip([0] + col[:-1], modulus)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(modulus, p: int):
+    """The packed product's constants for (modulus, p): the slot width
+    s = bit_length(2e(p-1)^2), its mask, the width e*s of the low slots and
+    their mask, and x^(e+j) mod (modulus, p) for j < e - 1, packed."""
     e = len(modulus) - 1
-    if e == 1:  # prime field: residues mod p
+    s = (2 * e * (p - 1) ** 2).bit_length()
+    x_e = [-m % p for m in modulus[:-1]]
+    folds = [_pack(col, s) for col in _times_x_powers(x_e, modulus, p, e - 1)]
+    return s, (1 << s) - 1, e * s, (1 << e * s) - 1, folds, range(e)
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Multiply coefficient tuples of length e mod (modulus, p).
+
+    For e >= 2 this is one integer product (Kronecker substitution): both
+    operands are packed in slots of s bits and multiplied, so slot k holds
+    sum_(i+j=k) a_i b_j <= e(p-1)^2.  Each of the e - 1 high slots is
+    reduced mod p and added back times the packed x^(e+j) mod modulus,
+    which puts at most (e-1)(p-1)^2 more in a low slot; no slot reaches
+    2e(p-1)^2, so none carries into the next, and each low slot is reduced
+    mod p once."""
+    if len(modulus) == 2:  # prime field: residues mod p
         return (a[0] * b[0] % p,)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by monic modulus
-    for i in range(len(prod) - 1, e - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(e + 1):
-                prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-    prod = prod[:e] + [0] * max(0, e - len(prod))
-    return tuple(prod)
+    s, mask, low, low_mask, folds, slots = _mul_plan(modulus, p)
+    v = _pack(a, s) * _pack(b, s)
+    high, v = v >> low, v & low_mask
+    for fold in folds:
+        v += (high & mask) % p * fold
+        high >>= s
+    out = []
+    for _ in slots:
+        out.append((v & mask) % p)
+        v >>= s
+    return tuple(out)
 
 
 def _times(c, modulus, p: int):
@@ -181,14 +220,8 @@ def _times(c, modulus, p: int):
     and each is reduced mod p once."""
     e = len(modulus) - 1
     s = (e * (p - 1) ** 2).bit_length()
-    mask, col, columns = (1 << s) - 1, list(c), []
-    for _ in range(e):
-        packed = 0
-        for cj in reversed(col):
-            packed = packed << s | cj
-        columns.append(packed)
-        top = col.pop()  # col * x, reduced by the monic modulus
-        col = [(cj - top * mj) % p for cj, mj in zip([0] + col, modulus)]
+    mask = (1 << s) - 1
+    columns = [_pack(col, s) for col in _times_x_powers(c, modulus, p, e)]
     slots = range(e)
 
     def times(y):
@@ -247,10 +280,11 @@ def _poly_inverse(coeffs, modulus, p: int) -> tuple[int, ...]:
 
 
 def _norm(coeffs, modulus, p: int) -> int:
-    """N(a) = Res(modulus, a) in F_p for a nonzero residue a, by the
-    Euclidean remainder sequence: Res(f, g) = (-1)^(deg f deg g)
-    lc(g)^(deg f - deg r) Res(g, r) with r = f mod g, and Res(f, c) =
-    c^(deg f) for a constant c."""
+    """N(a) = Res(modulus, a) in F_p, by the Euclidean remainder sequence:
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) with
+    r = f mod g, and Res(f, c) = c^(deg f) for a constant c.  It is 0 when
+    a and the modulus share a factor, which an irreducible modulus does only
+    with a = 0."""
     f, g = modulus, _trim(coeffs)
     res = 1
     while len(g) > 1:
@@ -260,20 +294,24 @@ def _norm(coeffs, modulus, p: int) -> int:
         if m & n & 1:
             res = -res
         f, g = g, r
+    if not g:
+        return 0
     return res * pow(g[0], len(f) - 1, p) % p
 
 
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility: no root/factor found by trial division."""
+    """Ben-Or's test for a monic poly f of degree e: f is irreducible iff
+    gcd(x^(p^i) - x, f) = 1, that is Res(f, x^(p^i) - x) != 0, for every
+    i <= e/2.  Each x^(p^i) mod f is the p-th power of the one before.  A
+    zero constant term, the factor x of x^p - x, rejects f before any power."""
     e = len(poly) - 1
-    if e == 1:
-        return True
-    # trial divide by every monic polynomial of degree 1 .. e//2
-    for d in range(1, e // 2 + 1):
-        for v in range(p ** d):
-            divisor = list(_int_to_coeffs(v, p, d)) + [1]
-            if not _poly_divmod(poly, divisor, p)[1]:
-                return False
+    if not poly[0]:
+        return e == 1
+    x_power = (0, 1) + (0,) * (e - 2)
+    for _ in range(e // 2):
+        x_power = _tuple_pow(x_power, p, poly, p)
+        if not _norm((x_power[0], (x_power[1] - 1) % p) + x_power[2:], poly, p):
+            return False
     return True
 
 
@@ -322,11 +360,10 @@ class FieldElement(Value):
         return self.field.element(other) - self
 
     def __mul__(self, other):
-        other = self.field.element(other)
-        return FieldElement(
-            self.field,
-            _poly_mul_mod(self.coeffs, other.coeffs, self.field.modulus, self.field.p),
-        )
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = field.element(other)
+        return FieldElement(field, _poly_mul_mod(self.coeffs, other.coeffs, field.modulus, field.p))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -410,16 +447,17 @@ def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
 
 
 def _tuple_pow(x: tuple[int, ...], k: int, modulus, p: int) -> tuple[int, ...]:
-    """x^k for k >= 0 on bare coefficient tuples."""
+    """x^k for k >= 0 on bare coefficient tuples, by left-to-right binary
+    powering from x itself."""
     if len(modulus) == 2:  # prime field
         return (pow(x[0], k, p),)
-    result = (1,) + (0,) * (len(modulus) - 2)
-    while k:
-        if k & 1:
+    if not k:
+        return (1,) + (0,) * (len(modulus) - 2)
+    result = x
+    for bit in bin(k)[3:]:
+        result = _poly_mul_mod(result, result, modulus, p)
+        if bit == "1":
             result = _poly_mul_mod(result, x, modulus, p)
-        k >>= 1
-        if k:
-            x = _poly_mul_mod(x, x, modulus, p)
     return result
 
 
@@ -476,10 +514,11 @@ def _pohlig_hellman(a: FieldElement) -> int:
 def discrete_log(a: FieldElement) -> int:
     """Least k >= 0 with omega^k = a, for the fixed generator omega: a table
     lookup for q <= LOG_TABLE_BOUND, Pohlig-Hellman above it."""
-    if a.is_zero():
+    if not any(a.coeffs):
         raise ZeroInput("discrete log of zero undefined")
-    if a.field.q <= LOG_TABLE_BOUND:
-        return _log_table(a.field)[a.coeffs]
+    field = a.field
+    if field._q <= LOG_TABLE_BOUND:
+        return _log_table(field)[a.coeffs]
     return _pohlig_hellman(a)
 
 

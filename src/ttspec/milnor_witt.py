@@ -28,15 +28,18 @@ defining relations plus the degree-2 vanishing, and checked by `verify
     i >= 2:      2*c*d * eta^(i-1)  if q = 3 mod 4
                  c*d * eta^i[w]     if q = 1 mod 4
 
-`reduce_word` applies it to each monomial of a word.  `kmw_mul` writes
-each factor as at most two generator terms c * eta^i [w]^k, multiplies
-them pairwise (eta powers and bracket counts add, so [w]*[w] = 0), and
-applies it with d = 1.
+Each row is a multiple of one generator, so `_monomial` gives its degree,
+the coordinate it lands in and the multiple.  `reduce_word` adds the rows
+of a word's monomials straight into per-degree coordinates.  `kmw_mul`
+writes each factor as at most two generator terms c * eta^i [w]^k,
+multiplies them pairwise (eta powers and bracket counts add, so
+[w]*[w] = 0), and adds their rows with d = 1.  `KmwElement` reduces its
+coordinates by the degree's invariant factors, read off the table: mod
+q - 1 in degree 1, the second mod 2 in degree 0, mod 4 (q = 3 mod 4) or
+both mod 2 (q = 1 mod 4) below 0, none above 1.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ._value import Value
 from .errors import (
@@ -73,10 +76,8 @@ class GroupShape(Value):
         object.__setattr__(self, "generators", generators)
 
 
-@lru_cache(maxsize=None)
 def _factors(q: int, n: int) -> tuple[int, ...]:
-    """Invariant factors of K^MW_n(F_q) (0 means Z); cached, since every
-    KmwElement is normalized by them."""
+    """Invariant factors of K^MW_n(F_q) (0 means Z)."""
     _check_degree(n)
     if n >= 2:
         return ()
@@ -105,13 +106,25 @@ class KmwElement(Value):
     __slots__ = ("field", "degree", "coords")
 
     def __init__(self, field: PrimePower, degree: int, coords: tuple[int, ...]):
+        # coords modulo the invariant factors of _factors(q, degree), inline
+        if degree == 1:
+            coords = (coords[0] % (field.q - 1),)
+        elif degree == 0:
+            coords = (coords[0], coords[1] % 2)
+        elif not -DEGREE_BOUND <= degree <= DEGREE_BOUND:
+            _check_degree(degree)
+        elif degree > 0:
+            coords = ()
+        elif field.q & 3 == 3:
+            coords = (coords[0] % 4,)
+        else:
+            coords = (coords[0] % 2, coords[1] % 2)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", degree)
-        factors = _factors(field.q, degree)
-        object.__setattr__(self, "coords", tuple([c % f if f else c for c, f in zip(coords, factors)]))
+        object.__setattr__(self, "coords", coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "KmwElement") -> "KmwElement":
         return kmw_add(self, other)
@@ -234,19 +247,17 @@ def word_h(field: PrimePower) -> SymbolWord:
     return SymbolWord(field, ((2, 0, ()), (1, 1, (-field.one(),))))
 
 
-def _monomial(q3: bool, c: int, i: int, bracket: int, d: int = 1) -> tuple[int, tuple[int, ...]]:
-    """(degree, coordinates) of c * eta^i, or of c * eta^i [a] with
-    d = dlog(a) when `bracket` is 1; q3 is q = 3 mod 4."""
+def _monomial(q3: bool, c: int, i: int, bracket: int, d: int = 1) -> tuple[int, int, int]:
+    """(degree, coordinate index, multiple) of c * eta^i, or of
+    c * eta^i [a] with d = dlog(a) when `bracket` is 1; q3 is q = 3 mod 4."""
     if not bracket:
-        if i == 0:
-            return 0, (c, 0)
-        return -i, (c,) if q3 else (c, 0)
+        return -i, 0, c
     c *= d
     if i == 0:
-        return 1, (c,)
+        return 1, 0, c
     if i == 1:
-        return 0, (0, c)
-    return 1 - i, (2 * c,) if q3 else (0, c)
+        return 0, 1, c
+    return (1 - i, 0, 2 * c) if q3 else (1 - i, 1, c)
 
 
 def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
@@ -256,20 +267,19 @@ def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
     """
     field = w.field
     q3 = field.q % 4 == 3
-    acc: dict[int, list[int]] = {}
+    acc: dict[int, list[int]] = {}  # KmwElement keeps as many as K^MW_n has factors
     for coeff, i, entries in w.terms:
         if coeff == 0 or len(entries) >= 2:
             continue  # a double bracket lies in K^MW_2 = 0 and kills the monomial
         d = discrete_log(entries[0]) if entries else 1
-        degree, coords = _monomial(q3, coeff, i, len(entries), d)
+        degree, idx, c = _monomial(q3, coeff, i, len(entries), d)
         cur = acc.get(degree)
         if cur is None:
-            cur = acc[degree] = [0] * len(_factors(field.q, degree))
-        for idx, c in enumerate(coords):
-            cur[idx] += c
+            cur = acc[degree] = [0, 0]
+        cur[idx] += c
     out = {}
     for degree, coords in acc.items():
-        el = KmwElement(field, degree, tuple(coords))
+        el = KmwElement(field, degree, coords)
         if not el.is_zero():
             out[degree] = el
     return out
@@ -312,8 +322,8 @@ def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
         if c1:
             for c2, i2, b2 in _generator_terms(y):
                 if c2 and b1 + b2 < 2:
-                    for idx, c in enumerate(_monomial(q3, c1 * c2, i1 + i2, b1 + b2)[1]):
-                        acc[idx] += c
+                    _, idx, c = _monomial(q3, c1 * c2, i1 + i2, b1 + b2)
+                    acc[idx] += c
     return KmwElement(field, x.degree + y.degree, acc)
 
 

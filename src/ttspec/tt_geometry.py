@@ -16,6 +16,7 @@ endomorphism ring.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from ._value import Value
 from .errors import (
@@ -195,13 +196,10 @@ class TateUniverse(Value):
         object.__setattr__(self, "shift_radius", shift_radius)
 
     def lines(self):
-        if self.twist_radius < 0 or self.shift_radius < 0:
-            return []
-        return [
-            (i, m)
-            for i in range(-self.twist_radius, self.twist_radius + 1)
-            for m in range(-self.shift_radius, self.shift_radius + 1)
-        ]
+        """The window's lines, twist-major in ascending order; none when a
+        radius is negative, since its range is then empty."""
+        t, s = self.twist_radius, self.shift_radius
+        return list(itertools.product(range(-t, t + 1), range(-s, s + 1)))
 
     def contains(self, a: TateObject) -> bool:
         return all(
@@ -230,6 +228,14 @@ class ThickTensorIdeal(Value):
         return "(0)" if not self.lines else f"ideal<{len(self.lines)} lines>"
 
 
+@lru_cache
+def _window(twist_radius: int, shift_radius: int) -> frozenset:
+    """The lines of the window with these radii, as one set built once per
+    window: every nonzero ideal of the window holds them all."""
+    t, s = twist_radius, shift_radius
+    return frozenset(itertools.product(range(-t, t + 1), range(-s, s + 1)))
+
+
 def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
     """Least thick tensor ideal containing the generators.
 
@@ -242,7 +248,8 @@ def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
         if not universe.contains(g):
             raise UniverseTooSmall(f"{g} is outside the window")
         nonzero = nonzero or not g.is_zero()
-    return ThickTensorIdeal(universe, frozenset(universe.lines() if nonzero else ()))
+    lines = _window(universe.twist_radius, universe.shift_radius) if nonzero else frozenset()
+    return ThickTensorIdeal(universe, lines)
 
 
 def enumerate_primes(universe: TateUniverse) -> dict:

@@ -27,6 +27,35 @@ from ttspec.finite_field import (
 )
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
+# the prime-power fields that perfbench builds (lib-warm, cli-small, cli-arith)
+BENCH_POWERS = [(3, 2), (5, 2), (3, 3), (3, 5), (3, 7), (3, 8), (3, 9), (13, 4),
+                (5, 7), (41, 3), (43, 3), (3, 10)]
+
+
+def _schoolbook_mul_mod(a, b, modulus, p):
+    """Oracle: the product of coefficient sequences by the schoolbook loop,
+    reduced by the monic modulus one leading coefficient at a time."""
+    e = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, e - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(e + 1):
+            prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
+    return tuple(prod[:e] + [0] * (e - len(prod)))
+
+
+def _irreducible_by_trial_division(poly, p):
+    """Oracle: no monic polynomial of degree 1 .. e/2 divides poly."""
+    e = len(poly) - 1
+    for d in range(1, e // 2 + 1):
+        for v in range(p ** d):
+            divisor = [(v // p ** i) % p for i in range(d)] + [1]
+            if not _poly_divmod(poly, divisor, p)[1]:
+                return False
+    return True
 
 
 def test_rejects_bad_parameters():
@@ -56,18 +85,20 @@ def test_sieve_at_the_prime_bound():
         _primes_upto(PRIME_BOUND + 1)
 
 
-@pytest.mark.parametrize("p,e", FIELDS)
+@pytest.mark.parametrize(
+    "p,e", FIELDS + sorted(({(p, e) for p in (3, 5, 7) for e in range(1, 7)} | set(BENCH_POWERS)) - set(FIELDS)))
 def test_modulus_is_least_irreducible(p, e):
+    """The search under Ben-Or's test picks what trial division picks."""
     field = make_field(p, e)
     assert len(field.modulus) == e + 1
     assert field.modulus[-1] == 1
-    assert _poly_is_irreducible(field.modulus, p)
+    assert _irreducible_by_trial_division(field.modulus, p)
     if e > 1:
         # no lexicographically smaller monic polynomial is irreducible
         value = sum(c * p ** i for i, c in enumerate(field.modulus[:-1]))
         for v in range(value):
             cand = tuple((v // p ** i) % p for i in range(e)) + (1,)
-            assert not _poly_is_irreducible(cand, p)
+            assert not _irreducible_by_trial_division(cand, p)
 
 
 def test_irreducibility_oracle_roots():
@@ -212,10 +243,11 @@ def test_element_reduces_long_sequences_by_the_modulus():
     assert f9.element((0, 0, 1)) == f9.element((-1,))  # x^2 = -1
 
 
-@pytest.mark.parametrize("p,e", FIELDS)
+@pytest.mark.parametrize("p,e", FIELDS + [(3, 7), (3, 12), (13, 5), (43, 3), (1021, 2)])
 def test_element_sequence_oracle(p, e):
     """Up to length e a sequence is padded as before; a longer one gives the
-    remainder of degree < e, checked by the modulus dividing the difference."""
+    remainder of degree < e, checked by the modulus dividing the difference
+    and against the schoolbook reduction."""
     field = make_field(p, e)
     rng = random.Random(f"element {p}^{e}")
     for _ in range(200):
@@ -227,6 +259,14 @@ def test_element_sequence_oracle(p, e):
         else:
             diff = [(s - r) % p for s, r in zip(seq, coeffs + (0,) * len(seq))]
             assert not _poly_divmod(diff, field.modulus, p)[1]
+            assert coeffs == _schoolbook_mul_mod(seq, (1,), field.modulus, p)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (3, 5, 7) for e in range(1, 5)] + [(3, 5), (3, 6)])
+def test_ben_or_matches_trial_division_on_every_monic_poly(p, e):
+    for v in range(p ** e):
+        poly = tuple((v // p ** i) % p for i in range(e)) + (1,)
+        assert _poly_is_irreducible(poly, p) == _irreducible_by_trial_division(poly, p), poly
 
 
 def test_log_table_large_field_path():
@@ -239,24 +279,27 @@ def test_log_table_large_field_path():
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
 def test_times_matches_poly_mul_mod_on_every_pair(p, e):
+    """Both packed products against the schoolbook oracle, on every pair."""
     field = make_field(p, e)
     elements = [a.coeffs for a in field.elements()]
     for c in elements:
         times_c = _times(c, field.modulus, p)
         for x in elements:
-            assert times_c(x) == _poly_mul_mod(x, c, field.modulus, p), (c, x)
+            want = _schoolbook_mul_mod(x, c, field.modulus, p)
+            assert times_c(x) == _poly_mul_mod(x, c, field.modulus, p) == want, (c, x)
 
 
-@pytest.mark.parametrize("p,e", [(3, 12), (43, 3), (1021, 2), (1048573, 1)])
+@pytest.mark.parametrize("p,e", [(3, 7), (3, 12), (13, 5), (43, 3), (1021, 2), (1048573, 1)])
 def test_times_matches_poly_mul_mod_on_seeded_pairs(p, e):
-    """Large e or p, where the slots of sum(x_i * column_i) are widest; at
-    e = 1 the pair of all-(p-1) tuples fills its slot to (p-1)^2."""
+    """Large e or p, where the slots are widest: the pair of all-(p-1)
+    tuples fills every slot to its bound ((p-1)^2 at e = 1)."""
     field = make_field(p, e)
     rng = random.Random(f"times:{field.q}")
     draws = [field.from_index(rng.randrange(field.q)).coeffs for _ in range(400)]
     top = (p - 1,) * e
     for c, x in [(top, top)] + list(zip(draws[::2], draws[1::2])):
-        assert _times(c, field.modulus, p)(x) == _poly_mul_mod(x, c, field.modulus, p), (c, x)
+        want = _schoolbook_mul_mod(x, c, field.modulus, p)
+        assert _times(c, field.modulus, p)(x) == _poly_mul_mod(x, c, field.modulus, p) == want, (c, x)
 
 
 # ------------------------------------------------- oracles for the set-up

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from ttspec.errors import (
     DegreeMismatch,
     FieldMismatch,
+    InvalidArgument,
     NegativeDegree,
     NotInIdealPower,
     ZeroSymbolEntry,
@@ -373,3 +375,43 @@ def test_scalar_multiples_and_order():
     assert not (2 * e).is_zero()
     f5 = make_field(5)
     assert (2 * mw.eta(f5)).is_zero()
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_degree_bound_on_every_path(q):
+    """Every way to build an element outside [-DEGREE_BOUND, DEGREE_BOUND]
+    refuses, and the degrees at the bound are accepted."""
+    field, bound = _field(q), mw.DEGREE_BOUND
+    assert bound == 64
+    for n in (bound, -bound):
+        assert mw.kmw_zero(field, n).degree == n
+    assert mw.kmw_mul(mw.kmw_zero(field, bound - 1), mw.omega_symbol(field)).degree == bound
+    assert mw.kmw_mul(mw.eta(field, 32), mw.eta(field, 32)).degree == -bound
+    refused = [
+        lambda: mw.kmw_mul(mw.kmw_zero(field, bound), mw.omega_symbol(field)),
+        lambda: mw.kmw_mul(mw.eta(field, 40), mw.eta(field, 40)),
+        lambda: mw.KmwElement(field, bound + 1, ()),
+        lambda: mw.KmwElement(field, -bound - 1, (0, 0)),
+        lambda: mw.kmw_zero(field, bound + 1),
+        lambda: mw.eta(field, bound + 1),
+        lambda: mw.reduce_word(mw.word_eta(field, bound + 1)),
+        lambda: mw.reduce_word(mw.word(field, (1, bound + 2, [2]))),
+    ]
+    for build in refused:
+        with pytest.raises(InvalidArgument, match="outside supported window"):
+            build()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
+def test_normalization_rule_matches_invariant_factors(q):
+    """KmwElement reduces coordinates by the degree rule; the oracle reduces
+    each by the invariant factor that `_factors` lists for the degree."""
+    field = make_field(5, 2) if q == 25 else make_field(3, 3) if q == 27 else _field(q)
+    rng = random.Random(f"normalize:{q}")
+    for n in range(-mw.DEGREE_BOUND, mw.DEGREE_BOUND + 1):
+        factors = mw._factors(q, n)
+        for _ in range(6):
+            coords = [rng.randrange(-4 * q, 4 * q) for _ in range(2)]
+            want = tuple(c % f if f else c for c, f in zip(coords, factors))
+            assert mw.KmwElement(field, n, coords[: len(factors)]).coords == want, (n, coords)
+            assert mw.KmwElement(field, n, coords).coords == want, (n, coords)

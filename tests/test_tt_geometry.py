@@ -448,3 +448,16 @@ def test_verify_comparison_fails_on_wrong_rho_bullet(monkeypatch):
     report = tg.verify_comparison(tg.TateUniverse(3, 2))
     assert not report["ok"]
     assert not all(case["ok"] for case in report["cases"])
+
+
+def test_cached_window_matches_universe_lines():
+    for t, s in itertools.product(range(-1, 5), repeat=2):
+        universe = tg.TateUniverse(t, s)
+        lines = frozenset(universe.lines())
+        assert len(lines) == len(universe.lines()) == max(2 * t + 1, 0) * max(2 * s + 1, 0)
+        assert tg._window(t, s) == lines
+        assert tg._window(t, s) is tg._window(t, s)  # built once per window
+        if t >= 0 and s >= 0:
+            ideal = tg.ideal_closure([tg.tate_line(t, -s)], universe)
+            assert ideal.lines == lines and ideal.lines is tg._window(t, s)
+        assert tg.ideal_closure([], universe).lines == frozenset()

@@ -73,8 +73,11 @@ def _twin(cls):
         for name in FIELDS[cls]
     ]
     if cls is PrimePower:
+        fields.append(("_q", int, dataclasses.field(
+            init=False, compare=False, repr=False, hash=False)))
         fields.append(("_cache", dict, dataclasses.field(
             default_factory=dict, compare=False, repr=False, hash=False)))
+        namespace["__post_init__"] = lambda self: object.__setattr__(self, "_q", self.p ** self.e)
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, namespace=namespace)
 
 
@@ -224,6 +227,15 @@ def test_prime_power_cache_is_not_a_field():
     assert fresh._cache is not PrimePower(3, 1, (0, 1))._cache
     with pytest.raises(AttributeError):
         f3._cache = {}
+
+
+def test_prime_power_q_is_stored_and_not_a_field():
+    for field in (make_field(3), make_field(3, 5), PrimePower(5, 2, (2, 0, 1))):
+        for clone in (field, copy.copy(field), pickle.loads(pickle.dumps(field))):
+            assert clone._q == clone.q == field.p ** field.e
+    assert "_q" not in PrimePower._fields and "q=" not in repr(make_field(3, 5))
+    with pytest.raises(AttributeError):
+        make_field(3)._q = 4
 
 
 
