@@ -404,12 +404,6 @@ def gw_to_kmw(c: GWClass) -> KmwElement:
     return KmwElement(c.field, 0, (c.rank, c.disc))
 
 
-def eta_power_nonzero(field: PrimePower, n: int) -> bool:
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    return not eta(field, n).is_zero()
-
-
 def verify_ses(field: PrimePower, n: int) -> dict:
     """Exhaustive check of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0.
 

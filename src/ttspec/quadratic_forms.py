@@ -1,7 +1,8 @@
-"""Quadratic forms over F_q: diagonalization, Witt decomposition, and the
-rings W(F_q) and GW(F_q) with the fundamental ideal filtration.
+"""Quadratic forms over F_q: Witt decomposition by isotropy descent, and
+the rings W(F_q) and GW(F_q) with the fundamental ideal filtration.
 
-Witt classes are stored by canonical anisotropic representatives:
+Forms are diagonal, <a_1, ..., a_n>, and so is every form the descent
+builds.  Witt classes are stored by canonical anisotropic representatives:
 rank 0 -> <>, rank 1 -> <1> or <w>, rank 2 -> <1, -w>, where w is the
 fixed generator of F_q^*.  This makes class equality a value comparison.
 """
@@ -23,39 +24,13 @@ from .finite_field import (
 # exhaustive isotropy search is used up to this cardinality; beyond it the
 # rank >= 3 theorem (re-verified exhaustively in the tests) is applied
 _EXHAUSTIVE_Q = 1 << 7
-# most `_descent_cost` that `witt_decompose` accepts.  Cold `witt classify` near
-# it (2-CPU x86-64 VM): F_125 rank 8 (cost 563,292) 4.2 s, F_243 rank 4 3.4 s,
-# F_337 rank 3 3.0 s, F_3 rank 47 1.5 s; above it, F_343 rank 4 took 7.1 s
+# most `_descent_cost` that `witt_decompose` accepts.  Cold `witt classify`
+# near it, best of 3 on a 2-CPU x86-64 VM, Python 3.11, for the slowest of the
+# forms with entries 1 and a nonsquare: F_125 rank 8 (cost 563,292) 1.9 s,
+# F_243 rank 4 2.4 s, F_337 rank 3 2.7 s, F_3 rank 47 0.09 s; above it,
+# F_343 rank 4 would take 3.6 s.  `_descent_cost` over-counts the three-entry
+# search; the bound keeps its value so that the same forms are refused
 DESCENT_BOUND = 700_000
-
-
-class GramForm(Value):
-    """Symmetric Gram matrix of a bilinear form over F_q."""
-
-    __slots__ = ("field", "gram")
-
-    def __init__(self, field: PrimePower, gram: tuple[tuple[FieldElement, ...], ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "gram", gram)
-        n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def determinant(self) -> FieldElement:
-        return _det(self.field, [list(r) for r in self.gram])
-
-
-def gram(field: PrimePower, rows) -> GramForm:
-    return GramForm(field, tuple(tuple(field.element(x) for x in row) for row in rows))
 
 
 class DiagonalForm(Value):
@@ -97,17 +72,6 @@ class DiagonalForm(Value):
             self.field, tuple(a * b for a in self.entries for b in other.entries)
         )
 
-    def gram_form(self) -> GramForm:
-        z = self.field.zero()
-        n = self.rank
-        return GramForm(
-            self.field,
-            tuple(
-                tuple(self.entries[i] if i == j else z for j in range(n))
-                for i in range(n)
-            ),
-        )
-
     def _check(self, other):
         if self.field != other.field:
             raise FieldMismatch("forms over different fields")
@@ -115,72 +79,6 @@ class DiagonalForm(Value):
 
 def diagonal(field: PrimePower, entries) -> DiagonalForm:
     return DiagonalForm(field, tuple(field.element(a) for a in entries))
-
-
-def _det(field: PrimePower, m) -> FieldElement:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = field.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det
-
-
-def diagonalize(g: GramForm) -> tuple[DiagonalForm, list[list[FieldElement]]]:
-    """Diagonalize a nondegenerate Gram form by symmetric congruence.
-
-    Returns (diagonal form, change of basis C) with C^T G C diagonal;
-    C is retained so tests can verify the isometry witness.
-    """
-    field = g.field
-    n = g.rank
-    if g.determinant().is_zero():
-        raise DegenerateForm("zero determinant")
-    a = [list(row) for row in g.gram]
-    c = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-
-    def col_op(target, source, factor):
-        # col_target += factor * col_source, applied symmetrically to a, and to c
-        for i in range(n):
-            a[i][target] = a[i][target] + factor * a[i][source]
-        for j in range(n):
-            a[target][j] = a[target][j] + factor * a[source][j]
-        for i in range(n):
-            c[i][target] = c[i][target] + factor * c[i][source]
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            c[r][i], c[r][j] = c[r][j], c[r][i]
-
-    one = field.one()
-    for k in range(n):
-        if a[k][k].is_zero():
-            j = next((t for t in range(k + 1, n) if not a[t][t].is_zero()), None)
-            if j is not None:
-                col_swap(k, j)
-            else:
-                j = next(t for t in range(k + 1, n) if not a[k][t].is_zero())
-                col_op(k, j, one)  # new norm is 2*a[k][j] != 0 in odd characteristic
-        inv = a[k][k].inverse()
-        for j in range(k + 1, n):
-            if not a[k][j].is_zero():
-                col_op(j, k, -a[k][j] * inv)
-    entries = tuple(a[i][i] for i in range(n))
-    return DiagonalForm(field, entries), c
 
 
 def is_isotropic(f: DiagonalForm) -> bool:
@@ -218,22 +116,31 @@ def _isotropic_vector(f: DiagonalForm):
 
 
 def _descent_cost(rank: int, q: int) -> int:
-    """Worst-case field operations of `witt_decompose`: each step of rank m >= 3
-    looks at about 2q^2 vectors of m entries, then diagonalizes in about m^3."""
+    """The work `witt_decompose` is charged, counted before any search: each
+    step of rank m >= 3 at 2q^2 m + m^3 field operations, as if it searched
+    vectors of m entries and diagonalized an m x m matrix.  A step searches
+    only three entries and builds no matrix, so this over-counts; it stays
+    as it is so that the same inputs are accepted and refused."""
     return sum(2 * q * q * m + m ** 3 for m in range(rank, 2, -2))
 
 
 def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """Split f as (hyperbolic plane)^h + anisotropic kernel.
 
-    Isotropy descent, one vector search per step of rank >= 3.  Let v be
-    an isotropic vector of <a_1, ..., a_n>, and i, k its first two nonzero
-    coordinates (it has two, since every a_j is nonzero).  Then v and e_i
-    span a hyperbolic plane, whose orthogonal complement has the basis
-    x_j = e_j - (a_j v_j / a_k v_k) e_k for j not in {i, k}.  Restrict to
-    that complement, diagonalize, and repeat; every form of rank >= 3 over
-    F_q is isotropic.  A binary form is a hyperbolic plane iff it is
-    isotropic, so the last step asks `is_isotropic` and reads no vector.
+    Isotropy descent, one search of three entries per step of rank m >= 3.
+    `_isotropic_vector` walks the vectors of <a_1, ..., a_m> so that every
+    vector supported on the last three coordinates comes first, and every
+    form of rank 3 over F_q is isotropic.  So its vector v for the whole
+    form is the one it finds for the tail <a_(m-2), a_(m-1), a_m>, with
+    zeros in front.  Let i, k be the first two nonzero coordinates of v
+    (it has two, since every a_j is nonzero).  Then v and e_i span a
+    hyperbolic plane, whose orthogonal complement has the basis
+    x_j = e_j + c_j e_k for j not in {i, k}, where c_j = -a_j v_j / a_k v_k.
+    Only the third coordinate t of the tail can have c_t != 0, so the x_j
+    are pairwise orthogonal, and the complement is <a_j : j not in {i, k}>
+    in index order, with a_t + a_k c_t^2 in place of a_t.  A binary form is
+    a hyperbolic plane iff it is isotropic, so the last step asks
+    `is_isotropic` and reads no vector.
     """
     field = f.field
     cost = _descent_cost(f.rank, field.q)
@@ -244,22 +151,15 @@ def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     h = 0
     current = f
     while current.rank >= 3:
-        v = _isotropic_vector(current)
-        a = current.entries
-        i, k = [j for j, x in enumerate(v) if not x.is_zero()][:2]
-        rest = [j for j in range(current.rank) if j != i and j != k]
-        # x_j has 1 at j and c_j at k, so b(x_j, x_l) = [j = l] a_j + a_k c_j c_l
-        c = [-(a[j] * v[j]) / (a[k] * v[k]) for j in rest]
-        sub_gram = []
-        for j, cj in zip(rest, c):
-            row = []
-            for l, cl in zip(rest, c):
-                entry = a[k] * cj * cl
-                if j == l:
-                    entry = entry + a[j]
-                row.append(entry)
-            sub_gram.append(tuple(row))
-        current, _ = diagonalize(GramForm(field, tuple(sub_gram)))
+        head, a = current.entries[:-3], current.entries[-3:]
+        v = _isotropic_vector(DiagonalForm(field, a))
+        i, k = [j for j in range(3) if not v[j].is_zero()][:2]
+        t = 3 - i - k  # the tail coordinate left in the complement
+        last = a[t]
+        if not v[t].is_zero():
+            c = -(a[t] * v[t]) / (a[k] * v[k])
+            last = last + a[k] * c * c
+        current = DiagonalForm(field, head + (last,))
         h += 1
     if current.rank == 2 and is_isotropic(current):
         return h + 1, DiagonalForm(field, ())

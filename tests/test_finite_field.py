@@ -233,6 +233,20 @@ def test_element_coercion_and_value():
     assert field.element(4) == field.one()
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2)])
+def test_integer_on_the_left(p, e):
+    """`n - x`, `n + x` and `n * x` coerce n into the field first; the
+    difference keeps its order, so (n - x) + x is n again."""
+    field = make_field(p, e)
+    for n in range(-field.q, 2 * field.q):
+        m = field.element(n)
+        for x in field.elements():
+            assert n - x == m - x
+            assert (n - x) + x == m
+            assert n + x == m + x
+            assert n * x == m * x
+
+
 def test_element_reduces_long_sequences_by_the_modulus():
     f5 = make_field(5)
     assert f5.element((1, 2)) == f5.one()  # 1 + 2x with x = 0 in Z/5[x]/(x)

@@ -1,9 +1,11 @@
-"""Golden CLI corpus: the `--json` stdout of fixed commands, compared byte
-for byte with the files in tests/golden/.
+"""Golden CLI corpus: the `--json` stdout of fixed commands, and the text
+stdout of a few more, compared byte for byte with the files in
+tests/golden/.
 
-The corpus covers every subcommand, q = 1 and q = 3 mod 4, q = 9 and every
-`verify --suite`.  Regenerate it (only when an output change is intended)
-with
+The JSON corpus covers every subcommand, q = 1 and q = 3 mod 4, q = 9 and
+every `verify --suite`; the text corpus covers nested mappings, lists of
+scalars and lists of lists.  Regenerate both (only when an output change
+is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -50,6 +52,14 @@ COMMANDS = {
     },
 }
 
+# commands whose text stdout (no `--json`) is golden, as <name>.txt
+TEXT_COMMANDS = {
+    "text_gw_q3": ["gw", "--q", "3"],
+    "text_witt_classify_q7": ["witt", "classify", "--q", "7", "--form", "1,1,1"],
+    "text_kmw_table_q3": ["kmw", "table", "--q", "3", "--range=-1..1"],
+    "text_spc_shtop": ["spc", "sh-top", "--primes", "3", "--height", "2"],
+}
+
 
 def _json_stdout(capsys, argv):
     code = cli.main([*argv, "--json"])
@@ -64,12 +74,20 @@ def test_corpus_covers_every_subcommand_and_suite():
     suites = {argv[2] for argv in COMMANDS.values() if argv[0] == "verify"}
     assert suites == set(cli.SUITES)
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(TEXT_COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(capsys, name):
     want = (GOLDEN / f"{name}.json").read_text()
     assert _json_stdout(capsys, COMMANDS[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_COMMANDS))
+def test_golden_text_output(capsys, name):
+    want = (GOLDEN / f"{name}.txt").read_text()
+    assert cli.main(TEXT_COMMANDS[name]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -84,13 +102,15 @@ def _regenerate():
     from io import StringIO
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
+    runs = [(f"{name}.json", [*argv, "--json"]) for name, argv in COMMANDS.items()]
+    runs += [(f"{name}.txt", argv) for name, argv in TEXT_COMMANDS.items()]
+    for filename, argv in runs:
         buf = StringIO()
         with redirect_stdout(buf):
-            code = cli.main([*argv, "--json"])
+            code = cli.main(argv)
         if code != 0:
-            sys.exit(f"{name}: exit code {code}")
-        (GOLDEN / f"{name}.json").write_text(buf.getvalue())
+            sys.exit(f"{filename}: exit code {code}")
+        (GOLDEN / filename).write_text(buf.getvalue())
 
 
 if __name__ == "__main__":

@@ -290,9 +290,12 @@ def test_milnor_quotient(q):
 
 @pytest.mark.parametrize("q", QS)
 def test_eta_power_nonzero(q):
+    """eta^n is eta times eta^(n-1) under `kmw_mul`, and is not zero."""
     field = _field(q)
-    for n in range(1, 65):
-        assert mw.eta_power_nonzero(field, n)
+    for n in range(2, 65):
+        power = mw.eta(field, n)
+        assert power == mw.kmw_mul(mw.eta(field, 1), mw.eta(field, n - 1))
+        assert not power.is_zero()
 
 
 @pytest.mark.parametrize("q", QS)

@@ -31,6 +31,75 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _det(field, m):
+    """Determinant of a square matrix of field elements, by elimination."""
+    n = len(m)
+    m = [row[:] for row in m]
+    det = field.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return field.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = m[col][col].inverse()
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    return det
+
+
+def _diagonalize(field, g):
+    """Diagonalize a nondegenerate symmetric matrix of field elements by
+    symmetric congruence, the general elimination `witt_decompose` once ran
+    on every step.  Returns (the diagonal entries of C^T G C, C)."""
+    n = len(g)
+    if _det(field, g).is_zero():
+        raise DegenerateForm("zero determinant")
+    a = [row[:] for row in g]
+    c = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+
+    def col_op(target, source, factor):
+        # col_target += factor * col_source, applied symmetrically to a, and to c
+        for i in range(n):
+            a[i][target] = a[i][target] + factor * a[i][source]
+        for j in range(n):
+            a[target][j] = a[target][j] + factor * a[source][j]
+        for i in range(n):
+            c[i][target] = c[i][target] + factor * c[i][source]
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            c[r][i], c[r][j] = c[r][j], c[r][i]
+
+    for k in range(n):
+        if a[k][k].is_zero():
+            j = next((t for t in range(k + 1, n) if not a[t][t].is_zero()), None)
+            if j is not None:
+                col_swap(k, j)
+            else:
+                j = next(t for t in range(k + 1, n) if not a[k][t].is_zero())
+                col_op(k, j, field.one())  # new norm is 2*a[k][j] != 0 in odd characteristic
+        inv = a[k][k].inverse()
+        for j in range(k + 1, n):
+            if not a[k][j].is_zero():
+                col_op(j, k, -a[k][j] * inv)
+    return [a[i][i] for i in range(n)], c
+
+
+def _gram(form):
+    """The Gram matrix of a diagonal form."""
+    z = form.field.zero()
+    n = form.rank
+    return [[form.entries[i] if i == j else z for j in range(n)] for i in range(n)]
+
+
 def isometric_bruteforce(f, g):
     """Brute-force isometry search over GL_n(F_q); oracle for `isometric`."""
     if f.field != g.field:
@@ -41,61 +110,54 @@ def isometric_bruteforce(f, g):
     n = f.rank
     if n == 0:
         return True
-    fg = [list(r) for r in f.gram_form().gram]
-    gg = [list(r) for r in g.gram_form().gram]
+    fg, gg = _gram(f), _gram(g)
     for flat in itertools.product(range(field.q), repeat=n * n):
         c = [[field.from_index(flat[i * n + j]) for j in range(n)] for i in range(n)]
-        if qf._det(field, c).is_zero():
+        if _det(field, c).is_zero():
             continue
         if _mat_mul(field, _transpose(c), _mat_mul(field, fg, c)) == gg:
             return True
     return False
 
 
-# ------------------------------------------------------------ diagonalization
+# ---------------------------------------------------------- oracle elimination
+
+
+def _congruence_holds(field, g):
+    entries, cmat = _diagonalize(field, g)
+    product = _mat_mul(field, _transpose(cmat), _mat_mul(field, g, cmat))
+    n = len(g)
+    return all(
+        product[i][j] == (entries[i] if i == j else field.zero())
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_diagonalize_congruence_witness(p, e):
+    """The oracle's elimination returns a change of basis C with C^T G C
+    diagonal, through both of its pivot repairs (swap, and column sum)."""
     field = make_field(p, e)
-    q = field.q
+
+    def gram(rows):
+        return [[field.element(x) for x in row] for row in rows]
+
     # deterministic battery of symmetric matrices of rank 2 and 3
     seeds = [(1, 0, 1), (0, 1, 0), (1, 1, 2), (2, 1, 1), (1, 2, 0)]
     for a, b, c in seeds:
-        g = qf.gram(field, [[a, b], [b, c]])
-        if g.determinant().is_zero():
-            continue
-        diag, cmat = qf.diagonalize(g)
-        product = _mat_mul(
-            field, _transpose(cmat), _mat_mul(field, [list(r) for r in g.gram], cmat)
-        )
-        for i in range(2):
-            for j in range(2):
-                want = diag.entries[i] if i == j else field.zero()
-                assert product[i][j] == want
-    g3 = qf.gram(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    diag, cmat = qf.diagonalize(g3)
-    product = _mat_mul(
-        field, _transpose(cmat), _mat_mul(field, [list(r) for r in g3.gram], cmat)
-    )
-    for i in range(3):
-        for j in range(3):
-            want = diag.entries[i] if i == j else field.zero()
-            assert product[i][j] == want
+        g = gram([[a, b], [b, c]])
+        if not _det(field, g).is_zero():
+            assert _congruence_holds(field, g)
+    assert _congruence_holds(field, gram([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
 
 def test_degenerate_rejected():
     field = make_field(3)
     with pytest.raises(DegenerateForm):
-        qf.diagonalize(qf.gram(field, [[1, 1], [1, 1]]))
+        _diagonalize(field, [[field.one()] * 2] * 2)
     with pytest.raises(DegenerateForm):
         qf.diagonal(field, [1, 0])
-
-
-def test_gram_validation():
-    field = make_field(3)
-    with pytest.raises(ValueError):
-        qf.gram(field, [[1, 2], [1, 1]])
 
 
 # ----------------------------------------------------------------- isotropy
@@ -455,11 +517,8 @@ def _descent_oracle(f):
                 u = cand
                 break
         comp = _orthogonal_complement(field, entries, [v, u])
-        if comp:
-            sub_gram = tuple(tuple(bilin(x, y) for y in comp) for x in comp)
-            current, _ = qf.diagonalize(qf.GramForm(field, sub_gram))
-        else:
-            current = qf.DiagonalForm(field, ())
+        sub_gram = [[bilin(x, y) for y in comp] for x in comp]
+        current = qf.DiagonalForm(field, tuple(_diagonalize(field, sub_gram)[0]))
         h += 1
     return h, current
 
@@ -468,11 +527,14 @@ def _descent_cases(full=False):
     """Forms for the descent oracle.  In full, every form of rank <= 3 for
     q <= 13 and of rank 4 for q <= 7, then 400 seeded forms of rank 2-5
     over six larger fields in turn, less the 15 rank-5 forms over F_243
-    that exceed DESCENT_BOUND: 5,893 forms, minutes of run time.
+    that exceed DESCENT_BOUND, then three seeded forms of each rank 5-9
+    over F_3, F_5, F_7 and F_9: 5,953 forms, minutes of run time.
     Otherwise a Tier-1 sample of them: every form of rank <= 2, every
     32nd of the rest over q <= 13, every 12th round of seeded forms over
-    q <= 31, and the seeded binary forms over q = 131 and 243 (a form of
-    rank 3 or more there costs up to seconds in the vector search)."""
+    q <= 31, the seeded binary forms over q = 131 and 243 (a form of
+    rank 3 or more there costs up to seconds in the vector search), and
+    all of the seeded forms of rank 5-9, whose steps meet tail vectors
+    with three nonzero coordinates."""
     cases = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field(q)
@@ -490,7 +552,31 @@ def _descent_cases(full=False):
             continue  # witt_decompose refuses it
         if full or small or (field.q > 31 and len(units) == 2):
             cases.append(qf.DiagonalForm(field, tuple(units)))
+    for q in (3, 5, 7, 9):
+        field = _field(q)
+        for rank in range(5, 10):
+            for _ in range(3):
+                units = [field.from_index(rng.randrange(1, q)) for _ in range(rank)]
+                cases.append(qf.DiagonalForm(field, tuple(units)))
     return cases
+
+
+def test_isotropic_vector_lies_in_the_last_three_coordinates():
+    """The invariant `witt_decompose` rests on: the search of a whole form
+    of rank >= 3 returns a vector that is zero off its last three
+    coordinates, equal to the vector found for that rank-3 tail.  Some of
+    these vectors have three nonzero coordinates, so the complement's
+    a_t + a_k c_t^2 entry is reached."""
+    full_support = 0
+    for form in _descent_cases():
+        if form.rank < 3:
+            continue
+        v = qf._isotropic_vector(form)
+        assert all(x.is_zero() for x in v[:-3]), (form.field.q, [a.value for a in form.entries])
+        tail = qf._isotropic_vector(qf.DiagonalForm(form.field, form.entries[-3:]))
+        assert v[-3:] == tail
+        full_support += not any(x.is_zero() for x in tail)
+    assert full_support
 
 
 def test_witt_decompose_matches_descent_oracle(full=False):

@@ -31,7 +31,6 @@ from ttspec.finite_field import FieldElement, PrimePower, make_field, primitive_
 FIELDS = {
     PrimePower: ("p", "e", "modulus"),
     FieldElement: ("field", "coeffs"),
-    qf.GramForm: ("field", "gram"),
     qf.DiagonalForm: ("field", "entries"),
     qf.WittClass: ("field", "anisotropic_kernel"),
     qf.GWClass: ("field", "rank", "disc"),
@@ -101,8 +100,6 @@ def _samples():
         PrimePower: [f3, fresh_f3, f5, f9],
         FieldElement: [f5.from_index(2), FieldElement(f5, (2,)), f5.from_index(3),
                        f9.from_index(4), FieldElement(fresh_f3, (1,)), f3.one()],
-        qf.GramForm: [qf.gram(f5, [[1, 2], [2, 3]]), qf.gram(f5, [[1, 2], [2, 3]]),
-                      qf.gram(f5, [[1]])],
         qf.DiagonalForm: [form, qf.diagonal(f5, [1, 2]), qf.diagonal(f5, [2, 1]),
                           qf.diagonal(f9, [1, 1, 1])],
         qf.WittClass: [qf.witt_class(form), qf.witt_class(qf.diagonal(f5, [1, 2])),
@@ -152,7 +149,7 @@ SAMPLES = _samples()
 
 def test_every_value_type_has_samples():
     assert set(SAMPLES) == set(FIELDS)
-    assert len(FIELDS) == 22
+    assert len(FIELDS) == 21
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
