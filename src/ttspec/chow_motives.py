@@ -128,9 +128,6 @@ class ChowClass(Value):
     def coeffs(self) -> dict:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check(self, other: "ChowClass"):
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space} vs {other.space}")

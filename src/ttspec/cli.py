@@ -259,8 +259,8 @@ def cmd_milnor(args):
 
 def cmd_spech(args):
     from . import graded_spectrum
-    field = _field_for(args.q)
-    space = graded_spectrum.enumerate_primes(field, args.prime_bound)
+    _field_for(args.q)  # validated, though the points are the same for every field
+    space = graded_spectrum.enumerate_primes(args.prime_bound)
     points = []
     for p in space.points:
         points.append(
@@ -359,7 +359,10 @@ def _suite_ses():
 
 
 def _suite_witt():
-    """The closed-form W(F_q) against repeated `witt_add` by isotropy descent."""
+    """The closed-form W(F_q) against repeated `witt_add` by isotropy descent,
+    and the ring structure: `witt_mul` of every pair of the four classes
+    against the multiplication table of `_witt_model`, at q = 3 and q = 5,
+    one field for each class of q mod 4."""
     from . import quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
@@ -379,6 +382,16 @@ def _suite_witt():
         got = {key: structure[key] for key in want}
         if got != want:
             failures.append({"q": q, "got": got, "want": want})
+    for q in (3, 5):
+        field = _field_for(q)
+        key, _, mul, _ = _witt_model(field)
+        classes = quadratic_forms.witt_elements(field)
+        keyed = [(c, key(quadratic_forms.gw_class(c.anisotropic_kernel))) for c in classes]
+        for (a, ka), (b, kb) in itertools.product(keyed, repeat=2):
+            got = key(quadratic_forms.gw_class(quadratic_forms.witt_mul(a, b).anisotropic_kernel))
+            if got != mul[ka, kb]:
+                product = [quadratic_forms._witt_key(a), quadratic_forms._witt_key(b)]
+                failures.append({"q": q, "product": product, "got": got, "want": mul[ka, kb]})
     return failures
 
 
@@ -421,8 +434,9 @@ def _suite_tables():
     W x K^M by 1 -> (<1>, 1), [w] -> (<w> - <1>, {w}), eta[w] ->
     (<w> - <1>, 0), eta^m -> (<1>, 0) and eta^(m+1)[w] -> (<w> - <1>, 0).
     Checked: each group order against the fiber product's; the map is
-    well defined, injective and lands in the fiber product; and every
-    product of generators by `kmw_mul` against the product in W x K^M."""
+    well defined, injective and lands in the fiber product; every product
+    of generators by `kmw_mul` against the product in W x K^M; and that
+    `kmw_to_gw` is multiplicative on a box of K^MW_0, with inverse `gw_to_kmw`."""
     from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
@@ -496,6 +510,12 @@ def _suite_tables():
                     k = (k1[0] * k2[0],)
                 if to_model(z.degree, z.coords) != (mul[w1, w2], milnor(n1 + n2, k)):
                     failures.append({"q": q, "product": [n1, list(x.coords), n2, list(y.coords)]})
+        box = [milnor_witt.KmwElement(field, 0, c) for c in itertools.product(range(-2, 3), range(2))]
+        with_gw = [(x, milnor_witt.kmw_to_gw(x)) for x in box]
+        failures += [{"q": q, "gw_inverse": list(x.coords)} for x, g in with_gw if milnor_witt.gw_to_kmw(g) != x]
+        for (x, gx), (y, gy) in itertools.product(with_gw, repeat=2):
+            if milnor_witt.kmw_to_gw(milnor_witt.kmw_mul(x, y)) != gx * gy:
+                failures.append({"q": q, "gw_product": [list(x.coords), list(y.coords)]})
     return failures
 
 
@@ -508,7 +528,7 @@ def _suite_spech():
         for name, x in (("[w]", milnor_witt.omega_symbol(field)), ("eta[w]", ew), ("eta", milnor_witt.eta(field))):
             if milnor_witt.kmw_mul(x, x).is_zero() != (name != "eta"):
                 failures.append({"q": q, "square": name})
-    space = graded_spectrum.enumerate_primes(_field_for(3), 50)
+    space = graded_spectrum.enumerate_primes(50)
     flagged = [p for p in space.points if p.discrepancy]
     if len(flagged) != 1:
         failures.append({"flagged": len(flagged)})

@@ -129,15 +129,6 @@ class PrimePower(Value):
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def elements(self):
-        """All q elements, in representative order."""
-        for v in range(self.q):
-            yield self.from_index(v)
-
-    def units(self):
-        for v in range(1, self.q):
-            yield self.from_index(v)
-
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q}(p={self.p},e={self.e})"
 
@@ -346,27 +337,14 @@ class FieldElement(Value):
             tuple((a + b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return FieldElement(self.field, tuple((-a) % self.field.p for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self.field.element(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self.field.element(other) - self
 
     def __mul__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
             other = field.element(other)
         return FieldElement(field, _poly_mul_mod(self.coeffs, other.coeffs, field.modulus, field.p))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def inverse(self) -> "FieldElement":
         if not any(self.coeffs):

@@ -19,7 +19,7 @@ import math
 
 from ._value import Value
 from .errors import InvalidArgument, UnknownGenerator
-from .finite_field import PrimePower, _primes_upto
+from .finite_field import _primes_upto
 
 GENERATOR_OMEGA = "[w]"
 GENERATOR_ETA = "eta"
@@ -169,19 +169,18 @@ class SpecHSpace(Value):
     """Finite truncation of Spec^h of the reduced ring; `_certificates` is
     filled when `certificates` is first read and left out of equality."""
 
-    __slots__ = ("points", "prime_bound", "degree_bound", "_certificates")
+    __slots__ = ("points", "prime_bound", "_certificates")
 
-    def __init__(self, points: tuple[HomogeneousPrime, ...], prime_bound: int, degree_bound: int):
+    def __init__(self, points: tuple[HomogeneousPrime, ...], prime_bound: int):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "prime_bound", prime_bound)
-        object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "_certificates", None)
 
     @property
     def certificates(self) -> tuple[dict, ...]:
         """One `is_prime_ideal` certificate per point, in point order."""
         if self._certificates is None:
-            certs = tuple(is_prime_ideal(p, degree_bound=self.degree_bound) for p in self.points)
+            certs = tuple(is_prime_ideal(p) for p in self.points)
             object.__setattr__(self, "_certificates", certs)
         return self._certificates
 
@@ -201,7 +200,7 @@ class SpecHSpace(Value):
         return sorted(out)
 
 
-def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12) -> SpecHSpace:
+def enumerate_primes(prime_bound: int) -> SpecHSpace:
     """The homogeneous primes of the reduced ring with integer
     generators <= prime_bound, sorted by their sorted generators.
 
@@ -209,8 +208,8 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
     and ([w], eta, p) for each odd prime p <= prime_bound.  The point
     ([w], eta, 2), which the usual classification folds into its
     neighbours, is flagged as a discrepancy.  The points are the same for
-    every field; the sieve refuses a prime_bound above PRIME_BOUND.  The
-    certificates read from the returned space are bounded by `degree_bound`.
+    every field, so none is passed; the sieve refuses a prime_bound above
+    PRIME_BOUND.
     """
     if prime_bound < 0:
         raise InvalidArgument(f"prime bound must be >= 0, got {prime_bound}")
@@ -225,4 +224,4 @@ def enumerate_primes(field: PrimePower, prime_bound: int, degree_bound: int = 12
         for p in _primes_upto(prime_bound)[1:]
     ]
     points.sort(key=HomogeneousPrime.sorted_generators)
-    return SpecHSpace(tuple(points), prime_bound, degree_bound)
+    return SpecHSpace(tuple(points), prime_bound)

@@ -126,18 +126,6 @@ class KmwElement(Value):
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __add__(self, other: "KmwElement") -> "KmwElement":
-        return kmw_add(self, other)
-
-    def __neg__(self):
-        return KmwElement(self.field, self.degree, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "KmwElement") -> "KmwElement":
-        return kmw_mul(self, other)
-
     def __rmul__(self, scalar: int):
         return KmwElement(self.field, self.degree, tuple(scalar * c for c in self.coords))
 

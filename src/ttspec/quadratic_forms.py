@@ -47,15 +47,6 @@ class DiagonalForm(Value):
     def rank(self) -> int:
         return len(self.entries)
 
-    def determinant_class(self) -> int | None:
-        """Square-class bit of the determinant; None for the empty form."""
-        if not self.entries:
-            return None
-        det = self.field.one()
-        for a in self.entries:
-            det = det * a
-        return square_class(det)
-
     def evaluate(self, vec) -> FieldElement:
         total = self.field.zero()
         for a, x in zip(self.entries, vec):
@@ -181,19 +172,6 @@ class WittClass(Value):
     def __add__(self, other: "WittClass") -> "WittClass":
         return witt_add(self, other)
 
-    def __neg__(self) -> "WittClass":
-        if self.is_zero():
-            return self
-        return witt_class(
-            DiagonalForm(self.field, tuple(-a for a in self.anisotropic_kernel.entries))
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "WittClass") -> "WittClass":
-        return witt_mul(self, other)
-
 
 def kernel_class(kernel: DiagonalForm) -> WittClass:
     """The Witt class of an anisotropic kernel, as its canonical
@@ -309,15 +287,6 @@ class GWClass(Value):
         if self.field != other.field:
             raise FieldMismatch("GW classes over different fields")
 
-    def to_witt(self) -> WittClass:
-        """Canonical quotient GW -> W: the Witt class of the representative
-        form <1>^(rank - disc) + <w>^disc.  The exponent of <1> is reduced
-        mod 4 (the additive exponent of W)."""
-        field = self.field
-        ones = (field.one(),) * ((self.rank - self.disc) % 4)
-        omegas = (primitive_element(field),) * self.disc
-        return witt_class(DiagonalForm(field, ones + omegas))
-
 
 def gw_class(f: DiagonalForm) -> GWClass:
     disc = 0
@@ -356,10 +325,3 @@ def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
 
 def _witt_key(cls: WittClass):
     return tuple(a.value for a in cls.anisotropic_kernel.entries)
-
-
-def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Classification: equal rank and equal discriminant square-class."""
-    if f.field != g.field:
-        raise FieldMismatch("forms over different fields")
-    return f.rank == g.rank and f.determinant_class() == g.determinant_class()

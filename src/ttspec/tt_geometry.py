@@ -60,15 +60,6 @@ class TateObject(Value):
     def dim_at(self, key) -> int:
         return self.dims().get(tuple(key), 0)
 
-    def shift_by(self, k: int) -> "TateObject":
-        return TateObject.from_dict({(i, m + k): d for (i, m), d in self.slots})
-
-    def direct_sum(self, other: "TateObject") -> "TateObject":
-        out = self.dims()
-        for k, d in other.slots:
-            out[k] = out.get(k, 0) + d
-        return TateObject.from_dict(out)
-
     def tensor(self, other: "TateObject") -> "TateObject":
         out = {}
         for (i1, m1), d1 in self.slots:
@@ -220,9 +211,6 @@ class ThickTensorIdeal(Value):
 
     def contains(self, a: TateObject) -> bool:
         return a.support_lines <= self.lines
-
-    def is_proper(self) -> bool:
-        return (0, 0) not in self.lines
 
     def __repr__(self):
         return "(0)" if not self.lines else f"ideal<{len(self.lines)} lines>"

@@ -195,7 +195,7 @@ def test_truncated_ring():
     h = cm.monomial_class(P2, (1,))
     h2 = chow_mul(h, h)
     assert h2 == cm.monomial_class(P2, (2,))
-    assert chow_mul(h, h2).is_zero()
+    assert not chow_mul(h, h2).terms
 
 
 def test_pushforward_point_degree():
@@ -206,7 +206,7 @@ def test_pushforward_point_degree():
     assert down == cm.monomial_class(cm.POINT, ())
     # classes missing the top power of the integrated factor die
     down0 = pushforward(cm.monomial_class(space, (0,)), ())
-    assert down0.is_zero()
+    assert not down0.terms
 
 
 def test_pushforward_coefficient_extraction_oracle():
@@ -217,7 +217,7 @@ def test_pushforward_coefficient_extraction_oracle():
         if mono[1] == 1:  # top power of the dropped P1 factor
             assert down == cm.monomial_class(cm.ProjSpaceProduct((2,)), (mono[0],), 3)
         else:
-            assert down.is_zero()
+            assert not down.terms
 
 
 def test_pullback_positions():
@@ -281,8 +281,8 @@ def test_projection_to_infinity_idempotent():
     # complementary unit projector, and orthogonality
     unit = cm.Correspondence(P1, P1, 0, cm.monomial_class(product, (1, 0)))
     assert cm.compose(unit, unit) == unit
-    assert cm.compose(pi, unit).cls.is_zero()
-    assert cm.compose(unit, pi).cls.is_zero()
+    assert not cm.compose(pi, unit).cls.terms
+    assert not cm.compose(unit, pi).cls.terms
 
 
 def test_compose_space_mismatch():
@@ -327,7 +327,7 @@ def _check_against_triple_product(rng, triples, picks, rounds):
             alpha, beta = _random_pair(rng, x, y, z, picks)
             got = cm.compose(beta, alpha)
             assert got == compose_via_triple_product(beta, alpha), (x, y, z, alpha, beta)
-            nonzero += not got.cls.is_zero()
+            nonzero += bool(got.cls.terms)
     return nonzero
 
 
@@ -372,7 +372,7 @@ def test_decompose_orthogonal_complete():
             assert cm.compose(m.projector, m.projector) == m.projector
         assert total == cm.identity_correspondence(space)
         for (m1, _), (m2, _) in itertools.combinations(parts, 2):
-            assert cm.compose(m1.projector, m2.projector).cls.is_zero()
+            assert not cm.compose(m1.projector, m2.projector).cls.terms
 
 
 def test_decompose_check_fails_without_one_projector(monkeypatch):

@@ -185,6 +185,27 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
     assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
 
 
+def test_verify_witt_fails_when_witt_mul_adds(capsys, monkeypatch):
+    monkeypatch.setattr(quadratic_forms, "witt_mul", quadratic_forms.witt_add)
+    code, out = run(capsys, "verify", "--suite", "witt", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["witt"]["failures"]
+    assert {f["q"] for f in failures} == {3, 5}
+    assert all(set(f) == {"q", "product", "got", "want"} for f in failures)
+    # <1> (x) <1> = <1>, but <1> + <1> has even rank
+    assert {"q": 3, "product": [[1], [1]], "got": [0, 1], "want": [1, 0]} in failures
+
+
+def test_verify_tables_fails_when_kmw_to_gw_drops_the_discriminant(capsys, monkeypatch):
+    monkeypatch.setattr(mw, "kmw_to_gw", lambda x: quadratic_forms.GWClass(x.field, x.coords[0], 0))
+    code, out = run(capsys, "verify", "--suite", "tables", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["tables"]["failures"]
+    assert {f["q"] for f in failures} == {3, 5, 7, 9, 11, 13}
+    # gw_to_kmw cannot give back the eta[w] coordinate that was dropped
+    assert {tuple(f["gw_inverse"]) for f in failures} == {(c, 1) for c in range(-2, 3)}
+
+
 def test_verify_eta_fails_on_a_product_that_vanishes_below_degree_minus_eight(capsys, monkeypatch):
     right = mw.kmw_mul
 

@@ -26,6 +26,8 @@ from ttspec.finite_field import (
     _primes_upto,
 )
 
+from helpers import field_elements, field_units
+
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
 # the prime-power fields that perfbench builds (lib-warm, cli-small, cli-arith)
 BENCH_POWERS = [(3, 2), (5, 2), (3, 3), (3, 5), (3, 7), (3, 8), (3, 9), (13, 4),
@@ -118,10 +120,10 @@ def test_irreducibility_oracle_roots():
 def test_field_arithmetic(p, e):
     field = make_field(p, e)
     q = field.q
-    elements = list(field.elements())
+    elements = list(field_elements(field))
     assert len(elements) == q
     one = field.one()
-    for a in field.units():
+    for a in field_units(field):
         assert a * a.inverse() == one
         assert a / a == one
     sample = elements[:: max(1, q // 7)]
@@ -147,7 +149,7 @@ def test_primitive_element_and_dlog(p, e):
     # omega is the least full-order element in representative order
     for v in range(2, omega.value):
         assert _order_by_walk(field.from_index(v)) < field.q - 1
-    for a in field.units():
+    for a in field_units(field):
         k = discrete_log(a)
         assert omega ** k == a
         assert 0 <= k < field.q - 1
@@ -156,12 +158,12 @@ def test_primitive_element_and_dlog(p, e):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_squares(p, e):
     field = make_field(p, e)
-    squares = {(a * a).value for a in field.units()}
-    for a in field.units():
+    squares = {(a * a).value for a in field_units(field)}
+    for a in field_units(field):
         assert is_square(a) == (a.value in squares)
         assert square_class(a) == (discrete_log(a) % 2)
     # multiplicativity of the square-class bit
-    units = list(field.units())[:8]
+    units = list(field_units(field))[:8]
     for a, b in itertools.product(units, repeat=2):
         assert square_class(a * b) == (square_class(a) ^ square_class(b))
 
@@ -182,7 +184,7 @@ def test_inverse_and_is_square_match_power_ladder_on_every_unit(p, e):
     a^((q-1)/2) by the power ladder of `**` (builtin `pow` on a prime
     field), which uses neither Euclid nor the norm."""
     field = make_field(p, e)
-    for a in field.units():
+    for a in field_units(field):
         assert a.inverse() == _inverse_by_ladder(a), a
         assert is_square(a) == _is_square_by_ladder(a), a
 
@@ -233,20 +235,6 @@ def test_element_coercion_and_value():
     assert field.element(4) == field.one()
 
 
-@pytest.mark.parametrize("p,e", [(7, 1), (3, 2)])
-def test_integer_on_the_left(p, e):
-    """`n - x`, `n + x` and `n * x` coerce n into the field first; the
-    difference keeps its order, so (n - x) + x is n again."""
-    field = make_field(p, e)
-    for n in range(-field.q, 2 * field.q):
-        m = field.element(n)
-        for x in field.elements():
-            assert n - x == m - x
-            assert (n - x) + x == m
-            assert n + x == m + x
-            assert n * x == m * x
-
-
 def test_element_reduces_long_sequences_by_the_modulus():
     f5 = make_field(5)
     assert f5.element((1, 2)) == f5.one()  # 1 + 2x with x = 0 in Z/5[x]/(x)
@@ -295,7 +283,7 @@ def test_log_table_large_field_path():
 def test_times_matches_poly_mul_mod_on_every_pair(p, e):
     """Both packed products against the schoolbook oracle, on every pair."""
     field = make_field(p, e)
-    elements = [a.coeffs for a in field.elements()]
+    elements = [a.coeffs for a in field_elements(field)]
     for c in elements:
         times_c = _times(c, field.modulus, p)
         for x in elements:
@@ -500,7 +488,7 @@ def _from_new_generator(field, n, coords, new_omega):
         gens = [mw.eta(field, -n), mw.kmw_mul(mw.eta(field, 1 - n), bracket)]
     out = mw.kmw_zero(field, n)
     for c, g in zip(coords, gens):
-        out = out + c * g
+        out = mw.kmw_add(out, c * g)
     return out
 
 
@@ -512,7 +500,7 @@ def test_change_of_generator_matches_walk(p, e):
     elements = [
         x for n in (-2, -1, 0, 1) for x in mw._kmw_elements_for_check(field, n)
     ]
-    for a in field.units():
+    for a in field_units(field):
         if _order_by_walk(a) != field.q - 1:
             with pytest.raises(InvalidArgument):
                 _change_of_generator(elements[0], a)

@@ -1,11 +1,11 @@
 """Golden CLI corpus: the `--json` stdout of fixed commands, and the text
-stdout of a few more, compared byte for byte with the files in
-tests/golden/.
+stdout of more, compared byte for byte with the files in tests/golden/.
 
 The JSON corpus covers every subcommand, q = 1 and q = 3 mod 4, q = 9 and
-every `verify --suite`; the text corpus covers nested mappings, lists of
-scalars and lists of lists.  Regenerate both (only when an output change
-is intended) with
+every `verify --suite`; the text corpus covers every subcommand, nested
+mappings, lists of scalars, lists of lists and an empty list.
+`test_reach.py` runs both corpora.  Regenerate both (only when an output
+change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -58,6 +58,14 @@ TEXT_COMMANDS = {
     "text_witt_classify_q7": ["witt", "classify", "--q", "7", "--form", "1,1,1"],
     "text_kmw_table_q3": ["kmw", "table", "--q", "3", "--range=-1..1"],
     "text_spc_shtop": ["spc", "sh-top", "--primes", "3", "--height", "2"],
+    "text_kmw_reduce_q7": ["kmw", "reduce", "--q", "7", "--word", "eta[2] + h"],
+    "text_milnor_q5": ["milnor", "--q", "5", "--n", "1"],
+    "text_spech_q3": ["spech", "--q", "3", "--prime-bound", "20"],
+    "text_motive_decompose": ["motive", "decompose", "--space", "P2xP1"],
+    "text_motive_pairing": ["motive", "pairing", "--space", "P1xP1"],
+    "text_spc_tate": ["spc", "tate", "--twist-radius", "3", "--shift-radius", "2"],
+    "text_spc_equivariant": ["spc", "equivariant", "--n", "6", "--primes", "2", "--height", "1", "--dot"],
+    "text_verify_witt": ["verify", "--suite", "witt"],
 }
 
 

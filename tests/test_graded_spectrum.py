@@ -13,7 +13,6 @@ from ttspec import milnor_witt as mw
 
 F3 = make_field(3)
 F5 = make_field(5)
-FIELDS_BY_Q = {q: make_field(p, e) for q, p, e in ((3, 3, 1), (5, 5, 1), (7, 7, 1), (9, 3, 2))}
 
 
 def test_reduced_element_normalization():
@@ -92,7 +91,7 @@ def test_unknown_generator():
 
 @pytest.mark.parametrize("field", [F3, F5])
 def test_enumerate_primes_list(field):
-    space = gs.enumerate_primes(field, 50)
+    space = gs.enumerate_primes(50)
     got = {p.sorted_generators() for p in space.points}
     want = {("[w]", "eta"), ("[w]", "2"), ("[w]", "eta", "2")}
     for p in range(3, 51, 2):
@@ -104,10 +103,14 @@ def test_enumerate_primes_list(field):
     assert flagged[0].sorted_generators() == ("[w]", "eta", "2")
     for cert in space.certificates:
         assert cert["prime"] and cert["proper"]
+    # the points are the same for every field; `spech` only validates q
+    assert cli.cmd_spech(SimpleNamespace(q=field.q, prime_bound=50))["points"] == [
+        {"generators": list(p.sorted_generators()), "discrepancy": p.discrepancy} for p in space.points
+    ]
 
 
 def test_specialization_order():
-    space = gs.enumerate_primes(F3, 7)
+    space = gs.enumerate_primes(7)
     by_gens = {p.sorted_generators(): i for i, p in enumerate(space.points)}
     spec = set(space.specializations())
     generic = by_gens[("[w]", "eta")]
@@ -136,7 +139,7 @@ def closure(space, subset):
 
 
 def test_open_closed_sets():
-    space = gs.enumerate_primes(F3, 7)
+    space = gs.enumerate_primes(7)
     eta = gs.ReducedElement(-1, 1)
     two = gs.ReducedElement(0, 2)
     d_eta = {p.sorted_generators() for p in d_open(space, eta)}
@@ -174,7 +177,7 @@ def _certify(generators, degree_bound):
     return gs.is_prime_ideal(gs.HomogeneousPrime(generators), degree_bound=degree_bound)
 
 
-def enumerate_primes_by_search(field, prime_bound, degree_bound=12):
+def enumerate_primes_by_search(prime_bound, degree_bound=12):
     """(points, certificates) of the candidates that certify as prime."""
     int_primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
     seen = {}
@@ -207,31 +210,36 @@ def specializations_by_scan(points):
     ]
 
 
-def _assert_matches_oracle(field, prime_bound):
-    space = gs.enumerate_primes(field, prime_bound)
-    points, _ = enumerate_primes_by_search(field, prime_bound)
+def _assert_matches_oracle(prime_bound):
+    space = gs.enumerate_primes(prime_bound)
+    points, _ = enumerate_primes_by_search(prime_bound)
     assert space.points == points
     assert [p.discrepancy for p in space.points] == [p.discrepancy for p in points]
     assert space.specializations() == specializations_by_scan(points)
+    return points
 
 
-@pytest.mark.parametrize("q", sorted(FIELDS_BY_Q))
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_closed_form_matches_search(q):
+    """The points are the same for every field: `spech --q q` lists the
+    search's points at each bound."""
     for prime_bound in range(0, 61):
-        _assert_matches_oracle(FIELDS_BY_Q[q], prime_bound)
-    space = gs.enumerate_primes(FIELDS_BY_Q[q], 60)
-    assert space.certificates == enumerate_primes_by_search(FIELDS_BY_Q[q], 60)[1]
+        points = _assert_matches_oracle(prime_bound)
+        got = cli.cmd_spech(SimpleNamespace(q=q, prime_bound=prime_bound))["points"]
+        assert [tuple(p["generators"]) for p in got] == [p.sorted_generators() for p in points]
+    space = gs.enumerate_primes(60)
+    assert space.certificates == enumerate_primes_by_search(60)[1]
 
 
 def test_closed_form_matches_search_bound_500():
-    _assert_matches_oracle(F3, 500)
-    space = gs.enumerate_primes(F3, 500)
+    _assert_matches_oracle(500)
+    space = gs.enumerate_primes(500)
     assert len(space.points) == 97  # 94 odd primes, plus (eta), (2) and (eta, 2)
-    assert space.certificates == enumerate_primes_by_search(F3, 500)[1]
+    assert space.certificates == enumerate_primes_by_search(500)[1]
 
 
 def test_points_sort_as_strings():
-    names = [p.sorted_generators() for p in gs.enumerate_primes(F3, 101).points]
+    names = [p.sorted_generators() for p in gs.enumerate_primes(101).points]
     assert names[:5] == [("[w]", "2"), ("[w]", "eta"), ("[w]", "eta", "101"),
                          ("[w]", "eta", "11"), ("[w]", "eta", "13")]
 
@@ -240,17 +248,16 @@ def test_degree_zero_lists_no_false_point():
     # a degree-0 certificate cannot see eta, so the search let ([w]) in,
     # although 2 * eta = 0 with neither factor in ([w])
     omega = frozenset({"[w]"})
-    assert omega in {p.generators for p in enumerate_primes_by_search(F3, 7, degree_bound=0)[0]}
-    space = gs.enumerate_primes(F3, 7, degree_bound=0)
-    assert space.points == gs.enumerate_primes(F3, 7).points
+    assert omega in {p.generators for p in enumerate_primes_by_search(7, degree_bound=0)[0]}
+    space = gs.enumerate_primes(7)
     assert omega not in {p.generators for p in space.points}
     assert not gs.is_prime_ideal(gs.HomogeneousPrime(omega))["prime"]
 
 
 def test_prime_bound_limit():
-    assert len(gs.enumerate_primes(F3, 0).points) == 1
+    assert len(gs.enumerate_primes(0).points) == 1
     with pytest.raises(BoundExceeded, match=f"exceeds the bound {PRIME_BOUND}"):
-        gs.enumerate_primes(F3, PRIME_BOUND + 1)
+        gs.enumerate_primes(PRIME_BOUND + 1)
 
 
 def test_certificates_only_on_demand(monkeypatch):
@@ -259,7 +266,7 @@ def test_certificates_only_on_demand(monkeypatch):
 
     monkeypatch.setattr(gs, "is_prime_ideal", refuse)
     monkeypatch.setattr(gs.HomogeneousPrime, "includes", refuse)
-    space = gs.enumerate_primes(F3, 60)
+    space = gs.enumerate_primes(60)
     assert space.specializations()
     assert cli.cmd_spech(SimpleNamespace(q=3, prime_bound=60))["points"]
     monkeypatch.undo()

@@ -16,6 +16,8 @@ from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 
+from helpers import field_units
+
 QS = [3, 5, 7, 9]
 
 
@@ -51,10 +53,10 @@ def test_group_shapes(q):
 def test_steinberg_relation(q):
     field = _field(q)
     one = field.one()
-    for a in field.units():
+    for a in field_units(field):
         if a == one:
             continue
-        w = mw.word_symbol(a) * mw.word_symbol(one - a)
+        w = mw.word_symbol(a) * mw.word_symbol(one + -a)
         assert mw.reduce_word(w) == {}
 
 
@@ -62,7 +64,7 @@ def test_steinberg_relation(q):
 def test_twisted_logarithm_relation(q):
     # [ab] = [a] + [b] + eta [a][b]
     field = _field(q)
-    for a, b in itertools.product(field.units(), repeat=2):
+    for a, b in itertools.product(field_units(field), repeat=2):
         lhs = mw.word_symbol(a * b)
         rhs = mw.word_symbol(a) + mw.word_symbol(b) + mw.word_eta(field) * (
             mw.word_symbol(a) * mw.word_symbol(b)
@@ -73,7 +75,7 @@ def test_twisted_logarithm_relation(q):
 @pytest.mark.parametrize("q", QS)
 def test_eta_commutes_with_symbols(q):
     field = _field(q)
-    for a in field.units():
+    for a in field_units(field):
         lhs = mw.word_eta(field) * mw.word_symbol(a)
         rhs = mw.word_symbol(a) * mw.word_eta(field)
         assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
@@ -92,7 +94,7 @@ def test_epsilon_commutation(q):
     # [a][b] = eps [b][a] with eps = -<-1> = -1 - eta[-1]
     field = _field(q)
     eps = -mw.word_one(field) - mw.word_eta(field) * mw.word_symbol(-field.one())
-    units = list(field.units())
+    units = list(field_units(field))
     for a, b in itertools.product(units[:4], repeat=2):
         lhs = mw.word_symbol(a) * mw.word_symbol(b)
         rhs = eps * (mw.word_symbol(b) * mw.word_symbol(a))
@@ -102,7 +104,7 @@ def test_epsilon_commutation(q):
 @pytest.mark.parametrize("q", QS)
 def test_double_symbols_vanish(q):
     field = _field(q)
-    units = list(field.units())
+    units = list(field_units(field))
     for a, b in itertools.product(units[:5], repeat=2):
         assert mw.reduce_word(mw.word_symbol(a) * mw.word_symbol(b)) == {}
 
@@ -111,7 +113,7 @@ def test_double_symbols_vanish(q):
 def test_symbol_coordinates(q):
     field = _field(q)
     omega = primitive_element(field)
-    for a in field.units():
+    for a in field_units(field):
         assert mw.symbol(a).coords == (discrete_log(a) % (q - 1),)
     for k in range(q - 1):
         assert mw.symbol(omega ** k).coords == (k,)
@@ -139,7 +141,7 @@ def test_degree_zero_is_gw(q):
     ]
     for x, y in itertools.product(classes, repeat=2):
         gx, gy = mw.kmw_to_gw(x), mw.kmw_to_gw(y)
-        assert mw.kmw_to_gw(x + y) == gx + gy
+        assert mw.kmw_to_gw(mw.kmw_add(x, y)) == gx + gy
         assert mw.kmw_to_gw(mw.kmw_mul(x, y)) == gx * gy
         assert mw.gw_to_kmw(gx) == x
     # h corresponds to the hyperbolic form
@@ -172,7 +174,7 @@ def test_negative_degrees_match_witt_model(q, n):
     for w1, w2 in itertools.product(witt, repeat=2):
         assert images[qf.witt_class(
             w1.anisotropic_kernel.concat(w2.anisotropic_kernel)
-        )] == images[w1] + images[w2]
+        )] == mw.kmw_add(images[w1], images[w2])
 
 
 @pytest.mark.parametrize("q", QS)
@@ -186,7 +188,7 @@ def test_negative_degree_multiplication_matches_witt(q):
                 mw.from_fundamental_ideal(field, a, w1),
                 mw.from_fundamental_ideal(field, b, w2),
             )
-            rhs = mw.from_fundamental_ideal(field, a + b, w1 * w2)
+            rhs = mw.from_fundamental_ideal(field, a + b, qf.witt_mul(w1, w2))
             assert lhs == rhs
 
 

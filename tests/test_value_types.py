@@ -40,7 +40,7 @@ FIELDS = {
     mw.MilnorKElement: ("field", "degree", "value"),
     gs.ReducedElement: ("degree", "coeff"),
     gs.HomogeneousPrime: ("generators", "discrepancy"),
-    gs.SpecHSpace: ("points", "prime_bound", "degree_bound"),
+    gs.SpecHSpace: ("points", "prime_bound"),
     cm.ProjSpaceProduct: ("dims",),
     cm.ChowClass: ("space", "terms"),
     cm.Correspondence: ("source", "target", "shift", "cls"),
@@ -120,8 +120,7 @@ def _samples():
         gs.HomogeneousPrime: [gs.HomogeneousPrime(frozenset({"[w]", "eta"})),
                               gs.HomogeneousPrime(frozenset({"[w]", "eta"}), discrepancy=True),
                               gs.HomogeneousPrime(generators=frozenset({"[w]", "eta"}))],
-        gs.SpecHSpace: [gs.enumerate_primes(f3, 7), gs.enumerate_primes(f3, 7),
-                        gs.enumerate_primes(f5, 5)],
+        gs.SpecHSpace: [gs.enumerate_primes(7), gs.enumerate_primes(7), gs.enumerate_primes(5)],
         cm.ProjSpaceProduct: [p1, cm.ProjSpaceProduct([1]), p2, cm.POINT,
                               cm.parse_space("P1xP2")],
         cm.ChowClass: [cm.identity_correspondence(p1).cls, cm.identity_correspondence(p1).cls,
@@ -237,7 +236,7 @@ def test_prime_power_q_is_stored_and_not_a_field():
 
 
 def test_spech_certificates_are_not_a_field():
-    read, fresh = gs.enumerate_primes(make_field(3), 7), gs.enumerate_primes(make_field(3), 7)
+    read, fresh = gs.enumerate_primes(7), gs.enumerate_primes(7)
     assert read.certificates and fresh._certificates is None
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
     assert pickle.loads(pickle.dumps(read)) == read
