@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .errors import BoundExceeded, TtspecError
+from .errors import BoundExceeded, EvenCharacteristic, TtspecError
 from .finite_field import CARDINALITY_BOUND, _prime_factors, make_field, primitive_element
 
 # The compute modules are imported by the functions that run them, so that
@@ -28,14 +28,22 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
 
-def _field_for(q: int):
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, checked as `make_field` checks it (p odd, q within
+    CARDINALITY_BOUND) but without building the field."""
     if q > CARDINALITY_BOUND:  # before the trial division, which takes sqrt(q) steps
         raise BoundExceeded(f"q = {q} exceeds the field bound {CARDINALITY_BOUND}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise TtspecError(f"{q} is not a prime power")
     ((p, e),) = factors.items()
-    return make_field(p, e)
+    if p == 2:
+        raise EvenCharacteristic("characteristic 2 is not supported")
+    return p, e
+
+
+def _field_for(q: int):
+    return make_field(*_prime_power(q))
 
 
 # ---------------------------------------------------------------- word parser
@@ -259,7 +267,7 @@ def cmd_milnor(args):
 
 def cmd_spech(args):
     from . import graded_spectrum
-    _field_for(args.q)  # validated, though the points are the same for every field
+    _prime_power(args.q)  # validated, though the points are the same for every field
     space = graded_spectrum.enumerate_primes(args.prime_bound)
     points = []
     for p in space.points:
@@ -312,7 +320,7 @@ def cmd_motive(args):
 
 def cmd_spc(args):
     from . import tt_geometry
-    _field_for(args.q)  # validated for every operation, though only tate echoes it
+    _prime_power(args.q)  # validated for every operation, though only tate echoes it
     if args.spc_op == "tate":
         universe = tt_geometry.TateUniverse(args.twist_radius, args.shift_radius)
         found = tt_geometry.enumerate_primes(universe)

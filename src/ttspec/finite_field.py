@@ -17,14 +17,17 @@ of the operands packed in bit slots (Kronecker substitution), with the high
 slots folded back through packed powers x^(e+j) mod the modulus, and for
 e = 1 a residue product.  The table walk multiplies by w alone, q - 1
 times, so it runs `_times`, that multiplication as an F_p-linear map on
-packed integers.  Inverses come from the extended Euclidean algorithm
-on coefficient tuples, and squareness from the norm N(a) = Res(modulus, a)
-in F_p, also by Euclid: a is a square iff N(a)^((p-1)/2) = 1, since
-(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  On a
-prime field both are a single builtin `pow`, and so is `**`, which
-everywhere runs the one ladder `_tuple_pow` on coefficient tuples.  Every
-list of primes comes from one bytearray sieve of Eratosthenes,
-`_primes_upto`.
+packed integers, and keeps the powers it walked beside the table.  A
+built table answers logs, inverses and squareness: a = w^k has inverse
+w^(-k), read off the kept powers, and is a square iff k is even.  Nothing
+but `discrete_log` builds it.  Without a table, inverses come from the
+extended Euclidean algorithm on coefficient tuples, and squareness from
+the norm N(a) = Res(modulus, a) in F_p, also by Euclid: a is a square iff
+N(a)^((p-1)/2) = 1, since (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and
+N(a) = a^((q-1)/(p-1)).  On a prime field both are a single builtin
+`pow`, and so is `**`, which everywhere runs the one ladder `_tuple_pow`
+on coefficient tuples.  Every list of primes comes from one bytearray
+sieve of Eratosthenes, `_primes_upto`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ CARDINALITY_BOUND = 1 << 20
 # 3.3 vs 0.34 ms at 2187, 3.5 vs 0.11 ms at 4093 (the largest q below the
 # bound), 16 vs 0.5 ms at 6561.  Warm, mean of 2,000 seeded units: lookup
 # 0.2-0.6 us; solve 2 us at 7, 8 us at 4093, 140 us at 2187, 210-390 us at
-# 3^8, 13^4, 3^10 and 5^7.
+# 3^8, 13^4, 3^10 and 5^7.  Only `discrete_log` builds the table; once
+# built, it answers logs, `inverse` and `is_square` (warm, 500 seeded units,
+# Euclid or norm -> table: inverse 17.4 -> 1.6 us at 243 and 28 -> 1.7 us at
+# 2187, is_square 11.5 -> 0.5 and 19 -> 0.5 us).
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
 # `spech --q 3 --prime-bound 500000 --json` prints 3.1 MB in 0.35-0.45 s (2-CPU x86-64 VM)
@@ -347,10 +353,18 @@ class FieldElement(Value):
         return FieldElement(field, _poly_mul_mod(self.coeffs, other.coeffs, field.modulus, field.p))
 
     def inverse(self) -> "FieldElement":
+        """omega^-k for self = omega^k when the field holds its log table,
+        else extended Euclid.  Never builds the table."""
         if not any(self.coeffs):
             raise ZeroInput("zero has no inverse")
         field = self.field
-        return FieldElement(field, _poly_inverse(self.coeffs, field.modulus, field.p))
+        logs = field._cache.get("logs")
+        if logs is None:
+            return FieldElement(field, _poly_inverse(self.coeffs, field.modulus, field.p))
+        k = logs.get(self.coeffs)
+        if k is None:  # coefficients out of canonical form: look up the reduced tuple
+            return field.element(self.coeffs).inverse()
+        return FieldElement(field, field._cache["powers"][-k])
 
     def __truediv__(self, other):
         other = self.field.element(other)
@@ -411,7 +425,8 @@ def primitive_element(field: PrimePower) -> FieldElement:
 
 def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
     """coeffs of omega^k -> k for k in 0..q-2, built on bare coefficient
-    tuples (no FieldElement per step)."""
+    tuples (no FieldElement per step).  Its keys in walk order, the powers
+    omega^k, are cached beside it as "powers", for `inverse`."""
     table = field._cache.get("logs")
     if table is None:
         times_omega = _times(primitive_element(field).coeffs, field.modulus, field.p)
@@ -420,6 +435,7 @@ def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
         for k in range(field.q - 1):
             table[x] = k
             x = times_omega(x)
+        field._cache["powers"] = list(table)
         field._cache["logs"] = table
     return table
 
@@ -496,17 +512,28 @@ def discrete_log(a: FieldElement) -> int:
         raise ZeroInput("discrete log of zero undefined")
     field = a.field
     if field._q <= LOG_TABLE_BOUND:
-        return _log_table(field)[a.coeffs]
+        k = _log_table(field).get(a.coeffs)
+        if k is None:  # coefficients out of canonical form: look up the reduced tuple
+            return discrete_log(field.element(a.coeffs))
+        return k
     return _pohlig_hellman(a)
 
 
 def is_square(a: FieldElement) -> bool:
-    """Euler criterion on the norm: N(a)^((p-1)/2) == 1 in F_p."""
+    """Whether a is a square: k is even for a = omega^k when the field holds
+    its log table, else the Euler criterion on the norm, N(a)^((p-1)/2) == 1
+    in F_p.  Never builds the table."""
     if not any(a.coeffs):
         raise ZeroInput("squareness of zero undefined")
     field = a.field
-    p = field.p
-    return pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1
+    logs = field._cache.get("logs")
+    if logs is None:
+        p = field.p
+        return pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1
+    k = logs.get(a.coeffs)
+    if k is None:  # coefficients out of canonical form: look up the reduced tuple
+        return is_square(field.element(a.coeffs))
+    return not k & 1
 
 
 def square_class(a: FieldElement) -> int:

@@ -774,6 +774,28 @@ def test_each_command_loads_only_the_modules_it_runs():
         assert not added & {"fractions", "decimal"}, argv
 
 
+def test_spech_and_spc_check_q_without_building_a_field(capsys, monkeypatch):
+    """`spech` and `spc` only validate --q, with the error lines that
+    building the field would give, and never call `make_field`."""
+    def refuse(p, e=1):
+        raise AssertionError(f"make_field({p}, {e}) called")
+
+    monkeypatch.setattr(cli, "make_field", refuse)
+    for q in ("531441", "1046527", "3"):
+        assert run(capsys, "spech", "--q", q, "--prime-bound", "2")[0] == cli.EXIT_OK
+        assert run(capsys, "spc", "tate", "--q", q)[0] == cli.EXIT_OK
+    for q, line in [
+        ("4", "error: characteristic 2 is not supported"),
+        ("2", "error: characteristic 2 is not supported"),
+        ("6", "error: 6 is not a prime power"),
+        ("1", "error: 1 is not a prime power"),
+        ("1048583", "error: q = 1048583 exceeds the field bound 1048576"),
+    ]:
+        for argv in (["spech", "--q", q], ["spc", "sh-top", "--q", q]):
+            assert cli.main(argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err.splitlines() == [line], argv
+
+
 def test_json_envelope_round_trip(capsys):
     _, out = run(capsys, "gw", "--q", "3", "--json")
     payload = json.loads(out)

@@ -12,7 +12,9 @@ from ttspec.finite_field import (
     FieldElement,
     PrimePower,
     _log_table,
+    _norm,
     _pohlig_hellman,
+    _poly_inverse,
     _poly_mul_mod,
     _times,
     discrete_log,
@@ -441,6 +443,51 @@ def test_log_table_only_up_to_bound():
         omega = primitive_element(field)
         assert discrete_log(omega ** 1000) == 1000
         assert "logs" not in field._cache, field
+
+
+# q in {3, 5, 7, 9, 25, 27, 121, 125, 243, 2187}: primes, squares and cubes of
+# primes, and F_243 and F_2187, where Euclid and the norm cost most
+TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (11, 2), (5, 3), (3, 5), (3, 7)]
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_inverse_and_is_square_from_the_log_table_match_euclid_and_the_norm(p, e):
+    """With the table built, a = omega^k has inverse omega^-k and is a square
+    iff k is even: checked on every unit against extended Euclid and the
+    norm's Euler criterion, the paths a field without a table takes."""
+    field = _fresh_field(p, e)
+    _log_table(field)
+    for a in field_units(field):
+        assert a.inverse().coeffs == _poly_inverse(a.coeffs, field.modulus, p), a
+        assert is_square(a) == (pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1), a
+    assert "logs" in field._cache
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_inverse_and_is_square_never_build_the_log_table(p, e):
+    field = _fresh_field(p, e)
+    rng = random.Random(f"no-table:{field.q}")
+    for _ in range(64):
+        a = field.from_index(rng.randrange(1, field.q))
+        assert a * a.inverse() == field.one() == a * a ** -1 == a / a, a
+        assert square_class(a) == (not is_square(a)), a
+    assert "logs" not in field._cache and "powers" not in field._cache, field
+
+
+@pytest.mark.parametrize("p,e,coeffs", [(3, 1, (4,)), (3, 3, (4, 5, 7))])
+def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
+    """An element built with coefficients outside 0..p-1 answers as its
+    reduction does, before and after the log table is built; no lookup
+    raises KeyError."""
+    field = _fresh_field(p, e)
+    a, reduced = FieldElement(field, coeffs), field.element(coeffs)
+    assert a.coeffs != reduced.coeffs
+    before = (a.inverse(), is_square(a))
+    assert discrete_log(a) == discrete_log(reduced)
+    assert "logs" in field._cache
+    assert before == (a.inverse(), is_square(a)) == (reduced.inverse(), is_square(reduced))
+    with pytest.raises(ZeroInput):
+        discrete_log(FieldElement(field, (p,) * e))
 
 
 def _change_of_generator(x, new_omega):
