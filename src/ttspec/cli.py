@@ -366,16 +366,38 @@ def _suite_ses():
     return failures
 
 
+def _unit_form_order_by_zero_counts(field):
+    """The order of <1> in W(F_q) from zero counts, sharing no code with the
+    isotropy descent.  N_2(c) = #{(x, y) : x^2 + y^2 = c} takes q^2 field
+    operations; <1,1> has N_2(0) zeros and <1,1,1,1> has
+    sum_c N_2(c) N_2(-c).  n<1> is 0 in W iff <1>^n is hyperbolic, that is
+    iff its zero count is the split count q^(n-1) + q^(n/2) - q^(n/2-1), and
+    the order is the least such n in {2, 4} (None if neither).  Returns the
+    order and the two counts."""
+    from collections import Counter
+    q = field.q
+    squares = [x * x for x in map(field.from_index, range(q))]
+    n2 = Counter(a + b for a in squares for b in squares)
+    counts = [n2[field.zero()], sum(k * n2[-c] for c, k in n2.items())]
+    split = [q ** (n - 1) + q ** (n // 2) - q ** (n // 2 - 1) for n in (2, 4)]
+    order = next((n for n, count, want in zip((2, 4), counts, split) if count == want), None)
+    return order, counts
+
+
 def _suite_witt():
-    """The closed-form W(F_q) against repeated `witt_add` by isotropy descent,
-    and the ring structure: `witt_mul` of every pair of the four classes
-    against the multiplication table of `_witt_model`, at q = 3 and q = 5,
-    one field for each class of q mod 4."""
+    """The closed-form W(F_q) against repeated `witt_add` by isotropy descent
+    and against the zero counts of <1,1> and <1,1,1,1>, and the ring
+    structure: `witt_mul` of every pair of the four classes against the
+    multiplication table of `_witt_model`, at q = 3 and q = 5, one field for
+    each class of q mod 4."""
     from . import quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = _field_for(q)
         structure = quadratic_forms.witt_ring_structure(field)
+        counted, counts = _unit_form_order_by_zero_counts(field)
+        if structure["order_of_unit_form"] != counted:
+            failures.append({"q": q, "zero_counts": counts, "got": structure["order_of_unit_form"], "want": counted})
         one = quadratic_forms.witt_one(field)
         order = quadratic_forms.additive_order(one)
         table, acc = {}, quadratic_forms.witt_zero(field)

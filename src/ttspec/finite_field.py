@@ -85,7 +85,8 @@ def _primes_upto(n: int) -> list[int]:
 class PrimePower(Value):
     """Field descriptor for F_q with q = p^e, q odd.  `modulus` is monic,
     coefficients low-to-high, length e + 1; `_q` = p^e is computed once, and
-    `_cache` is filled lazily; both are left out of equality."""
+    `_cache` is filled lazily (zero, one, the generator, the log table);
+    both are left out of equality and hashing."""
 
     __slots__ = ("p", "e", "modulus", "_q", "_cache")
 
@@ -127,13 +128,21 @@ class PrimePower(Value):
 
     def from_index(self, v: int) -> "FieldElement":
         """The v-th element in representative order (base-p encoding)."""
-        return FieldElement(self, _int_to_coeffs(v % self.q, self.p, self.e))
+        if self.e == 1:  # the isotropy search's hot call: one residue
+            return FieldElement(self, (v % self.p,))
+        return FieldElement(self, _int_to_coeffs(v % self._q, self.p, self.e))
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        zero = self._cache.get("zero")
+        if zero is None:
+            zero = self._cache["zero"] = self.element(0)
+        return zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        one = self._cache.get("one")
+        if one is None:
+            one = self._cache["one"] = self.element(1)
+        return one
 
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q}(p={self.p},e={self.e})"
@@ -313,6 +322,17 @@ def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 class FieldElement(Value):
+    """An element of `field` as its coefficient tuple, low-to-high.
+
+    The constructor does not reduce: `coeffs` must have length e and
+    entries in 0..p-1, the form that `*`, `+`, `/`, `inverse` and
+    `is_square` compute on (the packed product's slots overflow on larger
+    entries).  `field.element` is the entry point that coerces an int or
+    any sequence into that form.  The table-less paths of `inverse`,
+    `is_square` and `discrete_log`, and any table miss, still reduce a
+    tuple out of that form through it, so a zero written as (p,) raises
+    `ZeroInput`."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimePower, coeffs: tuple[int, ...]):
@@ -337,14 +357,15 @@ class FieldElement(Value):
         return _coeffs_to_int(self.coeffs, self.field.p)
 
     def __add__(self, other):
-        other = self.field.element(other)
-        return FieldElement(
-            self.field,
-            tuple((a + b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = field.element(other)
+        p = field.p
+        return FieldElement(field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return FieldElement(self.field, tuple((-a) % self.field.p for a in self.coeffs))
+        p = self.field.p
+        return FieldElement(self.field, tuple(-a % p for a in self.coeffs))
 
     def __mul__(self, other):
         field = self.field
@@ -355,19 +376,21 @@ class FieldElement(Value):
     def inverse(self) -> "FieldElement":
         """omega^-k for self = omega^k when the field holds its log table,
         else extended Euclid.  Never builds the table."""
-        if not any(self.coeffs):
-            raise ZeroInput("zero has no inverse")
         field = self.field
         logs = field._cache.get("logs")
-        if logs is None:
-            return FieldElement(field, _poly_inverse(self.coeffs, field.modulus, field.p))
-        k = logs.get(self.coeffs)
-        if k is None:  # coefficients out of canonical form: look up the reduced tuple
-            return field.element(self.coeffs).inverse()
+        k = None if logs is None else logs.get(self.coeffs)
+        if k is None:  # no table, zero, or coefficients out of canonical form
+            coeffs = field.element(self.coeffs).coeffs
+            if not any(coeffs):
+                raise ZeroInput("zero has no inverse")
+            if logs is None:
+                return FieldElement(field, _poly_inverse(coeffs, field.modulus, field.p))
+            k = logs[coeffs]
         return FieldElement(field, field._cache["powers"][-k])
 
     def __truediv__(self, other):
-        other = self.field.element(other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self.field.element(other)
         return self * other.inverse()
 
     def __pow__(self, n: int):
@@ -508,31 +531,34 @@ def _pohlig_hellman(a: FieldElement) -> int:
 def discrete_log(a: FieldElement) -> int:
     """Least k >= 0 with omega^k = a, for the fixed generator omega: a table
     lookup for q <= LOG_TABLE_BOUND, Pohlig-Hellman above it."""
-    if not any(a.coeffs):
-        raise ZeroInput("discrete log of zero undefined")
     field = a.field
-    if field._q <= LOG_TABLE_BOUND:
-        k = _log_table(field).get(a.coeffs)
-        if k is None:  # coefficients out of canonical form: look up the reduced tuple
-            return discrete_log(field.element(a.coeffs))
-        return k
-    return _pohlig_hellman(a)
+    logs = field._cache.get("logs")
+    k = None if logs is None else logs.get(a.coeffs)
+    if k is None:  # no table yet, zero, or coefficients out of canonical form
+        a = field.element(a.coeffs)
+        if not any(a.coeffs):
+            raise ZeroInput("discrete log of zero undefined")
+        if field._q > LOG_TABLE_BOUND:
+            return _pohlig_hellman(a)
+        k = _log_table(field)[a.coeffs]
+    return k
 
 
 def is_square(a: FieldElement) -> bool:
     """Whether a is a square: k is even for a = omega^k when the field holds
     its log table, else the Euler criterion on the norm, N(a)^((p-1)/2) == 1
     in F_p.  Never builds the table."""
-    if not any(a.coeffs):
-        raise ZeroInput("squareness of zero undefined")
     field = a.field
     logs = field._cache.get("logs")
-    if logs is None:
-        p = field.p
-        return pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1
-    k = logs.get(a.coeffs)
-    if k is None:  # coefficients out of canonical form: look up the reduced tuple
-        return is_square(field.element(a.coeffs))
+    k = None if logs is None else logs.get(a.coeffs)
+    if k is None:  # no table, zero, or coefficients out of canonical form
+        coeffs = field.element(a.coeffs).coeffs
+        if not any(coeffs):
+            raise ZeroInput("squareness of zero undefined")
+        if logs is None:
+            p = field.p
+            return pow(_norm(coeffs, field.modulus, p), (p - 1) // 2, p) == 1
+        k = logs[coeffs]
     return not k & 1
 
 

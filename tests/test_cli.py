@@ -185,6 +185,29 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
     assert [f["q"] for f in failures] == [3, 5, 7, 9, 11, 13]
 
 
+def test_verify_witt_fails_on_the_zero_counts_when_descent_and_closed_form_agree(capsys, monkeypatch):
+    # at q = 3 both answers say <1> has order 2, so only the zero counts see
+    # that <1,1> is anisotropic there and <1> has order 4
+    right_structure, right_order = quadratic_forms.witt_ring_structure, quadratic_forms.additive_order
+
+    def structure(field):
+        out = right_structure(field)
+        if field.q == 3:
+            table = dict(itertools.islice(out["generator_table"].items(), 2))
+            out = dict(out, type="Z/2[e]/e^2", order_of_unit_form=2, generator_table=table)
+        return out
+
+    def additive_order(cls):
+        return 2 if cls.field.q == 3 else right_order(cls)
+
+    monkeypatch.setattr(quadratic_forms, "witt_ring_structure", structure)
+    monkeypatch.setattr(quadratic_forms, "additive_order", additive_order)
+    code, out = run(capsys, "verify", "--suite", "witt", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["witt"]["failures"]
+    assert failures == [{"q": 3, "zero_counts": [1, 33], "got": 2, "want": 4}]
+
+
 def test_verify_witt_fails_when_witt_mul_adds(capsys, monkeypatch):
     monkeypatch.setattr(quadratic_forms, "witt_mul", quadratic_forms.witt_add)
     code, out = run(capsys, "verify", "--suite", "witt", "--json")

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from ttspec import milnor_witt as mw
-from ttspec.errors import BoundExceeded, EvenCharacteristic, InvalidArgument, NotPrime, ZeroInput
+from ttspec.errors import BoundExceeded, EvenCharacteristic, FieldMismatch, InvalidArgument, NotPrime, ZeroInput
 from ttspec.finite_field import (
     LOG_TABLE_BOUND,
     PRIME_BOUND,
@@ -488,6 +488,80 @@ def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
     assert before == (a.inverse(), is_square(a)) == (reduced.inverse(), is_square(reduced))
     with pytest.raises(ZeroInput):
         discrete_log(FieldElement(field, (p,) * e))
+
+
+
+def test_table_less_paths_reduce_coefficients_out_of_canonical_form():
+    """Without a log table, `inverse`, `is_square` and Pohlig-Hellman
+    reduce a tuple out of canonical form first: a zero written as (3,)
+    raises ZeroInput rather than a bare ValueError from `pow`, and
+    (4, 5, 7) over F_27 gets the answers of its reduction (1, 2, 1)."""
+    f3 = _fresh_field(3, 1)
+    for call in (FieldElement.inverse, is_square):
+        with pytest.raises(ZeroInput):
+            call(FieldElement(f3, (3,)))
+    f27 = _fresh_field(3, 3)
+    for coeffs, want in (((4, 5, 7), (1, 2, 1)), ((1, 2, 3), (1, 2, 0))):  # the second has top entry 0 mod 3
+        a, reduced = FieldElement(f27, coeffs), f27.element(coeffs)
+        assert reduced.coeffs == want
+        assert a.inverse().coeffs == _poly_inverse(reduced.coeffs, f27.modulus, 3)
+        assert is_square(a) == (_norm(reduced.coeffs, f27.modulus, 3) == 1)  # Euler's criterion at p = 3
+    assert "logs" not in f3._cache and "logs" not in f27._cache
+    big = _fresh_field(3, 8)  # above LOG_TABLE_BOUND: Pohlig-Hellman
+    omega = primitive_element(big)
+    for k in (1, 1000, big.q - 2):
+        x = (omega ** k).coeffs
+        assert discrete_log(FieldElement(big, tuple(c + 9 for c in x))) == k
+    with pytest.raises(ZeroInput):
+        discrete_log(FieldElement(big, (3,) * 8))
+    assert "logs" not in big._cache
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (127, 1), (3, 2), (3, 3)])
+def test_from_index_is_the_base_p_encoding_of_v_mod_q(p, e):
+    field, q = make_field(p, e), p ** e
+    for v in range(-2 * q, 3 * q):
+        want = tuple((v % q) // p ** i % p for i in range(e))
+        assert field.from_index(v).coeffs == want, v
+
+
+@pytest.mark.parametrize("p,e", [(13, 1), (3, 2), (3, 3)])
+def test_add_and_divide_coerce_ints_and_refuse_foreign_fields(p, e):
+    field, foreign = make_field(p, e), make_field(5, 3)
+    twin = _fresh_field(p, e)  # equal to field, not the same object
+    for a in field_units(field):
+        for n in (-1, 2, p + 2, 3 * p - 1):
+            assert a + n == a + field.element(n), (a, n)
+            if n % p:
+                assert a / n == a / field.element(n), (a, n)
+        b = twin.from_index(a.value)
+        assert a + b == a + a and a / b == field.one()
+        for op in ("__add__", "__truediv__"):
+            with pytest.raises(FieldMismatch):
+                getattr(a, op)(foreign.one())
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (3, 2), (3, 3)])
+def test_negation_is_canonical(p, e):
+    field = make_field(p, e)
+    for a in field_elements(field):
+        neg = -a
+        assert neg.coeffs == field.element([-c for c in a.coeffs]).coeffs, a
+        assert all(0 <= c < p for c in neg.coeffs) and len(neg.coeffs) == e, a
+        assert (a + neg).is_zero()
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (3, 3)])
+def test_zero_and_one_are_built_once_per_field(p, e):
+    field = _fresh_field(p, e)
+    shared = make_field(p, e)
+    key = hash(field)
+    zero, one = field.zero(), field.one()
+    assert zero == field.element(0) and one == field.element(1)
+    assert field.zero() is zero and field.one() is one
+    assert zero.coeffs == (0,) * e and one.coeffs == (1,) + (0,) * (e - 1)
+    assert field == shared and hash(field) == key == hash(shared)
+    assert field.zero() == shared.zero() and field.one() == shared.one()
 
 
 def _change_of_generator(x, new_omega):
