@@ -14,7 +14,8 @@ hom((X, p, n), (Y, q, m)) is the subgroup of classes a in
 CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p.  The compression
 operator is idempotent, so the hom group is its image, computed as an
 integer column lattice; between identity motives it is the whole group,
-spanned by the monomials of that codimension.
+spanned by the monomials of that codimension.  `verify --suite motives`
+(in `ttspec.verify`) checks the splitting, these hom groups and rigidity.
 """
 
 from __future__ import annotations
@@ -282,6 +283,13 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
     return out
 
 
+def _kunneth_twists(space: ProjSpaceProduct) -> list[int]:
+    """Twists of the Kunneth summands L^w of a product of projective spaces,
+    ascending: one per monomial of codimension dim - w."""
+    counts = space.monomial_counts()
+    return [w for w, n in enumerate(reversed(counts)) for _ in range(n)]
+
+
 def _column_lattice_basis(cols):
     """Hermite-style column reduction over Z on sparse {row: nonzero entry}
     columns; returns basis columns.  Rows are taken in sorted order.  Row i is
@@ -363,25 +371,6 @@ def hom_group(m: Motive, n: Motive) -> dict:
         "ambient_codim": codim,
         "basis": classes,
         "space": product,
-    }
-
-
-def rigidity_check(m: Motive, n: Motive, p: Motive) -> dict:
-    """hom(m (x) n, p) = hom(m, dual(n) (x) p): both compressions live in
-    the cycle group of the same triple product in the same codimension,
-    so the canonical map is the identity on classes; check the two
-    subgroups coincide."""
-    left = hom_group(motive_tensor(m, n), p)
-    right = hom_group(m, motive_tensor(motive_dual(n), p))
-    if left["space"] != right["space"] or left["ambient_codim"] != right["ambient_codim"]:
-        raise SpaceMismatch("rigidity sides live in different cycle groups")
-    same = frozenset(c.terms for c in left["basis"]) == frozenset(
-        c.terms for c in right["basis"]
-    )
-    return {
-        "left_rank": left["rank"],
-        "right_rank": right["rank"],
-        "bijective": same and left["rank"] == right["rank"],
     }
 
 

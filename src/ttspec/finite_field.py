@@ -38,7 +38,7 @@ from math import isqrt
 from operator import mul
 
 from ._value import Value
-from .errors import BoundExceeded, EvenCharacteristic, NotPrime, ZeroInput, FieldMismatch
+from .errors import BoundExceeded, EvenCharacteristic, FieldMismatch, NotPrime, TtspecError, ZeroInput
 
 CARDINALITY_BOUND = 1 << 20
 # first log in a fresh process once the generator is known, table build vs
@@ -424,6 +424,25 @@ def make_field(p: int, e: int = 1) -> PrimePower:
                 break
         assert modulus is not None
     return PrimePower(p, e, modulus)
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, checked as `make_field` checks it (p odd, q within
+    CARDINALITY_BOUND) but without building the field."""
+    if q > CARDINALITY_BOUND:  # before the trial division, which takes sqrt(q) steps
+        raise BoundExceeded(f"q = {q} exceeds the field bound {CARDINALITY_BOUND}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise TtspecError(f"{q} is not a prime power")
+    ((p, e),) = factors.items()
+    if p == 2:
+        raise EvenCharacteristic("characteristic 2 is not supported")
+    return p, e
+
+
+def _field_for(q: int) -> PrimePower:
+    """F_q, built once `_prime_power` has checked q."""
+    return make_field(*_prime_power(q))
 
 
 def primitive_element(field: PrimePower) -> FieldElement:

@@ -7,18 +7,17 @@ the reduced ring are an integer in degree 0 or a Z/2 multiple of eta^d in
 degree -d.  Its homogeneous primes are known (Thornton, arXiv
 1608.02913): (eta), (2), (eta, 2) and (eta, p) for each odd prime p, each
 with [w] added, and inclusion is the only specialization between them.
-`enumerate_primes` lists them from that classification; the degree- and
-coefficient-bounded multiplicativity check `is_prime_ideal` runs only when
-a space's `certificates` are read.
+`enumerate_primes` lists them from that classification.  The degree- and
+coefficient-bounded multiplicativity check of each point, `is_prime_ideal`,
+lives in `ttspec.verify` with the other checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from ._value import Value
-from .errors import InvalidArgument, UnknownGenerator
+from .errors import InvalidArgument
 from .finite_field import _primes_upto
 
 GENERATOR_OMEGA = "[w]"
@@ -112,77 +111,14 @@ class HomogeneousPrime(Value):
 _ALPHABET_SPECIALS = {GENERATOR_OMEGA, GENERATOR_ETA}
 
 
-def _validate_generators(generators):
-    for g in generators:
-        if g in _ALPHABET_SPECIALS:
-            continue
-        try:
-            v = int(g)
-        except ValueError:
-            raise UnknownGenerator(f"unsupported generator {g!r}") from None
-        if v < 2:
-            raise UnknownGenerator(f"unsupported integer generator {v}")
-
-
-def is_prime_ideal(candidate: HomogeneousPrime, degree_bound: int = 12, coeff_bound: int = 12) -> dict:
-    """Bounded primality certificate for a named-generator ideal.
-
-    Checks properness (1 not in I) and, over all homogeneous x, y with
-    |degree| <= degree_bound and |coefficient| <= coeff_bound, that
-    x*y in I implies x in I or y in I.  Returns a certificate dict with a
-    counterexample on failure.
-    """
-    _validate_generators(candidate.generators)
-    cert = {
-        "generators": candidate.sorted_generators(),
-        "degree_bound": degree_bound,
-        "coeff_bound": coeff_bound,
-        "proper": True,
-        "prime": True,
-        "counterexample": None,
-    }
-    if candidate.contains(ReducedElement(0, 1)):
-        cert["proper"] = False
-        cert["prime"] = False
-        cert["counterexample"] = "contains 1"
-        return cert
-
-    def elements():
-        for c in range(-coeff_bound, coeff_bound + 1):
-            yield ReducedElement(0, c)
-        for d in range(1, degree_bound + 1):
-            yield ReducedElement(-d, 1)
-
-    for x, y in itertools.product(elements(), repeat=2):
-        if x.is_zero() or y.is_zero():
-            continue
-        if -(x.degree + y.degree) > degree_bound:
-            continue
-        if candidate.contains(x * y) and not candidate.contains(x) and not candidate.contains(y):
-            cert["prime"] = False
-            cert["counterexample"] = (repr(x), repr(y))
-            return cert
-    return cert
-
-
 class SpecHSpace(Value):
-    """Finite truncation of Spec^h of the reduced ring; `_certificates` is
-    filled when `certificates` is first read and left out of equality."""
+    """Finite truncation of Spec^h of the reduced ring."""
 
-    __slots__ = ("points", "prime_bound", "_certificates")
+    __slots__ = ("points", "prime_bound")
 
     def __init__(self, points: tuple[HomogeneousPrime, ...], prime_bound: int):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "prime_bound", prime_bound)
-        object.__setattr__(self, "_certificates", None)
-
-    @property
-    def certificates(self) -> tuple[dict, ...]:
-        """One `is_prime_ideal` certificate per point, in point order."""
-        if self._certificates is None:
-            certs = tuple(is_prime_ideal(p) for p in self.points)
-            object.__setattr__(self, "_certificates", certs)
-        return self._certificates
 
     def specializations(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with point j in the closure of point i (P_i <= P_j).

@@ -392,64 +392,6 @@ def gw_to_kmw(c: GWClass) -> KmwElement:
     return KmwElement(c.field, 0, (c.rank, c.disc))
 
 
-def verify_ses(field: PrimePower, n: int) -> dict:
-    """Exhaustive check of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0.
-
-    Torsion parts are checked element by element; the free parts (degree 0)
-    are checked on generators.
-    """
-    _check_degree(n)
-    power = fundamental_ideal_power(field, max(n + 1, 0))
-    ideal_members: list[WittClass] = power["members"]
-    images = [from_fundamental_ideal(field, n, w) for w in ideal_members]
-    report = {
-        "field": field.q,
-        "degree": n,
-        "ideal_order": len(ideal_members),
-        "injective": True,
-        "exact_middle": True,
-        "surjective": True,
-        "witnesses": [],
-    }
-    # injectivity
-    seen = {}
-    for w, img in zip(ideal_members, images):
-        key = img.coords
-        if key in seen and _witt_key(seen[key]) != _witt_key(w):
-            report["injective"] = False
-            report["witnesses"].append(("collision", _witt_key(w), key))
-        seen[key] = w
-    image_set = {img.coords for img in images}
-
-    # middle elements: torsion enumerated fully, free parts sampled in {-1,0,1}
-    middle = _kmw_elements_for_check(field, n)
-    if n >= 0:
-        kernel = {x.coords for x in middle if to_milnor(x).is_zero()}
-    else:
-        kernel = {x.coords for x in middle}
-    report["exact_middle"] = kernel == image_set
-    if not report["exact_middle"]:
-        report["witnesses"].append(("kernel", sorted(kernel), sorted(image_set)))
-    # surjectivity of K^MW_n -> K^M_n
-    if n == 0:
-        report["surjective"] = to_milnor(kmw_one(field)).value == 1
-    elif n == 1:
-        hit = {to_milnor(KmwElement(field, 1, (c,))).value for c in range(field.q - 1)}
-        report["surjective"] = len(hit) == field.q - 1
-    else:
-        report["surjective"] = True  # target is 0
-    report["ok"] = report["injective"] and report["exact_middle"] and report["surjective"]
-    return report
-
-
-def _kmw_elements_for_check(field: PrimePower, n: int) -> list[KmwElement]:
-    # free factors sampled in {-1, 0, 1}; torsion enumerated fully
-    from itertools import product
-
-    ranges = [range(-1, 2) if f == 0 else range(f) for f in _factors(field.q, n)]
-    return [KmwElement(field, n, coords) for coords in product(*ranges)]
-
-
 def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:
     """The graded ring K^MW(F_q)[eta^(-1)], computed as a degreewise colimit.
 

@@ -10,7 +10,8 @@ window also holds, is the unit.  The module also writes down the finite
 spectral spaces of the chromatic and equivariant posets from their known
 orders, and computes Thomason subsets, lattice-level quotient/localization,
 and the comparison map into the homogeneous spectrum of the degree-0
-endomorphism ring.
+endomorphism ring, which `verify --suite spaces` (in `ttspec.verify`)
+checks against the supports of cones.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class TateMorphism(Value):
         self,
         source: TateObject,
         target: TateObject,
-        blocks: tuple[tuple[tuple[int, int], tuple[tuple[Fraction, ...], ...]], ...],
+        blocks: tuple[tuple[tuple[int, int], tuple[tuple, ...]], ...],  # rows of Fractions
     ):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -252,10 +253,6 @@ def enumerate_primes(universe: TateUniverse) -> dict:
     if not universe.contains(TATE_UNIT):
         return {"primes": [], "diagnostic": "window has no unit object; no proper prime exists"}
     return {"primes": [ThickTensorIdeal(universe, frozenset())], "diagnostic": None}
-
-
-def u_open(a: TateObject, primes) -> list[ThickTensorIdeal]:
-    return [p for p in primes if p.contains(a)]
 
 
 class FiniteSpectralSpace(Value):
@@ -441,30 +438,3 @@ def rho_bullet(prime: ThickTensorIdeal) -> dict:
         if not prime.contains(scalar_cone):
             contributing.append(("scalar", 0))
     return {"ideal_generators": contributing, "point": "zero ideal"}
-
-
-def verify_comparison(universe: TateUniverse) -> dict:
-    """Check that the comparison-map preimage of each principal open
-    D(s) equals U(Cone(s)), scanning the homogeneous elements of the
-    graded endomorphism ring (rational scalars in degree 0, zero in every
-    other degree).  A prime lies over D(s) iff its rho_bullet image, the
-    whole ring if a unit generates it and zero otherwise, misses s."""
-    from fractions import Fraction
-    report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
-    primes = enumerate_primes(universe)["primes"]
-    unit_images = [bool(rho_bullet(p)["ideal_generators"]) for p in primes]
-    scalars = [Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 2)]
-    for nn in range(-universe.twist_radius, universe.twist_radius + 1):
-        target = tate_line(nn, 2 * nn)  # u^n for u = Q(1)[2]
-        if not universe.contains(target):
-            continue
-        values = scalars if nn == 0 else [Fraction(0)]
-        for s in values:
-            f = TateMorphism.from_dict(TATE_UNIT, target, {} if s == 0 or nn != 0 else {(0, 0): [[s]]})
-            c = cone(f)
-            preimage = [p for p, unit in zip(primes, unit_images) if s != 0 and not unit]
-            u_cone = u_open(c, primes)
-            ok = sorted(map(repr, preimage)) == sorted(map(repr, u_cone))
-            report["cases"].append({"degree": nn, "scalar": str(s), "ok": ok})
-            report["ok"] = report["ok"] and ok
-    return report

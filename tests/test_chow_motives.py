@@ -6,6 +6,7 @@ import pytest
 
 from ttspec.errors import SpaceMismatch
 from ttspec import chow_motives as cm
+from ttspec import verify
 
 
 P1 = cm.ProjSpaceProduct((1,))
@@ -537,7 +538,7 @@ def test_dual_lefschetz_behavior():
 
 def test_rigidity_tate_triples():
     for i, j, k in itertools.product(range(-3, 4), repeat=3):
-        report = cm.rigidity_check(
+        report = verify.rigidity_check(
             cm.lefschetz_motive(i), cm.lefschetz_motive(j), cm.lefschetz_motive(k)
         )
         assert report["bijective"], (i, j, k)
@@ -545,10 +546,10 @@ def test_rigidity_tate_triples():
 
 def test_rigidity_with_projective_line():
     m = cm.Motive(P1, cm.identity_correspondence(P1), 0)
-    report = cm.rigidity_check(m, cm.lefschetz_motive(0), m)
+    report = verify.rigidity_check(m, cm.lefschetz_motive(0), m)
     assert report["bijective"]
     assert report["left_rank"] == report["right_rank"] == 2
-    report2 = cm.rigidity_check(cm.lefschetz_motive(0), m, m)
+    report2 = verify.rigidity_check(cm.lefschetz_motive(0), m, m)
     assert report2["bijective"]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from ttspec import cli
 from ttspec.errors import TtspecError
+from ttspec import finite_field
 from ttspec.finite_field import make_field
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms
@@ -153,8 +154,13 @@ def test_verify_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _ = run(capsys, "verify", "--suite", "nope")
-    assert code == 1
+    # the empty name too: it names no suite, so it must not run all eight
+    for name in ("nope", ""):
+        assert cli.main(["verify", "--suite", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: unknown suite {name!r}; choose from ")
 
 
 def test_verify_spaces_fails_on_wrong_quotient(capsys, monkeypatch):
@@ -774,6 +780,7 @@ _COMMAND_MODULES = [
     (["spc", "sh-top", "--primes", "3"], {"ttspec.tt_geometry"}),
     (["motive", "hom", "--space", "P2xP1", "--target-space", "P1"], {"ttspec.chow_motives"}),
     (["motive", "pairing", "--space", "P2xP1"], {"ttspec.chow_motives"}),
+    (["verify", "--suite", "tate"], {"ttspec.verify", "ttspec.tt_geometry"}),
 ]
 
 
@@ -803,7 +810,7 @@ def test_spech_and_spc_check_q_without_building_a_field(capsys, monkeypatch):
     def refuse(p, e=1):
         raise AssertionError(f"make_field({p}, {e}) called")
 
-    monkeypatch.setattr(cli, "make_field", refuse)
+    monkeypatch.setattr(finite_field, "make_field", refuse)
     for q in ("531441", "1046527", "3"):
         assert run(capsys, "spech", "--q", q, "--prime-bound", "2")[0] == cli.EXIT_OK
         assert run(capsys, "spc", "tate", "--q", q)[0] == cli.EXIT_OK

@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ttspec import chow_motives, cli, finite_field, milnor_witt  # noqa: E402
-from ttspec import quadratic_forms, tt_geometry  # noqa: E402
+from ttspec import quadratic_forms, tt_geometry, verify  # noqa: E402
 
 LIMITS = (
     finite_field.CARDINALITY_BOUND,
@@ -65,7 +65,7 @@ STRINGS = {
              _ones(200), f"{HUGE},1", f"{'9' * 5000},1", "0", "1,0", "a,b", "", ",", "1,,2"],
     "space": _SPACES,
     "target_space": _SPACES,
-    "suite": [*cli.SUITES, "nope", ""],
+    "suite": [*verify.SUITES, "nope", ""],
 }
 
 

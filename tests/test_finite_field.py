@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from ttspec import milnor_witt as mw
+from ttspec import verify
 from ttspec.errors import BoundExceeded, EvenCharacteristic, FieldMismatch, InvalidArgument, NotPrime, ZeroInput
 from ttspec.finite_field import (
     LOG_TABLE_BOUND,
@@ -619,7 +620,7 @@ def test_change_of_generator_matches_walk(p, e):
     coordinates rebuilt through `symbol` and `kmw_mul` give back x."""
     field = make_field(p, e)
     elements = [
-        x for n in (-2, -1, 0, 1) for x in mw._kmw_elements_for_check(field, n)
+        x for n in (-2, -1, 0, 1) for x in verify._kmw_elements_for_check(field, n)
     ]
     for a in field_units(field):
         if _order_by_walk(a) != field.q - 1:

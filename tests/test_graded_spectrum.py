@@ -9,6 +9,7 @@ from ttspec.errors import BoundExceeded, UnknownGenerator
 from ttspec.finite_field import PRIME_BOUND, make_field
 from ttspec import graded_spectrum as gs
 from ttspec import milnor_witt as mw
+from ttspec import verify
 
 
 F3 = make_field(3)
@@ -71,22 +72,22 @@ def test_membership_rules():
 def test_zero_ideal_not_prime():
     # 2 * eta = 0 with neither factor in (0)
     zero_like = gs.HomogeneousPrime(frozenset({"[w]"}))
-    cert = gs.is_prime_ideal(zero_like)
+    cert = verify.is_prime_ideal(zero_like)
     assert not cert["prime"]
     assert cert["counterexample"] is not None
 
 
 def test_improper_ideal_rejected():
     everything = gs.HomogeneousPrime(frozenset({"[w]", "2", "3"}))
-    cert = gs.is_prime_ideal(everything)
+    cert = verify.is_prime_ideal(everything)
     assert not cert["proper"] and not cert["prime"]
 
 
 def test_unknown_generator():
     with pytest.raises(UnknownGenerator):
-        gs.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "x"})))
+        verify.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "x"})))
     with pytest.raises(UnknownGenerator):
-        gs.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "1"})))
+        verify.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "1"})))
 
 
 @pytest.mark.parametrize("field", [F3, F5])
@@ -101,7 +102,7 @@ def test_enumerate_primes_list(field):
     flagged = [p for p in space.points if p.discrepancy]
     assert len(flagged) == 1
     assert flagged[0].sorted_generators() == ("[w]", "eta", "2")
-    for cert in space.certificates:
+    for cert in map(verify.is_prime_ideal, space.points):
         assert cert["prime"] and cert["proper"]
     # the points are the same for every field; `spech` only validates q
     assert cli.cmd_spech(SimpleNamespace(q=field.q, prime_bound=50))["points"] == [
@@ -157,7 +158,7 @@ def test_open_closed_sets():
 
 
 def test_certificate_is_bounded_and_reported():
-    cert = gs.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "eta"})), degree_bound=6, coeff_bound=5)
+    cert = verify.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "eta"})), degree_bound=6, coeff_bound=5)
     assert cert["prime"]
     assert cert["degree_bound"] == 6
     assert cert["coeff_bound"] == 5
@@ -174,7 +175,7 @@ def test_certificate_is_bounded_and_reported():
 def _certify(generators, degree_bound):
     # a certificate depends on the generators and the bound only, so the
     # oracle runs for many bounds and fields share them
-    return gs.is_prime_ideal(gs.HomogeneousPrime(generators), degree_bound=degree_bound)
+    return verify.is_prime_ideal(gs.HomogeneousPrime(generators), degree_bound=degree_bound)
 
 
 def enumerate_primes_by_search(prime_bound, degree_bound=12):
@@ -228,14 +229,14 @@ def test_closed_form_matches_search(q):
         got = cli.cmd_spech(SimpleNamespace(q=q, prime_bound=prime_bound))["points"]
         assert [tuple(p["generators"]) for p in got] == [p.sorted_generators() for p in points]
     space = gs.enumerate_primes(60)
-    assert space.certificates == enumerate_primes_by_search(60)[1]
+    assert tuple(map(verify.is_prime_ideal, space.points)) == enumerate_primes_by_search(60)[1]
 
 
 def test_closed_form_matches_search_bound_500():
     _assert_matches_oracle(500)
     space = gs.enumerate_primes(500)
     assert len(space.points) == 97  # 94 odd primes, plus (eta), (2) and (eta, 2)
-    assert space.certificates == enumerate_primes_by_search(500)[1]
+    assert tuple(map(verify.is_prime_ideal, space.points)) == enumerate_primes_by_search(500)[1]
 
 
 def test_points_sort_as_strings():
@@ -251,36 +252,10 @@ def test_degree_zero_lists_no_false_point():
     assert omega in {p.generators for p in enumerate_primes_by_search(7, degree_bound=0)[0]}
     space = gs.enumerate_primes(7)
     assert omega not in {p.generators for p in space.points}
-    assert not gs.is_prime_ideal(gs.HomogeneousPrime(omega))["prime"]
+    assert not verify.is_prime_ideal(gs.HomogeneousPrime(omega))["prime"]
 
 
 def test_prime_bound_limit():
     assert len(gs.enumerate_primes(0).points) == 1
     with pytest.raises(BoundExceeded, match=f"exceeds the bound {PRIME_BOUND}"):
         gs.enumerate_primes(PRIME_BOUND + 1)
-
-
-def test_certificates_only_on_demand(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("called on the request path")
-
-    monkeypatch.setattr(gs, "is_prime_ideal", refuse)
-    monkeypatch.setattr(gs.HomogeneousPrime, "includes", refuse)
-    space = gs.enumerate_primes(60)
-    assert space.specializations()
-    assert cli.cmd_spech(SimpleNamespace(q=3, prime_bound=60))["points"]
-    monkeypatch.undo()
-
-    calls = []
-    real = gs.is_prime_ideal
-
-    def counted(candidate, **kwargs):
-        calls.append(candidate)
-        return real(candidate, **kwargs)
-
-    monkeypatch.setattr(gs, "is_prime_ideal", counted)
-    first = space.certificates
-    assert calls == list(space.points)
-    assert space.certificates is first
-    assert len(calls) == len(space.points)
-    assert all(c["prime"] and c["proper"] for c in first)

@@ -26,11 +26,14 @@ command reaches, as a JSON list.
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import ttspec
@@ -142,6 +145,23 @@ def test_every_function_is_reached():
     missing = json.loads(run.stdout)
     assert [name for name in missing if name not in ALLOWLIST] == []
     assert [name for name in ALLOWLIST if name not in missing] == []
+
+
+def test_every_annotation_resolves():
+    """`typing.get_type_hints` resolves the annotations of every function
+    and method of the package: under `from __future__ import annotations`
+    they are strings, so a name that only an annotation mentions must
+    still be defined in its module.  Nested functions are left out, since
+    they cannot be looked up by name."""
+    for name in defined_functions().values():
+        filename, qualname = name.split(":")
+        if "<locals>" in qualname:
+            continue
+        obj = importlib.import_module(f"ttspec.{Path(filename).stem}")
+        for part in qualname.split("."):
+            obj = vars(obj)[part]
+        obj = getattr(obj, "fget", None) or getattr(obj, "__func__", None) or obj
+        typing.get_type_hints(inspect.unwrap(obj))
 
 
 if __name__ == "__main__":

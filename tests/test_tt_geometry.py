@@ -10,6 +10,7 @@ from ttspec.errors import (
     UniverseTooSmall,
 )
 from ttspec import tt_geometry as tg
+from ttspec import verify
 from ttspec.finite_field import PRIME_BOUND, _prime_factors
 
 
@@ -203,7 +204,7 @@ def test_support_rules():
             map(id, support(a, primes))
         ) | set(map(id, support(b, primes)))
     for a in lines:
-        assert tg.u_open(a, primes) == []  # nonzero objects avoid the zero ideal
+        assert verify.u_open(a, primes) == []  # nonzero objects avoid the zero ideal
 
 
 # ----------------------------------------------------------- poset spaces
@@ -452,7 +453,7 @@ def test_rho_bullet_zero_prime():
 
 
 def test_verify_comparison():
-    report = tg.verify_comparison(tg.TateUniverse(3, 2))
+    report = verify.verify_comparison(tg.TateUniverse(3, 2))
     assert report["ok"]
     assert all(case["ok"] for case in report["cases"])
     degrees = {case["degree"] for case in report["cases"]}
@@ -464,7 +465,7 @@ def test_verify_comparison_fails_on_wrong_rho_bullet(monkeypatch):
     monkeypatch.setattr(
         tg, "rho_bullet", lambda prime: {"ideal_generators": [("scalar", 0)], "point": "unit ideal"}
     )
-    report = tg.verify_comparison(tg.TateUniverse(3, 2))
+    report = verify.verify_comparison(tg.TateUniverse(3, 2))
     assert not report["ok"]
     assert not all(case["ok"] for case in report["cases"])
 

@@ -232,13 +232,3 @@ def test_prime_power_q_is_stored_and_not_a_field():
     assert "_q" not in PrimePower._fields and "q=" not in repr(make_field(3, 5))
     with pytest.raises(AttributeError):
         make_field(3)._q = 4
-
-
-
-def test_spech_certificates_are_not_a_field():
-    read, fresh = gs.enumerate_primes(7), gs.enumerate_primes(7)
-    assert read.certificates and fresh._certificates is None
-    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
-    assert pickle.loads(pickle.dumps(read)) == read
-    with pytest.raises(AttributeError):
-        read._certificates = None
