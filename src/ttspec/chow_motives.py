@@ -274,12 +274,6 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
         weight = sum(n - a for n, a in zip(space.dims, exps))
         out.append((Motive(space, proj, 0), weight))
     out.sort(key=lambda pair: (pair[1], pair[0].projector.cls.terms))
-    total = {}
-    for m, _ in out:
-        for mono, c in m.projector.cls.terms:
-            total[mono] = total.get(mono, 0) + c
-    diagonal = identity_correspondence(space).cls
-    assert ChowClass.from_dict(product, total) == diagonal, "projectors must sum to the diagonal"
     return out
 
 

@@ -104,6 +104,12 @@ class PrimePower(Value):
     def q(self) -> int:
         return self._q
 
+    @property
+    def minus_one_is_square(self) -> bool:
+        """-1 = w^((q-1)/2) is a square iff (q-1)/2 is even, iff q = 1 mod 4:
+        the one place the library states it."""
+        return self._q & 3 == 1
+
     def element(self, value) -> "FieldElement":
         """Coerce a value into this field.
 
@@ -415,14 +421,9 @@ def make_field(p: int, e: int = 1) -> PrimePower:
         raise BoundExceeded(f"{p}^{e} exceeds the bound {CARDINALITY_BOUND}")
     if e == 1:
         modulus = (0, 1)  # the polynomial x; elements are residues mod p
-    else:
-        modulus = None
-        for v in range(p ** e):
-            cand = _int_to_coeffs(v, p, e) + (1,)
-            if _poly_is_irreducible(cand, p):
-                modulus = cand
-                break
-        assert modulus is not None
+    else:  # there is a monic irreducible of every degree, so the scan ends
+        candidates = (_int_to_coeffs(v, p, e) + (1,) for v in range(p ** e))
+        modulus = next(cand for cand in candidates if _poly_is_irreducible(cand, p))
     return PrimePower(p, e, modulus)
 
 

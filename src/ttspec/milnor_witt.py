@@ -16,17 +16,20 @@ defining relations plus the degree-2 vanishing, and checked by `verify
   * any monomial with two or more bracket factors vanishes,
   * [a] = dlog(a) * [w] in degree 1,
   * eta*[a] = dlog(a) * eta[w] in degree 0, with eta[w] of order 2,
-  * eta^(j)[a] = 2 * dlog(a) * eta^(j-1) in negative degrees when
-    q = 3 mod 4, and dlog(a) * eta^(j)[w] (order 2) when q = 1 mod 4.
+  * eta^(j)[a] = dlog(a) * eta^(j)[w] in negative degrees, where
+    eta^(j)[w] = 2 * eta^(j-1) when -1 is not a square (q = 3 mod 4).
 
-`_monomial` is this table for one monomial c * eta^i [a]^k, k <= 1:
+Degree -m < 0 is W(F_q) (Morel): eta^m is <1>, and eta^(m+1)[w] is
+<w> - <1>, which spans the fundamental ideal.  Whether -1 is a square is
+read from `PrimePower.minus_one_is_square` by `_factors`, `KmwElement` and
+`hyperbolic_kmw`.  `_monomial` is this table for one monomial
+c * eta^i [a]^k, k <= 1:
 
   k = 0:         c * 1 (i = 0), c * eta^i (i >= 1)
   k = 1, d = dlog(a):
     i = 0:       c*d * [w]
     i = 1:       c*d * eta[w]
-    i >= 2:      2*c*d * eta^(i-1)  if q = 3 mod 4
-                 c*d * eta^i[w]     if q = 1 mod 4
+    i >= 2:      c*d * eta^i[w]
 
 Each row is a multiple of one generator, so `_monomial` gives its degree,
 the coordinate it lands in and the multiple.  `reduce_word` adds the rows
@@ -35,8 +38,9 @@ writes each factor as at most two generator terms c * eta^i [w]^k,
 multiplies them pairwise (eta powers and bracket counts add, so
 [w]*[w] = 0), and adds their rows with d = 1.  `KmwElement` reduces its
 coordinates by the degree's invariant factors, read off the table: mod
-q - 1 in degree 1, the second mod 2 in degree 0, mod 4 (q = 3 mod 4) or
-both mod 2 (q = 1 mod 4) below 0, none above 1.
+q - 1 in degree 1, the second mod 2 in degree 0, none above 1, and below
+0 both mod 2 when -1 is a square; otherwise it folds eta^(m+1)[w] =
+2 eta^m into the first and keeps that mod 4.
 """
 
 from __future__ import annotations
@@ -51,12 +55,7 @@ from .errors import (
     ZeroSymbolEntry,
 )
 from .finite_field import FieldElement, PrimePower, discrete_log, primitive_element
-from .quadratic_forms import (
-    GWClass,
-    WittClass,
-    fundamental_ideal_power,
-    _witt_key,
-)
+from .quadratic_forms import GWClass, WittClass, fundamental_ideal_power
 
 DEGREE_BOUND = 64
 
@@ -76,21 +75,21 @@ class GroupShape(Value):
         object.__setattr__(self, "generators", generators)
 
 
-def _factors(q: int, n: int) -> tuple[int, ...]:
+def _factors(field: PrimePower, n: int) -> tuple[int, ...]:
     """Invariant factors of K^MW_n(F_q) (0 means Z)."""
     _check_degree(n)
     if n >= 2:
         return ()
     if n == 1:
-        return (q - 1,)
+        return (field.q - 1,)
     if n == 0:
         return (0, 2)
-    return (4,) if q % 4 == 3 else (2, 2)
+    return (2, 2) if field.minus_one_is_square else (4,)
 
 
 def kmw_group(field: PrimePower, n: int) -> GroupShape:
     """The abelian group K^MW_n(F_q) with generator names."""
-    factors = _factors(field.q, n)
+    factors = _factors(field, n)
     if n >= 2:
         names = ()
     elif n == 1:
@@ -106,7 +105,8 @@ class KmwElement(Value):
     __slots__ = ("field", "degree", "coords")
 
     def __init__(self, field: PrimePower, degree: int, coords: tuple[int, ...]):
-        # coords modulo the invariant factors of _factors(q, degree), inline
+        # coords modulo the invariant factors of _factors(field, degree), inline;
+        # below degree 0 a second coordinate is the eta^(1-degree)[w] one
         if degree == 1:
             coords = (coords[0] % (field.q - 1),)
         elif degree == 0:
@@ -115,10 +115,12 @@ class KmwElement(Value):
             _check_degree(degree)
         elif degree > 0:
             coords = ()
-        elif field.q & 3 == 3:
-            coords = (coords[0] % 4,)
-        else:
+        elif field.minus_one_is_square:
             coords = (coords[0] % 2, coords[1] % 2)
+        elif len(coords) == 2:  # eta^(1-degree)[w] = 2 eta^(-degree)
+            coords = ((coords[0] + 2 * coords[1]) % 4,)
+        else:
+            coords = (coords[0] % 4,)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coords", coords)
@@ -131,7 +133,7 @@ class KmwElement(Value):
 
 
 def kmw_zero(field: PrimePower, n: int) -> KmwElement:
-    return KmwElement(field, n, (0,) * len(_factors(field.q, n)))
+    return KmwElement(field, n, (0, 0))
 
 
 def kmw_one(field: PrimePower) -> KmwElement:
@@ -142,8 +144,6 @@ def eta(field: PrimePower, power: int = 1) -> KmwElement:
     """The element eta^power, power >= 1."""
     if power < 1:
         raise InvalidArgument("power must be >= 1")
-    if field.q % 4 == 3:
-        return KmwElement(field, -power, (1,))
     return KmwElement(field, -power, (1, 0))
 
 
@@ -160,9 +160,9 @@ def symbol(a: FieldElement) -> KmwElement:
 
 
 def hyperbolic_kmw(field: PrimePower) -> KmwElement:
-    """h = 1 + (eta[-1] + 1) = 2 + eta[-1] in degree 0.  Only log(-1) =
-    (q - 1)/2 mod 2 enters: 0 iff -1 is a square iff q = 1 mod 4."""
-    return KmwElement(field, 0, (2, (field.q - 1) // 2 % 2))
+    """h = 1 + (eta[-1] + 1) = 2 + eta[-1] in degree 0.  Only log(-1) mod 2
+    enters: 0 iff -1 is a square."""
+    return KmwElement(field, 0, (2, int(not field.minus_one_is_square)))
 
 
 class SymbolWord(Value):
@@ -235,17 +235,12 @@ def word_h(field: PrimePower) -> SymbolWord:
     return SymbolWord(field, ((2, 0, ()), (1, 1, (-field.one(),))))
 
 
-def _monomial(q3: bool, c: int, i: int, bracket: int, d: int = 1) -> tuple[int, int, int]:
+def _monomial(c: int, i: int, bracket: int, d: int = 1) -> tuple[int, int, int]:
     """(degree, coordinate index, multiple) of c * eta^i, or of
-    c * eta^i [a] with d = dlog(a) when `bracket` is 1; q3 is q = 3 mod 4."""
+    c * eta^i [a] with d = dlog(a) when `bracket` is 1."""
     if not bracket:
         return -i, 0, c
-    c *= d
-    if i == 0:
-        return 1, 0, c
-    if i == 1:
-        return 0, 1, c
-    return (1 - i, 0, 2 * c) if q3 else (1 - i, 1, c)
+    return 1 - i, 1 if i else 0, c * d
 
 
 def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
@@ -254,13 +249,12 @@ def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
     Only degrees with a nonzero result appear in the output map.
     """
     field = w.field
-    q3 = field.q % 4 == 3
     acc: dict[int, list[int]] = {}  # KmwElement keeps as many as K^MW_n has factors
     for coeff, i, entries in w.terms:
         if coeff == 0 or len(entries) >= 2:
             continue  # a double bracket lies in K^MW_2 = 0 and kills the monomial
         d = discrete_log(entries[0]) if entries else 1
-        degree, idx, c = _monomial(q3, coeff, i, len(entries), d)
+        degree, idx, c = _monomial(coeff, i, len(entries), d)
         cur = acc.get(degree)
         if cur is None:
             cur = acc[degree] = [0, 0]
@@ -271,11 +265,6 @@ def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
         if not el.is_zero():
             out[degree] = el
     return out
-
-
-def reduce_homogeneous(w: SymbolWord, degree: int) -> KmwElement:
-    """Reduce a word and return the component in the given degree."""
-    return reduce_word(w).get(degree, kmw_zero(w.field, degree))
 
 
 def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
@@ -304,13 +293,12 @@ def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     field = x.field
     if field is not y.field and field != y.field:
         raise FieldMismatch("elements over different fields")
-    q3 = field.q % 4 == 3
     acc = [0, 0]  # KmwElement keeps as many coordinates as K^MW_n has factors
     for c1, i1, b1 in _generator_terms(x):
         if c1:
             for c2, i2, b2 in _generator_terms(y):
                 if c2 and b1 + b2 < 2:
-                    _, idx, c = _monomial(q3, c1 * c2, i1 + i2, b1 + b2)
+                    _, idx, c = _monomial(c1 * c2, i1 + i2, b1 + b2)
                     acc[idx] += c
     return KmwElement(field, x.degree + y.degree, acc)
 
@@ -360,25 +348,17 @@ def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElemen
     """The composite of the Pfister-form identification I^(n+1) ~ K^W_(n+1)
     with multiplication by eta, landing in K^MW_n.
 
-    For n = 0 this is <1,-a> |-> eta[a]; for n < 0 the Witt class
-    sum of <a_i> maps to (sum_i (1 + eta[a_i])) * eta^(-n).
+    w is parity*<1> + disc*(<w> - <1>) (see `WittClass`), and <a> =
+    1 + eta[a] in K^MW_0, so w maps to parity*eta^(-n) + disc*eta^(1-n)[w]
+    for n < 0.  For n = 0 only I = {0, <1,-w>} is accepted, and <1,-w> maps
+    to eta[w].  For n >= 1, I^(n+1) = 0.
     """
     _check_degree(n)
-    power = fundamental_ideal_power(field, max(n + 1, 0))
-    if _witt_key(w) not in {_witt_key(m) for m in power["members"]}:
+    if w not in fundamental_ideal_power(field, max(n + 1, 0))["members"]:
         raise NotInIdealPower(f"class not in I^{n + 1}")
     if n >= 1:
-        return kmw_zero(field, n)  # I^(n+1) = 0 there
-    if n == 0:
-        if w.is_zero():
-            return kmw_zero(field, 0)
-        # the nonzero element of I is the Pfister class <1,-w> |-> eta[w]
-        return KmwElement(field, 0, (0, 1))
-    entries = w.anisotropic_kernel.entries
-    wrd = SymbolWord(field, ())
-    for a in entries:
-        wrd = wrd + SymbolWord(field, ((1, -n, ()), (1, -n + 1, (a,))))
-    return reduce_homogeneous(wrd, n)
+        return kmw_zero(field, n)
+    return KmwElement(field, n, (w.parity, w.disc))
 
 
 def kmw_to_gw(x: KmwElement) -> GWClass:
@@ -407,7 +387,7 @@ def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:
     max(1, n).  The report also records the torsion facts used
     downstream: 4 = 0 always, and 2 = 0 iff q = 1 mod 4.
     """
-    colimit_shape = (2, 2) if field.q % 4 == 1 else (4,)
+    colimit_shape = _factors(field, -1)
     degrees = {
         n: {"colimit_invariant_factors": colimit_shape, "stabilization_index": max(1, n)}
         for n in range(degree_window, -degree_window - 1, -1)

@@ -2,9 +2,13 @@
 the rings W(F_q) and GW(F_q) with the fundamental ideal filtration.
 
 Forms are diagonal, <a_1, ..., a_n>, and so is every form the descent
-builds.  Witt classes are stored by canonical anisotropic representatives:
-rank 0 -> <>, rank 1 -> <1> or <w>, rank 2 -> <1, -w>, where w is the
-fixed generator of F_q^*.  This makes class equality a value comparison.
+builds.  Both rings are stored by invariants (Lam, Ch. II).  GW(F_q) is
+Z (+) Z/2 as (rank, discriminant square class).  A class of W(F_q) =
+GW/(h) is keyed by the rank parity of its forms and the square class of
+their signed discriminant (-1)^(r(r-1)/2) det: adding h = <1,-1> changes
+neither, and the four keys name the four classes.  Witt sums and products
+read the keys; the canonical kernel of a class, <>, <1>, <w> or <1,-w> for
+the fixed generator w of F_q^*, is built only to be printed.
 """
 
 from __future__ import annotations
@@ -52,20 +56,6 @@ class DiagonalForm(Value):
         for a, x in zip(self.entries, vec):
             total = total + a * x * x
         return total
-
-    def concat(self, other: "DiagonalForm") -> "DiagonalForm":
-        self._check(other)
-        return DiagonalForm(self.field, self.entries + other.entries)
-
-    def tensor(self, other: "DiagonalForm") -> "DiagonalForm":
-        self._check(other)
-        return DiagonalForm(
-            self.field, tuple(a * b for a in self.entries for b in other.entries)
-        )
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("forms over different fields")
 
 
 def diagonal(field: PrimePower, entries) -> DiagonalForm:
@@ -158,92 +148,94 @@ def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
 
 
 class WittClass(Value):
-    __slots__ = ("field", "anisotropic_kernel")
+    """An element of W(F_q): `parity` is the rank parity of its forms, and
+    `disc` the square class (0 square, 1 nonsquare) of their signed
+    discriminant.  The class is parity*<1> + disc*e, where e = <w> - <1> =
+    <1,-w> spans the fundamental ideal I: e^2 = 0, 2e = 0, and 2<1> = <1,1>,
+    of signed discriminant -1, is 0 when -1 is a square and e otherwise.
+    So (0, 0), (1, 0), (1, 1), (0, 1) are <>, <1>, <w>, <1,-w>."""
 
-    def __init__(self, field: PrimePower, anisotropic_kernel: DiagonalForm):
+    __slots__ = ("field", "parity", "disc")
+
+    def __init__(self, field: PrimePower, parity: int, disc: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "anisotropic_kernel", anisotropic_kernel)
-        if anisotropic_kernel.rank > 2:
-            raise ValueError("anisotropic kernel over a finite field has rank <= 2")
+        object.__setattr__(self, "parity", parity % 2)
+        object.__setattr__(self, "disc", disc % 2)
+
+    @property
+    def anisotropic_kernel(self) -> DiagonalForm:
+        """The canonical kernel of the class: <>, <1>, <w> or <1,-w>."""
+        return DiagonalForm(self.field, _kernel_entries(self))
 
     def is_zero(self) -> bool:
-        return self.anisotropic_kernel.rank == 0
+        return not (self.parity or self.disc)
 
     def __add__(self, other: "WittClass") -> "WittClass":
         return witt_add(self, other)
 
 
-def kernel_class(kernel: DiagonalForm) -> WittClass:
-    """The Witt class of an anisotropic kernel, as its canonical
-    representative from `witt_elements`: 0, <1>, <w> or <1,-w>."""
-    elements = witt_elements(kernel.field)
-    r = kernel.rank
-    if r == 0:
-        return elements[0]
-    if r == 1:
-        return elements[1] if is_square(kernel.entries[0]) else elements[2]
-    return elements[3]
+def _kernel_entries(cls: WittClass) -> tuple[FieldElement, ...]:
+    if not cls.disc:
+        return (cls.field.one(),) * cls.parity
+    omega = primitive_element(cls.field)
+    return (omega,) if cls.parity else (cls.field.one(), -omega)
+
+
+def kernel_class(f: DiagonalForm) -> WittClass:
+    """The Witt class of f from its invariants: the rank parity, and the
+    discriminant times (-1)^(r(r-1)/2), a nonsquare iff r = 2 or 3 mod 4
+    and -1 is not a square."""
+    g = gw_class(f)
+    sign = bool(g.rank & 2) and not f.field.minus_one_is_square
+    return WittClass(f.field, g.rank, g.disc ^ sign)
 
 
 def witt_class(f: DiagonalForm) -> WittClass:
+    """The class of f's anisotropic kernel.  `kernel_class(f)` is the same
+    class without the descent, and replaces it in ROADMAP item 3."""
     return kernel_class(witt_decompose(f)[1])
 
 
 def witt_zero(field: PrimePower) -> WittClass:
-    return WittClass(field, DiagonalForm(field, ()))
+    return WittClass(field, 0, 0)
 
 
 def witt_one(field: PrimePower) -> WittClass:
-    return WittClass(field, DiagonalForm(field, (field.one(),)))
+    return WittClass(field, 1, 0)
 
 
 def witt_add(a: WittClass, b: WittClass) -> WittClass:
+    """Parities add, and so do the e-coefficients, with one more e from
+    <1> + <1> = <1,1> when -1 is not a square."""
     if a.field != b.field:
         raise FieldMismatch("Witt classes over different fields")
-    return witt_class(a.anisotropic_kernel.concat(b.anisotropic_kernel))
+    sign = a.parity & b.parity and not a.field.minus_one_is_square
+    return WittClass(a.field, a.parity ^ b.parity, a.disc ^ b.disc ^ sign)
 
 
 def witt_mul(a: WittClass, b: WittClass) -> WittClass:
+    """(p<1> + d e)(p'<1> + d' e) = pp'<1> + (pd' + dp') e, since e^2 = 0."""
     if a.field != b.field:
         raise FieldMismatch("Witt classes over different fields")
-    if a.is_zero() or b.is_zero():
-        return witt_zero(a.field)
-    return witt_class(a.anisotropic_kernel.tensor(b.anisotropic_kernel))
+    return WittClass(a.field, a.parity & b.parity, (a.parity & b.disc) ^ (a.disc & b.parity))
 
 
 def witt_elements(field: PrimePower) -> list[WittClass]:
     """The four elements of W(F_q): 0, <1>, <w>, <1,-w>."""
-    omega = primitive_element(field)
-    return [
-        witt_zero(field),
-        WittClass(field, DiagonalForm(field, (field.one(),))),
-        WittClass(field, DiagonalForm(field, (omega,))),
-        WittClass(field, DiagonalForm(field, (field.one(), -omega))),
-    ]
-
-
-def additive_order(cls: WittClass) -> int:
-    if cls.is_zero():
-        return 1
-    acc = cls
-    n = 1
-    while not acc.is_zero():
-        acc = acc + cls
-        n += 1
-        assert n <= 8
-    return n
+    return [WittClass(field, parity, disc) for parity, disc in ((0, 0), (1, 0), (1, 1), (0, 1))]
 
 
 def witt_ring_structure(field: PrimePower) -> dict:
     """Isomorphism type of W(F_q) with an explicit additive generator table.
 
-    Closed form (Lam, Ch. II): when q = 1 mod 4, -1 is a square, so <1,1>
-    is hyperbolic, <1> has order 2 and W = Z/2[e]/e^2.  When q = 3 mod 4,
-    <1,1> is the anisotropic <1,-w> and <1,1,1> is <w>, so <1> has order 4
-    and W = Z/4.  `additive_order` checks this in `verify --suite witt`.
+    Closed form (Lam, Ch. II): 2<1> = <1,1> has signed discriminant -1.
+    When -1 is a square (q = 1 mod 4) it is 0, <1> has order 2 and
+    W = Z/2[e]/e^2.  Otherwise 2<1> = <1,-w> and 3<1> = <w>, so <1> has
+    order 4 and W = Z/4.  `verify --suite witt` checks this against zero
+    counts and against repeated `witt_add`.
     """
-    elements = witt_elements(field)  # 0, <1>, <w>, <1,-w>
-    multiples = [elements[k] for k in ((0, 1, 3, 2) if field.q % 4 == 3 else (0, 1))]
+    keys = ((0, 0), (1, 0)) if field.minus_one_is_square else ((0, 0), (1, 0), (0, 1), (1, 1))
+    multiples = [WittClass(field, parity, disc) for parity, disc in keys]
     return {
         "q": field.q,
         "q_mod_4": field.q % 4,
@@ -324,4 +316,5 @@ def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
 
 
 def _witt_key(cls: WittClass):
-    return tuple(a.value for a in cls.anisotropic_kernel.entries)
+    """The entries of the canonical kernel of cls, as integers."""
+    return tuple(a.value for a in _kernel_entries(cls))

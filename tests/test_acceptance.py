@@ -156,9 +156,9 @@ def test_acceptance_4_witt_oracle():
             images = {w: mw.from_fundamental_ideal(field, n, w) for w in witt}
             assert len({img.coords for img in images.values()}) == 4
             for w1, w2 in itertools.product(witt, repeat=2):
-                total = qf.witt_class(
-                    w1.anisotropic_kernel.concat(w2.anisotropic_kernel)
-                )
+                total = qf.witt_class(qf.DiagonalForm(
+                    field, w1.anisotropic_kernel.entries + w2.anisotropic_kernel.entries
+                ))
                 assert images[total] == mw.kmw_add(images[w1], images[w2])
         for a, b in ((-1, -1), (-1, -2), (-2, -2)):
             for w1, w2 in itertools.product(witt, repeat=2):

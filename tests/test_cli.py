@@ -15,6 +15,7 @@ from ttspec import finite_field
 from ttspec.finite_field import make_field
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms
+from ttspec import verify
 
 
 def run(capsys, *argv):
@@ -194,7 +195,7 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
 def test_verify_witt_fails_on_the_zero_counts_when_descent_and_closed_form_agree(capsys, monkeypatch):
     # at q = 3 both answers say <1> has order 2, so only the zero counts see
     # that <1,1> is anisotropic there and <1> has order 4
-    right_structure, right_order = quadratic_forms.witt_ring_structure, quadratic_forms.additive_order
+    right_structure, right_order = quadratic_forms.witt_ring_structure, verify.additive_order
 
     def structure(field):
         out = right_structure(field)
@@ -207,7 +208,7 @@ def test_verify_witt_fails_on_the_zero_counts_when_descent_and_closed_form_agree
         return 2 if cls.field.q == 3 else right_order(cls)
 
     monkeypatch.setattr(quadratic_forms, "witt_ring_structure", structure)
-    monkeypatch.setattr(quadratic_forms, "additive_order", additive_order)
+    monkeypatch.setattr(verify, "additive_order", additive_order)
     code, out = run(capsys, "verify", "--suite", "witt", "--json")
     assert code == 2
     failures = json.loads(out)["result"]["suites"]["witt"]["failures"]

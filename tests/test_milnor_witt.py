@@ -173,9 +173,9 @@ def test_negative_degrees_match_witt_model(q, n):
     group = mw.kmw_group(field, n)
     assert _order(group) == 4
     for w1, w2 in itertools.product(witt, repeat=2):
-        assert images[qf.witt_class(
-            w1.anisotropic_kernel.concat(w2.anisotropic_kernel)
-        )] == mw.kmw_add(images[w1], images[w2])
+        assert images[qf.witt_class(qf.DiagonalForm(
+            field, w1.anisotropic_kernel.entries + w2.anisotropic_kernel.entries
+        ))] == mw.kmw_add(images[w1], images[w2])
 
 
 @pytest.mark.parametrize("q", QS)
@@ -247,7 +247,8 @@ def test_kmw_mul_matches_word_route(p, e):
     field = make_field(p, e)
     elements = [x for n in range(-4, 3) for x in _bounded_elements(field, n)]
     for x, y in itertools.product(elements, repeat=2):
-        want = mw.reduce_homogeneous(_to_word(x) * _to_word(y), x.degree + y.degree)
+        degree = x.degree + y.degree
+        want = mw.reduce_word(_to_word(x) * _to_word(y)).get(degree, mw.kmw_zero(field, degree))
         assert mw.kmw_mul(x, y) == want, (x, y)
 
 
@@ -411,13 +412,17 @@ def test_degree_bound_on_every_path(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
 def test_normalization_rule_matches_invariant_factors(q):
     """KmwElement reduces coordinates by the degree rule; the oracle reduces
-    each by the invariant factor that `_factors` lists for the degree."""
+    each by the invariant factor that `_factors` lists for the degree.  Below
+    degree 0, when K^MW_n = Z/4 on eta^(-n), a second coordinate is that of
+    eta^(1-n)[w] = 2 eta^(-n), and folds into the first."""
     field = make_field(5, 2) if q == 25 else make_field(3, 3) if q == 27 else _field(q)
     rng = random.Random(f"normalize:{q}")
     for n in range(-mw.DEGREE_BOUND, mw.DEGREE_BOUND + 1):
-        factors = mw._factors(q, n)
+        factors = mw._factors(field, n)
         for _ in range(6):
             coords = [rng.randrange(-4 * q, 4 * q) for _ in range(2)]
             want = tuple(c % f if f else c for c, f in zip(coords, factors))
             assert mw.KmwElement(field, n, coords[: len(factors)]).coords == want, (n, coords)
+            if n < 0 and factors == (4,):
+                want = ((coords[0] + 2 * coords[1]) % 4,)
             assert mw.KmwElement(field, n, coords).coords == want, (n, coords)

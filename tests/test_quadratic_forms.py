@@ -7,6 +7,7 @@ import pytest
 from ttspec.errors import BoundExceeded, DegenerateForm, FieldMismatch
 from ttspec.finite_field import make_field, primitive_element, square_class
 from ttspec import quadratic_forms as qf
+from ttspec import verify
 
 from helpers import field_units
 
@@ -299,17 +300,60 @@ def test_witt_ring_structure(q):
         assert sum((a + b).is_zero() for b in elements) == 1  # one additive inverse
 
 
+def _concat(f, g):
+    return qf.DiagonalForm(f.field, f.entries + g.entries)
+
+
+def _tensor(f, g):
+    return qf.DiagonalForm(f.field, tuple(a * b for a in f.entries for b in g.entries))
+
+
+def _oracle_add(a, b):
+    """Witt addition as forms: the class of the orthogonal sum of the two
+    canonical kernels, by isotropy descent."""
+    return qf.witt_class(_concat(a.anisotropic_kernel, b.anisotropic_kernel))
+
+
+def _oracle_mul(a, b):
+    """Witt product as forms: the class of the tensor product of the two
+    canonical kernels, by isotropy descent."""
+    return qf.witt_class(_tensor(a.anisotropic_kernel, b.anisotropic_kernel))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (31, 1), (43, 1)])
+def test_witt_add_and_mul_match_the_form_oracle(p, e):
+    """All 16 sums and products of the four classes, read off the
+    invariants, against the descent of the concatenated or tensored kernels."""
+    field = make_field(p, e)
+    for a, b in itertools.product(qf.witt_elements(field), repeat=2):
+        assert qf.witt_add(a, b) == _oracle_add(a, b), (a, b)
+        assert qf.witt_mul(a, b) == _oracle_mul(a, b), (a, b)
+        assert qf._witt_key(qf.witt_add(a, b)) == qf._witt_key(_oracle_add(a, b))
+
+
+def test_witt_add_and_mul_build_no_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a form was built or decomposed")
+
+    monkeypatch.setattr(qf, "witt_decompose", refuse)
+    monkeypatch.setattr(qf.DiagonalForm, "__init__", refuse)
+    for q in (3, 5):
+        for a, b in itertools.product(qf.witt_elements(make_field(q)), repeat=2):
+            qf.witt_add(a, b)
+            qf.witt_mul(a, b)
+
+
 @pytest.mark.parametrize("p,e", [(3, 3), (31, 1), (43, 1), (7, 2), (3, 4), (5, 3)])
 def test_witt_ring_structure_matches_witt_add_oracle(p, e):
     """The closed form against the multiples k*<1> built by repeated
-    `witt_add`, i.e. by isotropy descent, up to the first zero."""
+    `_oracle_add`, i.e. by isotropy descent, up to the first zero."""
     field = make_field(p, e)
     structure = qf.witt_ring_structure(field)
     one = qf.witt_one(field)
     multiples = [qf.witt_zero(field)]
-    while not (multiples[-1] + one).is_zero():
-        multiples.append(multiples[-1] + one)
-    assert structure["order_of_unit_form"] == len(multiples) == qf.additive_order(one)
+    while not _oracle_add(multiples[-1], one).is_zero():
+        multiples.append(_oracle_add(multiples[-1], one))
+    assert structure["order_of_unit_form"] == len(multiples) == verify.additive_order(one)
     assert structure["type"] == ("Z/4" if len(multiples) == 4 else "Z/2[e]/e^2")
     assert structure["generator_table"] == {
         f"{k}*<1>": qf._witt_key(c) for k, c in enumerate(multiples)
@@ -344,8 +388,8 @@ def test_gw_class_against_forms(q):
     ]
     for f, g in itertools.product(forms, repeat=2):
         # the (rank, disc) product law agrees with the tensor product
-        assert qf.gw_class(f.tensor(g)) == qf.gw_class(f) * qf.gw_class(g)
-        assert qf.gw_class(f.concat(g)) == qf.gw_class(f) + qf.gw_class(g)
+        assert qf.gw_class(_tensor(f, g)) == qf.gw_class(f) * qf.gw_class(g)
+        assert qf.gw_class(_concat(f, g)) == qf.gw_class(f) + qf.gw_class(g)
 
 
 def _to_witt(c):
@@ -400,7 +444,7 @@ def test_fundamental_ideal_filtration(q):
 
 def _ideal_power_bfs(field, n):
     """Oracle: the breadth-first search over sums of n-fold Pfister
-    products that `fundamental_ideal_power` replaced, on the exhaustive
+    products that `fundamental_ideal_power` replaced, on the form-based
     Witt arithmetic."""
     if n == 0:
         return qf.witt_elements(field)
@@ -410,7 +454,7 @@ def _ideal_power_bfs(field, n):
     for combo in itertools.product(pfisters, repeat=n):
         prod = combo[0]
         for c in combo[1:]:
-            prod = qf.witt_mul(prod, c)
+            prod = _oracle_mul(prod, c)
         generators.append(prod)
     zero = qf.witt_zero(field)
     seen = {qf._witt_key(zero): zero}
@@ -419,7 +463,7 @@ def _ideal_power_bfs(field, n):
         new = []
         for m in frontier:
             for g in generators:
-                cand = qf.witt_add(m, g)
+                cand = _oracle_add(m, g)
                 if qf._witt_key(cand) not in seen:
                     seen[qf._witt_key(cand)] = cand
                     new.append(cand)
@@ -466,7 +510,7 @@ def test_field_mismatch():
     f3 = make_field(3)
     f5 = make_field(5)
     with pytest.raises(FieldMismatch):
-        qf.diagonal(f3, [1]).concat(qf.diagonal(f5, [1]))
+        qf.witt_mul(qf.witt_one(f3), qf.witt_one(f5))
     with pytest.raises(FieldMismatch):
         qf.witt_one(f3) + qf.witt_one(f5)
 
