@@ -121,7 +121,7 @@ class ChowClass(Value):
             if any(e > n for e, n in zip(mono, space.dims)):
                 continue  # truncation
             if any(e < 0 for e in mono):
-                raise ValueError("negative exponent")
+                raise InvalidArgument("negative exponent")
             if c:
                 kept[mono] = kept.get(mono, 0) + c
         kept = {m: c for m, c in kept.items() if c}
@@ -238,7 +238,7 @@ class Motive(Value):
         if p.source != space or p.target != space or p.shift != 0:
             raise SpaceMismatch("projector must be a degree-0 endocorrespondence")
         if compose(p, p) != p:
-            raise ValueError("projector is not idempotent")
+            raise InvalidArgument("projector is not idempotent")
 
     def __repr__(self):
         return f"({self.space}, p, {self.twist})"

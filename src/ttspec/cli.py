@@ -4,7 +4,8 @@ runs the suites of `ttspec.verify`, which holds every check.
 Word expressions for `kmw reduce` follow a tiny grammar (see README):
 sums of monomials c eta^i [a1][a2]..., where each bracket entry is an
 integer representative or a power w^k of the fixed generator, and `h`
-abbreviates the hyperbolic element 2 + eta[-1].
+abbreviates the hyperbolic element 2 + eta[-1].  The parser evaluates a
+word in K^MW as it reads it, so its cost grows linearly with the word.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ class _WordParser:
     """expr := term (('+'|'-') term)*
     term := ['-'] factor (['*'] factor)*   (juxtaposition or '*' is product)
     factor := INT | 'eta' ['^' INT] | 'h' | '[' entry ']'
-    entry := ['-'] INT | 'w' ['^' INT]"""
+    entry := ['-'] INT | 'w' ['^' INT]
+
+    Each factor is read as a homogeneous element of K^MW, so a term, their
+    product, is one `KmwElement`, and the expression keeps one sum per
+    degree.  `KmwElement` refuses a degree outside [-DEGREE_BOUND,
+    DEGREE_BOUND], so every factor and every partial product of a term
+    must lie in that window, even where the whole term vanishes or lands
+    back inside it."""
 
     def __init__(self, field, tokens):
         self.field = field
@@ -81,26 +89,31 @@ class _WordParser:
         return int(tok)
 
     def parse(self):
-        result = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            nxt = self.term()
-            result = result + nxt if op == "+" else result - nxt
+        """{degree: element} of the word's nonzero components."""
+        from . import milnor_witt
+        sums = {}
+        sign = 1
+        while True:
+            x = self.term(sign)
+            sums[x.degree] = milnor_witt.kmw_add(sums[x.degree], x) if x.degree in sums else x
+            if self.peek() not in ("+", "-"):
+                break
+            sign = 1 if self.take() == "+" else -1
         if self.peek() is not None:
             raise TtspecError(f"trailing input at {self.tokens[self.pos:]}")
-        return result
+        return {n: x for n, x in sums.items() if not x.is_zero()}
 
-    def term(self):
-        sign = 1
+    def term(self, sign):
+        from . import milnor_witt
         if self.peek() == "-":
             self.take()
-            sign = -1
+            sign = -sign
         result = self.factor()
         while self.peek() not in (None, "+", "-"):
             if self.peek() == "*":
                 self.take()
-            result = result * self.factor()
-        return sign * result if sign == -1 else result
+            result = milnor_witt.kmw_mul(result, self.factor())
+        return -1 * result if sign == -1 else result
 
     def factor(self):
         from . import milnor_witt
@@ -109,18 +122,19 @@ class _WordParser:
             raise TtspecError("expression ended early")
         if tok.isdigit():
             self.take()
-            return int(tok) * milnor_witt.word_one(self.field)
+            return int(tok) * milnor_witt.kmw_one(self.field)
         if tok == "eta":
             self.take()
-            return milnor_witt.word_eta(self.field, self.exponent())
+            power = self.exponent()
+            return milnor_witt.eta(self.field, power) if power else milnor_witt.kmw_one(self.field)
         if tok == "h":
             self.take()
-            return milnor_witt.word_h(self.field)
+            return milnor_witt.hyperbolic_kmw(self.field)
         if tok == "[":
             self.take()
             entry = self.entry()
             self.take("]")
-            return milnor_witt.word_symbol(entry)
+            return milnor_witt.symbol(entry)
         raise TtspecError(f"unexpected token {tok!r}")
 
     def entry(self):
@@ -138,7 +152,9 @@ class _WordParser:
         return -value if sign == -1 else value
 
 
-def parse_word(field, text: str):
+def parse_word(field, text: str) -> dict:
+    """The word `text` evaluated in K^MW(F_q): {degree: KmwElement} of its
+    nonzero components."""
     return _WordParser(field, _tokenize(text)).parse()
 
 
@@ -175,8 +191,7 @@ def cmd_kmw_table(args):
 def cmd_kmw_reduce(args):
     from . import milnor_witt
     field = _field_for(args.q)
-    w = parse_word(field, args.word)
-    reduced = milnor_witt.reduce_word(w)
+    reduced = parse_word(field, args.word)
     components = []
     for n in sorted(reduced, reverse=True):
         el = reduced[n]
@@ -219,14 +234,12 @@ def cmd_gw(args):
     from . import quadratic_forms
     field = _field_for(args.q)
     witt = quadratic_forms.witt_ring_structure(field)
+    h = quadratic_forms.hyperbolic_class(field)
     return {
         "q": args.q,
         "gw": "Z (+) Z/2 as (rank, disc)",
         "witt": witt,
-        "hyperbolic": {
-            "rank": quadratic_forms.hyperbolic_class(field).rank,
-            "disc": quadratic_forms.hyperbolic_class(field).disc,
-        },
+        "hyperbolic": {"rank": h.rank, "disc": h.disc},
         "fundamental_ideal_orders": {
             n: quadratic_forms.fundamental_ideal_power(field, n)["order"] for n in range(4)
         },

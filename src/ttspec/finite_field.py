@@ -38,7 +38,8 @@ from math import isqrt
 from operator import mul
 
 from ._value import Value
-from .errors import BoundExceeded, EvenCharacteristic, FieldMismatch, NotPrime, TtspecError, ZeroInput
+from .errors import (BoundExceeded, EvenCharacteristic, FieldMismatch, InvalidArgument, NotPrime, TtspecError,
+                     ZeroInput)
 
 CARDINALITY_BOUND = 1 << 20
 # first log in a fresh process once the generator is known, table build vs
@@ -416,7 +417,7 @@ def make_field(p: int, e: int = 1) -> PrimePower:
     if _prime_factors(p) != {p: 1}:
         raise NotPrime(f"{p} is not prime")
     if e < 1:
-        raise ValueError("exponent must be >= 1")
+        raise InvalidArgument("exponent must be >= 1")
     if p ** e > CARDINALITY_BOUND:
         raise BoundExceeded(f"{p}^{e} exceeds the bound {CARDINALITY_BOUND}")
     if e == 1:

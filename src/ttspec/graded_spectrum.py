@@ -32,7 +32,7 @@ class ReducedElement(Value):
 
     def __init__(self, degree: int, coeff: int):
         if degree > 0:
-            raise ValueError("reduced ring vanishes in positive degrees")
+            raise InvalidArgument("reduced ring vanishes in positive degrees")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeff", coeff % 2 if degree < 0 else coeff)
 

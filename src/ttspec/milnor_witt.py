@@ -33,7 +33,11 @@ c * eta^i [a]^k, k <= 1:
 
 Each row is a multiple of one generator, so `_monomial` gives its degree,
 the coordinate it lands in and the multiple.  `reduce_word` adds the rows
-of a word's monomials straight into per-degree coordinates.  `kmw_mul`
+of a formal word's monomials (a `SymbolWord`, built by `word`) straight
+into per-degree coordinates; `verify --suite tables` checks it against
+Morel's fiber product.  The `kmw reduce` parser builds no formal word: it
+evaluates each factor with `kmw_one`, `eta`, `hyperbolic_kmw` or `symbol`
+and folds them with `kmw_mul` and `kmw_add`.  `kmw_mul`
 writes each factor as at most two generator terms c * eta^i [w]^k,
 multiplies them pairwise (eta powers and bracket counts add, so
 [w]*[w] = 0), and adds their rows with d = 1.  `KmwElement` reduces its
@@ -166,7 +170,8 @@ def hyperbolic_kmw(field: PrimePower) -> KmwElement:
 
 
 class SymbolWord(Value):
-    """Formal integer combination of monomials eta^i * [a_1]...[a_k]."""
+    """Formal integer combination of monomials eta^i * [a_1]...[a_k], the
+    input of `reduce_word`."""
 
     __slots__ = ("field", "terms")
 
@@ -176,37 +181,10 @@ class SymbolWord(Value):
         object.__setattr__(self, "terms", terms)
         for coeff, i, entries in terms:
             if i < 0:
-                raise ValueError("eta power must be >= 0")
+                raise InvalidArgument("eta power must be >= 0")
             for a in entries:
                 if a.is_zero():
                     raise ZeroSymbolEntry("[0] is not a symbol")
-
-    def __add__(self, other: "SymbolWord") -> "SymbolWord":
-        self._check(other)
-        return SymbolWord(self.field, self.terms + other.terms)
-
-    def __neg__(self):
-        return SymbolWord(
-            self.field, tuple((-c, i, e) for c, i, e in self.terms)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "SymbolWord") -> "SymbolWord":
-        self._check(other)
-        terms = []
-        for c1, i1, e1 in self.terms:
-            for c2, i2, e2 in other.terms:
-                terms.append((c1 * c2, i1 + i2, e1 + e2))
-        return SymbolWord(self.field, tuple(terms))
-
-    def __rmul__(self, scalar: int):
-        return SymbolWord(self.field, tuple((scalar * c, i, e) for c, i, e in self.terms))
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("words over different fields")
 
 
 def word(field: PrimePower, *terms) -> SymbolWord:
@@ -215,24 +193,6 @@ def word(field: PrimePower, *terms) -> SymbolWord:
     for coeff, i, entries in terms:
         built.append((coeff, i, tuple(field.element(a) for a in entries)))
     return SymbolWord(field, tuple(built))
-
-
-def word_one(field: PrimePower) -> SymbolWord:
-    return SymbolWord(field, ((1, 0, ()),))
-
-
-def word_eta(field: PrimePower, power: int = 1) -> SymbolWord:
-    return SymbolWord(field, ((1, power, ()),))
-
-
-def word_symbol(a: FieldElement) -> SymbolWord:
-    if a.is_zero():
-        raise ZeroSymbolEntry("[0] is not a symbol")
-    return SymbolWord(a.field, ((1, 0, (a,)),))
-
-
-def word_h(field: PrimePower) -> SymbolWord:
-    return SymbolWord(field, ((2, 0, ()), (1, 1, (-field.one(),))))
 
 
 def _monomial(c: int, i: int, bracket: int, d: int = 1) -> tuple[int, int, int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import BoundExceeded, DegenerateForm, FieldMismatch
+from .errors import BoundExceeded, DegenerateForm, FieldMismatch, InvalidArgument
 from .finite_field import (
     FieldElement,
     PrimePower,
@@ -288,7 +288,8 @@ def gw_class(f: DiagonalForm) -> GWClass:
 
 
 def hyperbolic_class(field: PrimePower) -> GWClass:
-    return gw_class(DiagonalForm(field, (field.one(), -field.one())))
+    """h = <1,-1>: rank 2, and a square discriminant iff -1 is a square."""
+    return GWClass(field, 2, int(not field.minus_one_is_square))
 
 
 def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
@@ -300,7 +301,7 @@ def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
     hyperbolic over a finite field.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgument("n must be >= 0")
     members = witt_elements(field)  # 0, <1>, <w>, <1,-w>
     if n == 0:
         generators = list(members)

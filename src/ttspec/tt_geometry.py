@@ -43,7 +43,7 @@ class TateObject(Value):
         kept = {}
         for key, d in dims.items():
             if d < 0:
-                raise ValueError("dimensions must be >= 0")
+                raise InvalidArgument("dimensions must be >= 0")
             if d:
                 kept[tuple(key)] = kept.get(tuple(key), 0) + d
         return TateObject(tuple(sorted(kept.items())))

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+from ttspec import milnor_witt as mw
+
 
 def field_elements(field):
     """All q elements of the field, in representative order."""
@@ -9,3 +11,40 @@ def field_elements(field):
 def field_units(field):
     """The q - 1 nonzero elements of the field, in representative order."""
     return map(field.from_index, range(1, field.q))
+
+
+# The formal word algebra, the oracle of the word tests: a word is a
+# `SymbolWord`, a formal sum of monomials c eta^i [a_1]...[a_k] with no
+# simplification, and `milnor_witt.reduce_word` maps it into K^MW.
+
+
+def word_sum(*words):
+    """The formal sum: every term of every word, in order."""
+    return mw.SymbolWord(words[0].field, tuple(t for w in words for t in w.terms))
+
+
+def word_product(*words):
+    """The formal product: one term for each choice of a term from each
+    word, with the coefficients multiplied, the eta powers added and the
+    bracket entries concatenated."""
+    terms = ((1, 0, ()),)
+    for w in words:
+        terms = tuple((c1 * c2, i1 + i2, e1 + e2) for c1, i1, e1 in terms for c2, i2, e2 in w.terms)
+    return mw.SymbolWord(words[0].field, terms)
+
+
+def word_scale(c, w):
+    return mw.SymbolWord(w.field, tuple((c * coeff, i, e) for coeff, i, e in w.terms))
+
+
+def eta_word(field, power=1):
+    return mw.word(field, (1, power, ()))
+
+
+def symbol_word(a):
+    return mw.word(a.field, (1, 0, (a,)))
+
+
+def h_word(field):
+    """h = 2 + eta[-1]."""
+    return mw.word(field, (2, 0, ()), (1, 1, (-1,)))

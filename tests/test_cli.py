@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,12 +11,14 @@ from pathlib import Path
 import pytest
 
 from ttspec import cli
-from ttspec.errors import TtspecError
+from ttspec.errors import TtspecError, ZeroSymbolEntry
 from ttspec import finite_field
-from ttspec.finite_field import make_field
+from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms
 from ttspec import verify
+
+from helpers import eta_word, h_word, symbol_word, word_product, word_scale, word_sum
 
 
 def run(capsys, *argv):
@@ -44,9 +47,80 @@ def test_word_grammar():
         "2*eta^3": {(-3): (2,)},
     }
     for text, want in cases.items():
-        reduced = mw.reduce_word(cli.parse_word(field, text))
-        got = {n: el.coords for n, el in reduced.items()}
+        got = {n: el.coords for n, el in cli.parse_word(field, text).items()}
         assert got == want, text
+
+
+# (p, e) of the fields the seeded words run over; 4099 lies above the log
+# table bound, so its brackets take Pohlig-Hellman logs
+_WORD_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (4099, 1)]
+
+
+def _random_word(rng, field):
+    """A word of at most 3 terms of at most 4 factors, as text and as the
+    formal word built from its factors, which `reduce_word` maps into K^MW.
+    Eta powers are at most 9, so every partial degree lies in the window."""
+    texts, words = [], []
+    for t in range(rng.randint(1, 3)):
+        sign = rng.choice("+-") if t else rng.choice(["", "-"])
+        factors, formal = [], []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                c = rng.randint(0, 12)
+                factors.append(str(c))
+                formal.append(mw.word(field, (c, 0, ())))
+            elif kind == 1:
+                k = rng.randint(0, 9)
+                factors.append(rng.choice(["eta", "eta^1"]) if k == 1 else f"eta^{k}")
+                formal.append(eta_word(field, k))
+            elif kind == 2:
+                factors.append("h")
+                formal.append(h_word(field))
+            else:
+                if rng.random() < 0.5:
+                    k = rng.randint(0, field.q)
+                    entry, a = f"w^{k}", primitive_element(field) ** k
+                else:
+                    v = rng.randint(-2 * field.p, 2 * field.p)
+                    entry, a = str(v), field.element(v)
+                factors.append(f"[{entry}]")
+                formal.append(symbol_word(a) if not a.is_zero() else None)  # [0] is refused
+        texts.append(f"{sign} {rng.choice([' ', ' * ']).join(factors)}")
+        if None in formal:
+            words = None
+        elif words is not None:
+            words.append(word_scale(-1 if sign == "-" else 1, word_product(*formal)))
+    return " ".join(texts), None if words is None else word_sum(*words)
+
+
+def test_parse_word_matches_the_formal_word():
+    """2,400 seeded words: `parse_word` evaluates as it reads, and agrees
+    with `reduce_word` of the formal word; a word with a [0] is refused."""
+    rng = random.Random("parse-word")
+    for p, e in _WORD_FIELDS:
+        field = make_field(p, e)
+        for _ in range(300):
+            text, formal = _random_word(rng, field)
+            if formal is None:
+                with pytest.raises(ZeroSymbolEntry):
+                    cli.parse_word(field, text)
+            else:
+                assert cli.parse_word(field, text) == mw.reduce_word(formal), (field.q, text)
+
+
+def test_word_degree_window(capsys):
+    """Every factor and every partial product of a term lies in
+    [-DEGREE_BOUND, DEGREE_BOUND], even where the term vanishes or its
+    degree lands back inside."""
+    assert mw.DEGREE_BOUND == 64
+    for text in ("eta^64", "[2] eta^64", "eta^32 eta^32"):
+        assert run(capsys, "kmw", "reduce", "--q", "7", "--word", text)[0] == 0, text
+    refused = [("[2] eta^65", -65), ("0 eta^100", -100), ("[2][3] eta^70", -70), ("eta^40 eta^25 [2]", -65)]
+    for text, degree in refused:
+        assert cli.main(["kmw", "reduce", "--q", "7", "--word", text]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: degree {degree} outside supported window [-64, 64]"]
 
 
 def test_word_grammar_errors():
@@ -694,6 +768,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_kmw_reduce_above_log_table_bound():
     result = _cold_json_result("kmw", "reduce", "--q", "531441", "--word", "[2]")
     assert [c["coords"] for c in result["components"]] == [[265720]]
+
+
+def test_kmw_reduce_is_linear_in_the_word_cold():
+    """A word is evaluated as it is read: 40 factors h would expand to 2^40
+    formal terms, and each of 8,000 terms is added once."""
+    start = time.perf_counter()
+    result = _cold_json_result("kmw", "reduce", "--q", "7", "--word", " ".join(["h"] * 40))
+    assert time.perf_counter() - start < 1
+    assert [(c["degree"], c["coords"]) for c in result["components"]] == [(0, [2 ** 40, 0])]
+    start = time.perf_counter()
+    result = _cold_json_result("kmw", "reduce", "--q", "7", "--word", " + ".join(["[2]"] * 8000))
+    assert time.perf_counter() - start < 1
+    want = 8000 * discrete_log(make_field(7).element(2)) % 6
+    assert [(c["degree"], c["coords"]) for c in result["components"]] == [(1, [want])]
 
 
 def test_kmw_reduce_between_table_bounds():

@@ -4,13 +4,18 @@ stdout of more, compared byte for byte with the files in tests/golden/.
 The JSON corpus covers every subcommand, q = 1 and q = 3 mod 4, q = 9 and
 every `verify --suite`; the text corpus covers every subcommand, nested
 mappings, lists of scalars, lists of lists and an empty list.
-`test_reach.py` runs both corpora.  Regenerate both (only when an output
+One command of each subcommand also runs in a fresh interpreter under
+`python -O` and a random PYTHONHASHSEED.  `test_reach.py` runs both
+corpora.  Regenerate both (only when an output
 change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,6 +108,33 @@ def test_golden_envelope_schema(name):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA.read_text())
     jsonschema.validate(json.loads((GOLDEN / f"{name}.json").read_text()), schema)
+
+
+def _leaf(argv):
+    """The subcommand an argv runs: `kmw table`, `gw`, ..."""
+    return " ".join(argv[:2]) if argv[0] in ("kmw", "witt") else argv[0]
+
+
+def test_golden_in_fresh_processes_under_optimize_and_a_random_hash_seed():
+    """The first golden command of each leaf subcommand, each in its own
+    interpreter under `python -O` and one drawn PYTHONHASHSEED, prints its
+    golden file byte for byte."""
+    seed = str(random.randrange(2 ** 32))
+    firsts = {}
+    for name, argv in COMMANDS.items():
+        firsts.setdefault(_leaf(argv), name)
+    assert len(firsts) == 9
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    procs = {
+        name: subprocess.Popen([sys.executable, "-O", "-m", "ttspec.cli", *COMMANDS[name], "--json"],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for name in firsts.values()
+    }
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b""), (name, seed)
+        assert out == (GOLDEN / f"{name}.json").read_bytes(), f"{name} differs under PYTHONHASHSEED={seed}"
 
 
 def _regenerate():

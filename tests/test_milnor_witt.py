@@ -17,7 +17,7 @@ from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 from ttspec import verify
 
-from helpers import field_units
+from helpers import eta_word, field_units, h_word, symbol_word, word_product, word_sum
 
 QS = [3, 5, 7, 9]
 
@@ -57,7 +57,7 @@ def test_steinberg_relation(q):
     for a in field_units(field):
         if a == one:
             continue
-        w = mw.word_symbol(a) * mw.word_symbol(one + -a)
+        w = word_product(symbol_word(a), symbol_word(one + -a))
         assert mw.reduce_word(w) == {}
 
 
@@ -66,10 +66,9 @@ def test_twisted_logarithm_relation(q):
     # [ab] = [a] + [b] + eta [a][b]
     field = _field(q)
     for a, b in itertools.product(field_units(field), repeat=2):
-        lhs = mw.word_symbol(a * b)
-        rhs = mw.word_symbol(a) + mw.word_symbol(b) + mw.word_eta(field) * (
-            mw.word_symbol(a) * mw.word_symbol(b)
-        )
+        lhs = symbol_word(a * b)
+        rhs = word_sum(symbol_word(a), symbol_word(b),
+                       word_product(eta_word(field), symbol_word(a), symbol_word(b)))
         assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
 
 
@@ -77,15 +76,15 @@ def test_twisted_logarithm_relation(q):
 def test_eta_commutes_with_symbols(q):
     field = _field(q)
     for a in field_units(field):
-        lhs = mw.word_eta(field) * mw.word_symbol(a)
-        rhs = mw.word_symbol(a) * mw.word_eta(field)
+        lhs = word_product(eta_word(field), symbol_word(a))
+        rhs = word_product(symbol_word(a), eta_word(field))
         assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
 
 
 @pytest.mark.parametrize("q", QS)
 def test_eta_h_relation(q):
     field = _field(q)
-    assert mw.reduce_word(mw.word_eta(field) * mw.word_h(field)) == {}
+    assert mw.reduce_word(word_product(eta_word(field), h_word(field))) == {}
     # equivalently (q+1) eta = 0 in canonical coordinates
     assert ((q + 1) * mw.eta(field)).is_zero()
 
@@ -94,11 +93,11 @@ def test_eta_h_relation(q):
 def test_epsilon_commutation(q):
     # [a][b] = eps [b][a] with eps = -<-1> = -1 - eta[-1]
     field = _field(q)
-    eps = -mw.word_one(field) - mw.word_eta(field) * mw.word_symbol(-field.one())
+    eps = mw.word(field, (-1, 0, ()), (-1, 1, (-1,)))
     units = list(field_units(field))
     for a, b in itertools.product(units[:4], repeat=2):
-        lhs = mw.word_symbol(a) * mw.word_symbol(b)
-        rhs = eps * (mw.word_symbol(b) * mw.word_symbol(a))
+        lhs = word_product(symbol_word(a), symbol_word(b))
+        rhs = word_product(eps, symbol_word(b), symbol_word(a))
         assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
 
 
@@ -107,7 +106,7 @@ def test_double_symbols_vanish(q):
     field = _field(q)
     units = list(field_units(field))
     for a, b in itertools.product(units[:5], repeat=2):
-        assert mw.reduce_word(mw.word_symbol(a) * mw.word_symbol(b)) == {}
+        assert mw.reduce_word(word_product(symbol_word(a), symbol_word(b))) == {}
 
 
 @pytest.mark.parametrize("q", QS)
@@ -248,7 +247,7 @@ def test_kmw_mul_matches_word_route(p, e):
     elements = [x for n in range(-4, 3) for x in _bounded_elements(field, n)]
     for x, y in itertools.product(elements, repeat=2):
         degree = x.degree + y.degree
-        want = mw.reduce_word(_to_word(x) * _to_word(y)).get(degree, mw.kmw_zero(field, degree))
+        want = mw.reduce_word(word_product(_to_word(x), _to_word(y))).get(degree, mw.kmw_zero(field, degree))
         assert mw.kmw_mul(x, y) == want, (x, y)
 
 
@@ -401,7 +400,7 @@ def test_degree_bound_on_every_path(q):
         lambda: mw.KmwElement(field, -bound - 1, (0, 0)),
         lambda: mw.kmw_zero(field, bound + 1),
         lambda: mw.eta(field, bound + 1),
-        lambda: mw.reduce_word(mw.word_eta(field, bound + 1)),
+        lambda: mw.reduce_word(eta_word(field, bound + 1)),
         lambda: mw.reduce_word(mw.word(field, (1, bound + 2, [2]))),
     ]
     for build in refused:

@@ -3,7 +3,9 @@
 `test_every_function_is_reached` starts this file as a script, which runs
 `cli.main` in its own fresh process under `sys.setprofile` over
 the commands of `reach_argv`: the JSON and text golden corpora, a plain `verify`, and one
-`kmw reduce` at q = 4099, above the log-table bound, where no golden goes.
+`kmw reduce` at q = 4099, above the log-table bound, where no golden goes,
+and one `witt classify` at q = 27, a field that no other command gives a
+log table, so that its inverses take the extended Euclidean algorithm.
 A fresh process, because in the test's own one the modules are already
 imported and the lru caches already full, so code that an import or a
 cache miss runs would not run again.  The script records the code objects
@@ -20,11 +22,16 @@ and `__repr__` methods whose text appears only in error messages and
 debugging output.  A new function must be reached by a command or a
 `verify` suite, or be deleted.
 
+`test_errors_are_typed` parses the same sources and fails on a `raise` of
+a builtin exception class that `BUILTIN_RAISES` does not name with a
+reason, so every other error the package raises is a `TtspecError`.
+
 `PYTHONPATH=src python tests/test_reach.py` prints the functions that no
 command reaches, as a JSON list.
 """
 
 import ast
+import builtins
 import contextlib
 import importlib
 import inspect
@@ -51,6 +58,8 @@ def reach_argv() -> list[list[str]]:
         ["verify"],
         # Pohlig-Hellman discrete logs, above LOG_TABLE_BOUND
         ["kmw", "reduce", "--q", "4099", "--word", "[2]"],
+        # inverses by extended Euclid: no command above gives F_27 a log table
+        ["witt", "classify", "--q", "27", "--form", "1,1,1"],
     ]
 
 
@@ -58,9 +67,6 @@ _LIB_WARM = "a lib-warm layer: perfbench/libwarm.py calls it directly"
 _REPR = "its text appears only in error messages and debugging output, which no command prints"
 
 ALLOWLIST = {
-    "milnor_witt.py:word": _LIB_WARM,
-    "milnor_witt.py:symbol": _LIB_WARM,
-    "milnor_witt.py:hyperbolic_kmw": _LIB_WARM,
     "tt_geometry.py:ideal_closure": _LIB_WARM,
     "tt_geometry.py:_window": _LIB_WARM,
     "tt_geometry.py:FiniteSpectralSpace.from_edges": _LIB_WARM,
@@ -145,6 +151,45 @@ def test_every_function_is_reached():
     missing = json.loads(run.stdout)
     assert [name for name in missing if name not in ALLOWLIST] == []
     assert [name for name in ALLOWLIST if name not in missing] == []
+
+
+# the raises of a builtin exception class that stay, by "file:function"
+BUILTIN_RAISES = {
+    ("_value.py:Value.__setattr__", "AttributeError"): "the attribute protocol: assignment to a "
+    "read-only attribute raises AttributeError, as it does on a frozen dataclass",
+    ("_value.py:Value.__delattr__", "AttributeError"): "the attribute protocol, as for assignment",
+    ("finite_field.py:primitive_element", "AssertionError"): "unreachable: F_q^* is cyclic, so the "
+    "scan finds a generator; reaching it means the field is broken, not that an argument is bad",
+}
+
+
+def builtin_raises() -> set[tuple[str, str]]:
+    """("file:function", exception name) of each `raise` of a builtin
+    exception class in the package."""
+    found = set()
+
+    def visit(node, where, filename):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name, filename)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    found.add((f"{filename}:{where}", exc.id))
+            visit(child, where, filename)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", path.name)
+    return found
+
+
+def test_errors_are_typed():
+    """Every error the package raises is a `TtspecError`, apart from the
+    named raises of `BUILTIN_RAISES`; a bad argument raises
+    `InvalidArgument`, which is also a `ValueError`."""
+    assert sorted(builtin_raises()) == sorted(BUILTIN_RAISES)
 
 
 def test_every_annotation_resolves():

@@ -90,6 +90,16 @@ def _first_coordinate_bumped(right):
     return wrong
 
 
+def _reduced_coordinate_bumped(right):
+    """`reduce_word` with each component's first coordinate off by one."""
+    bump = _first_coordinate_bumped(lambda x: x)
+    return lambda w: {n: bump(x) for n, x in right(w).items()}
+
+
+def _eta_powers_dropped(right):
+    return lambda field, *terms: right(field, *((c, 0, entries) for c, _, entries in terms))
+
+
 def _last_dropped(right):
     return lambda *args: list(right(*args))[:-1]
 
@@ -329,6 +339,8 @@ FAULTS = [
     ("tables", "milnor_witt.kmw_mul", _first_coordinate_bumped),
     ("tables", "milnor_witt.kmw_to_gw", _gw_drops_disc),
     ("tables", "milnor_witt.milnor_group", _torsion_made_free),
+    ("tables", "milnor_witt.reduce_word", _reduced_coordinate_bumped),
+    ("tables", "milnor_witt.word", _eta_powers_dropped),
     ("tables", "quadratic_forms.GWClass.__add__", _self_twice),
     ("tables", "quadratic_forms.GWClass.__mul__", _self_twice),
     ("tables", "quadratic_forms.GWClass.__sub__", _self_twice),
