@@ -57,10 +57,6 @@ class SpaceMismatch(TtspecError):
     """Chow classes or correspondences over incompatible spaces."""
 
 
-class ShapeMismatch(TtspecError):
-    """Matrix data incompatible with the declared objects."""
-
-
 class UniverseTooSmall(TtspecError):
     """Generator falls outside the configured truncation window."""
 

@@ -114,11 +114,10 @@ _ALPHABET_SPECIALS = {GENERATOR_OMEGA, GENERATOR_ETA}
 class SpecHSpace(Value):
     """Finite truncation of Spec^h of the reduced ring."""
 
-    __slots__ = ("points", "prime_bound")
+    __slots__ = ("points",)
 
-    def __init__(self, points: tuple[HomogeneousPrime, ...], prime_bound: int):
+    def __init__(self, points: tuple[HomogeneousPrime, ...]):
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "prime_bound", prime_bound)
 
     def specializations(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with point j in the closure of point i (P_i <= P_j).
@@ -160,4 +159,4 @@ def enumerate_primes(prime_bound: int) -> SpecHSpace:
         for p in _primes_upto(prime_bound)[1:]
     ]
     points.sort(key=HomogeneousPrime.sorted_generators)
-    return SpecHSpace(tuple(points), prime_bound)
+    return SpecHSpace(tuple(points))

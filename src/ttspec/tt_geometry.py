@@ -1,17 +1,18 @@
 """Combinatorial tensor-triangular geometry on the semisimple Tate model.
 
-Objects are finite sums of rational lines Q(i)[m] (twist i, shift m);
-morphisms are slotwise rational matrices and every triangle splits, so
-cones, duals and thick tensor ideals are exactly computable.  Within a
-finite twist/shift window the only proper thick tensor ideal is zero,
-which is also the unique prime, so ideal closures are computed in closed
-form: a nonzero line tensored with its inverse line, which the symmetric
-window also holds, is the unit.  The module also writes down the finite
+Objects are finite sums of rational lines Q(i)[m] (twist i, shift m), and
+every triangle splits, so duals and thick tensor ideals are read off the
+lines an object contains.  Within a finite twist/shift window the only
+proper thick tensor ideal is zero, which is also the unique prime, so
+ideal closures are computed in closed form: a nonzero line tensored with
+its inverse line, which the symmetric window also holds, is the unit.  A
+map from the unit to a line is a scalar, so Balmer's comparison map into
+the homogeneous spectrum of the degree-0 endomorphism ring is read in
+closed form too; `verify --suite spaces` (in `ttspec.verify`) checks it
+against the supports of cones.  The module also writes down the finite
 spectral spaces of the chromatic and equivariant posets from their known
-orders, and computes Thomason subsets, lattice-level quotient/localization,
-and the comparison map into the homogeneous spectrum of the degree-0
-endomorphism ring, which `verify --suite spaces` (in `ttspec.verify`)
-checks against the supports of cones.
+orders, and computes Thomason subsets and lattice-level
+quotient/localization.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     BoundExceeded,
     InvalidArgument,
     NotSpecializationClosed,
-    ShapeMismatch,
     UniverseTooSmall,
 )
 from .finite_field import _prime_factors, _primes_upto
@@ -48,18 +48,12 @@ class TateObject(Value):
                 kept[tuple(key)] = kept.get(tuple(key), 0) + d
         return TateObject(tuple(sorted(kept.items())))
 
-    def dims(self) -> dict:
-        return dict(self.slots)
-
     def is_zero(self) -> bool:
         return not self.slots
 
     @property
     def support_lines(self) -> frozenset:
         return frozenset(k for k, _ in self.slots)
-
-    def dim_at(self, key) -> int:
-        return self.dims().get(tuple(key), 0)
 
     def tensor(self, other: "TateObject") -> "TateObject":
         out = {}
@@ -82,98 +76,13 @@ class TateObject(Value):
         return " + ".join(parts)
 
 
-def tate_line(twist: int, shift: int = 0, dim: int = 1) -> TateObject:
-    return TateObject.from_dict({(twist, shift): dim})
+def tate_line(twist: int, shift: int = 0) -> TateObject:
+    return TateObject.from_dict({(twist, shift): 1})
 
 
 TATE_UNIT = tate_line(0, 0)
 END_OF_UNIT = "Q"  # hom(1, 1) = Q: the unit's endomorphisms are the rational scalars
 THOMASON_POINT_BOUND = 12  # most points `thomason_subsets` takes the 2^points subsets of
-
-
-class TateMorphism(Value):
-    """Slotwise rational matrices source -> target (rows = target dim)."""
-
-    __slots__ = ("source", "target", "blocks")
-
-    def __init__(
-        self,
-        source: TateObject,
-        target: TateObject,
-        blocks: tuple[tuple[tuple[int, int], tuple[tuple, ...]], ...],  # rows of Fractions
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", blocks)
-
-    @staticmethod
-    def from_dict(source: TateObject, target: TateObject, blocks: dict) -> "TateMorphism":
-        from fractions import Fraction  # loaded only where a morphism is built
-        kept = {}
-        for key, mat in blocks.items():
-            key = tuple(key)
-            rows = target.dim_at(key)
-            cols = source.dim_at(key)
-            mat = tuple(tuple(Fraction(x) for x in row) for row in mat)
-            if len(mat) != rows or any(len(row) != cols for row in mat):
-                raise ShapeMismatch(f"block at {key} must be {rows}x{cols}")
-            if any(any(row) for row in mat):
-                kept[key] = mat
-        return TateMorphism(source, target, tuple(sorted(kept.items())))
-
-    def block_at(self, key):
-        from fractions import Fraction
-        for k, mat in self.blocks:
-            if k == tuple(key):
-                return mat
-        rows = self.target.dim_at(key)
-        cols = self.source.dim_at(key)
-        return tuple((Fraction(0),) * cols for _ in range(rows))
-
-
-def identity_morphism(a: TateObject) -> TateMorphism:
-    blocks = {}
-    for key, d in a.slots:
-        blocks[key] = [[int(i == j) for j in range(d)] for i in range(d)]  # from_dict makes Fractions
-    return TateMorphism.from_dict(a, a, blocks)
-
-
-def _matrix_rank(mat) -> int:
-    rows = [list(r) for r in mat]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def cone(f: TateMorphism) -> TateObject:
-    """ker(f)[1] + coker(f), slot by slot, by rank-nullity."""
-    keys = {k for k, _ in f.source.slots} | {k for k, _ in f.target.slots}
-    out = {}
-    for key in keys:
-        i, m = key
-        src = f.source.dim_at(key)
-        tgt = f.target.dim_at(key)
-        rank = _matrix_rank(f.block_at(key)) if src and tgt else 0
-        ker = src - rank
-        coker = tgt - rank
-        if ker:
-            out[(i, m + 1)] = out.get((i, m + 1), 0) + ker
-        if coker:
-            out[(i, m)] = out.get((i, m), 0) + coker
-    return TateObject.from_dict(out)
 
 
 class TateUniverse(Value):
@@ -424,17 +333,9 @@ def rho_bullet(prime: ThickTensorIdeal) -> dict:
     degree-0 endomorphism ring: the ideal generated by maps 1 -> u^n
     whose cone lies outside the prime.
 
-    Nonzero scalars have zero cone (which lies in every ideal), so they
-    never contribute; the zero maps in degrees n != 0 contribute only the
-    zero element.  Every prime therefore lands on the zero ideal, the
-    unique point of Spec^h(Q)."""
-    contributing = []
-    # u^n = Q(n)[2n] is the unit only in degree 0, which lies in the window
-    # unless its radius is negative; other degrees hold only the zero map,
-    # which generates only zero
-    if prime.universe.twist_radius >= 0:
-        # degree 0: generators are nonzero scalars, cone = 0 is in the prime
-        scalar_cone = cone(identity_morphism(TATE_UNIT))
-        if not prime.contains(scalar_cone):
-            contributing.append(("scalar", 0))
-    return {"ideal_generators": contributing, "point": "zero ideal"}
+    No map contributes.  A map 1 -> 1 is a rational scalar, and a nonzero
+    one is an isomorphism with zero cone, which lies in every ideal; for
+    n != 0 the line u^n = Q(n)[2n] is not the unit, so the only map
+    1 -> u^n is zero, which generates only zero.  Every prime therefore
+    lands on the zero ideal, the unique point of Spec^h(Q)."""
+    return {"ideal_generators": [], "point": "zero ideal"}

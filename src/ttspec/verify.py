@@ -5,7 +5,7 @@ that shares no code path with them, and returns its failures:
   witt     the closed-form W(F_q) against zero counts, descent and GW
   ses      exactness of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0
   spech    the points of Spec^h against bounded primality certificates
-  eta      eta^n against the additive order of <1> in W(F_q)
+  eta      eta^n and 2, 4 in K^MW[1/eta] against the zero-count order of <1>
   motives  the Kunneth splitting, hom groups and rigidity
   tate     the unique prime of the Tate model and its graded End(1)
   spaces   chromatic closures, Balmer's comparison map and Thomason subsets
@@ -381,22 +381,26 @@ def _suite_spech():
 
 
 def _suite_eta():
-    """eta^n from `kmw_mul` has the additive order of <1> in W(F_q) = K^MW_-n."""
+    """eta^n from `kmw_mul` has the additive order of <1> in W(F_q) = K^MW_-n,
+    and `localize_eta` says 4 = 0 and 2 = 0 as that order does.  The order
+    comes from `_unit_form_order_by_zero_counts`, which shares no code with
+    `milnor_witt`."""
     from . import milnor_witt
     failures = []
     for q in (3, 5, 7, 9):
         field = finite_field._field_for(q)
+        want, _ = _unit_form_order_by_zero_counts(field)
         powers = list(itertools.accumulate([milnor_witt.eta(field)] * 64, milnor_witt.kmw_mul))
         for n in (1, 16, 64):
             multiples = itertools.accumulate([powers[n - 1]] * 4, milnor_witt.kmw_add)
             order = next((k for k, m in enumerate(multiples, 1) if m.is_zero()), None)
-            if order != (4 if q % 4 == 3 else 2):
-                failures.append({"q": q, "n": n, "order": order})
+            if order != want:
+                failures.append({"q": q, "n": n, "order": order, "want": want})
         local = milnor_witt.localize_eta(field)
-        if not local["four_is_zero"]:
-            failures.append({"q": q, "fact": "4=0"})
-        if local["two_is_zero"] != (q % 4 == 1):
-            failures.append({"q": q, "fact": "2=0"})
+        if local["four_is_zero"] != (want in (2, 4)):
+            failures.append({"q": q, "fact": "4=0", "order": want})
+        if local["two_is_zero"] != (want == 2):
+            failures.append({"q": q, "fact": "2=0", "order": want})
     return failures
 
 
@@ -501,27 +505,32 @@ def u_open(a, primes) -> list:
     return [p for p in primes if p.contains(a)]
 
 
+def _unit_map_cone(n: int, s: int):
+    """Cone of the map 1 -> u^n = Q(n)[2n] that is the scalar s in degree
+    0 and zero elsewhere, by rank-nullity: ker[1] + coker, where the rank
+    is 1 exactly when s != 0 and u^n is the unit."""
+    from . import tt_geometry
+    rank = int(s != 0 and tt_geometry.tate_line(n, 2 * n) == tt_geometry.TATE_UNIT)
+    return tt_geometry.TateObject.from_dict({(0, 1): 1 - rank, (n, 2 * n): 1 - rank})
+
+
 def verify_comparison(universe) -> dict:
     """Check that the comparison-map preimage of each principal open
-    D(s) equals U(Cone(s)), scanning the homogeneous elements of the
-    graded endomorphism ring (rational scalars in degree 0, zero in every
-    other degree).  A prime lies over D(s) iff its rho_bullet image, the
-    whole ring if a unit generates it and zero otherwise, misses s."""
-    from fractions import Fraction
+    D(s) equals U(Cone(s)), scanning homogeneous elements of the graded
+    endomorphism ring: the scalars 0, 1, 2 and -3 in degree 0, and zero in
+    every other degree of the window.  A prime lies over D(s) iff its
+    `rho_bullet` image, the whole ring if a unit generates it and zero
+    otherwise, misses s; the cone comes from `_unit_map_cone`, which
+    shares no code with `rho_bullet`."""
     from . import tt_geometry
     report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
     primes = tt_geometry.enumerate_primes(universe)["primes"]
     unit_images = [bool(tt_geometry.rho_bullet(p)["ideal_generators"]) for p in primes]
-    scalars = [Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 2)]
     radius = min(universe.twist_radius, universe.shift_radius // 2)  # u^n = Q(n)[2n] in the window
     for nn in range(-radius, radius + 1):
-        target = tt_geometry.tate_line(nn, 2 * nn)
-        values = scalars if nn == 0 else [Fraction(0)]
-        for s in values:
-            blocks = {} if s == 0 or nn != 0 else {(0, 0): [[s]]}
-            c = tt_geometry.cone(tt_geometry.TateMorphism.from_dict(tt_geometry.TATE_UNIT, target, blocks))
+        for s in (0, 1, 2, -3) if nn == 0 else (0,):
             preimage = [p for p, unit in zip(primes, unit_images) if s != 0 and not unit]
-            ok = preimage == u_open(c, primes)
+            ok = preimage == u_open(_unit_map_cone(nn, s), primes)
             report["cases"].append({"degree": nn, "scalar": str(s), "ok": ok})
             report["ok"] = report["ok"] and ok
     return report

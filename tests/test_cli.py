@@ -870,6 +870,7 @@ _COMMAND_MODULES = [
     (["motive", "hom", "--space", "P2xP1", "--target-space", "P1"], {"ttspec.chow_motives"}),
     (["motive", "pairing", "--space", "P2xP1"], {"ttspec.chow_motives"}),
     (["verify", "--suite", "tate"], {"ttspec.verify", "ttspec.tt_geometry"}),
+    (["verify", "--suite", "spaces"], {"ttspec.verify", "ttspec.tt_geometry"}),
 ]
 
 

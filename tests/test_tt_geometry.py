@@ -1,12 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from ttspec.errors import (
     BoundExceeded,
     NotSpecializationClosed,
-    ShapeMismatch,
     UniverseTooSmall,
 )
 from ttspec import tt_geometry as tg
@@ -23,7 +23,7 @@ def shift_by(a, k):
 
 
 def direct_sum(a, b):
-    out = a.dims()
+    out = dict(a.slots)
     for k, d in b.slots:
         out[k] = out.get(k, 0) + d
     return tg.TateObject.from_dict(out)
@@ -43,28 +43,73 @@ def test_object_algebra():
     assert tg.tate_line(2, 1).dual() == tg.tate_line(-2, -1)
     assert shift_by(a, 3) == tg.tate_line(1, 5)
     s = direct_sum(a, a)
-    assert s.dim_at((1, 2)) == 2
+    assert dict(s.slots)[(1, 2)] == 2
     assert tg.TateObject(()).is_zero()
+
+
+# ------------------------------------------------- maps and their cones
+# A map of Tate objects is a rational matrix per line (rows indexed by the
+# target), and every triangle splits, so its cone is ker[1] + coker slot by
+# slot.  The library keeps no maps: this is the oracle for the one cone
+# that `verify --suite spaces` builds, that of a scalar 1 -> u^n.
+
+
+def _matrix_rank(mat) -> int:
+    rows = [list(r) for r in mat]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        rank += 1
+    return rank
+
+
+def cone(source, target, blocks):
+    """ker(f)[1] + coker(f), slot by slot, by rank-nullity, for the map f
+    given by `blocks`, {line: matrix}; a line without a block maps by zero."""
+    src, tgt = dict(source.slots), dict(target.slots)
+    out = {}
+    for i, m in src.keys() | tgt.keys():
+        rank = _matrix_rank([[Fraction(x) for x in row] for row in blocks.get((i, m), ())])
+        out[(i, m + 1)] = out.get((i, m + 1), 0) + src.get((i, m), 0) - rank
+        out[(i, m)] = out.get((i, m), 0) + tgt.get((i, m), 0) - rank
+    return tg.TateObject.from_dict(out)
 
 
 def test_cone_examples():
     unit = tg.TATE_UNIT
-    assert tg.cone(tg.identity_morphism(unit)).is_zero()
-    assert tg.cone(tg.TateMorphism.from_dict(unit, unit, {})) == direct_sum(unit, shift_by(unit, 1))
-    two = tg.tate_line(0, 0, 2)
-    f = tg.TateMorphism.from_dict(two, two, {(0, 0): [[1, 0], [0, 0]]})
-    c = tg.cone(f)
-    assert c.dim_at((0, 1)) == 1 and c.dim_at((0, 0)) == 1
-    iso = tg.TateMorphism.from_dict(two, two, {(0, 0): [[1, 1], [0, 1]]})
-    assert tg.cone(iso).is_zero()
+    assert cone(unit, unit, {(0, 0): [[1]]}).is_zero()
+    assert cone(unit, unit, {}) == direct_sum(unit, shift_by(unit, 1))
+    two = tg.TateObject.from_dict({(0, 0): 2})
+    c = cone(two, two, {(0, 0): [[1, 0], [0, 0]]})
+    assert dict(c.slots) == {(0, 1): 1, (0, 0): 1}
+    assert cone(two, two, {(0, 0): [[1, 1], [0, 1]]}).is_zero()
 
 
-def test_morphism_shape_validation():
-    a = tg.tate_line(0, 0, 2)
-    with pytest.raises(ShapeMismatch):
-        tg.TateMorphism.from_dict(a, a, {(0, 0): [[1, 0]]})
-    with pytest.raises(ShapeMismatch):
-        tg.TateMorphism.from_dict(a, tg.TATE_UNIT, {(0, 0): [[1, 0], [0, 1]]})
+def _scalar_maps(universe, scalars=(0, 1, -1, 2, Fraction(-3, 2))):
+    """(n, s, u^n, blocks) for each degree n with u^n = Q(n)[2n] in the
+    window and each scalar s: s sits in the block of the line that 1 and
+    u^n share, and there is none when they share no line."""
+    radius = min(universe.twist_radius, universe.shift_radius // 2)
+    for n, s in itertools.product(range(-radius, radius + 1), scalars):
+        target = tg.tate_line(n, 2 * n)
+        yield n, s, target, {key: [[s]] for key, _ in target.slots if key == (0, 0)}
+
+
+def test_unit_map_cone_matches_rank_nullity_oracle():
+    for radii in ((3, 2), (4, 2), (4, 9)):
+        for n, s, target, blocks in _scalar_maps(tg.TateUniverse(*radii)):
+            assert verify._unit_map_cone(n, s) == cone(tg.TATE_UNIT, target, blocks), (radii, n, s)
 
 
 # -------------------------------------------------------------- ideals
@@ -445,11 +490,16 @@ def test_graded_endomorphism_ring():
 
 
 def test_rho_bullet_zero_prime():
-    universe = tg.TateUniverse(3, 2)
-    prime = tg.enumerate_primes(universe)["primes"][0]
-    image = tg.rho_bullet(prime)
-    assert image["point"] == "zero ideal"
-    assert image["ideal_generators"] == []
+    """rho_bullet(P) is generated by the nonzero maps 1 -> u^n whose cone,
+    from the rank-nullity oracle, lies outside P (zero maps generate only
+    zero): none, so every prime of every window lands on the zero ideal."""
+    for radii in itertools.product(range(-1, 5), repeat=2):
+        universe = tg.TateUniverse(*radii)
+        for prime in tg.enumerate_primes(universe)["primes"]:
+            outside = [(n, s) for n, s, target, blocks in _scalar_maps(universe)
+                       if s != 0 and blocks and not prime.contains(cone(tg.TATE_UNIT, target, blocks))]
+            assert outside == [], (radii, outside)
+            assert tg.rho_bullet(prime) == {"ideal_generators": [], "point": "zero ideal"}, radii
 
 
 def test_verify_comparison():
