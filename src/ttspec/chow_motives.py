@@ -24,7 +24,7 @@ import itertools
 import math
 
 from ._value import Value
-from .errors import BoundExceeded, InvalidArgument, SpaceMismatch
+from .errors import BoundExceeded, InvalidArgument
 
 # largest ambient monomial basis of a hom group.  The library's `hom_group`
 # keeps each column of its reduction in the bucket of its least row, so no
@@ -117,7 +117,7 @@ class ChowClass(Value):
         for mono, c in coeffs.items():
             mono = tuple(mono)
             if len(mono) != space.factors:
-                raise SpaceMismatch(f"monomial {mono} has wrong arity for {space}")
+                raise InvalidArgument(f"monomial {mono} has wrong arity for {space}")
             if any(e > n for e, n in zip(mono, space.dims)):
                 continue  # truncation
             if any(e < 0 for e in mono):
@@ -132,7 +132,7 @@ class ChowClass(Value):
 
     def _check(self, other: "ChowClass"):
         if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
+            raise InvalidArgument(f"{self.space} vs {other.space}")
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
@@ -167,10 +167,10 @@ class Correspondence(Value):
         object.__setattr__(self, "cls", cls)
         product = source.times(target)
         if cls.space != product:
-            raise SpaceMismatch(f"class lives on {cls.space}, expected {product}")
+            raise InvalidArgument(f"class lives on {cls.space}, expected {product}")
         want = source.dimension + shift
         if any(sum(m) != want for m, _ in cls.terms):
-            raise SpaceMismatch(
+            raise InvalidArgument(
                 f"degree-{shift} correspondence needs codimension {want}"
             )
 
@@ -209,7 +209,7 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     each term of alpha meets only the terms of beta whose Y-part is its
     complement."""
     if alpha.target != beta.source:
-        raise SpaceMismatch(f"cannot compose {beta.source}->{beta.target} after {alpha.source}->{alpha.target}")
+        raise InvalidArgument(f"cannot compose {beta.source}->{beta.target} after {alpha.source}->{alpha.target}")
     kx, ky = alpha.source.factors, beta.source.factors
     by_middle = {}
     for m, d in beta.cls.terms:
@@ -236,7 +236,7 @@ class Motive(Value):
         object.__setattr__(self, "twist", twist)
         p = projector
         if p.source != space or p.target != space or p.shift != 0:
-            raise SpaceMismatch("projector must be a degree-0 endocorrespondence")
+            raise InvalidArgument("projector must be a degree-0 endocorrespondence")
         if compose(p, p) != p:
             raise InvalidArgument("projector is not idempotent")
 

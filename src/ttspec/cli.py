@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from .errors import TtspecError
+from .errors import InvalidArgument, TtspecError
 from .finite_field import _field_for, _prime_power, primitive_element
 
 # The compute modules are imported by the functions that run them, so that
@@ -39,10 +39,10 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise TtspecError(f"cannot tokenize {text[pos:]!r}")
+                raise InvalidArgument(f"cannot tokenize {text[pos:]!r}")
             break
         if len(m.group(1)) > 4000:  # int() refuses more than 4300 digits
-            raise TtspecError(f"a word integer may have at most 4000 digits, got {len(m.group(1))}")
+            raise InvalidArgument(f"a word integer may have at most 4000 digits, got {len(m.group(1))}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -73,9 +73,9 @@ class _WordParser:
         tok = self.peek()
         if tok is None:
             want = f", expected {expected!r}" if expected else ""
-            raise TtspecError(f"expression ended early{want}")
+            raise InvalidArgument(f"expression ended early{want}")
         if expected is not None and tok != expected:
-            raise TtspecError(f"unexpected token {tok!r}, expected {expected!r}")
+            raise InvalidArgument(f"unexpected token {tok!r}, expected {expected!r}")
         self.pos += 1
         return tok
 
@@ -85,7 +85,7 @@ class _WordParser:
         self.take()
         tok = self.take()
         if not tok.isdigit():
-            raise TtspecError(f"exponent must be a nonnegative integer, got {tok!r}")
+            raise InvalidArgument(f"exponent must be a nonnegative integer, got {tok!r}")
         return int(tok)
 
     def parse(self):
@@ -96,11 +96,9 @@ class _WordParser:
         while True:
             x = self.term(sign)
             sums[x.degree] = milnor_witt.kmw_add(sums[x.degree], x) if x.degree in sums else x
-            if self.peek() not in ("+", "-"):
+            if self.peek() is None:  # a term stops only at '+', '-' or the end
                 break
             sign = 1 if self.take() == "+" else -1
-        if self.peek() is not None:
-            raise TtspecError(f"trailing input at {self.tokens[self.pos:]}")
         return {n: x for n, x in sums.items() if not x.is_zero()}
 
     def term(self, sign):
@@ -119,7 +117,7 @@ class _WordParser:
         from . import milnor_witt
         tok = self.peek()
         if tok is None:
-            raise TtspecError("expression ended early")
+            raise InvalidArgument("expression ended early")
         if tok.isdigit():
             self.take()
             return int(tok) * milnor_witt.kmw_one(self.field)
@@ -135,7 +133,7 @@ class _WordParser:
             entry = self.entry()
             self.take("]")
             return milnor_witt.symbol(entry)
-        raise TtspecError(f"unexpected token {tok!r}")
+        raise InvalidArgument(f"unexpected token {tok!r}")
 
     def entry(self):
         sign = 1
@@ -148,7 +146,7 @@ class _WordParser:
         elif tok.isdigit():
             value = self.field.element(int(tok))
         else:
-            raise TtspecError(f"bad bracket entry {tok!r}")
+            raise InvalidArgument(f"bad bracket entry {tok!r}")
         return -value if sign == -1 else value
 
 
@@ -213,7 +211,7 @@ def cmd_witt_classify(args):
     try:
         entries = [int(x) for x in args.form.split(",") if x.strip()]
     except ValueError:
-        raise TtspecError(f"form entries must be integers, got {args.form!r}") from None
+        raise InvalidArgument(f"form entries must be integers, got {args.form!r}") from None
     form = quadratic_forms.diagonal(field, entries)
     h, kernel = quadratic_forms.witt_decompose(form)
     cls = quadratic_forms.kernel_class(kernel)
@@ -299,9 +297,7 @@ def cmd_motive(args):
         }
     if args.motive_op == "dual":  # (X, id, n)^dual = (X, id, dim X - n)
         return {"space": repr(space), "twist": args.twist, "dual_twist": space.dimension - args.twist}
-    if args.motive_op == "pairing":
-        return chow_motives.pairing_nondegenerate(space)
-    raise TtspecError(f"unknown motive operation {args.motive_op!r}")
+    return chow_motives.pairing_nondegenerate(space)  # "pairing", the last of the argparse choices
 
 
 def cmd_spc(args):
@@ -324,17 +320,15 @@ def cmd_spc(args):
         if args.dot:
             out["dot"] = space.to_dot("shtop")
         return out
-    if args.spc_op == "equivariant":
-        space = tt_geometry.spc_equivariant(args.n, args.primes, args.height)
-        out = {
-            "n": args.n,
-            "points": list(space.points),
-            "point_count": len(space.points),
-        }
-        if args.dot:
-            out["dot"] = space.to_dot("equivariant")
-        return out
-    raise TtspecError(f"unknown spc operation {args.spc_op!r}")
+    space = tt_geometry.spc_equivariant(args.n, args.primes, args.height)  # "equivariant", the last choice
+    out = {
+        "n": args.n,
+        "points": list(space.points),
+        "point_count": len(space.points),
+    }
+    if args.dot:
+        out["dot"] = space.to_dot("equivariant")
+    return out
 
 
 def cmd_verify(args):
@@ -348,10 +342,10 @@ def cmd_verify(args):
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d{1,4000})\.\.(-?\d{1,4000})", text.strip())
     if not m:
-        raise TtspecError(f"range must look like -3..2, got {text!r}")
+        raise InvalidArgument(f"range must look like -3..2, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise TtspecError(f"empty range {text!r}")
+        raise InvalidArgument(f"empty range {text!r}")
     return lo, hi
 
 

@@ -38,8 +38,7 @@ from math import isqrt
 from operator import mul
 
 from ._value import Value
-from .errors import (BoundExceeded, EvenCharacteristic, FieldMismatch, InvalidArgument, NotPrime, TtspecError,
-                     ZeroInput)
+from .errors import BoundExceeded, InvalidArgument
 
 CARDINALITY_BOUND = 1 << 20
 # first log in a fresh process once the generator is known, table build vs
@@ -122,7 +121,7 @@ class PrimePower(Value):
         if isinstance(value, FieldElement):
             # make_field caches fields, so identity settles almost every call
             if value.field is not self and value.field != self:
-                raise FieldMismatch(f"element of F_{value.field.q} used in F_{self.q}")
+                raise InvalidArgument(f"element of F_{value.field.q} used in F_{self.q}")
             return value
         if isinstance(value, int):
             coeffs = (value % self.p,) + (0,) * (self.e - 1)
@@ -338,7 +337,7 @@ class FieldElement(Value):
     any sequence into that form.  The table-less paths of `inverse`,
     `is_square` and `discrete_log`, and any table miss, still reduce a
     tuple out of that form through it, so a zero written as (p,) raises
-    `ZeroInput`."""
+    `InvalidArgument`."""
 
     __slots__ = ("field", "coeffs")
 
@@ -389,7 +388,7 @@ class FieldElement(Value):
         if k is None:  # no table, zero, or coefficients out of canonical form
             coeffs = field.element(self.coeffs).coeffs
             if not any(coeffs):
-                raise ZeroInput("zero has no inverse")
+                raise InvalidArgument("zero has no inverse")
             if logs is None:
                 return FieldElement(field, _poly_inverse(coeffs, field.modulus, field.p))
             k = logs[coeffs]
@@ -413,9 +412,9 @@ class FieldElement(Value):
 def make_field(p: int, e: int = 1) -> PrimePower:
     """Return the field descriptor for F_{p^e} with a deterministic modulus."""
     if p == 2:
-        raise EvenCharacteristic("characteristic 2 is not supported")
+        raise InvalidArgument("characteristic 2 is not supported")
     if _prime_factors(p) != {p: 1}:
-        raise NotPrime(f"{p} is not prime")
+        raise InvalidArgument(f"{p} is not prime")
     if e < 1:
         raise InvalidArgument("exponent must be >= 1")
     if p ** e > CARDINALITY_BOUND:
@@ -435,10 +434,10 @@ def _prime_power(q: int) -> tuple[int, int]:
         raise BoundExceeded(f"q = {q} exceeds the field bound {CARDINALITY_BOUND}")
     factors = _prime_factors(q)
     if len(factors) != 1:
-        raise TtspecError(f"{q} is not a prime power")
+        raise InvalidArgument(f"{q} is not a prime power")
     ((p, e),) = factors.items()
     if p == 2:
-        raise EvenCharacteristic("characteristic 2 is not supported")
+        raise InvalidArgument("characteristic 2 is not supported")
     return p, e
 
 
@@ -458,13 +457,14 @@ def primitive_element(field: PrimePower) -> FieldElement:
     p, n, modulus, one = field.p, field.q - 1, field.modulus, field.one()
     by_norm = [(p - 1) // ell for ell in _prime_factors(p - 1)]
     by_power = [n // ell for ell in _prime_factors(n) if (p - 1) % ell]
-    for v in range(2, field.q):
-        a = field.from_index(v)
+
+    def generates(a):
         norm = _norm(a.coeffs, modulus, p)
-        if all(pow(norm, c, p) != 1 for c in by_norm) and all(a ** c != one for c in by_power):
-            field._cache["primitive"] = a
-            return a
-    raise AssertionError("no generator found; field construction is broken")
+        return all(pow(norm, c, p) != 1 for c in by_norm) and all(a ** c != one for c in by_power)
+
+    a = next(filter(generates, map(field.from_index, range(2, field.q))))  # F_q^* is cyclic, so the scan ends
+    field._cache["primitive"] = a
+    return a
 
 
 def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
@@ -558,7 +558,7 @@ def discrete_log(a: FieldElement) -> int:
     if k is None:  # no table yet, zero, or coefficients out of canonical form
         a = field.element(a.coeffs)
         if not any(a.coeffs):
-            raise ZeroInput("discrete log of zero undefined")
+            raise InvalidArgument("discrete log of zero undefined")
         if field._q > LOG_TABLE_BOUND:
             return _pohlig_hellman(a)
         k = _log_table(field)[a.coeffs]
@@ -575,7 +575,7 @@ def is_square(a: FieldElement) -> bool:
     if k is None:  # no table, zero, or coefficients out of canonical form
         coeffs = field.element(a.coeffs).coeffs
         if not any(coeffs):
-            raise ZeroInput("squareness of zero undefined")
+            raise InvalidArgument("squareness of zero undefined")
         if logs is None:
             p = field.p
             return pow(_norm(coeffs, field.modulus, p), (p - 1) // 2, p) == 1

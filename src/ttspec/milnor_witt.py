@@ -50,14 +50,7 @@ q - 1 in degree 1, the second mod 2 in degree 0, none above 1, and below
 from __future__ import annotations
 
 from ._value import Value
-from .errors import (
-    DegreeMismatch,
-    FieldMismatch,
-    InvalidArgument,
-    NegativeDegree,
-    NotInIdealPower,
-    ZeroSymbolEntry,
-)
+from .errors import InvalidArgument
 from .finite_field import FieldElement, PrimePower, discrete_log, primitive_element
 from .quadratic_forms import GWClass, WittClass, fundamental_ideal_power
 
@@ -159,7 +152,7 @@ def omega_symbol(field: PrimePower) -> KmwElement:
 def symbol(a: FieldElement) -> KmwElement:
     """The degree-1 element [a] = dlog(a) * [w]."""
     if a.is_zero():
-        raise ZeroSymbolEntry("[0] is not a symbol")
+        raise InvalidArgument("[0] is not a symbol")
     return KmwElement(a.field, 1, (discrete_log(a),))
 
 
@@ -184,7 +177,7 @@ class SymbolWord(Value):
                 raise InvalidArgument("eta power must be >= 0")
             for a in entries:
                 if a.is_zero():
-                    raise ZeroSymbolEntry("[0] is not a symbol")
+                    raise InvalidArgument("[0] is not a symbol")
 
 
 def word(field: PrimePower, *terms) -> SymbolWord:
@@ -229,9 +222,9 @@ def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
 
 def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
     if x.field != y.field:
-        raise FieldMismatch("elements over different fields")
+        raise InvalidArgument("elements over different fields")
     if x.degree != y.degree:
-        raise DegreeMismatch(f"degrees {x.degree} and {y.degree}")
+        raise InvalidArgument(f"degrees {x.degree} and {y.degree}")
     return KmwElement(x.field, x.degree, tuple(a + b for a, b in zip(x.coords, y.coords)))
 
 
@@ -252,7 +245,7 @@ def _generator_terms(x: KmwElement) -> tuple[tuple[int, int, int], ...]:
 def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     field = x.field
     if field is not y.field and field != y.field:
-        raise FieldMismatch("elements over different fields")
+        raise InvalidArgument("elements over different fields")
     acc = [0, 0]  # KmwElement keeps as many coordinates as K^MW_n has factors
     for c1, i1, b1 in _generator_terms(x):
         if c1:
@@ -295,7 +288,7 @@ def milnor_group(field: PrimePower, n: int) -> GroupShape:
 def to_milnor(x: KmwElement) -> MilnorKElement:
     """Quotient by the image of eta-multiplication (degree >= 0 only)."""
     if x.degree < 0:
-        raise NegativeDegree("Milnor K-theory undefined in negative degrees")
+        raise InvalidArgument("Milnor K-theory undefined in negative degrees")
     field = x.field
     if x.degree == 0:
         return MilnorKElement(field, 0, x.coords[0])
@@ -315,7 +308,7 @@ def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElemen
     """
     _check_degree(n)
     if w not in fundamental_ideal_power(field, max(n + 1, 0))["members"]:
-        raise NotInIdealPower(f"class not in I^{n + 1}")
+        raise InvalidArgument(f"class not in I^{n + 1}")
     if n >= 1:
         return kmw_zero(field, n)
     return KmwElement(field, n, (w.parity, w.disc))
@@ -324,7 +317,7 @@ def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElemen
 def kmw_to_gw(x: KmwElement) -> GWClass:
     """The ring isomorphism K^MW_0 -> GW; 1 + eta[a] corresponds to <a>."""
     if x.degree != 0:
-        raise DegreeMismatch("gw_iso requires degree 0")
+        raise InvalidArgument("gw_iso requires degree 0")
     return GWClass(x.field, x.coords[0], x.coords[1])
 
 

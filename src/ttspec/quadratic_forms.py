@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import BoundExceeded, DegenerateForm, FieldMismatch, InvalidArgument
+from .errors import BoundExceeded, InvalidArgument
 from .finite_field import (
     FieldElement,
     PrimePower,
@@ -45,7 +45,7 @@ class DiagonalForm(Value):
         object.__setattr__(self, "entries", entries)
         for a in entries:
             if a.is_zero():
-                raise DegenerateForm("diagonal entries must be nonzero")
+                raise InvalidArgument("diagonal entries must be nonzero")
 
     @property
     def rank(self) -> int:
@@ -208,7 +208,7 @@ def witt_add(a: WittClass, b: WittClass) -> WittClass:
     """Parities add, and so do the e-coefficients, with one more e from
     <1> + <1> = <1,1> when -1 is not a square."""
     if a.field != b.field:
-        raise FieldMismatch("Witt classes over different fields")
+        raise InvalidArgument("Witt classes over different fields")
     sign = a.parity & b.parity and not a.field.minus_one_is_square
     return WittClass(a.field, a.parity ^ b.parity, a.disc ^ b.disc ^ sign)
 
@@ -216,7 +216,7 @@ def witt_add(a: WittClass, b: WittClass) -> WittClass:
 def witt_mul(a: WittClass, b: WittClass) -> WittClass:
     """(p<1> + d e)(p'<1> + d' e) = pp'<1> + (pd' + dp') e, since e^2 = 0."""
     if a.field != b.field:
-        raise FieldMismatch("Witt classes over different fields")
+        raise InvalidArgument("Witt classes over different fields")
     return WittClass(a.field, a.parity & b.parity, (a.parity & b.disc) ^ (a.disc & b.parity))
 
 
@@ -277,7 +277,7 @@ class GWClass(Value):
 
     def _check(self, other):
         if self.field != other.field:
-            raise FieldMismatch("GW classes over different fields")
+            raise InvalidArgument("GW classes over different fields")
 
 
 def gw_class(f: DiagonalForm) -> GWClass:

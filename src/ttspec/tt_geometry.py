@@ -21,12 +21,7 @@ import itertools
 from functools import lru_cache
 
 from ._value import Value
-from .errors import (
-    BoundExceeded,
-    InvalidArgument,
-    NotSpecializationClosed,
-    UniverseTooSmall,
-)
+from .errors import BoundExceeded, InvalidArgument
 from .finite_field import _prime_factors, _primes_upto
 
 
@@ -144,7 +139,7 @@ def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
     nonzero = False
     for g in generators:
         if not universe.contains(g):
-            raise UniverseTooSmall(f"{g} is outside the window")
+            raise InvalidArgument(f"{g} is outside the window")
         nonzero = nonzero or not g.is_zero()
     lines = _window(universe.twist_radius, universe.shift_radius) if nonzero else frozenset()
     return ThickTensorIdeal(universe, lines)
@@ -246,7 +241,7 @@ def lattice_quotient(space: FiniteSpectralSpace, thomason) -> FiniteSpectralSpac
     """Quotient by a Thomason subset: the open complement subspace."""
     thomason = set(thomason)
     if not space.is_closed(thomason):
-        raise NotSpecializationClosed(f"{sorted(thomason)} is not specialization closed")
+        raise InvalidArgument(f"{sorted(thomason)} is not specialization closed")
     return space.subspace(set(space.points) - thomason)
 
 
@@ -254,7 +249,7 @@ def lattice_localize(space: FiniteSpectralSpace, closed) -> FiniteSpectralSpace:
     """Localize at a closed subset: that subspace with the induced order."""
     closed = set(closed)
     if not space.is_closed(closed):
-        raise NotSpecializationClosed(f"{sorted(closed)} is not closed")
+        raise InvalidArgument(f"{sorted(closed)} is not closed")
     return space.subspace(closed)
 
 

@@ -20,7 +20,7 @@ import itertools
 import math
 
 from . import finite_field
-from .errors import TtspecError, UnknownGenerator
+from .errors import InvalidArgument, TtspecError
 
 
 def _witt_classes(field):
@@ -306,7 +306,7 @@ def is_prime_ideal(candidate, degree_bound: int = 12, coeff_bound: int = 12) -> 
     element = graded_spectrum.ReducedElement
     for g in candidate.generators - graded_spectrum._ALPHABET_SPECIALS:
         if not g.isdigit() or int(g) < 2:
-            raise UnknownGenerator(f"unsupported generator {g!r}")
+            raise InvalidArgument(f"unsupported generator {g!r}")
     cert = {
         "generators": candidate.sorted_generators(),
         "degree_bound": degree_bound,
@@ -517,8 +517,9 @@ def _unit_map_cone(n: int, s: int):
 def verify_comparison(universe) -> dict:
     """Check that the comparison-map preimage of each principal open
     D(s) equals U(Cone(s)), scanning homogeneous elements of the graded
-    endomorphism ring: the scalars 0, 1, 2 and -3 in degree 0, and zero in
-    every other degree of the window.  A prime lies over D(s) iff its
+    endomorphism ring: the scalars 0, 1, 2 and -3 in every degree of the
+    window.  A scalar is zero in a degree where `graded_endomorphism_ring`
+    is zero, and D(0) is empty.  A prime lies over D(s) iff its
     `rho_bullet` image, the whole ring if a unit generates it and zero
     otherwise, misses s; the cone comes from `_unit_map_cone`, which
     shares no code with `rho_bullet`."""
@@ -526,10 +527,12 @@ def verify_comparison(universe) -> dict:
     report = {"universe": (universe.twist_radius, universe.shift_radius), "cases": [], "ok": True}
     primes = tt_geometry.enumerate_primes(universe)["primes"]
     unit_images = [bool(tt_geometry.rho_bullet(p)["ideal_generators"]) for p in primes]
+    degrees = tt_geometry.graded_endomorphism_ring(universe)["degrees"]
     radius = min(universe.twist_radius, universe.shift_radius // 2)  # u^n = Q(n)[2n] in the window
     for nn in range(-radius, radius + 1):
-        for s in (0, 1, 2, -3) if nn == 0 else (0,):
-            preimage = [p for p, unit in zip(primes, unit_images) if s != 0 and not unit]
+        for s in (0, 1, 2, -3):
+            nonzero = s != 0 and degrees[nn] != "0"
+            preimage = [p for p, unit in zip(primes, unit_images) if nonzero and not unit]
             ok = preimage == u_open(_unit_map_cone(nn, s), primes)
             report["cases"].append({"degree": nn, "scalar": str(s), "ok": ok})
             report["ok"] = report["ok"] and ok
@@ -582,7 +585,7 @@ SUITES = {
 def run(suite: str | None = None) -> dict:
     """Run one suite, or all of them when `suite` is None."""
     if suite is not None and suite not in SUITES:  # "" too: it names no suite
-        raise TtspecError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+        raise InvalidArgument(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     verdicts = {}
     for name in list(SUITES) if suite is None else [suite]:
         try:

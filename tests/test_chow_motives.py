@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ttspec.errors import SpaceMismatch
+from ttspec.errors import InvalidArgument
 from ttspec import chow_motives as cm
 from ttspec import verify
 
@@ -43,7 +43,7 @@ def pullback(a, product, positions):
     """Pull a back along the projection of `product` onto the listed
     factor positions (which must present a's space in order)."""
     if tuple(product.dims[i] for i in positions) != a.space.dims:
-        raise SpaceMismatch(f"positions {positions} of {product} do not match {a.space}")
+        raise InvalidArgument(f"positions {positions} of {product} do not match {a.space}")
     out = {}
     for m, c in a.terms:
         full = [0] * product.factors
@@ -70,7 +70,7 @@ def pushforward(a, keep):
 
 def compose_via_triple_product(beta, alpha):
     if alpha.target != beta.source:
-        raise SpaceMismatch("cannot compose")
+        raise InvalidArgument("cannot compose")
     kx = alpha.source.factors
     ky = alpha.target.factors
     kz = beta.target.factors
@@ -256,7 +256,7 @@ def test_pullback_positions():
     product = P1.times(P2)
     up = pullback(cls, product, (0,))
     assert up == cm.monomial_class(product, (1, 0))
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(InvalidArgument):
         pullback(cls, product, (1,))
 
 
@@ -319,7 +319,7 @@ def test_projection_to_infinity_idempotent():
 def test_compose_space_mismatch():
     a = cm.identity_correspondence(P1)
     b = cm.identity_correspondence(P2)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(InvalidArgument):
         cm.compose(b, a)
 
 

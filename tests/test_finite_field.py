@@ -6,7 +6,7 @@ import pytest
 
 from ttspec import milnor_witt as mw
 from ttspec import verify
-from ttspec.errors import BoundExceeded, EvenCharacteristic, FieldMismatch, InvalidArgument, NotPrime, ZeroInput
+from ttspec.errors import BoundExceeded, InvalidArgument
 from ttspec.finite_field import (
     LOG_TABLE_BOUND,
     PRIME_BOUND,
@@ -64,11 +64,11 @@ def _irreducible_by_trial_division(poly, p):
 
 
 def test_rejects_bad_parameters():
-    with pytest.raises(EvenCharacteristic):
+    with pytest.raises(InvalidArgument):
         make_field(2)
-    with pytest.raises(NotPrime):
+    with pytest.raises(InvalidArgument):
         make_field(9)
-    with pytest.raises(NotPrime):
+    with pytest.raises(InvalidArgument):
         make_field(15)
     with pytest.raises(BoundExceeded):
         make_field(11, 6)  # 11^6 > 2^20
@@ -216,13 +216,13 @@ def test_is_square_matches_sympy_quadratic_residue(p):
 
 def test_zero_input_errors():
     field = make_field(5)
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         field.zero().inverse()
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         field.zero() ** -1
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         discrete_log(field.zero())
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         is_square(field.zero())
 
 
@@ -487,7 +487,7 @@ def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
     assert discrete_log(a) == discrete_log(reduced)
     assert "logs" in field._cache
     assert before == (a.inverse(), is_square(a)) == (reduced.inverse(), is_square(reduced))
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         discrete_log(FieldElement(field, (p,) * e))
 
 
@@ -495,11 +495,11 @@ def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
 def test_table_less_paths_reduce_coefficients_out_of_canonical_form():
     """Without a log table, `inverse`, `is_square` and Pohlig-Hellman
     reduce a tuple out of canonical form first: a zero written as (3,)
-    raises ZeroInput rather than a bare ValueError from `pow`, and
+    raises InvalidArgument rather than a bare ValueError from `pow`, and
     (4, 5, 7) over F_27 gets the answers of its reduction (1, 2, 1)."""
     f3 = _fresh_field(3, 1)
     for call in (FieldElement.inverse, is_square):
-        with pytest.raises(ZeroInput):
+        with pytest.raises(InvalidArgument):
             call(FieldElement(f3, (3,)))
     f27 = _fresh_field(3, 3)
     for coeffs, want in (((4, 5, 7), (1, 2, 1)), ((1, 2, 3), (1, 2, 0))):  # the second has top entry 0 mod 3
@@ -513,7 +513,7 @@ def test_table_less_paths_reduce_coefficients_out_of_canonical_form():
     for k in (1, 1000, big.q - 2):
         x = (omega ** k).coeffs
         assert discrete_log(FieldElement(big, tuple(c + 9 for c in x))) == k
-    with pytest.raises(ZeroInput):
+    with pytest.raises(InvalidArgument):
         discrete_log(FieldElement(big, (3,) * 8))
     assert "logs" not in big._cache
 
@@ -538,7 +538,7 @@ def test_add_and_divide_coerce_ints_and_refuse_foreign_fields(p, e):
         b = twin.from_index(a.value)
         assert a + b == a + a and a / b == field.one()
         for op in ("__add__", "__truediv__"):
-            with pytest.raises(FieldMismatch):
+            with pytest.raises(InvalidArgument):
                 getattr(a, op)(foreign.one())
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from ttspec import cli
-from ttspec.errors import BoundExceeded, UnknownGenerator
+from ttspec.errors import BoundExceeded, InvalidArgument
 from ttspec.finite_field import PRIME_BOUND, make_field
 from ttspec import graded_spectrum as gs
 from ttspec import milnor_witt as mw
@@ -84,9 +84,9 @@ def test_improper_ideal_rejected():
 
 
 def test_unknown_generator():
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(InvalidArgument):
         verify.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "x"})))
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(InvalidArgument):
         verify.is_prime_ideal(gs.HomogeneousPrime(frozenset({"[w]", "1"})))
 
 

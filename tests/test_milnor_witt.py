@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from ttspec.errors import (
-    DegreeMismatch,
-    FieldMismatch,
-    InvalidArgument,
-    NegativeDegree,
-    NotInIdealPower,
-    ZeroSymbolEntry,
-)
+from ttspec.errors import InvalidArgument
 from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
@@ -264,7 +257,7 @@ def test_verify_ses(q, n):
 def test_from_fundamental_ideal_membership():
     field = make_field(3)
     odd = qf.witt_one(field)  # rank 1, not in I
-    with pytest.raises(NotInIdealPower):
+    with pytest.raises(InvalidArgument):
         mw.from_fundamental_ideal(field, 0, odd)
     # the nonzero class of I maps to eta[w]
     pfister = qf.witt_class(qf.diagonal(field, [1, -2]))  # <1,-w> over F_3
@@ -284,7 +277,7 @@ def test_milnor_quotient(q):
     # degree 1 quotient map is an isomorphism onto F_q^*
     hit = {mw.to_milnor(mw.KmwElement(field, 1, (c,))).value for c in range(q - 1)}
     assert len(hit) == q - 1
-    with pytest.raises(NegativeDegree):
+    with pytest.raises(InvalidArgument):
         mw.to_milnor(mw.eta(field))
 
 
@@ -364,11 +357,11 @@ def test_eta_map_surjectivity_matches_subgroup_oracle(q):
 
 def test_error_paths():
     f3, f5 = make_field(3), make_field(5)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidArgument):
         mw.kmw_add(mw.eta(f3), mw.kmw_one(f3))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(InvalidArgument):
         mw.kmw_add(mw.kmw_one(f3), mw.kmw_one(f5))
-    with pytest.raises(ZeroSymbolEntry):
+    with pytest.raises(InvalidArgument):
         mw.symbol(f3.zero())
     with pytest.raises(ValueError):
         mw.kmw_group(f3, 100)

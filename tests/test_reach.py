@@ -25,6 +25,10 @@ debugging output.  A new function must be reached by a command or a
 `test_errors_are_typed` parses the same sources and fails on a `raise` of
 a builtin exception class that `BUILTIN_RAISES` does not name with a
 reason, so every other error the package raises is a `TtspecError`.
+`test_every_refusal_is_invalid_argument_or_bound_exceeded` holds
+`errors.py` to its three classes and each such `raise` to the two
+subclasses, apart from the base-class raise of a `verify` check that
+cannot finish.
 
 `PYTHONPATH=src python tests/test_reach.py` prints the functions that no
 command reaches, as a JSON list.
@@ -158,14 +162,12 @@ BUILTIN_RAISES = {
     ("_value.py:Value.__setattr__", "AttributeError"): "the attribute protocol: assignment to a "
     "read-only attribute raises AttributeError, as it does on a frozen dataclass",
     ("_value.py:Value.__delattr__", "AttributeError"): "the attribute protocol, as for assignment",
-    ("finite_field.py:primitive_element", "AssertionError"): "unreachable: F_q^* is cyclic, so the "
-    "scan finds a generator; reaching it means the field is broken, not that an argument is bad",
 }
 
 
-def builtin_raises() -> set[tuple[str, str]]:
-    """("file:function", exception name) of each `raise` of a builtin
-    exception class in the package."""
+def named_raises() -> set[tuple[str, str]]:
+    """("file:function", exception name) of each `raise` in the package
+    that names its exception class."""
     found = set()
 
     def visit(node, where, filename):
@@ -175,8 +177,7 @@ def builtin_raises() -> set[tuple[str, str]]:
                 continue
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
-                if isinstance(cls, type) and issubclass(cls, BaseException):
+                if isinstance(exc, ast.Name):
                     found.add((f"{filename}:{where}", exc.id))
             visit(child, where, filename)
 
@@ -185,11 +186,34 @@ def builtin_raises() -> set[tuple[str, str]]:
     return found
 
 
+def _is_builtin_exception(name: str) -> bool:
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
 def test_errors_are_typed():
     """Every error the package raises is a `TtspecError`, apart from the
     named raises of `BUILTIN_RAISES`; a bad argument raises
     `InvalidArgument`, which is also a `ValueError`."""
-    assert sorted(builtin_raises()) == sorted(BUILTIN_RAISES)
+    found = {(where, name) for where, name in named_raises() if _is_builtin_exception(name)}
+    assert sorted(found) == sorted(BUILTIN_RAISES)
+
+
+def test_every_refusal_is_invalid_argument_or_bound_exceeded():
+    """`errors.py` defines three classes, and every `raise` of a package
+    error names `InvalidArgument` or `BoundExceeded`; only
+    `verify.additive_order`, a check that cannot finish, raises the base
+    class `TtspecError`."""
+    from ttspec.errors import BoundExceeded, InvalidArgument, TtspecError
+
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert sorted(classes) == ["BoundExceeded", "InvalidArgument", "TtspecError"]
+    assert issubclass(InvalidArgument, TtspecError) and issubclass(InvalidArgument, ValueError)
+    assert issubclass(BoundExceeded, TtspecError)
+    others = {(where, name) for where, name in named_raises()
+              if name not in ("InvalidArgument", "BoundExceeded") and not _is_builtin_exception(name)}
+    assert sorted(others) == [("verify.py:additive_order", "TtspecError")]
 
 
 def test_every_annotation_resolves():

@@ -292,6 +292,13 @@ def _unit_in_degree_one(right):
     return wrong
 
 
+def _unit_in_every_degree(right):
+    def wrong(universe):
+        ring = right(universe)
+        return dict(ring, degrees=dict.fromkeys(ring["degrees"], "Q"))
+    return wrong
+
+
 def _lines_without_the_last(right):
     return lambda self: right(self)[:-1]
 
@@ -426,6 +433,7 @@ FAULTS = [
     ("spaces", "tt_geometry.TateObject.from_dict", _zero_object),
     ("spaces", "tt_geometry.ThickTensorIdeal.contains", _always(True)),
     ("spaces", "tt_geometry.enumerate_primes", _whole_window_prime),
+    ("spaces", "tt_geometry.graded_endomorphism_ring", _unit_in_every_degree),
     ("spaces", "tt_geometry.lattice_localize", _whole_space),
     ("spaces", "tt_geometry.lattice_quotient", _whole_space),
     ("spaces", "tt_geometry.rho_bullet", _rho_to_unit_ideal),
@@ -454,6 +462,23 @@ def test_fault_is_caught(capsys, monkeypatch, suite, name, make_wrong):
     assert code == cli.EXIT_VERIFY
     result = json.loads(captured.out)["result"]["suites"][suite]
     assert result["ok"] is False and result["failures"]
+
+
+def test_spaces_catches_a_cone_that_ignores_the_unit(capsys, monkeypatch):
+    """`_unit_map_cone` with rank 1 for every nonzero scalar, whether or not
+    u^n is the unit: the cone of a nonzero s in a degree n != 0 is then
+    zero, which every prime holds, while D(s) is empty there."""
+    tt = _mod("tt_geometry")
+
+    def wrong(n, s):
+        rank = int(s != 0)
+        return tt.TateObject.from_dict({(0, 1): 1 - rank, (n, 2 * n): 1 - rank})
+
+    monkeypatch.setattr(verify, "_unit_map_cone", wrong)
+    code = cli.main(["verify", "--suite", "spaces", "--json"])
+    monkeypatch.undo()
+    assert code == cli.EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["result"]["suites"]["spaces"]["failures"]
 
 
 def direct_calls(suite) -> set[str]:
