@@ -19,10 +19,12 @@ defining relations plus the degree-2 vanishing, and checked by `verify
   * eta^(j)[a] = dlog(a) * eta^(j)[w] in negative degrees, where
     eta^(j)[w] = 2 * eta^(j-1) when -1 is not a square (q = 3 mod 4).
 
-Degree -m < 0 is W(F_q) (Morel): eta^m is <1>, and eta^(m+1)[w] is
-<w> - <1>, which spans the fundamental ideal.  Whether -1 is a square is
-read from `PrimePower.minus_one_is_square` by `_factors`, `KmwElement` and
-`hyperbolic_kmw`.  `_monomial` is this table for one monomial
+Degree 0 is GW(F_q) and degree -m < 0 is W(F_q) (Morel): 1 + eta[a] is <a>,
+so degree 0's coordinates are `GWClass`'s (rank, disc); eta^m is <1> and
+eta^(m+1)[w] is <w> - <1>, so degree -m's are `WittClass`'s (parity, disc),
+before the fold below.  GW, W and I^n add and multiply only here.  Whether
+-1 is a square is read from `PrimePower.minus_one_is_square` by `_factors`,
+`KmwElement` and `hyperbolic_kmw`.  `_monomial` is this table for one monomial
 c * eta^i [a]^k, k <= 1:
 
   k = 0:         c * 1 (i = 0), c * eta^i (i >= 1)
@@ -52,7 +54,7 @@ from __future__ import annotations
 from ._value import Value
 from .errors import InvalidArgument
 from .finite_field import FieldElement, PrimePower, discrete_log, primitive_element
-from .quadratic_forms import GWClass, WittClass, fundamental_ideal_power
+from .quadratic_forms import WittClass, fundamental_ideal_power
 
 DEGREE_BOUND = 64
 
@@ -312,17 +314,6 @@ def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElemen
     if n >= 1:
         return kmw_zero(field, n)
     return KmwElement(field, n, (w.parity, w.disc))
-
-
-def kmw_to_gw(x: KmwElement) -> GWClass:
-    """The ring isomorphism K^MW_0 -> GW; 1 + eta[a] corresponds to <a>."""
-    if x.degree != 0:
-        raise InvalidArgument("gw_iso requires degree 0")
-    return GWClass(x.field, x.coords[0], x.coords[1])
-
-
-def gw_to_kmw(c: GWClass) -> KmwElement:
-    return KmwElement(c.field, 0, (c.rank, c.disc))
 
 
 def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:

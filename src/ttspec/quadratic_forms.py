@@ -6,9 +6,10 @@ builds.  Both rings are stored by invariants (Lam, Ch. II).  GW(F_q) is
 Z (+) Z/2 as (rank, discriminant square class).  A class of W(F_q) =
 GW/(h) is keyed by the rank parity of its forms and the square class of
 their signed discriminant (-1)^(r(r-1)/2) det: adding h = <1,-1> changes
-neither, and the four keys name the four classes.  Witt sums and products
-read the keys; the canonical kernel of a class, <>, <1>, <w> or <1,-w> for
-the fixed generator w of F_q^*, is built only to be printed.
+neither, and the four keys name the four classes.  `GWClass` and
+`WittClass` record invariants; their sums and products are K^MW's (Morel).
+The canonical kernel of a class, <>, <1>, <w> or <1,-w> for the fixed
+generator w of F_q^*, is built only to be printed.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class WittClass(Value):
     discriminant.  The class is parity*<1> + disc*e, where e = <w> - <1> =
     <1,-w> spans the fundamental ideal I: e^2 = 0, 2e = 0, and 2<1> = <1,1>,
     of signed discriminant -1, is 0 when -1 is a square and e otherwise.
-    So (0, 0), (1, 0), (1, 1), (0, 1) are <>, <1>, <w>, <1,-w>."""
+    So (0, 0), (1, 0), (1, 1), (0, 1) are <>, <1>, <w>, <1,-w>.  Sums and
+    products are K^MW_-1's, where the class is parity*eta + disc*eta^2[w]."""
 
     __slots__ = ("field", "parity", "disc")
 
@@ -166,12 +168,6 @@ class WittClass(Value):
     def anisotropic_kernel(self) -> DiagonalForm:
         """The canonical kernel of the class: <>, <1>, <w> or <1,-w>."""
         return DiagonalForm(self.field, _kernel_entries(self))
-
-    def is_zero(self) -> bool:
-        return not (self.parity or self.disc)
-
-    def __add__(self, other: "WittClass") -> "WittClass":
-        return witt_add(self, other)
 
 
 def _kernel_entries(cls: WittClass) -> tuple[FieldElement, ...]:
@@ -196,30 +192,6 @@ def witt_class(f: DiagonalForm) -> WittClass:
     return kernel_class(witt_decompose(f)[1])
 
 
-def witt_zero(field: PrimePower) -> WittClass:
-    return WittClass(field, 0, 0)
-
-
-def witt_one(field: PrimePower) -> WittClass:
-    return WittClass(field, 1, 0)
-
-
-def witt_add(a: WittClass, b: WittClass) -> WittClass:
-    """Parities add, and so do the e-coefficients, with one more e from
-    <1> + <1> = <1,1> when -1 is not a square."""
-    if a.field != b.field:
-        raise InvalidArgument("Witt classes over different fields")
-    sign = a.parity & b.parity and not a.field.minus_one_is_square
-    return WittClass(a.field, a.parity ^ b.parity, a.disc ^ b.disc ^ sign)
-
-
-def witt_mul(a: WittClass, b: WittClass) -> WittClass:
-    """(p<1> + d e)(p'<1> + d' e) = pp'<1> + (pd' + dp') e, since e^2 = 0."""
-    if a.field != b.field:
-        raise InvalidArgument("Witt classes over different fields")
-    return WittClass(a.field, a.parity & b.parity, (a.parity & b.disc) ^ (a.disc & b.parity))
-
-
 def witt_elements(field: PrimePower) -> list[WittClass]:
     """The four elements of W(F_q): 0, <1>, <w>, <1,-w>."""
     return [WittClass(field, parity, disc) for parity, disc in ((0, 0), (1, 0), (1, 1), (0, 1))]
@@ -232,7 +204,7 @@ def witt_ring_structure(field: PrimePower) -> dict:
     When -1 is a square (q = 1 mod 4) it is 0, <1> has order 2 and
     W = Z/2[e]/e^2.  Otherwise 2<1> = <1,-w> and 3<1> = <w>, so <1> has
     order 4 and W = Z/4.  `verify --suite witt` checks this against zero
-    counts and against repeated `witt_add`.
+    counts and against the multiples k*eta by `kmw_add` in K^MW_-1.
     """
     keys = ((0, 0), (1, 0)) if field.minus_one_is_square else ((0, 0), (1, 0), (0, 1), (1, 1))
     multiples = [WittClass(field, parity, disc) for parity, disc in keys]
@@ -246,7 +218,8 @@ def witt_ring_structure(field: PrimePower) -> dict:
 
 
 class GWClass(Value):
-    """Element of GW(F_q) ~= Z (+) Z/2 as (virtual rank, discriminant bit)."""
+    """Element of GW(F_q) ~= Z (+) Z/2 as (virtual rank, discriminant bit),
+    the coordinates of K^MW_0, whose sums and products are GW's."""
 
     __slots__ = ("field", "rank", "disc")
 
@@ -254,30 +227,6 @@ class GWClass(Value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "disc", disc % 2)
-
-    def __add__(self, other: "GWClass") -> "GWClass":
-        self._check(other)
-        return GWClass(self.field, self.rank + other.rank, self.disc ^ other.disc)
-
-    def __neg__(self):
-        return GWClass(self.field, -self.rank, self.disc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "GWClass") -> "GWClass":
-        # derived from tensor products of diagonal representatives:
-        # disc(<rank m, disc s> (x) <rank n, disc t>) = n*s + m*t mod 2
-        self._check(other)
-        return GWClass(
-            self.field,
-            self.rank * other.rank,
-            (other.rank * self.disc + self.rank * other.disc) % 2,
-        )
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise InvalidArgument("GW classes over different fields")
 
 
 def gw_class(f: DiagonalForm) -> GWClass:

@@ -2,10 +2,10 @@
 that shares no code path with them, and returns its failures:
 
   tables   K^MW against Morel's fiber product I^n x_(I^n/I^(n+1)) K^M_n
-  witt     the closed-form W(F_q) against zero counts, descent and GW
+  witt     W(F_q) as K^MW_-1 against zero counts, descent and GW pairs
   ses      exactness of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0
   spech    the points of Spec^h against bounded primality certificates
-  eta      eta^n and 2, 4 in K^MW[1/eta] against the zero-count order of <1>
+  eta      eta^n against the W(F_q) model and the zero-count order of <1>
   motives  the Kunneth splitting, hom groups and rigidity
   tate     the unique prime of the Tate model and its graded End(1)
   spaces   chromatic closures, Balmer's comparison map and Thomason subsets
@@ -23,23 +23,34 @@ from . import finite_field
 from .errors import InvalidArgument, TtspecError
 
 
+def _gw_add(a, b):
+    """GW(F_q) = Z (+) Z/2 on (rank, disc) pairs: ranks add, discs multiply."""
+    return a[0] + b[0], a[1] ^ b[1]
+
+
+def _gw_mul(a, b):
+    """disc(<rank m, disc s> (x) <rank n, disc t>) = n s + m t mod 2."""
+    (m, s), (n, t) = a, b
+    return m * n, (n * s + m * t) % 2
+
+
 def _witt_classes(field):
     """The four classes of W(F_q) by closed forms, with no form decomposed.
 
-    GW(F_q) = Z (+) Z/2 as GWClass (rank, discriminant square class), and
+    GW(F_q) = Z (+) Z/2 as (rank, discriminant square class) pairs, and
     W = GW / <h>.  A class of W is keyed by its rank parity and the square
     class of its signed discriminant (-1)^(r(r-1)/2) det: adding h = <1,-1>
     changes neither, and the four keys name the four classes.  Returns the
-    key of a GWClass and one GWClass for each key.
+    key of a pair and one pair for each key.
     """
     from . import quadratic_forms
-    gw = quadratic_forms.GWClass
     minus_one = quadratic_forms.gw_class(quadratic_forms.diagonal(field, [-1])).disc
 
     def key(c):
-        return c.rank % 2, (c.disc + c.rank * (c.rank - 1) // 2 * minus_one) % 2
+        rank, disc = c
+        return rank % 2, (disc + rank * (rank - 1) // 2 * minus_one) % 2
 
-    return key, {key(gw(field, rank, disc)): gw(field, rank, disc) for rank in range(4) for disc in range(2)}
+    return key, {key((rank, disc)): (rank, disc) for rank in range(4) for disc in range(2)}
 
 
 def _witt_model(field):
@@ -48,8 +59,8 @@ def _witt_model(field):
     the key of `_witt_classes`, the addition and multiplication tables on
     keys, and ideal(n), the key set of I^n (W for n <= 0)."""
     key, reps = _witt_classes(field)
-    add = {(a, b): key(reps[a] + reps[b]) for a in reps for b in reps}
-    mul = {(a, b): key(reps[a] * reps[b]) for a in reps for b in reps}
+    add = {(a, b): key(_gw_add(reps[a], reps[b])) for a in reps for b in reps}
+    mul = {(a, b): key(_gw_mul(reps[a], reps[b])) for a in reps for b in reps}
     powers = [set(reps), {k for k in reps if k[0] == 0}]
     while len(powers) < 7:
         products = {mul[a, b] for a in powers[-1] for b in powers[1]}
@@ -70,21 +81,17 @@ def _suite_tables():
     well defined, injective and lands in the fiber product; every product
     of generators by `kmw_mul`, and each monomial c eta^i [w^d] by `word`
     and `reduce_word`, against the product of the factors' images in
-    W x K^M; and that `kmw_to_gw` is multiplicative on a box of K^MW_0,
-    with inverse `gw_to_kmw`."""
+    W x K^M.  Degree 0 is GW(F_q), so this checks GW's products too."""
     from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field._field_for(q)
         key, add, mul, ideal = _witt_model(field)
-        gw = quadratic_forms.GWClass
-        zero, one = key(gw(field, 0, 0)), key(gw(field, 1, 0))
+        zero, one = key((0, 0)), key((1, 0))
         omega = finite_field.primitive_element(field)
         # <a> - <1> for a = w^c: the Pfister map {a} -> I/I^2 on K^M_1
-        pfister = [
-            key(quadratic_forms.gw_class(quadratic_forms.diagonal(field, [omega ** c])) - gw(field, 1, 0))
-            for c in range(q - 1)
-        ]
+        units = [quadratic_forms.gw_class(quadratic_forms.diagonal(field, [omega ** c])) for c in range(q - 1)]
+        pfister = [key(_gw_add((g.rank, g.disc), (-1, 0))) for g in units]
 
         def milnor(n, coords):
             factors = milnor_witt.milnor_group(field, n).invariant_factors
@@ -157,12 +164,6 @@ def _suite_tables():
                 reduced = milnor_witt.reduce_word(milnor_witt.word(field, (c, i, entries)))
                 if set(reduced) - {n} or to_model(n, reduced[n].coords if n in reduced else ()) != want:
                     failures.append({"q": q, "monomial": [c, i, d]})
-        box = [milnor_witt.KmwElement(field, 0, c) for c in itertools.product(range(-2, 3), range(2))]
-        with_gw = [(x, milnor_witt.kmw_to_gw(x)) for x in box]
-        failures += [{"q": q, "gw_inverse": list(x.coords)} for x, g in with_gw if milnor_witt.gw_to_kmw(g) != x]
-        for (x, gx), (y, gy) in itertools.product(with_gw, repeat=2):
-            if milnor_witt.kmw_to_gw(milnor_witt.kmw_mul(x, y)) != gx * gy:
-                failures.append({"q": q, "gw_product": [list(x.coords), list(y.coords)]})
     return failures
 
 
@@ -184,27 +185,29 @@ def _unit_form_order_by_zero_counts(field):
     return order, counts
 
 
-def additive_order(cls) -> int:
-    """The least n >= 1 with n * cls = 0 in W(F_q), by repeated Witt
-    addition.  W(F_q) has exponent 4 (Lam, Ch. II), so the search stops
+def additive_order(x) -> int:
+    """The least n >= 1 with n * x = 0, by repeated `kmw_add`.  For x in
+    K^MW_-1 = W(F_q), which has exponent 4 (Lam, Ch. II), the search stops
     with an error at 8."""
-    acc, n = cls, 1
+    from . import milnor_witt
+    acc, n = x, 1
     while not acc.is_zero():
         if n == 8:
-            raise TtspecError(f"no multiple n * {cls!r} with n <= 8 is zero")
-        acc, n = acc + cls, n + 1
+            raise TtspecError(f"no multiple n * {x!r} with n <= 8 is zero")
+        acc, n = milnor_witt.kmw_add(acc, x), n + 1
     return n
 
 
 def _suite_witt():
-    """The closed-form W(F_q) against oracles that share no code with it.
-    For q <= 13: the order of <1> against the zero counts of <1,1> and
-    <1,1,1,1>; the generator table against the multiples k<1> by repeated
-    `witt_add`; and each multiple against `witt_class` of <1>^k, which runs
-    the isotropy descent.  At q = 3 and q = 5, one field for each class of
-    q mod 4: the four classes, and `witt_add` and `witt_mul` of every pair,
-    against their `_witt_classes` representatives in GW."""
-    from . import quadratic_forms
+    """The closed-form W(F_q), read as K^MW_-1 (<1> is eta, and a class is
+    `from_fundamental_ideal(field, -1, c)`), against oracles that share no
+    code with it.  For q <= 13: the order of <1> against the zero counts of
+    <1,1> and <1,1,1,1>; the multiples k<1> by `kmw_add` against the
+    generator table read back as forms, and against `witt_class` of <1>^k,
+    which runs the isotropy descent.  At q = 3 and q = 5: the four classes,
+    and `kmw_add` into K^MW_-1 and `kmw_mul` into K^MW_-2 of every pair,
+    against their (rank, disc) representatives in GW."""
+    from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field._field_for(q)
@@ -212,36 +215,41 @@ def _suite_witt():
         counted, counts = _unit_form_order_by_zero_counts(field)
         if structure["order_of_unit_form"] != counted:
             failures.append({"q": q, "zero_counts": counts, "got": structure["order_of_unit_form"], "want": counted})
-        one = quadratic_forms.witt_one(field)
+        one = milnor_witt.eta(field)
         order = additive_order(one)
-        kernels, acc = {}, quadratic_forms.witt_zero(field)
+        multiples, acc = {}, milnor_witt.kmw_zero(field, -1)
         for k in range(order):
-            kernels[f"{k}*<1>"] = entries = acc.anisotropic_kernel.entries
+            multiples[f"{k}*<1>"] = acc
             by_descent = quadratic_forms.witt_class(quadratic_forms.diagonal(field, [1] * k))
-            if (got := by_descent.anisotropic_kernel.entries) != entries:
-                values = [[a.value for a in e] for e in (got, entries)]
-                failures.append({"q": q, "descent": k, "got": values[0], "want": values[1]})
-            acc = acc + one
+            by_descent = milnor_witt.from_fundamental_ideal(field, -1, by_descent)
+            if by_descent != acc:
+                failures.append({"q": q, "descent": k, "got": by_descent.coords, "want": acc.coords})
+            acc = milnor_witt.kmw_add(acc, one)
         want = {"type": "Z/4" if order == 4 else "Z/2[e]/e^2", "order_of_unit_form": order}
         got = {key: structure[key] for key in want}
-        # the table's entries read back into F_q, so that the two sides share no printing
+        # the table's kernels read back as forms, so that the two sides share no printing
         table = structure["generator_table"]
-        if got != want or {k: tuple(map(field.element, e)) for k, e in table.items()} != kernels:
-            want["generator_table"] = {k: tuple(a.value for a in e) for k, e in kernels.items()}
-            failures.append({"q": q, "got": {**got, "generator_table": table}, "want": want})
+        read = {k: quadratic_forms.kernel_class(quadratic_forms.diagonal(field, e)) for k, e in table.items()}
+        read = {k: milnor_witt.from_fundamental_ideal(field, -1, c) for k, c in read.items()}
+        if got != want or read != multiples:
+            got["generator_table"] = {k: x.coords for k, x in read.items()}
+            want["generator_table"] = {k: x.coords for k, x in multiples.items()}
+            failures.append({"q": q, "got": got, "want": want})
     for q in (3, 5):
         field = finite_field._field_for(q)
         key, reps = _witt_classes(field)
         classes = quadratic_forms.witt_elements(field)
-        keyed = [(c, key(quadratic_forms.gw_class(c.anisotropic_kernel))) for c in classes]
-        if sorted(k for _, k in keyed) != sorted(reps):
+        kernels = [quadratic_forms.gw_class(c.anisotropic_kernel) for c in classes]
+        if sorted(key((g.rank, g.disc)) for g in kernels) != sorted(reps):
             failures.append({"q": q, "classes": [quadratic_forms._witt_key(c) for c in classes]})
-        for (a, ka), (b, kb) in itertools.product(keyed, repeat=2):
-            for name, c, gw in (("sum", a + b, reps[ka] + reps[kb]),
-                                ("product", quadratic_forms.witt_mul(a, b), reps[ka] * reps[kb])):
-                if (got := key(quadratic_forms.gw_class(c.anisotropic_kernel))) != (want := key(gw)):
-                    pair = [quadratic_forms._witt_key(a), quadratic_forms._witt_key(b)]
-                    failures.append({"q": q, name: pair, "got": got, "want": want})
+        image = {(n, k): milnor_witt.from_fundamental_ideal(field, n, quadratic_forms.WittClass(field, *k))
+                 for n in (-1, -2) for k in reps}
+        for ka, kb in itertools.product(reps, repeat=2):
+            a, b, pa, pb = image[-1, ka], image[-1, kb], reps[ka], reps[kb]
+            for name, got, want in (("sum", milnor_witt.kmw_add(a, b), image[-1, key(_gw_add(pa, pb))]),
+                                    ("product", milnor_witt.kmw_mul(a, b), image[-2, key(_gw_mul(pa, pb))])):
+                if got != want:
+                    failures.append({"q": q, name: [ka, kb], "got": got.coords, "want": want.coords})
     return failures
 
 
@@ -381,21 +389,29 @@ def _suite_spech():
 
 
 def _suite_eta():
-    """eta^n from `kmw_mul` has the additive order of <1> in W(F_q) = K^MW_-n,
-    and `localize_eta` says 4 = 0 and 2 = 0 as that order does.  The order
-    comes from `_unit_form_order_by_zero_counts`, which shares no code with
-    `milnor_witt`."""
-    from . import milnor_witt
+    """eta^n from `kmw_mul`, n = 1, 16 and 64: its multiples k eta^n by
+    `kmw_add`, k < 4, against k<1> in the W(F_q) of `_witt_model`, placed
+    in K^MW_-n by `from_fundamental_ideal`; and its additive order, and the
+    4 = 0 and 2 = 0 of `localize_eta`, against the order of <1> from
+    `_unit_form_order_by_zero_counts`.  The model and the zero counts share
+    no code with `milnor_witt`."""
+    from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9):
         field = finite_field._field_for(q)
         want, _ = _unit_form_order_by_zero_counts(field)
+        key, add, _, _ = _witt_model(field)
+        units = list(itertools.accumulate([key((1, 0))] * 3, lambda a, b: add[a, b], initial=key((0, 0))))
         powers = list(itertools.accumulate([milnor_witt.eta(field)] * 64, milnor_witt.kmw_mul))
         for n in (1, 16, 64):
-            multiples = itertools.accumulate([powers[n - 1]] * 4, milnor_witt.kmw_add)
+            multiples = list(itertools.accumulate([powers[n - 1]] * 4, milnor_witt.kmw_add))
             order = next((k for k, m in enumerate(multiples, 1) if m.is_zero()), None)
             if order != want:
                 failures.append({"q": q, "n": n, "order": order, "want": want})
+            for k, (got, unit) in enumerate(zip(multiples, units[1:]), 1):
+                placed = milnor_witt.from_fundamental_ideal(field, -n, quadratic_forms.WittClass(field, *unit))
+                if got != placed:
+                    failures.append({"q": q, "n": n, "multiple": k, "got": got.coords, "want": placed.coords})
         local = milnor_witt.localize_eta(field)
         if local["four_is_zero"] != (want in (2, 4)):
             failures.append({"q": q, "fact": "4=0", "order": want})

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 from ttspec import milnor_witt as mw
+from ttspec import quadratic_forms as qf
 
 
 def field_elements(field):
@@ -11,6 +12,11 @@ def field_elements(field):
 def field_units(field):
     """The q - 1 nonzero elements of the field, in representative order."""
     return map(field.from_index, range(1, field.q))
+
+
+def tensor_form(f, g):
+    """The tensor product of two diagonal forms, <a_i b_j> in row order."""
+    return qf.DiagonalForm(f.field, tuple(a * b for a in f.entries for b in g.entries))
 
 
 # The formal word algebra, the oracle of the word tests: a word is a

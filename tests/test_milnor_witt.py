@@ -10,7 +10,7 @@ from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 from ttspec import verify
 
-from helpers import eta_word, field_units, h_word, symbol_word, word_product, word_sum
+from helpers import eta_word, field_units, h_word, symbol_word, tensor_form, word_product, word_sum
 
 QS = [3, 5, 7, 9]
 
@@ -133,12 +133,14 @@ def test_degree_zero_is_gw(q):
         mw.KmwElement(field, 0, (m, s)) for m in range(-2, 3) for s in range(2)
     ]
     for x, y in itertools.product(classes, repeat=2):
-        gx, gy = mw.kmw_to_gw(x), mw.kmw_to_gw(y)
-        assert mw.kmw_to_gw(mw.kmw_add(x, y)) == gx + gy
-        assert mw.kmw_to_gw(mw.kmw_mul(x, y)) == gx * gy
-        assert mw.gw_to_kmw(gx) == x
+        (m, s), (n, t) = x.coords, y.coords
+        # GW(F_q) on (rank, disc): ranks add and multiply; discs multiply, and
+        # disc(<rank m, disc s> (x) <rank n, disc t>) = n s + m t mod 2
+        assert mw.kmw_add(x, y) == mw.KmwElement(field, 0, (m + n, s ^ t))
+        assert mw.kmw_mul(x, y) == mw.KmwElement(field, 0, (m * n, (n * s + m * t) % 2))
     # h corresponds to the hyperbolic form
-    assert mw.gw_to_kmw(qf.hyperbolic_class(field)) == mw.hyperbolic_kmw(field)
+    h = qf.gw_class(qf.diagonal(field, [1, -1]))
+    assert mw.KmwElement(field, 0, (h.rank, h.disc)) == mw.hyperbolic_kmw(field)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -172,7 +174,8 @@ def test_negative_degrees_match_witt_model(q, n):
 
 @pytest.mark.parametrize("q", QS)
 def test_negative_degree_multiplication_matches_witt(q):
-    # the Witt-model identifications are multiplicative across degrees
+    # the Witt-model identifications are multiplicative across degrees, with
+    # the product of W(F_q) the tensor product of the kernels
     field = _field(q)
     witt = qf.witt_elements(field)
     for a, b in ((-1, -1), (-1, -2), (-2, -2)):
@@ -181,8 +184,8 @@ def test_negative_degree_multiplication_matches_witt(q):
                 mw.from_fundamental_ideal(field, a, w1),
                 mw.from_fundamental_ideal(field, b, w2),
             )
-            rhs = mw.from_fundamental_ideal(field, a + b, qf.witt_mul(w1, w2))
-            assert lhs == rhs
+            product = qf.witt_class(tensor_form(w1.anisotropic_kernel, w2.anisotropic_kernel))
+            assert lhs == mw.from_fundamental_ideal(field, a + b, product)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -256,12 +259,12 @@ def test_verify_ses(q, n):
 
 def test_from_fundamental_ideal_membership():
     field = make_field(3)
-    odd = qf.witt_one(field)  # rank 1, not in I
+    odd = qf.witt_class(qf.diagonal(field, [1]))  # rank 1, not in I
     with pytest.raises(InvalidArgument):
         mw.from_fundamental_ideal(field, 0, odd)
     # the nonzero class of I maps to eta[w]
     pfister = qf.witt_class(qf.diagonal(field, [1, -2]))  # <1,-w> over F_3
-    assert not pfister.is_zero()
+    assert pfister != qf.WittClass(field, 0, 0)
     assert mw.from_fundamental_ideal(field, 0, pfister) == mw.KmwElement(field, 0, (0, 1))
 
 

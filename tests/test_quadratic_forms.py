@@ -6,10 +6,11 @@ import pytest
 
 from ttspec.errors import BoundExceeded, InvalidArgument
 from ttspec.finite_field import make_field, primitive_element, square_class
+from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 from ttspec import verify
 
-from helpers import field_units
+from helpers import field_units, tensor_form
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 
@@ -291,21 +292,29 @@ def test_witt_ring_structure(q):
     assert structure["order_of_unit_form"] == (4 if q % 4 == 3 else 2)
     elements = qf.witt_elements(field)
     assert len({qf._witt_key(c) for c in elements}) == 4
-    # group axioms on the 4-element addition table
-    for a, b in itertools.product(elements, repeat=2):
-        assert qf._witt_key(a + b) in {qf._witt_key(c) for c in elements}
-    zero = qf.witt_zero(field)
-    for a in elements:
-        assert qf._witt_key(a + zero) == qf._witt_key(a)
-        assert sum((a + b).is_zero() for b in elements) == 1  # one additive inverse
+    # group axioms on the 4-element addition table of W(F_q) = K^MW_-1
+    images = [_in_kmw(c) for c in elements]
+    for a, b in itertools.product(images, repeat=2):
+        assert mw.kmw_add(a, b) in images
+    zero = mw.kmw_zero(field, -1)
+    for a in images:
+        assert mw.kmw_add(a, zero) == a
+        assert sum(mw.kmw_add(a, b).is_zero() for b in images) == 1  # one additive inverse
+
+
+def _in_kmw(cls, n=-1):
+    """The Witt class cls as an element of K^MW_n = W(F_q), n < 0."""
+    return mw.from_fundamental_ideal(cls.field, n, cls)
+
+
+def _gw_in_kmw(cls):
+    """The GW class cls as an element of K^MW_0 = GW(F_q): <a> is 1 + eta[a],
+    so (rank, disc) are its coordinates on 1 and eta[w]."""
+    return mw.KmwElement(cls.field, 0, (cls.rank, cls.disc))
 
 
 def _concat(f, g):
     return qf.DiagonalForm(f.field, f.entries + g.entries)
-
-
-def _tensor(f, g):
-    return qf.DiagonalForm(f.field, tuple(a * b for a in f.entries for b in g.entries))
 
 
 def _oracle_add(a, b):
@@ -317,30 +326,18 @@ def _oracle_add(a, b):
 def _oracle_mul(a, b):
     """Witt product as forms: the class of the tensor product of the two
     canonical kernels, by isotropy descent."""
-    return qf.witt_class(_tensor(a.anisotropic_kernel, b.anisotropic_kernel))
+    return qf.witt_class(tensor_form(a.anisotropic_kernel, b.anisotropic_kernel))
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (31, 1), (43, 1)])
 def test_witt_add_and_mul_match_the_form_oracle(p, e):
-    """All 16 sums and products of the four classes, read off the
-    invariants, against the descent of the concatenated or tensored kernels."""
+    """All 16 sums of the four classes in K^MW_-1, and their products in
+    K^MW_-2, against the descent of the concatenated or tensored kernels."""
     field = make_field(p, e)
     for a, b in itertools.product(qf.witt_elements(field), repeat=2):
-        assert qf.witt_add(a, b) == _oracle_add(a, b), (a, b)
-        assert qf.witt_mul(a, b) == _oracle_mul(a, b), (a, b)
-        assert qf._witt_key(qf.witt_add(a, b)) == qf._witt_key(_oracle_add(a, b))
-
-
-def test_witt_add_and_mul_build_no_form(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a form was built or decomposed")
-
-    monkeypatch.setattr(qf, "witt_decompose", refuse)
-    monkeypatch.setattr(qf.DiagonalForm, "__init__", refuse)
-    for q in (3, 5):
-        for a, b in itertools.product(qf.witt_elements(make_field(q)), repeat=2):
-            qf.witt_add(a, b)
-            qf.witt_mul(a, b)
+        x, y = _in_kmw(a), _in_kmw(b)
+        assert mw.kmw_add(x, y) == _in_kmw(_oracle_add(a, b)), (a, b)
+        assert mw.kmw_mul(x, y) == _in_kmw(_oracle_mul(a, b), -2), (a, b)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (31, 1), (43, 1), (7, 2), (3, 4), (5, 3)])
@@ -349,11 +346,11 @@ def test_witt_ring_structure_matches_witt_add_oracle(p, e):
     `_oracle_add`, i.e. by isotropy descent, up to the first zero."""
     field = make_field(p, e)
     structure = qf.witt_ring_structure(field)
-    one = qf.witt_one(field)
-    multiples = [qf.witt_zero(field)]
-    while not _oracle_add(multiples[-1], one).is_zero():
+    zero, one = (qf.witt_class(qf.diagonal(field, [1] * r)) for r in (0, 1))
+    multiples = [zero]
+    while _oracle_add(multiples[-1], one) != zero:
         multiples.append(_oracle_add(multiples[-1], one))
-    assert structure["order_of_unit_form"] == len(multiples) == verify.additive_order(one)
+    assert structure["order_of_unit_form"] == len(multiples) == verify.additive_order(_in_kmw(one))
     assert structure["type"] == ("Z/4" if len(multiples) == 4 else "Z/2[e]/e^2")
     assert structure["generator_table"] == {
         f"{k}*<1>": qf._witt_key(c) for k, c in enumerate(multiples)
@@ -362,15 +359,19 @@ def test_witt_ring_structure_matches_witt_add_oracle(p, e):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_witt_multiplication_ring_axioms(q):
+    """W(F_q) as K^MW_-1, whose products land in K^MW_-2 and K^MW_-3:
+    <1> = eta is the unit up to that shift, and `kmw_mul` is commutative,
+    associative and distributes over `kmw_add`."""
     field = _field(q)
     elements = qf.witt_elements(field)
-    one = qf.witt_one(field)
-    mul = qf.witt_mul
+    one = mw.eta(field)
+    add, mul = mw.kmw_add, mw.kmw_mul
     for a, b, c in itertools.product(elements, repeat=3):
-        assert qf._witt_key(mul(a, one)) == qf._witt_key(a)
-        assert qf._witt_key(mul(a, b)) == qf._witt_key(mul(b, a))
-        assert qf._witt_key(mul(mul(a, b), c)) == qf._witt_key(mul(a, mul(b, c)))
-        assert qf._witt_key(mul(a, b + c)) == qf._witt_key(mul(a, b) + mul(a, c))
+        x, y, z = _in_kmw(a), _in_kmw(b), _in_kmw(c)
+        assert mul(x, one) == _in_kmw(a, -2)
+        assert mul(x, y) == mul(y, x)
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
 # ---------------------------------------------------------------------- GW
@@ -387,9 +388,10 @@ def test_gw_class_against_forms(q):
         for entries in itertools.product(reps, repeat=r)
     ]
     for f, g in itertools.product(forms, repeat=2):
-        # the (rank, disc) product law agrees with the tensor product
-        assert qf.gw_class(_tensor(f, g)) == qf.gw_class(f) * qf.gw_class(g)
-        assert qf.gw_class(_concat(f, g)) == qf.gw_class(f) + qf.gw_class(g)
+        # in K^MW_0, products are tensor products and sums orthogonal sums
+        x, y = _gw_in_kmw(qf.gw_class(f)), _gw_in_kmw(qf.gw_class(g))
+        assert _gw_in_kmw(qf.gw_class(tensor_form(f, g))) == mw.kmw_mul(x, y)
+        assert _gw_in_kmw(qf.gw_class(_concat(f, g))) == mw.kmw_add(x, y)
 
 
 def _to_witt(c):
@@ -421,7 +423,8 @@ def test_hyperbolic_class():
         h = qf.hyperbolic_class(field)
         assert h.rank == 2
         assert h.disc == (1 if q % 4 == 3 else 0)  # disc = -1 mod squares
-        assert qf.witt_class(qf.diagonal(field, [1, -1])).is_zero()
+        assert _gw_in_kmw(h) == mw.hyperbolic_kmw(field)  # h = 2 + eta[-1] in K^MW_0
+        assert _in_kmw(qf.witt_class(qf.diagonal(field, [1, -1]))).is_zero()
 
 
 # ------------------------------------------------------- fundamental ideal
@@ -456,7 +459,7 @@ def _ideal_power_bfs(field, n):
         for c in combo[1:]:
             prod = _oracle_mul(prod, c)
         generators.append(prod)
-    zero = qf.witt_zero(field)
+    zero = qf.witt_class(qf.DiagonalForm(field, ()))
     seen = {qf._witt_key(zero): zero}
     frontier = [zero]
     while frontier:
@@ -510,9 +513,9 @@ def test_field_mismatch():
     f3 = make_field(3)
     f5 = make_field(5)
     with pytest.raises(InvalidArgument):
-        qf.witt_mul(qf.witt_one(f3), qf.witt_one(f5))
+        mw.kmw_mul(mw.eta(f3), mw.eta(f5))
     with pytest.raises(InvalidArgument):
-        qf.witt_one(f3) + qf.witt_one(f5)
+        mw.kmw_add(mw.eta(f3), mw.eta(f5))
 
 
 # ------------------------------------------------------- descent oracle

@@ -102,7 +102,7 @@ def _samples():
         qf.DiagonalForm: [form, qf.diagonal(f5, [1, 2]), qf.diagonal(f5, [2, 1]),
                           qf.diagonal(f9, [1, 1, 1])],
         qf.WittClass: [qf.witt_class(form), qf.witt_class(qf.diagonal(f5, [1, 2])),
-                       qf.witt_class(qf.diagonal(f5, [1])), qf.witt_zero(f5)],
+                       qf.witt_class(qf.diagonal(f5, [1])), qf.WittClass(f5, 0, 0)],
         qf.GWClass: [qf.gw_class(form), qf.GWClass(f5, 2, 3), qf.GWClass(f5, 2, 1),
                      qf.GWClass(f3, 2, 1)],
         mw.GroupShape: [mw.kmw_group(f3, n) for n in (-1, 0, 1, 2)]
