@@ -8,26 +8,27 @@ multiplicative generator (the least element of full order in
 representative order) is cached on the field.  It is found by testing
 candidates against the prime factors l of q - 1, never by walking their
 powers: for l | p - 1 the test a^((q-1)/l) != 1 is N(a)^((p-1)/l) != 1 in
-F_p, and only the other l take a power in F_q.  Discrete logs come from a cached table of all q - 1 powers
-for q <= LOG_TABLE_BOUND = 2^12, and above it from Pohlig-Hellman with a
-cached per-field plan and baby-step giant-step in each prime-order
-subgroup: O(sqrt(l)) multiplications for the largest prime l | q - 1.  A
-product of two elements runs `_poly_mul_mod`: for e >= 2 one integer product
-of the operands packed in bit slots (Kronecker substitution), with the high
-slots folded back through packed powers x^(e+j) mod the modulus, and for
-e = 1 a residue product.  The table walk multiplies by w alone, q - 1
-times, so it runs `_times`, that multiplication as an F_p-linear map on
-packed integers, and keeps the powers it walked beside the table.  A
-built table answers logs, inverses and squareness: a = w^k has inverse
-w^(-k), read off the kept powers, and is a square iff k is even.  Nothing
-but `discrete_log` builds it.  Without a table, inverses come from the
-extended Euclidean algorithm on coefficient tuples, and squareness from
-the norm N(a) = Res(modulus, a) in F_p, also by Euclid: a is a square iff
+F_p, and only the other l take a power in F_q.  Discrete logs come from a
+cached table of all q - 1 powers for q <= LOG_TABLE_BOUND = 2^12, and above
+it from Pohlig-Hellman with a cached per-field plan and baby-step
+giant-step in each prime-order subgroup: O(sqrt(l)) multiplications for the
+largest prime l | q - 1.  A product of two elements runs `_poly_mul_mod`:
+for e >= 2 one integer product of the operands packed in bit slots
+(Kronecker substitution), with the high slots folded back through packed
+powers x^(e+j) mod the modulus, and for e = 1 a residue product.  For
+e >= 2 the table is built a block of powers at a time, one `bytes` column
+per coefficient, and the block doubles by a `bytes.translate` per pair of
+coefficients; the powers are kept beside the table.  A built table answers
+logs, inverses and squareness: a = w^k has inverse w^(-k), read off the
+kept powers, and is a square iff k is even.  Nothing but `discrete_log`
+builds it.  Without a table, inverses come from the extended Euclidean
+algorithm on coefficient tuples, and squareness from the norm
+N(a) = Res(modulus, a) in F_p, also by Euclid: a is a square iff
 N(a)^((p-1)/2) = 1, since (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and
-N(a) = a^((q-1)/(p-1)).  On a prime field both are a single builtin
-`pow`, and so is `**`, which everywhere runs the one ladder `_tuple_pow`
-on coefficient tuples.  Every list of primes comes from one bytearray
-sieve of Eratosthenes, `_primes_upto`.
+N(a) = a^((q-1)/(p-1)).  On a prime field both are a single builtin `pow`,
+and so is `**`, which everywhere runs the one ladder `_tuple_pow` on
+coefficient tuples.  Every list of primes comes from one bytearray sieve
+of Eratosthenes, `_primes_upto`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from operator import mul
 
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument
@@ -43,13 +43,13 @@ from .errors import BoundExceeded, InvalidArgument
 CARDINALITY_BOUND = 1 << 20
 # first log in a fresh process once the generator is known, table build vs
 # planned Pohlig-Hellman solve, best of 7 (2-CPU x86-64 VM, Python 3.11):
-# 3.3 vs 0.34 ms at 2187, 3.5 vs 0.11 ms at 4093 (the largest q below the
-# bound), 16 vs 0.5 ms at 6561.  Warm, mean of 2,000 seeded units: lookup
+# 1.1 vs 0.29 ms at 2187, 0.8 vs 0.06 ms at 4093 (the largest q below the
+# bound), 3.2 vs 0.5 ms at 6561.  Warm, mean of 2,000 seeded units: lookup
 # 0.2-0.6 us; solve 2 us at 7, 8 us at 4093, 140 us at 2187, 210-390 us at
-# 3^8, 13^4, 3^10 and 5^7.  Only `discrete_log` builds the table; once
-# built, it answers logs, `inverse` and `is_square` (warm, 500 seeded units,
-# Euclid or norm -> table: inverse 17.4 -> 1.6 us at 243 and 28 -> 1.7 us at
-# 2187, is_square 11.5 -> 0.5 and 19 -> 0.5 us).
+# 3^8, 13^4, 3^10 and 5^7.  A built table answers `inverse` and `is_square`
+# too (warm, 500 seeded units, Euclid or norm -> table: inverse 17.4 -> 1.6
+# us at 243, 28 -> 1.7 us at 2187; is_square 11.5 -> 0.5, 19 -> 0.5 us).
+# The table's byte columns rely on the bound: e(p-1) <= 120 when e >= 2.
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
 # `spech --q 3 --prime-bound 500000 --json` prints 3.1 MB in 0.35-0.45 s (2-CPU x86-64 VM)
@@ -222,28 +222,6 @@ def _poly_mul_mod(a, b, modulus, p):
         out.append((v & mask) % p)
         v >>= s
     return tuple(out)
-
-
-def _times(c, modulus, p: int):
-    """x -> c*x mod (modulus, p) on coefficient tuples, for a fixed c: the
-    F_p-linear map whose column i is c*x^i, each column packed into one
-    integer in slots of s = bit_length(e(p-1)^2) bits.  A slot of
-    sum(x_i * column_i) is at most e(p-1)^2, so none carries into the next,
-    and each is reduced mod p once."""
-    e = len(modulus) - 1
-    s = (e * (p - 1) ** 2).bit_length()
-    mask = (1 << s) - 1
-    columns = [_pack(col, s) for col in _times_x_powers(c, modulus, p, e)]
-    slots = range(e)
-
-    def times(y):
-        v, out = sum(map(mul, y, columns)), []
-        for _ in slots:
-            out.append((v & mask) % p)
-            v >>= s
-        return tuple(out)
-
-    return times
 
 
 def _trim(coeffs):
@@ -468,19 +446,41 @@ def primitive_element(field: PrimePower) -> FieldElement:
 
 
 def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
-    """coeffs of omega^k -> k for k in 0..q-2, built on bare coefficient
-    tuples (no FieldElement per step).  Its keys in walk order, the powers
-    omega^k, are cached beside it as "powers", for `inverse`."""
+    """coeffs of omega^k -> k for k in 0..q-2, in that order, with the keys
+    cached beside it as "powers", for `inverse`.  For e >= 2, 32 powers are
+    walked and kept as e byte columns, and the block of m powers doubles:
+    coefficient j of its product with c = omega^m is sum_i y_i (c*x^i)_j,
+    a `translate` of column i per term.  The e terms add as integers with
+    no carry out of a byte, since e(p-1) < 256 (see LOG_TABLE_BOUND), and
+    one more `translate` reduces the sums mod p."""
     table = field._cache.get("logs")
     if table is None:
-        times_omega = _times(primitive_element(field).coeffs, field.modulus, field.p)
-        table = {}
-        x = field.one().coeffs
-        for k in range(field.q - 1):
-            table[x] = k
-            x = times_omega(x)
-        field._cache["powers"] = list(table)
-        field._cache["logs"] = table
+        p, e, modulus, n = field.p, field.e, field.modulus, field.q - 1
+        omega, powers, x = primitive_element(field).coeffs, [], field.one().coeffs
+        if e == 1:
+            x, w = 1, omega[0]
+            for _ in range(n):
+                powers.append((x,))
+                x = x * w % p
+        else:
+            for _ in range(min(n, 32)):
+                powers.append(x)
+                x = _poly_mul_mod(x, omega, modulus, p)
+            columns, residues, pad = list(map(bytes, zip(*powers))), bytes(range(p)), bytes(256 - p)
+            # scale[c][r] = r*c % p, every c-th byte of the residues repeated; fold[v] = v % p
+            scale = [bytes(256)] + [(residues * c)[::c] + pad for c in range(1, p)]
+            fold = (residues * (256 // p + 1))[:256]
+            while len(columns[0]) < n:
+                head, rows = [col[: n - len(col)] for col in columns], _times_x_powers(x, modulus, p, e)
+                columns = [
+                    col + sum(int.from_bytes(y.translate(scale[row[j]]), "little") for y, row in zip(head, rows))
+                    .to_bytes(len(head[0]), "little").translate(fold)
+                    for j, col in enumerate(columns)
+                ]
+                x = _poly_mul_mod(x, x, modulus, p)
+            powers = list(zip(*columns))
+        field._cache["powers"] = powers
+        field._cache["logs"] = table = dict(zip(powers, range(n)))
     return table
 
 

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,7 +17,6 @@ from ttspec.finite_field import (
     _pohlig_hellman,
     _poly_inverse,
     _poly_mul_mod,
-    _times,
     discrete_log,
     is_square,
     make_field,
@@ -283,19 +282,17 @@ def test_log_table_large_field_path():
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
-def test_times_matches_poly_mul_mod_on_every_pair(p, e):
-    """Both packed products against the schoolbook oracle, on every pair."""
+def test_poly_mul_mod_matches_schoolbook_on_every_pair(p, e):
+    """The packed product against the schoolbook oracle, on every pair."""
     field = make_field(p, e)
     elements = [a.coeffs for a in field_elements(field)]
     for c in elements:
-        times_c = _times(c, field.modulus, p)
         for x in elements:
-            want = _schoolbook_mul_mod(x, c, field.modulus, p)
-            assert times_c(x) == _poly_mul_mod(x, c, field.modulus, p) == want, (c, x)
+            assert _poly_mul_mod(x, c, field.modulus, p) == _schoolbook_mul_mod(x, c, field.modulus, p), (c, x)
 
 
 @pytest.mark.parametrize("p,e", [(3, 7), (3, 12), (13, 5), (43, 3), (1021, 2), (1048573, 1)])
-def test_times_matches_poly_mul_mod_on_seeded_pairs(p, e):
+def test_poly_mul_mod_matches_schoolbook_on_seeded_pairs(p, e):
     """Large e or p, where the slots are widest: the pair of all-(p-1)
     tuples fills every slot to its bound ((p-1)^2 at e = 1)."""
     field = make_field(p, e)
@@ -303,8 +300,7 @@ def test_times_matches_poly_mul_mod_on_seeded_pairs(p, e):
     draws = [field.from_index(rng.randrange(field.q)).coeffs for _ in range(400)]
     top = (p - 1,) * e
     for c, x in [(top, top)] + list(zip(draws[::2], draws[1::2])):
-        want = _schoolbook_mul_mod(x, c, field.modulus, p)
-        assert _times(c, field.modulus, p)(x) == _poly_mul_mod(x, c, field.modulus, p) == want, (c, x)
+        assert _poly_mul_mod(x, c, field.modulus, p) == _schoolbook_mul_mod(x, c, field.modulus, p), (c, x)
 
 
 # ------------------------------------------------- oracles for the set-up
@@ -410,12 +406,38 @@ def _logs_by_walk(field):
     return table
 
 
-@pytest.mark.parametrize("p,e", [(3, 7), (5, 5), (7, 4), (4093, 1)])
+def _log_table_fields(full=False):
+    """(p, e) for every odd prime power q = p^e <= LOG_TABLE_BOUND with
+    e >= 2, then primes: all of them in full (592 fields in all), else 3,
+    127 and 4093.  The table's first block is 32 powers, so q - 1 falls
+    below it (9, 25, 27) and on both sides of each doubling after it."""
+    exponents = range(2, LOG_TABLE_BOUND.bit_length())
+    powers = [(p, e) for p in _primes_upto(isqrt(LOG_TABLE_BOUND))[1:] for e in exponents if p ** e <= LOG_TABLE_BOUND]
+    primes = _primes_upto(LOG_TABLE_BOUND)[1:] if full else [3, 127, 4093]
+    return powers + [(p, 1) for p in primes]
+
+
+@pytest.mark.parametrize("p,e", _log_table_fields())
 def test_log_table_matches_walk_in_order(p, e):
-    """The table walked by the packed multiply-by-omega map against the
-    walk by FieldElement multiplication: the same keys, values and order."""
+    """The table built by doubling blocks of powers against the walk by
+    FieldElement multiplication: the same keys, values and order, and the
+    same powers kept beside it.  For every q <= LOG_TABLE_BOUND: cd tests &&
+    PYTHONPATH=../src python -c "import test_finite_field as t;
+    [t.test_log_table_matches_walk_in_order(*f) for f in t._log_table_fields(full=True)]" """
     field = _fresh_field(p, e)
-    assert list(_log_table(field).items()) == list(_logs_by_walk(field).items())
+    want = list(_logs_by_walk(field).items())
+    assert list(_log_table(field).items()) == want
+    assert field._cache["powers"] == [coeffs for coeffs, _ in want]
+
+
+def test_log_table_byte_slots_hold_every_sum():
+    """A doubling adds e residues < p in one byte of a column, so every
+    field with e >= 2 and a table needs e(p-1) < 256: raising
+    LOG_TABLE_BOUND past that fails here, not in a wrong log."""
+    fields = [(p, e) for p, e in _log_table_fields() if e >= 2]
+    assert (61, 2) in fields and (3, 7) in fields
+    for p, e in fields:
+        assert e * (p - 1) < 256, (p, e)
 
 
 def test_pohlig_hellman_every_unit_of_largest_prime_below_table_bound():

@@ -1,25 +1,32 @@
-"""F_q against sympy, an implementation written outside this repository.
+"""F_q and Chow motives against sympy, an implementation written outside
+this repository.
 
 Every other oracle in the suite was written here, often beside the code it
 checks.  These compare `finite_field` with `sympy.polys.galoistools` and
-`sympy.ntheory`; each check names the sympy function it reads.  galoistools
+`sympy.ntheory`, and the ranks and determinants of `chow_motives` with
+`sympy.Matrix`; each check names the sympy function it reads.  galoistools
 writes a polynomial over F_p as a list of coefficients, highest degree
 first, with no leading zeros; `finite_field` keeps coefficients lowest
 first, so `_gf` turns one into the other.
 """
 
+import itertools
 import random
 
 import pytest
 
 pytest.importorskip("sympy")
 
+from sympy import Matrix
 from sympy.ntheory import discrete_log as sympy_discrete_log, factorint, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem, gf_strip
 
+from ttspec import chow_motives as cm
 from ttspec import finite_field as ff
 from ttspec.finite_field import FieldElement, discrete_log, is_square, make_field, primitive_element
+
+from test_chow_motives import _projectors, compression_matrix_dense
 
 # ten extension fields, e up to 10; 3^7, 3^10 and 5^7 lie above LOG_TABLE_BOUND
 FIELDS = [(3, 2), (5, 2), (3, 3), (7, 3), (3, 4), (13, 2), (5, 4), (3, 7), (3, 10), (5, 7)]
@@ -124,3 +131,41 @@ def test_sieve_and_trial_division_match_sympy():
         assert ff._primes_upto(n) == list(primerange(n + 1)), n
     for n in range(20_000):
         assert list(ff._prime_factors(n).items()) == sorted(factorint(n).items() if n >= 2 else []), n
+
+
+# the point, P1, P2, P1xP1 and P2xP1: compressions of at most 10 x 10 keep sympy quick
+SPACES = [cm.ProjSpaceProduct(d) for d in [(), (1,), (2,), (1, 1), (2, 1)]]
+
+
+def test_hom_group_rank_matches_matrix_rank():
+    """`hom_group`'s rank against `Matrix.rank` of the dense compression
+    a -> q o a o p on the ambient monomials: the image is a lattice of that
+    rank.  Every projector of X (identity, Kunneth, sums of two) with the
+    projectors of Y and the twists -1..2 taken in turn."""
+    turn, ranks = 0, set()
+    for x, y in itertools.product(SPACES, repeat=2):
+        targets = _projectors(y)
+        for p in _projectors(x):
+            m, n = cm.Motive(x, p, turn % 4 - 1), cm.Motive(y, targets[turn % len(targets)], 0)
+            turn += 1
+            basis = list(m.space.times(n.space).monomials(x.dimension - m.twist))
+            rank = Matrix(compression_matrix_dense(m, n, basis)).rank() if basis else 0
+            assert cm.hom_group(m, n)["rank"] == rank, (m, n)
+            ranks.add(rank)
+    assert ranks >= set(range(5))
+
+
+@pytest.mark.parametrize("dims", [(), (1,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 1, 2)])
+def test_pairing_determinants_match_matrix_det(dims):
+    """Each degree's pairing matrix is h^a . h^b on the monomials, 1 where
+    a + b = dims, and its determinant is `Matrix.det` of it; the pairing
+    is nondegenerate where that is a unit."""
+    space = cm.ProjSpaceProduct(dims)
+    got = cm.pairing_nondegenerate(space)
+    for i, degree in got["degrees"].items():
+        rows, cols = list(space.monomials(i)), list(space.monomials(space.dimension - i))
+        matrix = [[int(all(u + v == n for u, v, n in zip(a, b, space.dims))) for b in cols] for a in rows]
+        assert degree["matrix"] == matrix, (space, i)
+        det = Matrix(matrix).det()
+        assert degree["determinant"] == det and degree["nondegenerate"] == (abs(det) == 1), (space, i)
+    assert got["nondegenerate"]
