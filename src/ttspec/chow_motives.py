@@ -1,21 +1,21 @@
 """Pure motives of Tate type over products of projective spaces.
 
 Chow rings of products of projective spaces are truncated polynomial
-rings Z[h_1, ..., h_k] / (h_i^{n_i + 1}), so every cycle-level operation
-(transpose, external product, correspondence composition) is exact
-polynomial bookkeeping.  h^n is the class of a point on P^n, so composition
-is a per-factor degree rule on monomials, and h^a . h^b is the point class
-exactly when a + b is the top monomial: the intersection pairing is an
-anti-identity on monomial bases.  Motives are triples (X, p, n) with p an
-idempotent correspondence; the Lefschetz motive is the point with twist -1,
-and twisting by n corresponds to tensoring with its (-n)-th power.
+rings Z[h_1, ..., h_k] / (h_i^{n_i + 1}), so correspondence composition
+is exact polynomial bookkeeping.  h^n is the class of a point on P^n, so
+composition is a per-factor degree rule on monomials, and h^a . h^b is the
+point class exactly when a + b is the top monomial: the intersection
+pairing is an anti-identity on monomial bases.  Motives are triples
+(X, p, n) with p an idempotent correspondence; the Lefschetz motive L is
+the point with twist -1, and the dual of (X, id, n) is (X, id, dim X - n),
+which `motive dual` prints.
 
 hom((X, p, n), (Y, q, m)) is the subgroup of classes a in
 CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p.  The compression
 operator is idempotent, so the hom group is its image, computed as an
 integer column lattice; between identity motives it is the whole group,
 spanned by the monomials of that codimension.  `verify --suite motives`
-(in `ttspec.verify`) checks the splitting, these hom groups and rigidity.
+(in `ttspec.verify`) checks the splitting and these hom groups.
 """
 
 from __future__ import annotations
@@ -174,28 +174,6 @@ class Correspondence(Value):
                 f"degree-{shift} correspondence needs codimension {want}"
             )
 
-    def transpose(self) -> "Correspondence":
-        ks = self.source.factors
-        out = {}
-        for m, c in self.cls.terms:
-            out[m[ks:] + m[:ks]] = c
-        cls = ChowClass.from_dict(self.target.times(self.source), out)
-        shift = self.source.dimension + self.shift - self.target.dimension
-        return Correspondence(self.target, self.source, shift, cls)
-
-    def external_product(self, other: "Correspondence") -> "Correspondence":
-        """(f x g): X x X' -> Y x Y' with interleaved factor bookkeeping."""
-        src = self.source.times(other.source)
-        tgt = self.target.times(other.target)
-        big = src.times(tgt)
-        ks, ks2 = self.source.factors, other.source.factors
-        out = {}
-        for m1, c1 in self.cls.terms:
-            for m2, c2 in other.cls.terms:
-                mono = m1[:ks] + m2[:ks2] + m1[ks:] + m2[ks2:]
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Correspondence(src, tgt, self.shift + other.shift, ChowClass.from_dict(big, out))
-
 
 def identity_correspondence(space: ProjSpaceProduct) -> Correspondence:
     """Kunneth diagonal: the sum of h^a (x) h^(n - a) over the monomials h^a."""
@@ -242,24 +220,6 @@ class Motive(Value):
 
     def __repr__(self):
         return f"({self.space}, p, {self.twist})"
-
-
-def lefschetz_motive(power: int = 1) -> Motive:
-    """L^power as a twisted point motive; negative powers are duals."""
-    return Motive(POINT, identity_correspondence(POINT), -power)
-
-
-def motive_tensor(m: Motive, n: Motive) -> Motive:
-    return Motive(
-        m.space.times(n.space),
-        m.projector.external_product(n.projector),
-        m.twist + n.twist,
-    )
-
-
-def motive_dual(m: Motive) -> Motive:
-    """(X, p, n)^dual = (X, transpose p, dim X - n)."""
-    return Motive(m.space, m.projector.transpose(), m.space.dimension - m.twist)
 
 
 def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:

@@ -314,41 +314,3 @@ def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElemen
     if n >= 1:
         return kmw_zero(field, n)
     return KmwElement(field, n, (w.parity, w.disc))
-
-
-def localize_eta(field: PrimePower, degree_window: int = 6) -> dict:
-    """The graded ring K^MW(F_q)[eta^(-1)], computed as a degreewise colimit.
-
-    Each graded piece stabilizes to the Witt group W(F_q).  The
-    stabilization index of a degree is the least k >= 1 such that every
-    transition map (multiplication by eta) after the k-th step is
-    surjective, i.e. the stage whose image already fills the colimit.  By
-    the K^MW table, eta * - : K^MW_m -> K^MW_(m-1) is onto for m <= 0,
-    where it carries the generators eta^j and eta^j[w] to eta^(j+1) and
-    eta^(j+1)[w], and for m >= 3, where the target is 0; it is not onto
-    for m = 1, where the image of [w] misses the free part of K^MW_0, nor
-    for m = 2, where the source is 0.  So degree n stabilizes at
-    max(1, n).  The report also records the torsion facts used
-    downstream: 4 = 0 always, and 2 = 0 iff q = 1 mod 4.
-    """
-    colimit_shape = _factors(field, -1)
-    degrees = {
-        n: {"colimit_invariant_factors": colimit_shape, "stabilization_index": max(1, n)}
-        for n in range(degree_window, -degree_window - 1, -1)
-    }
-    return {
-        "q": field.q,
-        "ring": "W(F_q)[eta, eta^-1]",
-        "degreewise": degrees,
-        "four_is_zero": _localized_scalar_is_zero(field, 4),
-        "two_is_zero": _localized_scalar_is_zero(field, 2),
-    }
-
-
-def _localized_scalar_is_zero(field: PrimePower, scalar: int) -> bool:
-    """Is the integer scalar zero in the eta-localization?
-
-    scalar becomes zero iff scalar * eta^m = 0 for some m >= 1 (the colimit
-    kills it); the maps stabilize immediately in negative degrees.
-    """
-    return (scalar * eta(field, 1)).is_zero()

@@ -5,14 +5,9 @@ every triangle splits, so duals and thick tensor ideals are read off the
 lines an object contains.  Within a finite twist/shift window the only
 proper thick tensor ideal is zero, which is also the unique prime, so
 ideal closures are computed in closed form: a nonzero line tensored with
-its inverse line, which the symmetric window also holds, is the unit.  A
-map from the unit to a line is a scalar, so Balmer's comparison map into
-the homogeneous spectrum of the degree-0 endomorphism ring is read in
-closed form too; `verify --suite spaces` (in `ttspec.verify`) checks it
-against the supports of cones.  The module also writes down the finite
-spectral spaces of the chromatic and equivariant posets from their known
-orders, and computes Thomason subsets and lattice-level
-quotient/localization.
+its inverse line, which the symmetric window also holds, is the unit.  The
+module also writes down the finite spectral spaces of the chromatic and
+equivariant posets from their known orders, and draws their covers.
 """
 
 from __future__ import annotations
@@ -46,10 +41,6 @@ class TateObject(Value):
     def is_zero(self) -> bool:
         return not self.slots
 
-    @property
-    def support_lines(self) -> frozenset:
-        return frozenset(k for k, _ in self.slots)
-
     def tensor(self, other: "TateObject") -> "TateObject":
         out = {}
         for (i1, m1), d1 in self.slots:
@@ -77,7 +68,6 @@ def tate_line(twist: int, shift: int = 0) -> TateObject:
 
 TATE_UNIT = tate_line(0, 0)
 END_OF_UNIT = "Q"  # hom(1, 1) = Q: the unit's endomorphisms are the rational scalars
-THOMASON_POINT_BOUND = 12  # most points `thomason_subsets` takes the 2^points subsets of
 
 
 class TateUniverse(Value):
@@ -113,9 +103,6 @@ class ThickTensorIdeal(Value):
     def __init__(self, universe: TateUniverse, lines: frozenset):
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "lines", lines)
-
-    def contains(self, a: TateObject) -> bool:
-        return a.support_lines <= self.lines
 
     def __repr__(self):
         return "(0)" if not self.lines else f"ideal<{len(self.lines)} lines>"
@@ -190,34 +177,6 @@ class FiniteSpectralSpace(Value):
             rel.update((a, b) for b in reached)
         return FiniteSpectralSpace(points, frozenset(rel))
 
-    def closure(self, subset) -> set:
-        subset = set(subset)
-        return {b for a, b in self.specializes if a in subset}
-
-    def generization(self, subset) -> set:
-        subset = set(subset)
-        return {a for a, b in self.specializes if b in subset}
-
-    def is_closed(self, subset) -> bool:
-        return self.closure(subset) == set(subset)
-
-    def thomason_subsets(self) -> list[frozenset]:
-        """All specialization-closed subsets, by brute force."""
-        if len(self.points) > THOMASON_POINT_BOUND:
-            raise BoundExceeded(f"{len(self.points)} points exceeds the bound {THOMASON_POINT_BOUND}")
-        out = []
-        for r in range(len(self.points) + 1):
-            for combo in itertools.combinations(self.points, r):
-                if self.is_closed(combo):
-                    out.append(frozenset(combo))
-        return out
-
-    def subspace(self, subset) -> "FiniteSpectralSpace":
-        subset = set(subset)
-        pts = tuple(p for p in self.points if p in subset)
-        rel = frozenset((a, b) for a, b in self.specializes if a in subset and b in subset)
-        return FiniteSpectralSpace(pts, rel)
-
     def to_dot(self, name: str = "spc") -> str:
         """Graphviz digraph of the points and the covers, read off successor
         sets: b covers a when b is below a and below no other point below a."""
@@ -235,22 +194,6 @@ class FiniteSpectralSpace(Value):
         lines += [f'  "{a}" -> "{b}";' for a, b in sorted(covers)]
         lines.append("}")
         return "\n".join(lines)
-
-
-def lattice_quotient(space: FiniteSpectralSpace, thomason) -> FiniteSpectralSpace:
-    """Quotient by a Thomason subset: the open complement subspace."""
-    thomason = set(thomason)
-    if not space.is_closed(thomason):
-        raise InvalidArgument(f"{sorted(thomason)} is not specialization closed")
-    return space.subspace(set(space.points) - thomason)
-
-
-def lattice_localize(space: FiniteSpectralSpace, closed) -> FiniteSpectralSpace:
-    """Localize at a closed subset: that subspace with the induced order."""
-    closed = set(closed)
-    if not space.is_closed(closed):
-        raise InvalidArgument(f"{sorted(closed)} is not closed")
-    return space.subspace(closed)
 
 
 def chromatic_label(p, n) -> str:
@@ -311,26 +254,3 @@ def spc_equivariant(n: int, prime_bound: int, height_bound: int) -> FiniteSpectr
         points.extend(tag + p for p in base.points)
         rel.update((tag + a, tag + b) for a, b in base.specializes)
     return FiniteSpectralSpace(tuple(points), frozenset(rel))
-
-
-def graded_endomorphism_ring(universe: TateUniverse) -> dict:
-    """The ring sum_n hom(1, u^n) for u = Q(1)[2]: Q in degree 0, zero
-    elsewhere (the lines 1 and u^n differ for n != 0)."""
-    r = universe.twist_radius
-    degrees = {}
-    for nn in range(-r, r + 1):
-        degrees[nn] = END_OF_UNIT if nn == 0 else "0"
-    return {"unit": END_OF_UNIT, "degrees": degrees}
-
-
-def rho_bullet(prime: ThickTensorIdeal) -> dict:
-    """Image of a Tate-model prime in the homogeneous spectrum of the
-    degree-0 endomorphism ring: the ideal generated by maps 1 -> u^n
-    whose cone lies outside the prime.
-
-    No map contributes.  A map 1 -> 1 is a rational scalar, and a nonzero
-    one is an isomorphism with zero cone, which lies in every ideal; for
-    n != 0 the line u^n = Q(n)[2n] is not the unit, so the only map
-    1 -> u^n is zero, which generates only zero.  Every prime therefore
-    lands on the zero ideal, the unique point of Spec^h(Q)."""
-    return {"ideal_generators": [], "point": "zero ideal"}

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+from ttspec import chow_motives as cm
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 
@@ -12,6 +13,11 @@ def field_elements(field):
 def field_units(field):
     """The q - 1 nonzero elements of the field, in representative order."""
     return map(field.from_index, range(1, field.q))
+
+
+def lefschetz(i):
+    """L^i as the point motive with twist -i."""
+    return cm.Motive(cm.POINT, cm.identity_correspondence(cm.POINT), -i)
 
 
 def tensor_form(f, g):

@@ -238,14 +238,15 @@ def test_verify_unknown_suite(capsys):
         assert line.startswith(f"error: unknown suite {name!r}; choose from ")
 
 
-def test_verify_spaces_fails_on_wrong_quotient(capsys, monkeypatch):
+def test_verify_spaces_fails_on_wrong_equivariant_copies(capsys, monkeypatch):
     from ttspec import tt_geometry
 
-    monkeypatch.setattr(tt_geometry, "lattice_quotient", lambda space, subset: space)
+    right = tt_geometry.spc_equivariant
+    monkeypatch.setattr(tt_geometry, "spc_equivariant", lambda n, primes, height: right(1, primes, height))
     code, out = run(capsys, "verify", "--suite", "spaces", "--json")
     assert code == 2
     failures = json.loads(out)["result"]["suites"]["spaces"]["failures"]
-    assert {f["fact"] for f in failures} == {"quotient"}
+    assert failures == [{"fact": "equivariant copies", "n": n} for n in (6, 12)]
 
 
 def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
@@ -468,21 +469,13 @@ def test_verify_tate_fails_without_the_zero_prime(capsys, monkeypatch):
     assert json.loads(out)["result"]["suites"]["tate"]["failures"] == [{"primes": []}]
 
 
-def test_verify_tate_fails_on_a_unit_in_nonzero_degree(capsys, monkeypatch):
+def test_verify_tate_fails_on_a_wrong_end_of_unit(capsys, monkeypatch):
     from ttspec import tt_geometry
 
-    right = tt_geometry.graded_endomorphism_ring
-
-    def wrong(universe):
-        ring = right(universe)
-        return dict(ring, degrees={**ring["degrees"], 1: "Q"})
-
-    monkeypatch.setattr(tt_geometry, "graded_endomorphism_ring", wrong)
+    monkeypatch.setattr(tt_geometry, "END_OF_UNIT", "0")
     code, out = run(capsys, "verify", "--suite", "tate", "--json")
     assert code == 2
-    assert [set(f) for f in json.loads(out)["result"]["suites"]["tate"]["failures"]] == [
-        {"end_of_unit", "degrees"}
-    ]
+    assert json.loads(out)["result"]["suites"]["tate"]["failures"] == [{"end_of_unit": "0"}]
 
 
 @pytest.mark.parametrize("breaker", [None, _eta_order_two, _no_eta_bracket_term])

@@ -298,16 +298,16 @@ def test_eta_power_nonzero(q):
 
 
 @pytest.mark.parametrize("q", QS)
-def test_localize_eta(q):
+def test_negative_degrees_are_witt_groups(q):
+    """K^MW_-n is W(F_q) for n >= 1: Z/2 (+) Z/2 when q = 1 mod 4, else
+    Z/4.  So 4 eta^n = 0, and 2 eta^n = 0 exactly when q = 1 mod 4."""
     field = _field(q)
-    report = mw.localize_eta(field)
-    assert report["four_is_zero"]
-    assert report["two_is_zero"] == (q % 4 == 1)
     want = (2, 2) if q % 4 == 1 else (4,)
-    for n, data in report["degreewise"].items():
-        assert data["colimit_invariant_factors"] == want
-        if n <= 1:
-            assert data["stabilization_index"] == 1
+    for n in range(1, 7):
+        assert mw.kmw_group(field, -n).invariant_factors == want
+        power = mw.eta(field, n)
+        assert (4 * power).is_zero()
+        assert (2 * power).is_zero() == (q % 4 == 1)
 
 
 def _eta_surjective_by_subgroup(field, n):
@@ -340,19 +340,14 @@ def _eta_surjective_by_subgroup(field, n):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_eta_map_surjectivity_matches_subgroup_oracle(q):
-    """The stabilization indices of `localize_eta` against the search they
-    replaced: the least k >= 1 after which every eta-map down to the floor
-    of the window is onto, with ontoness from the subgroup oracle."""
+    """eta * - : K^MW_m -> K^MW_(m-1) is onto exactly when m <= 0 or m >= 3,
+    by the K^MW table: for m <= 0 it carries the generators eta^j and
+    eta^j[w] to eta^(j+1) and eta^(j+1)[w], and for m >= 3 the target is 0;
+    the image of [w] misses the free part of K^MW_0 (m = 1), and K^MW_2 is
+    0 (m = 2).  Checked against the subgroup oracle."""
     field = _field(q)
-    onto = {m: _eta_surjective_by_subgroup(field, m) for m in range(-14, 10)}
-    for window in range(10):
-        report = mw.localize_eta(field, window)
-        floor = -window - 4
-        for n, data in report["degreewise"].items():
-            k = 1
-            while not all(onto[m] for m in range(n - k, floor, -1)):
-                k += 1
-            assert data["stabilization_index"] == k, (window, n)
+    for m in range(-14, 10):
+        assert _eta_surjective_by_subgroup(field, m) == (m <= 0 or m >= 3), m
 
 
 # ------------------------------------------------------ coordinate plumbing

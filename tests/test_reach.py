@@ -22,6 +22,15 @@ and `__repr__` methods whose text appears only in error messages and
 debugging output.  A new function must be reached by a command or a
 `verify` suite, or be deleted.
 
+Each command records the code objects it starts in a dict of its own.
+`test_verify_only_functions_name_what_they_guard` reads, from the same
+fresh process, the functions that only `verify` commands reach.  Each one
+outside `verify.py` and `cli.cmd_verify` needs a `VERIFY_ONLY` entry that
+names the printed field or north-star identity its check guards, or says
+that lib-warm calls it; an entry that another command reaches fails the
+test, so this list only shrinks too.  A check of code that no command
+runs cannot change what a user sees.
+
 `test_errors_are_typed` parses the same sources and fails on a `raise` of
 a builtin exception class that `BUILTIN_RAISES` does not name with a
 reason, so every other error the package raises is a `TtspecError`.
@@ -31,12 +40,14 @@ subclasses, apart from the base-class raise of a `verify` check that
 cannot finish.
 
 `PYTHONPATH=src python tests/test_reach.py` prints the functions that no
-command reaches, as a JSON list.
+command reaches, as a JSON list, and with `--without-verify` those that
+only `verify` commands reach.
 """
 
 import ast
 import builtins
 import contextlib
+import functools
 import importlib
 import inspect
 import io
@@ -86,6 +97,51 @@ ALLOWLIST = {
     "chow_motives.py:Motive.__repr__": _REPR,
 }
 
+_KUNNETH = "the Kunneth splitting: `verify --suite motives` sums the projectors to the diagonal"
+_SES = "the exact sequence 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0 that `verify --suite ses` checks"
+_SPECH = "the points and specializations `spech` prints: primality certificates and inclusions"
+_TATE = "the `primes` of `spc tate`: a (x) a^dual = 1 and a (x) b != 0 in the window"
+
+# the functions that only `verify` commands reach, outside verify.py, and
+# what their checks guard; like ALLOWLIST, it only shrinks
+VERIFY_ONLY = {
+    "chow_motives.py:ChowClass.__add__": _KUNNETH,
+    "chow_motives.py:ChowClass._check": _KUNNETH,
+    "chow_motives.py:ChowClass.coeffs": _KUNNETH,
+    "chow_motives.py:Correspondence.__init__": _LIB_WARM,
+    "chow_motives.py:Motive.__init__": _LIB_WARM,
+    "chow_motives.py:_column_lattice_basis": _LIB_WARM,
+    "chow_motives.py:compose": _LIB_WARM,
+    "chow_motives.py:hom_group": _LIB_WARM,
+    "chow_motives.py:identity_correspondence": _LIB_WARM,
+    "chow_motives.py:motive_decompose": _LIB_WARM,
+    "finite_field.py:FieldElement.__hash__": "the W(F_q) dichotomy and the exact sequence: "
+    "the zero counts and `ses` key sets by field element",
+    "finite_field.py:PrimePower.__hash__": "the W(F_q) dichotomy and the exact sequence, "
+    "through FieldElement.__hash__",
+    "graded_spectrum.py:HomogeneousPrime.contains": _SPECH,
+    "graded_spectrum.py:HomogeneousPrime.includes": _SPECH,
+    "graded_spectrum.py:HomogeneousPrime.integer_generators": _SPECH,
+    "graded_spectrum.py:ReducedElement.__init__": _SPECH,
+    "graded_spectrum.py:ReducedElement.__mul__": _SPECH,
+    "graded_spectrum.py:ReducedElement.__repr__": _SPECH,
+    "graded_spectrum.py:ReducedElement.is_zero": _SPECH,
+    "milnor_witt.py:MilnorKElement.__init__": _SES,
+    "milnor_witt.py:MilnorKElement.is_zero": _SES,
+    "milnor_witt.py:SymbolWord.__init__": _LIB_WARM,
+    "milnor_witt.py:from_fundamental_ideal": _SES,
+    "milnor_witt.py:kmw_zero": _SES,
+    "milnor_witt.py:omega_symbol": _LIB_WARM,
+    "milnor_witt.py:reduce_word": _LIB_WARM,
+    "milnor_witt.py:to_milnor": _SES,
+    "milnor_witt.py:word": _LIB_WARM,
+    "quadratic_forms.py:witt_class": _LIB_WARM,
+    "tt_geometry.py:TateObject.dual": _TATE,
+    "tt_geometry.py:TateObject.is_zero": _TATE,
+    "tt_geometry.py:TateObject.tensor": _TATE,
+    "tt_geometry.py:TateUniverse.lines": _TATE,
+}
+
 
 def defined_functions() -> dict[tuple[str, int, str], str]:
     """(file name, first line, name) -> "file:qualified name" for every def
@@ -109,11 +165,15 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
     return found
 
 
-def reached_functions() -> set[tuple[str, int, str]]:
+def reached_functions() -> tuple[set, set]:
     """(file name, first line, name) of every package function that starts
     to run in this process while `ttspec.cli` is imported and runs the
-    commands of `reach_argv`."""
+    commands of `reach_argv`; and of those that the import or a command
+    other than `verify` starts.  Each command records into its own dict.
+    The `verify` commands run last, so that no cache they fill keeps a
+    function from starting under another command."""
     codes = {}  # id -> code object: cheaper than hashing each code object
+    runs = [(None, codes)]  # (argv, codes); None is the import
 
     def profile(frame, event, arg):
         if event == "call":
@@ -127,34 +187,64 @@ def reached_functions() -> set[tuple[str, int, str]]:
         try:
             from ttspec import cli
 
-            argvs = reach_argv()
-            exits = [cli.main(argv) for argv in argvs]
+            argvs = sorted(reach_argv(), key=lambda argv: argv[0] == "verify")
+            exits = []
+            for argv in argvs:
+                codes = {}
+                runs.append((argv, codes))
+                exits.append(cli.main(argv))
         finally:
             sys.setprofile(previous)
     assert [argv for argv, code in zip(argvs, exits) if code] == []
     package = str(PACKAGE)
+
+    def keys(runs):
+        return {
+            (Path(code.co_filename).name, code.co_firstlineno, code.co_name)
+            for _, codes in runs for code in codes.values()
+            if str(Path(code.co_filename).parent) == package
+        }
+
+    return keys(runs), keys(run for run in runs if run[0] is None or run[0][0] != "verify")
+
+
+def reach() -> dict[str, list[str]]:
+    """"unreached": the functions that no command reaches, and
+    "verify_only": those that only `verify` commands reach, each as
+    "file:qualified name"; meaningful only in a fresh process."""
+    reached, without_verify = reached_functions()
+    names = defined_functions().items()
     return {
-        (Path(code.co_filename).name, code.co_firstlineno, code.co_name)
-        for code in codes.values()
-        if str(Path(code.co_filename).parent) == package
+        "unreached": sorted(name for key, name in names if key not in reached),
+        "verify_only": sorted(name for key, name in names if key in reached and key not in without_verify),
     }
 
 
-def unreached() -> list[str]:
-    """The functions that `reached_functions` misses, as "file:qualified
-    name"; meaningful only in a fresh process."""
-    reached = reached_functions()
-    return sorted(name for key, name in defined_functions().items() if key not in reached)
+@functools.cache
+def fresh_reach() -> dict[str, list[str]]:
+    """`reach()` from one fresh process, shared by the tests that read it."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", "import json, test_reach; print(json.dumps(test_reach.reach()))"],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 def test_every_function_is_reached():
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, __file__], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    missing = json.loads(run.stdout)
+    missing = fresh_reach()["unreached"]
     assert [name for name in missing if name not in ALLOWLIST] == []
     assert [name for name in ALLOWLIST if name not in missing] == []
+
+
+def test_verify_only_functions_name_what_they_guard():
+    """Every function that only `verify` commands reach, outside `verify.py`
+    and `cli.cmd_verify`, is in `VERIFY_ONLY`, and every entry is such a
+    function.  (The functions of `ALLOWLIST` run under no command at all.)"""
+    only = [name for name in fresh_reach()["verify_only"]
+            if not name.startswith("verify.py:") and name != "cli.py:cmd_verify"]
+    assert [name for name in only if name not in VERIFY_ONLY] == []
+    assert [name for name in VERIFY_ONLY if name not in only] == []
 
 
 # the raises of a builtin exception class that stay, by "file:function"
@@ -234,4 +324,4 @@ def test_every_annotation_resolves():
 
 
 if __name__ == "__main__":
-    print(json.dumps(unreached(), indent=0))
+    print(json.dumps(reach()["verify_only" if sys.argv[1:] == ["--without-verify"] else "unreached"], indent=0))

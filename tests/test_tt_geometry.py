@@ -1,17 +1,16 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from ttspec.errors import BoundExceeded, InvalidArgument
 from ttspec import tt_geometry as tg
-from ttspec import verify
 from ttspec.finite_field import PRIME_BOUND, _prime_factors
 
 
 # ----------------------------------------------------------------- helpers
-# shift, direct sum and properness: only these tests use them
+# shift, direct sum, the lines of an object and properness: only these
+# tests use them
 
 
 def shift_by(a, k):
@@ -23,6 +22,10 @@ def direct_sum(a, b):
     for k, d in b.slots:
         out[k] = out.get(k, 0) + d
     return tg.TateObject.from_dict(out)
+
+
+def lines_of(a):
+    return frozenset(k for k, _ in a.slots)
 
 
 def is_proper(ideal):
@@ -41,71 +44,6 @@ def test_object_algebra():
     s = direct_sum(a, a)
     assert dict(s.slots)[(1, 2)] == 2
     assert tg.TateObject(()).is_zero()
-
-
-# ------------------------------------------------- maps and their cones
-# A map of Tate objects is a rational matrix per line (rows indexed by the
-# target), and every triangle splits, so its cone is ker[1] + coker slot by
-# slot.  The library keeps no maps: this is the oracle for the one cone
-# that `verify --suite spaces` builds, that of a scalar 1 -> u^n.
-
-
-def _matrix_rank(mat) -> int:
-    rows = [list(r) for r in mat]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def cone(source, target, blocks):
-    """ker(f)[1] + coker(f), slot by slot, by rank-nullity, for the map f
-    given by `blocks`, {line: matrix}; a line without a block maps by zero."""
-    src, tgt = dict(source.slots), dict(target.slots)
-    out = {}
-    for i, m in src.keys() | tgt.keys():
-        rank = _matrix_rank([[Fraction(x) for x in row] for row in blocks.get((i, m), ())])
-        out[(i, m + 1)] = out.get((i, m + 1), 0) + src.get((i, m), 0) - rank
-        out[(i, m)] = out.get((i, m), 0) + tgt.get((i, m), 0) - rank
-    return tg.TateObject.from_dict(out)
-
-
-def test_cone_examples():
-    unit = tg.TATE_UNIT
-    assert cone(unit, unit, {(0, 0): [[1]]}).is_zero()
-    assert cone(unit, unit, {}) == direct_sum(unit, shift_by(unit, 1))
-    two = tg.TateObject.from_dict({(0, 0): 2})
-    c = cone(two, two, {(0, 0): [[1, 0], [0, 0]]})
-    assert dict(c.slots) == {(0, 1): 1, (0, 0): 1}
-    assert cone(two, two, {(0, 0): [[1, 1], [0, 1]]}).is_zero()
-
-
-def _scalar_maps(universe, scalars=(0, 1, -1, 2, Fraction(-3, 2))):
-    """(n, s, u^n, blocks) for each degree n with u^n = Q(n)[2n] in the
-    window and each scalar s: s sits in the block of the line that 1 and
-    u^n share, and there is none when they share no line."""
-    radius = min(universe.twist_radius, universe.shift_radius // 2)
-    for n, s in itertools.product(range(-radius, radius + 1), scalars):
-        target = tg.tate_line(n, 2 * n)
-        yield n, s, target, {key: [[s]] for key, _ in target.slots if key == (0, 0)}
-
-
-def test_unit_map_cone_matches_rank_nullity_oracle():
-    for radii in ((3, 2), (4, 2), (4, 9)):
-        for n, s, target, blocks in _scalar_maps(tg.TateUniverse(*radii)):
-            assert verify._unit_map_cone(n, s) == cone(tg.TATE_UNIT, target, blocks), (radii, n, s)
 
 
 # -------------------------------------------------------------- ideals
@@ -127,7 +65,7 @@ def _ideal_closure_fixed_point(generators, universe):
     window = frozenset(universe.lines())
     reached = set()
     for g in generators:
-        reached |= g.support_lines
+        reached |= lines_of(g)
     changed = True
     while changed:
         changed = False
@@ -175,7 +113,7 @@ def _primes_by_sample_pairs(universe):
     in_window = frozenset(window)
 
     def inside(a):
-        return a.support_lines <= in_window
+        return lines_of(a) <= in_window
 
     candidates = [frozenset(), in_window]
     samples = [tg.TateObject(())] + [tg.tate_line(*line) for line in window]
@@ -188,9 +126,9 @@ def _primes_by_sample_pairs(universe):
         if (0, 0) in cand:
             continue
         if all(
-            not (a.tensor(b).support_lines <= cand)
-            or a.support_lines <= cand
-            or b.support_lines <= cand
+            not (lines_of(a.tensor(b)) <= cand)
+            or lines_of(a) <= cand
+            or lines_of(b) <= cand
             for a, b in itertools.product(samples, repeat=2)
             if inside(a.tensor(b))
         ):
@@ -214,7 +152,7 @@ def test_window_contains_is_a_range_check():
             a = tg.tate_line(i, m)
             b = direct_sum(a, tg.TATE_UNIT)
             assert universe.contains(a) == ((i, m) in window), (radii, i, m)
-            assert universe.contains(b) == (b.support_lines <= window), (radii, i, m)
+            assert universe.contains(b) == (lines_of(b) <= window), (radii, i, m)
 
 
 def test_degenerate_universe():
@@ -224,7 +162,7 @@ def test_degenerate_universe():
 
 
 def support(a, primes):
-    return [p for p in primes if not p.contains(a)]
+    return [p for p in primes if not lines_of(a) <= p.lines]
 
 
 def test_support_rules():
@@ -245,7 +183,7 @@ def test_support_rules():
             map(id, support(a, primes))
         ) | set(map(id, support(b, primes)))
     for a in lines:
-        assert verify.u_open(a, primes) == []  # nonzero objects avoid the zero ideal
+        assert support(a, primes) == primes  # nonzero objects avoid the zero ideal
 
 
 # ----------------------------------------------------------- poset spaces
@@ -256,15 +194,19 @@ def test_spc_shtop_shape():
     assert set(space.points) == {
         "P_0,1", "P_2,1", "P_2,2", "P_2,inf", "P_3,1", "P_3,2", "P_3,inf"
     }
-    assert space.closure({"P_0,1"}) == set(space.points)
-    assert space.closure({"P_2,1"}) == {"P_2,1", "P_2,2", "P_2,inf"}
-    assert space.closure({"P_2,inf"}) == {"P_2,inf"}
-    assert space.generization({"P_2,2"}) == {"P_0,1", "P_2,1", "P_2,2"}
+
+    def closure(subset):
+        return {b for a, b in space.specializes if a in subset}
+
+    assert closure({"P_0,1"}) == set(space.points)
+    assert closure({"P_2,1"}) == {"P_2,1", "P_2,2", "P_2,inf"}
+    assert closure({"P_2,inf"}) == {"P_2,inf"}
+    assert {a for a, b in space.specializes if b == "P_2,2"} == {"P_0,1", "P_2,1", "P_2,2"}
     # closure operator axioms
     for subset in ({"P_2,1"}, {"P_3,2", "P_2,inf"}, set()):
-        cl = space.closure(subset)
+        cl = closure(subset)
         assert subset <= cl
-        assert space.closure(cl) == cl
+        assert closure(cl) == cl
 
 
 def _transitive_closure_fixed_point(points, edges):
@@ -301,66 +243,6 @@ def test_from_edges_matches_fixed_point_oracle():
         space = tg.FiniteSpectralSpace.from_edges(points, edges)
         assert space.points == tuple(points)
         assert space.specializes == _transitive_closure_fixed_point(points, edges), edges
-
-
-def test_thomason_subsets_chain():
-    chain = tg.spc_shtop(2, 1)  # P_0,1 -> P_2,1 -> P_2,inf
-    subsets = chain.thomason_subsets()
-    assert len(subsets) == 4
-    assert frozenset() in subsets
-    assert frozenset({"P_2,inf"}) in subsets
-    assert frozenset({"P_2,1", "P_2,inf"}) in subsets
-    assert frozenset(chain.points) in subsets
-
-
-def test_thomason_counts_match_upset_bruteforce():
-    for space in (tg.spc_shtop(2, 1), tg.spc_shtop(3, 2), tg.spc_shtop(2, 3)):
-        subsets = space.thomason_subsets()
-        brute = 0
-        pts = list(space.points)
-        for r in range(len(pts) + 1):
-            for combo in itertools.combinations(pts, r):
-                chosen = set(combo)
-                if all(
-                    b in chosen
-                    for a in chosen
-                    for x, b in space.specializes
-                    if x == a
-                ):
-                    brute += 1
-        assert len(subsets) == brute
-        # lattice closure under union and intersection
-        for y1, y2 in itertools.combinations(subsets[:8], 2):
-            assert space.is_closed(y1 | y2)
-            assert space.is_closed(y1 & y2)
-
-
-def test_thomason_bound():
-    space = tg.spc_shtop(7, 3)  # 17 points
-    with pytest.raises(BoundExceeded):
-        space.thomason_subsets()
-
-
-def test_quotient_and_localize():
-    space = tg.spc_shtop(3, 2)
-    y = space.closure({"P_2,1"})
-    quotient = tg.lattice_quotient(space, y)
-    assert set(quotient.points) == set(space.points) - y
-    assert tg.lattice_quotient(space, set()).points == space.points
-    local = tg.lattice_localize(space, y)
-    assert set(local.points) == y
-    assert local.closure({"P_2,1"}) == y
-    with pytest.raises(InvalidArgument):
-        tg.lattice_quotient(space, {"P_2,1"})
-    with pytest.raises(InvalidArgument):
-        tg.lattice_localize(space, {"P_0,1"})
-
-
-def test_localize_at_point_closure_is_chain():
-    space = tg.spc_shtop(2, 2)
-    z = space.closure({"P_2,1"})
-    local = tg.lattice_localize(space, z)
-    assert set(local.points) == {"P_2,1", "P_2,2", "P_2,inf"}
 
 
 def test_spc_equivariant():
@@ -473,47 +355,6 @@ def test_dot_output():
     assert dot.startswith("digraph")
     assert '"P_0,1" -> "P_2,1"' in dot
     assert '"P_0,1" -> "P_2,inf"' not in dot  # only covering edges drawn
-
-
-# ---------------------------------------------------------- comparison map
-
-
-def test_graded_endomorphism_ring():
-    ring = tg.graded_endomorphism_ring(tg.TateUniverse(3, 2))
-    assert ring["unit"] == "Q"
-    assert ring["degrees"][0] == "Q"
-    assert all(v == "0" for n, v in ring["degrees"].items() if n != 0)
-
-
-def test_rho_bullet_zero_prime():
-    """rho_bullet(P) is generated by the nonzero maps 1 -> u^n whose cone,
-    from the rank-nullity oracle, lies outside P (zero maps generate only
-    zero): none, so every prime of every window lands on the zero ideal."""
-    for radii in itertools.product(range(-1, 5), repeat=2):
-        universe = tg.TateUniverse(*radii)
-        for prime in tg.enumerate_primes(universe)["primes"]:
-            outside = [(n, s) for n, s, target, blocks in _scalar_maps(universe)
-                       if s != 0 and blocks and not prime.contains(cone(tg.TATE_UNIT, target, blocks))]
-            assert outside == [], (radii, outside)
-            assert tg.rho_bullet(prime) == {"ideal_generators": [], "point": "zero ideal"}, radii
-
-
-def test_verify_comparison():
-    report = verify.verify_comparison(tg.TateUniverse(3, 2))
-    assert report["ok"]
-    assert all(case["ok"] for case in report["cases"])
-    degrees = {case["degree"] for case in report["cases"]}
-    assert 0 in degrees and 1 in degrees
-
-
-def test_verify_comparison_fails_on_wrong_rho_bullet(monkeypatch):
-    # sending the zero prime to the unit ideal empties every D(s) preimage
-    monkeypatch.setattr(
-        tg, "rho_bullet", lambda prime: {"ideal_generators": [("scalar", 0)], "point": "unit ideal"}
-    )
-    report = verify.verify_comparison(tg.TateUniverse(3, 2))
-    assert not report["ok"]
-    assert not all(case["ok"] for case in report["cases"])
 
 
 def test_cached_window_matches_universe_lines():

@@ -27,6 +27,9 @@ from ttspec import quadratic_forms as qf
 from ttspec import tt_geometry as tt
 from ttspec.finite_field import FieldElement, PrimePower, make_field, primitive_element
 
+from helpers import lefschetz
+
+
 # the fields of each former dataclass, in declaration order
 FIELDS = {
     PrimePower: ("p", "e", "modulus"),
@@ -126,7 +129,7 @@ def _samples():
                        cm.monomial_class(p2, (1,), Fraction(1, 2)), cm.monomial_class(p2, (2,))],
         cm.Correspondence: [cm.identity_correspondence(p1), cm.identity_correspondence(p1),
                             cm.identity_correspondence(p2)],
-        cm.Motive: [cm.lefschetz_motive(0), cm.lefschetz_motive(1), cm.lefschetz_motive(1),
+        cm.Motive: [lefschetz(0), lefschetz(1), lefschetz(1),
                     cm.Motive(p1, cm.identity_correspondence(p1), 2)],
         tt.TateObject: [line, tt.tate_line(1, 0), tt.TateObject.from_dict({(1, 0): 2}),
                         tt.TateObject.from_dict({})],
