@@ -26,19 +26,17 @@ import math
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument
 
-# largest ambient monomial basis of a hom group.  The library's `hom_group`
-# keeps each column of its reduction in the bucket of its least row, so no
-# row scans every column: in-process on a 2-CPU x86-64 VM, identity motives
-# of P9xP9xP9 and P4xP4xP4 (3,812 monomials) take 0.03 s, 0.006 s of it the
-# reduction (0.5 s with a scan of every column per row).  A cold
-# `motive hom --json` of that pair prints 199 kB in 0.15 s
+# largest ambient monomial basis of a hom group.  It bounds the basis that
+# `motive hom` prints, one monomial class each: cold, P9xP9xP9 to P4xP4xP4
+# (3,812 monomials) prints 199 kB of `--json` in 0.13 s (median of 7, 2-CPU
+# x86-64 VM).  The library's `hom_group`, which only `verify` and lib-warm
+# call, takes 0.04 s in-process on the identity motives of that pair
 HOM_BASIS_BOUND = 4_000
 # most monomials `parse_space` accepts on one space, and at most 16 factors,
-# since P0 factors lengthen a monomial without adding any.  It bounds the
-# idempotency check of the library's `Motive`: the identity motives of P1^16
-# take 1.6 s each in-process on a 2-CPU x86-64 VM.  Cold, `motive decompose`
-# P1^16 prints 685 kB in 0.12 s, and `motive pairing --space P65535` 4.5 MB
-# in 0.55 s
+# since P0 factors lengthen a monomial without adding any.  It bounds what
+# the commands that take a space print: cold, `motive decompose` P1^16
+# prints 685 kB in 0.10 s, and `motive pairing --space P65535` 4.5 MB in
+# 0.39 s (medians of 7, 2-CPU x86-64 VM)
 SPACE_BOUND = 2 ** 16
 # most matrix entries `pairing_nondegenerate` returns, all printed by `motive
 # pairing`: P12xP12xP12 has 204,763 (621 kB of `--json` in 0.13 s cold on a

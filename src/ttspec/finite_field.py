@@ -10,9 +10,9 @@ candidates against the prime factors l of q - 1, never by walking their
 powers: for l | p - 1 the test a^((q-1)/l) != 1 is N(a)^((p-1)/l) != 1 in
 F_p, and only the other l take a power in F_q.  Discrete logs come from a
 cached table of all q - 1 powers for q <= LOG_TABLE_BOUND = 2^12, and above
-it from Pohlig-Hellman with a cached per-field plan and baby-step
-giant-step in each prime-order subgroup: O(sqrt(l)) multiplications for the
-largest prime l | q - 1.  A product of two elements runs `_poly_mul_mod`:
+it from baby-step giant-step over all of F_q^* (Shanks), with the
+m = ceil(sqrt(q-1)) <= 1024 baby steps cached on the field: at most m
+multiplications a log.  A product of two elements runs `_poly_mul_mod`:
 for e >= 2 one integer product of the operands packed in bit slots
 (Kronecker substitution), with the high slots folded back through packed
 powers x^(e+j) mod the modulus, and for e = 1 a residue product.  For
@@ -21,14 +21,13 @@ per coefficient, and the block doubles by a `bytes.translate` per pair of
 coefficients; the powers are kept beside the table.  A built table answers
 logs, inverses and squareness: a = w^k has inverse w^(-k), read off the
 kept powers, and is a square iff k is even.  Nothing but `discrete_log`
-builds it.  Without a table, inverses come from the extended Euclidean
-algorithm on coefficient tuples, and squareness from the norm
-N(a) = Res(modulus, a) in F_p, also by Euclid: a is a square iff
-N(a)^((p-1)/2) = 1, since (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and
-N(a) = a^((q-1)/(p-1)).  On a prime field both are a single builtin `pow`,
-and so is `**`, which everywhere runs the one ladder `_tuple_pow` on
-coefficient tuples.  Every list of primes comes from one bytearray sieve
-of Eratosthenes, `_primes_upto`.
+builds it.  Without a table, the inverse is a^(q-2), and squareness comes
+from the norm N(a) = Res(modulus, a) in F_p, by the Euclidean remainder
+sequence: a is a square iff N(a)^((p-1)/2) = 1, since
+(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  Every
+power, `**` and a^(q-2) alike, runs the one ladder `_tuple_pow` on
+coefficient tuples, a single builtin `pow` on a prime field.  Every list
+of primes comes from one bytearray sieve of Eratosthenes, `_primes_upto`.
 """
 
 from __future__ import annotations
@@ -41,14 +40,16 @@ from ._value import Value
 from .errors import BoundExceeded, InvalidArgument
 
 CARDINALITY_BOUND = 1 << 20
-# first log in a fresh process once the generator is known, table build vs
-# planned Pohlig-Hellman solve, best of 7 (2-CPU x86-64 VM, Python 3.11):
-# 1.1 vs 0.29 ms at 2187, 0.8 vs 0.06 ms at 4093 (the largest q below the
-# bound), 3.2 vs 0.5 ms at 6561.  Warm, mean of 2,000 seeded units: lookup
-# 0.2-0.6 us; solve 2 us at 7, 8 us at 4093, 140 us at 2187, 210-390 us at
-# 3^8, 13^4, 3^10 and 5^7.  A built table answers `inverse` and `is_square`
-# too (warm, 500 seeded units, Euclid or norm -> table: inverse 17.4 -> 1.6
-# us at 243, 28 -> 1.7 us at 2187; is_square 11.5 -> 0.5, 19 -> 0.5 us).
+# first log in a fresh field once the generator is known, table build vs
+# baby-step giant-step solve with its baby steps, best of 7, median of 3
+# runs (2-CPU x86-64 VM, Python 3.11): 1.8 vs 0.29 ms at 2187, 1.1 vs
+# 0.03 ms at 4093 (the largest q below the bound), 4.9 vs 0.68 ms at 6561.
+# Warm, mean of 2,000 seeded units: lookup 0.2-0.4 us; solve 0.6 us at 7,
+# 6-13 us at 4093, 80-130 us at 2187, 160-310 us at 3^8 and 13^4, 470-1000
+# us at 3^10 and 5^7.  A built table answers `inverse` and `is_square` too
+# (warm, 500 seeded units, ladder or norm -> table: inverse 24-38 -> 0.7-1.5
+# us at 243, 46-68 -> 1.3-1.5 us at 2187; is_square 8-15 -> 0.2-0.3, 13-21
+# -> 0.3-0.4 us).
 # The table's byte columns rely on the bound: e(p-1) <= 120 when e >= 2.
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
@@ -249,26 +250,6 @@ def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
     return quot, _trim(rem)
 
 
-def _poly_inverse(coeffs, modulus, p: int) -> tuple[int, ...]:
-    """The inverse of a nonzero residue mod (modulus, p) by the extended
-    Euclidean algorithm: s * a = r mod modulus along the remainder sequence
-    r, which ends in a nonzero constant since the modulus is irreducible."""
-    r0, r1 = modulus, _trim(coeffs)
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        quot, rem = _poly_divmod(r0, r1, p)
-        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(quot):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s[i + j] = (s[i + j] - qi * sj) % p
-        r0, r1, s0, s1 = r1, rem, s1, s
-    scale = pow(r1[0], -1, p)
-    for i, c in enumerate(s1):
-        s1[i] = c * scale % p
-    return tuple(s1 + [0] * (len(modulus) - 1 - len(s1)))
-
-
 def _norm(coeffs, modulus, p: int) -> int:
     """N(a) = Res(modulus, a) in F_p, by the Euclidean remainder sequence:
     Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) with
@@ -359,7 +340,7 @@ class FieldElement(Value):
 
     def inverse(self) -> "FieldElement":
         """omega^-k for self = omega^k when the field holds its log table,
-        else extended Euclid.  Never builds the table."""
+        else self^(q-2) by the power ladder.  Never builds the table."""
         field = self.field
         logs = field._cache.get("logs")
         k = None if logs is None else logs.get(self.coeffs)
@@ -367,8 +348,8 @@ class FieldElement(Value):
             coeffs = field.element(self.coeffs).coeffs
             if not any(coeffs):
                 raise InvalidArgument("zero has no inverse")
-            if logs is None:
-                return FieldElement(field, _poly_inverse(coeffs, field.modulus, field.p))
+            if logs is None:  # a^(q-2) = a^-1, since a^(q-1) = 1
+                return FieldElement(field, _tuple_pow(coeffs, field._q - 2, field.modulus, field.p))
             k = logs[coeffs]
         return FieldElement(field, field._cache["powers"][-k])
 
@@ -499,59 +480,31 @@ def _tuple_pow(x: tuple[int, ...], k: int, modulus, p: int) -> tuple[int, ...]:
     return result
 
 
-def _pohlig_hellman_plan(field: PrimePower) -> list[tuple]:
-    """Per prime power l^e exactly dividing n = q - 1, cached on the field:
-    l, e, the cofactor n / l^e, the CRT weight, g^-(l^i) for i < e with
-    g = omega^cofactor, and baby-step giant-step data for gamma =
-    g^(l^(e-1)) of order l: m = ceil(sqrt(l)), {gamma^j: j < m}, gamma^-m."""
-    plan = field._cache.get("pohlig_hellman")
+def _baby_step_giant_step(a: FieldElement) -> int:
+    """Least k in [0, q-2] with omega^k = a (Shanks): with m = ceil(sqrt(q-1)),
+    k = i*m + j with j < m is found at the first i with a * omega^(-i*m)
+    among the baby steps {omega^j: j < m}, and i < m since m^2 >= q - 1.
+    m, the baby steps and omega^-m are cached on the field."""
+    field = a.field
+    modulus, p = field.modulus, field.p
+    plan = field._cache.get("giant_steps")
     if plan is None:
-        n, modulus, p = field.q - 1, field.modulus, field.p
-        omega, plan = primitive_element(field).coeffs, []
-        for ell, e in _prime_factors(n).items():
-            cofactor = n // ell ** e
-            g = _tuple_pow(omega, cofactor, modulus, p)
-            gamma, m = _tuple_pow(g, ell ** (e - 1), modulus, p), isqrt(ell - 1) + 1
-            baby, x = {}, field.one().coeffs
-            for j in range(m):
-                baby[x] = j
-                x = _poly_mul_mod(x, gamma, modulus, p)
-            weight = cofactor * pow(cofactor, -1, ell ** e)
-            g_inv = [_tuple_pow(g, ell ** e - ell ** i, modulus, p) for i in range(e)]
-            plan.append((ell, e, cofactor, weight, g_inv, m, baby, _tuple_pow(gamma, ell - m, modulus, p)))
-        field._cache["pohlig_hellman"] = plan
-    return plan
-
-
-def _pohlig_hellman(a: FieldElement) -> int:
-    """Least k in [0, q-2] with omega^k = a (Pohlig-Hellman, 1978).
-
-    For each prime power l^e exactly dividing n = q - 1, the residue x of
-    k mod l^e is found digit by digit in base l: digit i is the log of
-    (a^cofactor * g^-x)^(l^(e-1-i)) in the subgroup of order l, by
-    baby-step giant-step, and g^-x is updated one digit at a time.  The
-    residues are joined by the CRT."""
-    field, modulus, p = a.field, a.field.modulus, a.field.p
-    k = 0
-    for ell, e, cofactor, weight, g_inv, m, baby, giant in _pohlig_hellman_plan(field):
-        target = _tuple_pow(a.coeffs, cofactor, modulus, p)  # = g^(k mod l^e)
-        for i in range(e):
-            y = _tuple_pow(target, ell ** (e - 1 - i), modulus, p)
-            for giant_steps in range(m):
-                j = baby.get(y)
-                if j is not None:
-                    break
-                y = _poly_mul_mod(y, giant, modulus, p)
-            digit = giant_steps * m + j
-            if digit and i < e - 1:
-                target = _poly_mul_mod(target, _tuple_pow(g_inv[i], digit, modulus, p), modulus, p)
-            k += digit * ell ** i * weight
-    return k % (field.q - 1)
+        n, omega = field._q - 1, primitive_element(field).coeffs
+        m, baby, x = isqrt(n - 1) + 1, {}, field.one().coeffs
+        for j in range(m):
+            baby[x] = j
+            x = _poly_mul_mod(x, omega, modulus, p)
+        plan = field._cache["giant_steps"] = m, baby, _tuple_pow(omega, n - m, modulus, p)
+    m, baby, giant = plan
+    y, i = a.coeffs, 0
+    while (j := baby.get(y)) is None:
+        y, i = _poly_mul_mod(y, giant, modulus, p), i + 1
+    return i * m + j
 
 
 def discrete_log(a: FieldElement) -> int:
     """Least k >= 0 with omega^k = a, for the fixed generator omega: a table
-    lookup for q <= LOG_TABLE_BOUND, Pohlig-Hellman above it."""
+    lookup for q <= LOG_TABLE_BOUND, baby-step giant-step above it."""
     field = a.field
     logs = field._cache.get("logs")
     k = None if logs is None else logs.get(a.coeffs)
@@ -560,7 +513,7 @@ def discrete_log(a: FieldElement) -> int:
         if not any(a.coeffs):
             raise InvalidArgument("discrete log of zero undefined")
         if field._q > LOG_TABLE_BOUND:
-            return _pohlig_hellman(a)
+            return _baby_step_giant_step(a)
         k = _log_table(field)[a.coeffs]
     return k
 

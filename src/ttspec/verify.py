@@ -199,8 +199,8 @@ def additive_order(x) -> int:
 
 
 def _suite_witt():
-    """The closed-form W(F_q), read as K^MW_-1 (<1> is eta, and a class is
-    `from_fundamental_ideal(field, -1, c)`), against oracles that share no
+    """The closed-form W(F_q), read as K^MW_-1 (<1> is eta, and a class c
+    has coordinates (c.parity, c.disc) there), against oracles that share no
     code with it.  For q <= 13: the order of <1> against the zero counts of
     <1,1> and <1,1,1,1>; the multiples k<1> by `kmw_add` against the
     generator table read back as forms, and against `witt_class` of <1>^k,
@@ -221,7 +221,7 @@ def _suite_witt():
         for k in range(order):
             multiples[f"{k}*<1>"] = acc
             by_descent = quadratic_forms.witt_class(quadratic_forms.diagonal(field, [1] * k))
-            by_descent = milnor_witt.from_fundamental_ideal(field, -1, by_descent)
+            by_descent = milnor_witt.KmwElement(field, -1, (by_descent.parity, by_descent.disc))
             if by_descent != acc:
                 failures.append({"q": q, "descent": k, "got": by_descent.coords, "want": acc.coords})
             acc = milnor_witt.kmw_add(acc, one)
@@ -230,7 +230,7 @@ def _suite_witt():
         # the table's kernels read back as forms, so that the two sides share no printing
         table = structure["generator_table"]
         read = {k: quadratic_forms.kernel_class(quadratic_forms.diagonal(field, e)) for k, e in table.items()}
-        read = {k: milnor_witt.from_fundamental_ideal(field, -1, c) for k, c in read.items()}
+        read = {k: milnor_witt.KmwElement(field, -1, (c.parity, c.disc)) for k, c in read.items()}
         if got != want or read != multiples:
             got["generator_table"] = {k: x.coords for k, x in read.items()}
             want["generator_table"] = {k: x.coords for k, x in multiples.items()}
@@ -242,8 +242,7 @@ def _suite_witt():
         kernels = [quadratic_forms.gw_class(c.anisotropic_kernel) for c in classes]
         if sorted(key((g.rank, g.disc)) for g in kernels) != sorted(reps):
             failures.append({"q": q, "classes": [quadratic_forms._witt_key(c) for c in classes]})
-        image = {(n, k): milnor_witt.from_fundamental_ideal(field, n, quadratic_forms.WittClass(field, *k))
-                 for n in (-1, -2) for k in reps}
+        image = {(n, k): milnor_witt.KmwElement(field, n, k) for n in (-1, -2) for k in reps}
         for ka, kb in itertools.product(reps, repeat=2):
             a, b, pa, pb = image[-1, ka], image[-1, kb], reps[ka], reps[kb]
             for name, got, want in (("sum", milnor_witt.kmw_add(a, b), image[-1, key(_gw_add(pa, pb))]),
@@ -391,10 +390,10 @@ def _suite_spech():
 def _suite_eta():
     """eta^n from `kmw_mul`, n = 1, 16 and 64: its multiples k eta^n by
     `kmw_add`, k < 4, against k<1> in the W(F_q) of `_witt_model`, placed
-    in K^MW_-n by `from_fundamental_ideal`; and its additive order against
+    in K^MW_-n by its (parity, disc) key; and its additive order against
     the order of <1> from `_unit_form_order_by_zero_counts`.  The model and
     the zero counts share no code with `milnor_witt`."""
-    from . import milnor_witt, quadratic_forms
+    from . import milnor_witt
     failures = []
     for q in (3, 5, 7, 9):
         field = finite_field._field_for(q)
@@ -408,7 +407,7 @@ def _suite_eta():
             if order != want:
                 failures.append({"q": q, "n": n, "order": order, "want": want})
             for k, (got, unit) in enumerate(zip(multiples, units[1:]), 1):
-                placed = milnor_witt.from_fundamental_ideal(field, -n, quadratic_forms.WittClass(field, *unit))
+                placed = milnor_witt.KmwElement(field, -n, unit)
                 if got != placed:
                     failures.append({"q": q, "n": n, "multiple": k, "got": got.coords, "want": placed.coords})
     return failures
@@ -465,7 +464,9 @@ def _suite_motives():
 def _suite_tate():
     """The `spc tate` answers against the lines of TateUniverse(4, 2): a (x) a^dual
     = 1, so zero is the only proper ideal; a (x) b != 0, so zero is prime; and
-    End(1), which `spc tate` prints, is Q, the scalars of rational lines."""
+    End(1), which `spc tate` prints, against the model: it is semisimple, so
+    End(1) = Hom(1 (x) 1^dual, 1) holds one copy of the rational scalars Q
+    for each copy of the unit line in 1 (x) 1^dual."""
     from . import tt_geometry
     universe = tt_geometry.TateUniverse(4, 2)
     unit = tt_geometry.TATE_UNIT
@@ -481,7 +482,8 @@ def _suite_tate():
     found = tt_geometry.enumerate_primes(universe)["primes"]
     if found != [tt_geometry.ThickTensorIdeal(universe, frozenset())]:
         failures.append({"primes": [repr(p) for p in found]})
-    if tt_geometry.END_OF_UNIT != "Q":
+    copies = dict(unit.tensor(unit.dual()).slots).get((0, 0), 0)
+    if tt_geometry.END_OF_UNIT != ("Q" if copies == 1 else f"Q^{copies}"):
         failures.append({"end_of_unit": tt_geometry.END_OF_UNIT})
     return failures
 

@@ -52,7 +52,7 @@ def test_word_grammar():
 
 
 # (p, e) of the fields the seeded words run over; 4099 lies above the log
-# table bound, so its brackets take Pohlig-Hellman logs
+# table bound, so its brackets take baby-step giant-step logs
 _WORD_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (4099, 1)]
 
 
@@ -478,6 +478,17 @@ def test_verify_tate_fails_on_a_wrong_end_of_unit(capsys, monkeypatch):
     assert json.loads(out)["result"]["suites"]["tate"]["failures"] == [{"end_of_unit": "0"}]
 
 
+def test_verify_tate_fails_on_integral_scalars(capsys, monkeypatch):
+    """End(1) = Z, a plausible wrong answer, differs from the one copy of Q
+    that the unit's multiplicity in 1 (x) 1^dual gives."""
+    from ttspec import tt_geometry
+
+    monkeypatch.setattr(tt_geometry, "END_OF_UNIT", "Z")
+    code, out = run(capsys, "verify", "--suite", "tate", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["suites"]["tate"]["failures"] == [{"end_of_unit": "Z"}]
+
+
 @pytest.mark.parametrize("breaker", [None, _eta_order_two, _no_eta_bracket_term])
 def test_verify_tables_fails_on_a_broken_product_rule(capsys, monkeypatch, breaker):
     if breaker is not None:
@@ -774,7 +785,7 @@ def test_kmw_reduce_is_linear_in_the_word_cold():
 
 
 def test_kmw_reduce_between_table_bounds():
-    # 2^12 < 19683 = 3^9 <= 2^16: a Pohlig-Hellman solve in a fresh process
+    # 2^12 < 19683 = 3^9 <= 2^16: a baby-step giant-step solve in a fresh process
     result = _cold_json_result("kmw", "reduce", "--q", "19683", "--word", "[w^12345]")
     assert [c["coords"] for c in result["components"]] == [[12345]]
 
@@ -799,6 +810,22 @@ def test_spech_at_the_prime_bound_answers_cold_within_two_seconds():
     assert time.perf_counter() - start < 2
     assert len(result["points"]) == 41540  # 41537 odd primes, plus (eta), (2) and (eta, 2)
     assert len(result["specializations"]) == 41539
+
+
+@pytest.mark.parametrize("p,e", [(3, 12), (101, 3), (1048573, 1)])
+def test_kmw_reduce_at_the_most_giant_steps_answers_cold_within_two_seconds(p, e):
+    """The fields with the most baby and giant steps, ceil(sqrt(q - 1)) =
+    729, 1016 and 1024, each solve [2] in a fresh process: the answer c
+    of [w^(q-2)] + [2] has w^(c+1) = 2, checked by the power ladder."""
+    q = p ** e
+    start = time.perf_counter()
+    result = _cold_json_result("kmw", "reduce", "--q", str(q), "--word", f"[w^{q - 2}] + [2]")
+    assert time.perf_counter() - start < 2
+    coords = [(c["degree"], c["coords"]) for c in result["components"]]
+    c = coords[0][1][0] if coords else 0  # w = 2 at q = 1048573, so the sum is zero
+    assert coords == ([(1, [c])] if c else []) and 0 <= c < q - 1
+    field = make_field(p, e)
+    assert primitive_element(field) ** (c + 1) == field.element(2)
 
 
 def test_spc_shtop_lists_primes_past_ten_thousand_cold_within_two_seconds():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import gcd, isqrt
@@ -12,10 +13,9 @@ from ttspec.finite_field import (
     PRIME_BOUND,
     FieldElement,
     PrimePower,
+    _baby_step_giant_step,
     _log_table,
     _norm,
-    _pohlig_hellman,
-    _poly_inverse,
     _poly_mul_mod,
     discrete_log,
     is_square,
@@ -26,6 +26,8 @@ from ttspec.finite_field import (
     _poly_is_irreducible,
     _prime_factors,
     _primes_upto,
+    _trim,
+    _tuple_pow,
 )
 
 from helpers import field_elements, field_units
@@ -60,6 +62,68 @@ def _irreducible_by_trial_division(poly, p):
             if not _poly_divmod(poly, divisor, p)[1]:
                 return False
     return True
+
+
+def _poly_inverse(coeffs, modulus, p):
+    """Oracle: the inverse of a nonzero residue mod (modulus, p) by the
+    extended Euclidean algorithm: s * a = r mod modulus along the remainder
+    sequence r, which ends in a nonzero constant since the modulus is
+    irreducible."""
+    r0, r1 = modulus, _trim(coeffs)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1, p)
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(quot):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % p
+        r0, r1, s0, s1 = r1, rem, s1, s
+    scale = pow(r1[0], -1, p)
+    return tuple([c * scale % p for c in s1] + [0] * (len(modulus) - 1 - len(s1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pohlig_hellman_plan(field):
+    """Per prime power l^e exactly dividing n = q - 1: l, e, the cofactor
+    n / l^e, the CRT weight, g^-(l^i) for i < e with g = omega^cofactor,
+    and baby-step giant-step data for gamma = g^(l^(e-1)) of order l:
+    m = ceil(sqrt(l)), {gamma^j: j < m}, gamma^-m."""
+    n, modulus, p = field.q - 1, field.modulus, field.p
+    omega, plan = primitive_element(field).coeffs, []
+    for ell, e in _prime_factors(n).items():
+        cofactor = n // ell ** e
+        g = _tuple_pow(omega, cofactor, modulus, p)
+        gamma, m = _tuple_pow(g, ell ** (e - 1), modulus, p), isqrt(ell - 1) + 1
+        baby = {_tuple_pow(gamma, j, modulus, p): j for j in range(m)}
+        weight = cofactor * pow(cofactor, -1, ell ** e)
+        g_inv = [_tuple_pow(g, ell ** e - ell ** i, modulus, p) for i in range(e)]
+        plan.append((ell, e, cofactor, weight, g_inv, m, baby, _tuple_pow(gamma, ell - m, modulus, p)))
+    return plan
+
+
+def _pohlig_hellman(a):
+    """Oracle: least k in [0, q-2] with omega^k = a (Pohlig-Hellman, 1978).
+    For each prime power l^e exactly dividing q - 1, the residue of k mod
+    l^e is found digit by digit in base l, each digit by baby-step
+    giant-step in the subgroup of order l; the residues are joined by the
+    CRT."""
+    field, modulus, p = a.field, a.field.modulus, a.field.p
+    k = 0
+    for ell, e, cofactor, weight, g_inv, m, baby, giant in _pohlig_hellman_plan(field):
+        target = _tuple_pow(a.coeffs, cofactor, modulus, p)  # = g^(k mod l^e)
+        for i in range(e):
+            y = _tuple_pow(target, ell ** (e - 1 - i), modulus, p)
+            for giant_steps in range(m):
+                j = baby.get(y)
+                if j is not None:
+                    break
+                y = _poly_mul_mod(y, giant, modulus, p)
+            digit = giant_steps * m + j
+            if digit and i < e - 1:
+                target = _poly_mul_mod(target, _tuple_pow(g_inv[i], digit, modulus, p), modulus, p)
+            k += digit * ell ** i * weight
+    return k % (field.q - 1)
 
 
 def test_rejects_bad_parameters():
@@ -182,9 +246,9 @@ def _is_square_by_ladder(a):
     "p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3), (3, 5), (3, 7)]
 )
 def test_inverse_and_is_square_match_power_ladder_on_every_unit(p, e):
-    """Euclid's inverse and the norm's Euler criterion against a^(q-2) and
+    """`inverse` and the norm's Euler criterion against a^(q-2) and
     a^((q-1)/2) by the power ladder of `**` (builtin `pow` on a prime
-    field), which uses neither Euclid nor the norm."""
+    field), which does not use the norm."""
     field = make_field(p, e)
     for a in field_units(field):
         assert a.inverse() == _inverse_by_ladder(a), a
@@ -373,9 +437,12 @@ def test_generator_matches_sympy_primitive_root(p):
     "p,e", [(7, 1), (3, 2), (5, 2), (3, 3), (11, 2), (5, 3), (3, 5), (3, 7)]
 )
 def test_pohlig_hellman_matches_log_table(p, e):
+    """The Pohlig-Hellman oracle and the library's baby-step giant-step,
+    on every unit of fields below the table bound, against the table."""
     field = make_field(p, e)
     for coeffs, k in _log_table(field).items():
-        assert _pohlig_hellman(FieldElement(field, coeffs)) == k
+        a = FieldElement(field, coeffs)
+        assert _pohlig_hellman(a) == _baby_step_giant_step(a) == k, a
 
 
 @pytest.mark.parametrize(
@@ -384,12 +451,17 @@ def test_pohlig_hellman_matches_log_table(p, e):
      (1048573, 1)],
 )
 def test_discrete_log_above_table_bound(p, e):
+    """omega^k for chosen k, and seeded units against the Pohlig-Hellman
+    oracle, which shares only the power ladder with baby-step giant-step."""
     field = make_field(p, e)
     q = field.q
     omega = primitive_element(field)
     rng = random.Random(f"dlog:{q}")
     for k in [0, 1, (q - 1) // 2, q - 2] + [rng.randrange(q - 1) for _ in range(16)]:
         assert discrete_log(omega ** k) == k, (q, k)
+    for _ in range(16):
+        a = field.from_index(rng.randrange(1, q))
+        assert discrete_log(a) == _pohlig_hellman(a), a
 
 
 def _fresh_field(p, e):
@@ -441,9 +513,30 @@ def test_log_table_byte_slots_hold_every_sum():
 
 
 def test_pohlig_hellman_every_unit_of_largest_prime_below_table_bound():
+    """The oracle and baby-step giant-step against the walk."""
     field = _fresh_field(4093, 1)  # the largest prime below 2^12
     for coeffs, k in _logs_by_walk(field).items():
-        assert _pohlig_hellman(FieldElement(field, coeffs)) == k
+        a = FieldElement(field, coeffs)
+        assert _pohlig_hellman(a) == _baby_step_giant_step(a) == k, a
+
+
+def _discrete_log_sweep_fields(full=False):
+    """(p, e) of the fields above LOG_TABLE_BOUND whose every unit the sweep
+    checks: 4099, the least prime above it, then in full 6561 = 3^8 and
+    28561 = 13^4 too."""
+    return [(4099, 1)] + ([(3, 8), (13, 4)] if full else [])
+
+
+@pytest.mark.parametrize("p,e", _discrete_log_sweep_fields())
+def test_discrete_log_matches_walk_on_every_unit(p, e):
+    """Baby-step giant-step on every unit against the walk.  For 6561 and
+    28561 too: cd tests && PYTHONPATH=../src python -c "import
+    test_finite_field as t; [t.test_discrete_log_matches_walk_on_every_unit(*f)
+    for f in t._discrete_log_sweep_fields(full=True)]" """
+    field = _fresh_field(p, e)
+    for coeffs, k in _logs_by_walk(field).items():
+        assert discrete_log(FieldElement(field, coeffs)) == k, (field, coeffs)
+    assert "logs" not in field._cache
 
 
 @pytest.mark.parametrize("p,e", [(3, 8), (13, 4)])
@@ -469,19 +562,25 @@ def test_log_table_only_up_to_bound():
 
 
 # q in {3, 5, 7, 9, 25, 27, 121, 125, 243, 2187}: primes, squares and cubes of
-# primes, and F_243 and F_2187, where Euclid and the norm cost most
+# primes, and F_243 and F_2187, where the ladder and the norm cost most
 TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (11, 2), (5, 3), (3, 5), (3, 7)]
 
 
 @pytest.mark.parametrize("p,e", TABLE_FIELDS)
 def test_inverse_and_is_square_from_the_log_table_match_euclid_and_the_norm(p, e):
-    """With the table built, a = omega^k has inverse omega^-k and is a square
-    iff k is even: checked on every unit against extended Euclid and the
-    norm's Euler criterion, the paths a field without a table takes."""
+    """On every unit, the inverse against the extended Euclid oracle:
+    first a^(q-2) by the power ladder, the path of a field without a table,
+    then omega^-k for a = omega^k once the table is built.  With the
+    table, a is a square iff k is even, against the norm's Euler
+    criterion, the path a field without a table takes."""
     field = _fresh_field(p, e)
+    units = list(field_units(field))
+    euclid = [_poly_inverse(a.coeffs, field.modulus, p) for a in units]
+    assert [a.inverse().coeffs for a in units] == euclid
+    assert "logs" not in field._cache
     _log_table(field)
-    for a in field_units(field):
-        assert a.inverse().coeffs == _poly_inverse(a.coeffs, field.modulus, p), a
+    for a, inverse in zip(units, euclid):
+        assert a.inverse().coeffs == inverse, a
         assert is_square(a) == (pow(_norm(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1), a
     assert "logs" in field._cache
 
@@ -515,7 +614,7 @@ def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
 
 
 def test_table_less_paths_reduce_coefficients_out_of_canonical_form():
-    """Without a log table, `inverse`, `is_square` and Pohlig-Hellman
+    """Without a log table, `inverse`, `is_square` and baby-step giant-step
     reduce a tuple out of canonical form first: a zero written as (3,)
     raises InvalidArgument rather than a bare ValueError from `pow`, and
     (4, 5, 7) over F_27 gets the answers of its reduction (1, 2, 1)."""
@@ -530,7 +629,7 @@ def test_table_less_paths_reduce_coefficients_out_of_canonical_form():
         assert a.inverse().coeffs == _poly_inverse(reduced.coeffs, f27.modulus, 3)
         assert is_square(a) == (_norm(reduced.coeffs, f27.modulus, 3) == 1)  # Euler's criterion at p = 3
     assert "logs" not in f3._cache and "logs" not in f27._cache
-    big = _fresh_field(3, 8)  # above LOG_TABLE_BOUND: Pohlig-Hellman
+    big = _fresh_field(3, 8)  # above LOG_TABLE_BOUND: baby-step giant-step
     omega = primitive_element(big)
     for k in (1, 1000, big.q - 2):
         x = (omega ** k).coeffs

@@ -46,8 +46,11 @@ def _units(field, count, seed):
 def test_products_powers_and_inverses_match_galoistools(p, e):
     """`*` against `gf_mul` then `gf_rem` by the field's modulus, `**`
     against `gf_pow_mod`, and `inverse` against the Bezout coefficient of
-    `gf_gcdex` (s a + t m = 1 makes s the inverse of a mod m)."""
+    `gf_gcdex` (s a + t m = 1 makes s the inverse of a mod m): in a field
+    with no log table, by the power ladder a^(q-2), and in the shared
+    field, from its table where one has been built."""
     field = make_field(p, e)
+    fresh = make_field.__wrapped__(p, e)  # the same field with an empty cache, so no log table
     modulus = _gf(field.modulus)
     rng = random.Random(f"exponents:{p}^{e}")
     units = _units(field, 101, "products")
@@ -57,7 +60,9 @@ def test_products_powers_and_inverses_match_galoistools(p, e):
         assert _gf((a ** k).coeffs) == gf_pow_mod(_gf(a.coeffs), k, modulus, p, ZZ)
         s, _, gcd = gf_gcdex(_gf(a.coeffs), modulus, p, ZZ)
         assert gcd == [1]
-        assert _gf(a.inverse().coeffs) == gf_rem(s, modulus, p, ZZ)
+        ladder = FieldElement(fresh, a.coeffs).inverse()
+        assert _gf(a.inverse().coeffs) == _gf(ladder.coeffs) == gf_rem(s, modulus, p, ZZ)
+    assert "logs" not in fresh._cache
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -91,7 +96,7 @@ def test_primitive_element_is_the_least_generator(p, e):
 @pytest.mark.parametrize("p", [3, 4093, 4099, 65521, 1048573])
 def test_prime_field_discrete_log_matches_sympy(p):
     """`discrete_log` against `sympy.ntheory.discrete_log` on prime fields,
-    from the log table (p <= LOG_TABLE_BOUND) and from Pohlig-Hellman."""
+    from the log table (p <= LOG_TABLE_BOUND) and from baby-step giant-step."""
     field = make_field(p)
     omega = primitive_element(field).value
     for a in _units(field, 40, "prime logs"):

@@ -5,7 +5,7 @@
 the commands of `reach_argv`: the JSON and text golden corpora, a plain `verify`, and one
 `kmw reduce` at q = 4099, above the log-table bound, where no golden goes,
 and one `witt classify` at q = 27, a field that no other command gives a
-log table, so that its inverses take the extended Euclidean algorithm.
+log table, so that its inverses take the power ladder a^(q-2).
 A fresh process, because in the test's own one the modules are already
 imported and the lru caches already full, so code that an import or a
 cache miss runs would not run again.  The script records the code objects
@@ -71,9 +71,9 @@ def reach_argv() -> list[list[str]]:
         *([*argv, "--json"] for argv in COMMANDS.values()),
         *TEXT_COMMANDS.values(),
         ["verify"],
-        # Pohlig-Hellman discrete logs, above LOG_TABLE_BOUND
+        # baby-step giant-step discrete logs, above LOG_TABLE_BOUND
         ["kmw", "reduce", "--q", "4099", "--word", "[2]"],
-        # inverses by extended Euclid: no command above gives F_27 a log table
+        # inverses by the power ladder: no command above gives F_27 a log table
         ["witt", "classify", "--q", "27", "--form", "1,1,1"],
     ]
 

@@ -43,7 +43,6 @@ ALLOWLIST = {
     "tt_geometry.tate_line": "a constructor: the line Q(i)[m] as a TateObject",
     "tt_geometry.chromatic_label": "an input builder: the label of a chromatic point",
     "milnor_witt.KmwElement.__init__": _BUILDER,
-    "quadratic_forms.WittClass.__init__": _BUILDER,
     "graded_spectrum.HomogeneousPrime.__init__": _BUILDER,
     "graded_spectrum.ReducedElement.__init__": _BUILDER,
     "chow_motives.ChowClass.__init__": _BUILDER,
@@ -305,7 +304,6 @@ FAULTS = [
     ("witt", "finite_field.PrimePower.zero", _zero_is_one),
     ("witt", "milnor_witt.KmwElement.is_zero", _always(False)),
     ("witt", "milnor_witt.eta", _thrice_eta),
-    ("witt", "milnor_witt.from_fundamental_ideal", _first_coordinate_bumped),
     ("witt", "milnor_witt.kmw_add", _first_operand),
     ("witt", "milnor_witt.kmw_mul", _first_coordinate_bumped),
     ("witt", "milnor_witt.kmw_zero", _first_coordinate_bumped),
@@ -352,7 +350,6 @@ FAULTS = [
     ("eta", "milnor_witt.KmwElement.is_zero", _always(False)),
     ("eta", "milnor_witt.eta", _twice_eta),
     ("eta", "milnor_witt.eta", _thrice_eta),
-    ("eta", "milnor_witt.from_fundamental_ideal", _first_coordinate_bumped),
     ("eta", "milnor_witt.kmw_add", lambda right: lambda x, y: x),
     ("eta", "milnor_witt.kmw_mul", _first_coordinate_bumped),
     ("eta", "quadratic_forms.gw_class", _drop_disc),
@@ -379,19 +376,15 @@ FAULTS = [
 ]
 
 
-# broken F_q arithmetic or record equality stops the isotropy descent, or the
-# I^n membership test of `from_fundamental_ideal`, before a comparison runs;
+# broken F_q arithmetic stops the isotropy descent before a comparison runs;
 # a `kmw_add` or `is_zero` that never reaches zero stops `additive_order`
 RAISE_ONLY = {
-    "witt-_value.Value.__eq__": "InvalidArgument",
     "witt-finite_field.FieldElement.__add__": "ValueError",
     "witt-finite_field.FieldElement.__mul__": "ValueError",
     "witt-finite_field.PrimePower.from_index": "ValueError",
     "witt-finite_field.PrimePower.q": "ValueError",
     "witt-milnor_witt.KmwElement.is_zero": "TtspecError",
     "witt-milnor_witt.kmw_add": "TtspecError",
-    "witt-quadratic_forms.witt_elements": "InvalidArgument",
-    "eta-_value.Value.__eq__": "InvalidArgument",
 }
 
 
