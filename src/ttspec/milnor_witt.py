@@ -24,29 +24,24 @@ so degree 0's coordinates are `GWClass`'s (rank, disc); eta^m is <1> and
 eta^(m+1)[w] is <w> - <1>, so degree -m's are `WittClass`'s (parity, disc),
 before the fold below.  GW, W and I^n add and multiply only here.  Whether
 -1 is a square is read from `PrimePower.minus_one_is_square` by `_factors`,
-`KmwElement` and `hyperbolic_kmw`.  `_monomial` is this table for one monomial
-c * eta^i [a]^k, k <= 1:
+`KmwElement` and `hyperbolic_kmw`.
 
-  k = 0:         c * 1 (i = 0), c * eta^i (i >= 1)
-  k = 1, d = dlog(a):
-    i = 0:       c*d * [w]
-    i = 1:       c*d * eta[w]
-    i >= 2:      c*d * eta^i[w]
-
-Each row is a multiple of one generator, so `_monomial` gives its degree,
-the coordinate it lands in and the multiple.  `reduce_word` adds the rows
-of a formal word's monomials (a `SymbolWord`, built by `word`) straight
-into per-degree coordinates; `verify --suite tables` checks it against
-Morel's fiber product.  The `kmw reduce` parser builds no formal word: it
-evaluates each factor with `kmw_one`, `eta`, `hyperbolic_kmw` or `symbol`
-and folds them with `kmw_mul` and `kmw_add`.  `kmw_mul`
-writes each factor as at most two generator terms c * eta^i [w]^k,
-multiplies them pairwise (eta powers and bracket counts add, so
-[w]*[w] = 0), and adds their rows with d = 1.  `KmwElement` reduces its
-coordinates by the degree's invariant factors, read off the table: mod
-q - 1 in degree 1, the second mod 2 in degree 0, none above 1, and below
-0 both mod 2 when -1 is a square; otherwise it folds eta^(m+1)[w] =
-2 eta^m into the first and keeps that mod 4.
+Products use (plain, bracket) coordinates: in degree n <= 0, x = p *
+eta^(-n) + b * eta^(1-n)[w]; in degree 1, x = b * [w], with p = 0.  Since
+eta is central and [w][w] = 0, `kmw_mul` gives the product the plain
+coordinate p_x * p_y and the bracket coordinate p_x * b_y + b_x * p_y, the
+only one in degree 1.  `reduce_word` evaluates a formal word (a
+`SymbolWord`, built by `word`) as the `kmw reduce` parser evaluates its
+text: each monomial c * eta^i [a] is `eta` (or `kmw_one`) times `symbol`
+under `kmw_mul`, scaled by c, and the monomials of one degree are summed
+with `kmw_add`.  A monomial with c = 0 or with two or more brackets is 0
+and is skipped.  Every factor and partial product of every monomial must
+lie in the degree window, as in the parser, and `verify --suite tables`
+checks the result against Morel's fiber product.  `KmwElement`
+reduces its coordinates by the degree's invariant factors: mod q - 1 in
+degree 1, the second mod 2 in degree 0, none above 1, and below 0 both
+mod 2 when -1 is a square; otherwise it folds eta^(m+1)[w] = 2 eta^m into
+the first and keeps that mod 4.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ from __future__ import annotations
 from ._value import Value
 from .errors import InvalidArgument
 from .finite_field import FieldElement, PrimePower, discrete_log, primitive_element
-from .quadratic_forms import WittClass, fundamental_ideal_power
 
 DEGREE_BOUND = 64
 
@@ -128,7 +122,7 @@ class KmwElement(Value):
         return not any(self.coords)
 
     def __rmul__(self, scalar: int):
-        return KmwElement(self.field, self.degree, tuple(scalar * c for c in self.coords))
+        return KmwElement(self.field, self.degree, [scalar * c for c in self.coords])
 
 
 def kmw_zero(field: PrimePower, n: int) -> KmwElement:
@@ -190,36 +184,27 @@ def word(field: PrimePower, *terms) -> SymbolWord:
     return SymbolWord(field, tuple(built))
 
 
-def _monomial(c: int, i: int, bracket: int, d: int = 1) -> tuple[int, int, int]:
-    """(degree, coordinate index, multiple) of c * eta^i, or of
-    c * eta^i [a] with d = dlog(a) when `bracket` is 1."""
-    if not bracket:
-        return -i, 0, c
-    return 1 - i, 1 if i else 0, c * d
-
-
 def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
-    """Reduce a formal word to canonical coordinates, one element per degree.
+    """Reduce a formal word to canonical coordinates, one element per degree,
+    with the operations of the `kmw reduce` parser.
 
     Only degrees with a nonzero result appear in the output map.
     """
     field = w.field
-    acc: dict[int, list[int]] = {}  # KmwElement keeps as many as K^MW_n has factors
+    sums: dict[int, KmwElement] = {}
     for coeff, i, entries in w.terms:
         if coeff == 0 or len(entries) >= 2:
-            continue  # a double bracket lies in K^MW_2 = 0 and kills the monomial
-        d = discrete_log(entries[0]) if entries else 1
-        degree, idx, c = _monomial(coeff, i, len(entries), d)
-        cur = acc.get(degree)
-        if cur is None:
-            cur = acc[degree] = [0, 0]
-        cur[idx] += c
-    out = {}
-    for degree, coords in acc.items():
-        el = KmwElement(field, degree, coords)
-        if not el.is_zero():
-            out[degree] = el
-    return out
+            # the monomial is 0, as [a][b] lies in K^MW_2 = 0; the parser would
+            # still refuse eta^i or a partial product outside the window
+            _check_degree(-i)
+            _check_degree(len(entries) - i)
+            continue
+        x = eta(field, i) if i else kmw_one(field)
+        for a in entries:
+            x = kmw_mul(x, symbol(a))
+        x = coeff * x
+        sums[x.degree] = kmw_add(sums[x.degree], x) if x.degree in sums else x
+    return {n: x for n, x in sums.items() if not x.is_zero()}
 
 
 def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
@@ -227,35 +212,28 @@ def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
         raise InvalidArgument("elements over different fields")
     if x.degree != y.degree:
         raise InvalidArgument(f"degrees {x.degree} and {y.degree}")
-    return KmwElement(x.field, x.degree, tuple(a + b for a, b in zip(x.coords, y.coords)))
+    return KmwElement(x.field, x.degree, [a + b for a, b in zip(x.coords, y.coords)])
 
 
-def _generator_terms(x: KmwElement) -> tuple[tuple[int, int, int], ...]:
-    """x as at most two terms (coefficient, eta power, bracket count)."""
-    n, c = x.degree, x.coords
-    if n >= 2:
-        return ()
-    if n == 1:
-        return ((c[0], 0, 1),)
-    if n == 0:
-        return ((c[0], 0, 0), (c[1], 1, 1))
-    if len(c) == 1:
-        return ((c[0], -n, 0),)
-    return ((c[0], -n, 0), (c[1], 1 - n, 1))
+def _plain_bracket(x: KmwElement) -> tuple[int, int]:
+    """x's (plain, bracket) coordinates; both 0 above degree 1."""
+    c = x.coords
+    if len(c) == 2:
+        return c
+    if x.degree == 1:
+        return 0, c[0]
+    return (c[0], 0) if c else (0, 0)
 
 
 def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     field = x.field
     if field is not y.field and field != y.field:
         raise InvalidArgument("elements over different fields")
-    acc = [0, 0]  # KmwElement keeps as many coordinates as K^MW_n has factors
-    for c1, i1, b1 in _generator_terms(x):
-        if c1:
-            for c2, i2, b2 in _generator_terms(y):
-                if c2 and b1 + b2 < 2:
-                    _, idx, c = _monomial(c1 * c2, i1 + i2, b1 + b2)
-                    acc[idx] += c
-    return KmwElement(field, x.degree + y.degree, acc)
+    degree = x.degree + y.degree
+    px, bx = _plain_bracket(x)
+    py, by = _plain_bracket(y)
+    bracket = px * by + bx * py
+    return KmwElement(field, degree, (bracket,) if degree == 1 else (px * py, bracket))
 
 
 class MilnorKElement(Value):
@@ -299,18 +277,18 @@ def to_milnor(x: KmwElement) -> MilnorKElement:
     return MilnorKElement(field, x.degree, None)
 
 
-def from_fundamental_ideal(field: PrimePower, n: int, w: WittClass) -> KmwElement:
+def from_fundamental_ideal(field: PrimePower, n: int, w: Value) -> KmwElement:
     """The composite of the Pfister-form identification I^(n+1) ~ K^W_(n+1)
     with multiplication by eta, landing in K^MW_n.
 
-    w is parity*<1> + disc*(<w> - <1>) (see `WittClass`), and <a> =
-    1 + eta[a] in K^MW_0, so w maps to parity*eta^(-n) + disc*eta^(1-n)[w]
-    for n < 0.  For n = 0 only I = {0, <1,-w>} is accepted, and <1,-w> maps
+    w is a class of W(F_q) with a `parity` and a `disc` bit, the class
+    parity*<1> + disc*(<w> - <1>) (see `quadratic_forms.WittClass`), and
+    <a> = 1 + eta[a] in K^MW_0, so w maps to parity*eta^(-n) +
+    disc*eta^(1-n)[w] for n < 0, where I^(n+1) is all of W.  For n = 0 only
+    I = {0, <1,-w>}, the classes of parity 0, is accepted, and <1,-w> maps
     to eta[w].  For n >= 1, I^(n+1) = 0.
     """
     _check_degree(n)
-    if w not in fundamental_ideal_power(field, max(n + 1, 0))["members"]:
+    if n >= 0 and (w.parity or n >= 1 and w.disc):
         raise InvalidArgument(f"class not in I^{n + 1}")
-    if n >= 1:
-        return kmw_zero(field, n)
     return KmwElement(field, n, (w.parity, w.disc))

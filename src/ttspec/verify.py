@@ -155,7 +155,7 @@ def _suite_tables():
                 if to_model(z.degree, z.coords) != times(n1, to_model(n1, x.coords), n2, to_model(n2, y.coords)):
                     failures.append({"q": q, "product": [n1, list(x.coords), n2, list(y.coords)]})
         brackets = [(d, [omega ** d], (pfister[d], milnor(1, (d,)))) for d in range(q - 1)]  # [w^d]
-        for c, i in itertools.product((1, -3), range(3)):  # i = 0, 1 and 2 are the rows of `_monomial`
+        for c, i in itertools.product((1, -3), range(3)):  # i = 0, 1 and 2 put eta^i [w^d] in degrees 1, 0 and -1
             image = (scale(c, one), milnor(0, (c,)))
             if i:  # eta^i -> (<1>, 0)
                 image = times(0, image, -i, (one, ()))

@@ -881,6 +881,8 @@ print(json.dumps([loaded, sorted(sys.modules)]))
 
 _COMMAND_MODULES = [
     (["gw", "--q", "3"], {"ttspec.quadratic_forms"}),
+    (["kmw", "reduce", "--q", "7", "--word", "eta[2] + h"], {"ttspec.milnor_witt"}),
+    (["milnor", "--q", "5", "--n", "1"], {"ttspec.milnor_witt"}),
     (["spech", "--q", "3"], {"ttspec.graded_spectrum"}),
     (["spc", "sh-top", "--primes", "3"], {"ttspec.tt_geometry"}),
     (["motive", "hom", "--space", "P2xP1", "--target-space", "P1"], {"ttspec.chow_motives"}),

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ttspec.cli import parse_word
 from ttspec.errors import InvalidArgument
 from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
@@ -235,16 +240,142 @@ def _bounded_elements(field, n):
     return [mw.KmwElement(field, n, coords) for coords in itertools.product(*ranges)]
 
 
+# The rules that `kmw_mul` and `reduce_word` replaced, kept as oracles: the
+# per-monomial table, the product of generator terms read off it, and word
+# reduction by adding table rows straight into coordinates.
+
+
+def _monomial(c, i, bracket, d=1):
+    """Oracle: (degree, coordinate index, multiple) of c * eta^i, or of
+    c * eta^i [a] with d = dlog(a) when `bracket` is 1."""
+    if not bracket:
+        return -i, 0, c
+    return 1 - i, 1 if i else 0, c * d
+
+
+def _generator_terms(x):
+    """Oracle: x as at most two terms (coefficient, eta power, bracket count)."""
+    n, c = x.degree, x.coords
+    if n >= 2:
+        return ()
+    if n == 1:
+        return ((c[0], 0, 1),)
+    if n == 0:
+        return ((c[0], 0, 0), (c[1], 1, 1))
+    if len(c) == 1:
+        return ((c[0], -n, 0),)
+    return ((c[0], -n, 0), (c[1], 1 - n, 1))
+
+
+def _generator_term_product(x, y):
+    """Oracle: the pairwise products of the generator terms, where eta
+    powers and bracket counts add and [w][w] = 0, summed by table row."""
+    acc = [0, 0]
+    for c1, i1, b1 in _generator_terms(x):
+        for c2, i2, b2 in _generator_terms(y):
+            if b1 + b2 < 2:
+                _, idx, c = _monomial(c1 * c2, i1 + i2, b1 + b2)
+                acc[idx] += c
+    return mw.KmwElement(x.field, x.degree + y.degree, acc)
+
+
+def _table_reduce_word(w):
+    """Oracle: the table row of each monomial with at most one bracket,
+    added into per-degree coordinates; two brackets kill a monomial."""
+    acc = {}
+    for coeff, i, entries in w.terms:
+        if coeff and len(entries) < 2:
+            d = discrete_log(entries[0]) if entries else 1
+            degree, idx, c = _monomial(coeff, i, len(entries), d)
+            acc.setdefault(degree, [0, 0])[idx] += c
+    reduced = {n: mw.KmwElement(w.field, n, coords) for n, coords in acc.items()}
+    return {n: x for n, x in reduced.items() if not x.is_zero()}
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)])
 def test_kmw_mul_matches_word_route(p, e):
     """Coordinate products against expanding both factors into words,
-    multiplying the words and reducing the product."""
+    multiplying the words formally and reducing the product by the
+    monomial table, which shares no code with `kmw_mul`."""
     field = make_field(p, e)
     elements = [x for n in range(-4, 3) for x in _bounded_elements(field, n)]
     for x, y in itertools.product(elements, repeat=2):
         degree = x.degree + y.degree
-        want = mw.reduce_word(word_product(_to_word(x), _to_word(y))).get(degree, mw.kmw_zero(field, degree))
+        want = _table_reduce_word(word_product(_to_word(x), _to_word(y))).get(degree, mw.kmw_zero(field, degree))
         assert mw.kmw_mul(x, y) == want, (x, y)
+
+
+def _product_grid_fields(full=False):
+    """(p, e) of the fields of the `kmw_mul` oracle grid: q in {3, 5, 7, 9,
+    13, 25, 27}, and 11 too in full."""
+    fields = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)]
+    return fields + [(11, 1)] if full else fields
+
+
+@pytest.mark.parametrize("p,e", _product_grid_fields())
+def test_kmw_mul_matches_generator_term_product(p, e, full=False):
+    """`kmw_mul` on (plain, bracket) coordinates against the product of
+    generator terms, on every pair of elements built from coordinates
+    (a, b) in degrees -4..2: a in -2..2 and b in -1..1, or in full a in
+    -5..5 and b in -3..3, 2,324,168 products over the eight fields: cd tests
+    && PYTHONPATH=../src python -c "import test_milnor_witt as t;
+    [t.test_kmw_mul_matches_generator_term_product(*f, full=True) for f in
+    t._product_grid_fields(full=True)]" """
+    field = make_field(p, e)
+    a_range, b_range = (range(-5, 6), range(-3, 4)) if full else (range(-2, 3), range(-1, 2))
+    elements = [mw.KmwElement(field, n, coords)
+                for n in range(-4, 3) for coords in itertools.product(a_range, b_range)]
+    for x, y in itertools.product(elements, repeat=2):
+        assert mw.kmw_mul(x, y) == _generator_term_product(x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)])
+def test_reduce_word_matches_monomial_table(p, e):
+    """`reduce_word`, which evaluates each nonzero monomial with `eta`,
+    `symbol`, `kmw_mul` and `kmw_add`, against the monomial table on seeded
+    words with up to three brackets per monomial."""
+    field = make_field(p, e)
+    rng = random.Random(f"reduce_word:{p}^{e}")
+    units = list(field_units(field))
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            entries = [rng.choice(units) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+            terms.append((rng.randint(-4, 4), rng.randint(0, 6), entries))
+        w = mw.word(field, *terms)
+        assert mw.reduce_word(w) == _table_reduce_word(w), terms
+
+
+@pytest.mark.parametrize("i,k", [*itertools.product([64, 65, 66], range(3)), (0, 64), (0, 65), (1, 65), (1, 66)])
+@pytest.mark.parametrize("coeff", [1, 0])
+def test_reduce_word_and_parser_share_the_degree_window(coeff, i, k):
+    """A word of one monomial, c eta^i times k brackets, and its text are
+    accepted and refused alike: eta^i and every partial product must lie
+    in [-DEGREE_BOUND, DEGREE_BOUND], even where the whole product lands
+    back inside it or is 0 for its coefficient or its brackets."""
+    field = make_field(7)
+    entries = [2 + j % 4 for j in range(k)]
+    text = " ".join([str(coeff), f"eta^{i}", *(f"[{a}]" for a in entries)])
+    outcomes = []
+    for evaluate in (lambda: mw.reduce_word(mw.word(field, (coeff, i, entries))), lambda: parse_word(field, text)):
+        try:
+            outcomes.append(evaluate())
+        except InvalidArgument as exc:
+            assert "outside supported window" in str(exc)
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is not None) == (i <= mw.DEGREE_BOUND and k - i <= mw.DEGREE_BOUND)
+
+
+def test_import_leaves_quadratic_forms_unloaded():
+    """K^MW is built from F_q alone: importing `milnor_witt` in a fresh
+    process loads no `quadratic_forms`."""
+    src = str(Path(mw.__file__).resolve().parents[1])
+    code = "import sys, ttspec.milnor_witt; print('ttspec.quadratic_forms' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------- exact sequence
@@ -266,6 +397,21 @@ def test_from_fundamental_ideal_membership():
     pfister = qf.witt_class(qf.diagonal(field, [1, -2]))  # <1,-w> over F_3
     assert pfister != qf.WittClass(field, 0, 0)
     assert mw.from_fundamental_ideal(field, 0, pfister) == mw.KmwElement(field, 0, (0, 1))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_from_fundamental_ideal_accepts_exactly_the_ideal_power(q):
+    """The membership rule on (parity, disc) against the member lists of
+    `fundamental_ideal_power`: every class of W in degrees -3..3."""
+    field = _field(q)
+    for n in range(-3, 4):
+        members = qf.fundamental_ideal_power(field, max(n + 1, 0))["members"]
+        for w_cls in qf.witt_elements(field):
+            if w_cls in members:
+                assert mw.from_fundamental_ideal(field, n, w_cls) == mw.KmwElement(field, n, (w_cls.parity, w_cls.disc))
+            else:
+                with pytest.raises(InvalidArgument, match=f"class not in I\\^{n + 1}"):
+                    mw.from_fundamental_ideal(field, n, w_cls)
 
 
 # ------------------------------------------------------------------- milnor

@@ -132,7 +132,8 @@ VERIFY_ONLY = {
     "milnor_witt.py:from_fundamental_ideal": _SES,
     "milnor_witt.py:kmw_zero": _SES,
     "milnor_witt.py:omega_symbol": _LIB_WARM,
-    "milnor_witt.py:reduce_word": _LIB_WARM,
+    "milnor_witt.py:reduce_word": _LIB_WARM + "; it folds each monomial with `eta`, `symbol`, `kmw_mul` "
+    "and `kmw_add`, the operations of the `kmw reduce` parser",
     "milnor_witt.py:to_milnor": _SES,
     "milnor_witt.py:word": _LIB_WARM,
     "quadratic_forms.py:witt_class": _LIB_WARM,
