@@ -38,7 +38,7 @@ def chow_mul(a, b):
 
 def degree(a):
     """Coefficient of the top monomial (the class of a point)."""
-    return a.coeffs().get(a.space.dims, 0)
+    return dict(a.terms).get(a.space.dims, 0)
 
 
 def pullback(a, product, positions):
@@ -287,7 +287,7 @@ def test_composition_associative_unital():
     samples.append(
         cm.Correspondence(
             space, space, 0,
-            cm.monomial_class(product, (0, 2)) + cm.monomial_class(product, (1, 1), 2),
+            cm.ChowClass.from_dict(product, {(0, 2): 1, (1, 1): 2}),
         )
     )
     for f, g, h in itertools.product(samples, repeat=3):
@@ -323,6 +323,63 @@ def test_compose_space_mismatch():
     b = cm.identity_correspondence(P2)
     with pytest.raises(InvalidArgument):
         cm.compose(b, a)
+
+
+def test_correspondence_refuses_a_class_on_the_wrong_space():
+    """The space check compares dimension tuples, and names both spaces."""
+    cases = [
+        (P1, P1, cm.monomial_class(P1xP1.times(P1), (1, 0, 0)), "P1xP1xP1", "P1xP1"),
+        (P2, P1, cm.monomial_class(P1.times(P2), (1, 1)), "P1xP2", "P2xP1"),
+        (cm.POINT, cm.POINT, cm.monomial_class(P1, (0,)), "P1", "pt"),
+    ]
+    for source, target, cls, lives, expected in cases:
+        with pytest.raises(InvalidArgument, match=rf"^class lives on {lives}, expected {expected}$"):
+            cm.Correspondence(source, target, 0, cls)
+
+
+# two idempotents of P1xP1 that are not sums of Kunneth projectors
+_NON_KUNNETH = [
+    cm.Correspondence(P1xP1, P1xP1, 0, cm.ChowClass.from_dict(P1xP1.times(P1xP1), terms)) for terms in (
+        {(0, 0, 1, 1): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1},
+        {(0, 0, 1, 1): 1, (0, 1, 0, 1): -2, (0, 1, 1, 0): -1, (1, 0, 0, 1): 2, (1, 0, 1, 0): 1},
+    )
+]
+
+
+def _canonical(cls):
+    """cls is what `ChowClass.from_dict` makes of its own terms: sorted,
+    nonzero, one term per monomial, each within the truncation."""
+    return cls == cm.ChowClass.from_dict(cls.space, dict(cls.terms))
+
+
+def test_derived_classes_are_canonical():
+    """`identity_correspondence`, `motive_decompose`, `compose` and
+    `hom_group` build their classes without `from_dict`.  Over every pair of
+    spaces from pt to P2xP1xP1, twists -1..2 on each side, each identity or
+    Kunneth projector of X meets a projector of Y in turn; every hom basis
+    class is also composed, as a correspondence X -> Y, with both.  P1xP1
+    adds the two idempotents of `_NON_KUNNETH`, whose negative coefficients
+    cancel in products."""
+    spaces = [cm.parse_space(t) for t in ("pt", "P1", "P2", "P1xP1", "P2xP1", "P1xP1xP1", "P2xP1xP1")]
+    projectors = {}
+    for x in spaces:
+        projectors[x] = [cm.identity_correspondence(x), *(m.projector for m, _ in cm.motive_decompose(x))]
+        assert all(_canonical(p.cls) for p in projectors[x]), x
+        if x == P1xP1:
+            projectors[x] += _NON_KUNNETH
+        for a, b in itertools.product(projectors[x], repeat=2):
+            assert _canonical(cm.compose(b, a).cls), (a, b)
+    homs = 0
+    for x, y in itertools.product(spaces, repeat=2):
+        for twist, target_twist in itertools.product(range(-1, 3), repeat=2):
+            for p, q in zip(projectors[x], itertools.cycle(projectors[y])):
+                hom = cm.hom_group(cm.Motive(x, p, twist), cm.Motive(y, q, target_twist))
+                for cls in hom["basis"]:
+                    assert _canonical(cls), (p, q, cls)
+                    alpha = cm.Correspondence(x, y, target_twist - twist, cls)
+                    assert _canonical(cm.compose(q, cm.compose(alpha, p)).cls), (p, q, cls)
+                    homs += 1
+    assert homs == 4792
 
 
 def _random_class(rng, space, codim, picks, extra=()):
@@ -397,25 +454,27 @@ def test_decompose_orthogonal_complete():
     for dims in ((1,), (2,), (1, 1)):
         space = cm.ProjSpaceProduct(dims)
         parts = cm.motive_decompose(space)
-        total = None
+        total = {}
         for m, _ in parts:
-            total = m.projector if total is None else cm.Correspondence(
-                space, space, 0, total.cls + m.projector.cls
-            )
+            for mono, c in m.projector.cls.terms:
+                total[mono] = total.get(mono, 0) + c
             assert cm.compose(m.projector, m.projector) == m.projector
-        assert total == cm.identity_correspondence(space)
+        total = cm.ChowClass.from_dict(space.times(space), total)
+        assert cm.Correspondence(space, space, 0, total) == cm.identity_correspondence(space)
         for (m1, _), (m2, _) in itertools.combinations(parts, 2):
             assert not cm.compose(m1.projector, m2.projector).cls.terms
 
 
 def test_decompose_check_fails_without_one_projector(monkeypatch):
     """`verify --suite motives` checks that the projectors sum to the diagonal."""
-    real = cm.monomial_class
+    real = cm.motive_decompose
 
-    def dropping(space, mono, coeff=1):  # the projector h1 (x) 1 becomes zero
-        return real(space, mono, 0 if mono == (1, 0) else coeff)
+    def dropping(space):  # the projector h1 (x) 1 of P1 becomes zero
+        zero = cm.Correspondence(space, space, 0, cm.ChowClass(space.times(space), ()))
+        return [(cm.Motive(space, zero, 0), w) if m.projector.cls.terms == (((1, 0), 1),) else (m, w)
+                for m, w in real(space)]
 
-    monkeypatch.setattr(cm, "monomial_class", dropping)
+    monkeypatch.setattr(cm, "motive_decompose", dropping)
     assert {"space": "P1", "fact": "projectors sum to the diagonal"} in verify._suite_motives()
 
 
@@ -487,12 +546,7 @@ def test_hom_group_matches_dense_compression():
     of Y in turn."""
     spaces = [cm.ProjSpaceProduct(d) for k in range(3) for d in itertools.product(range(3), repeat=k)]
     projectors = {x: _projectors(x) for x in spaces}
-    for terms in (
-        {(0, 0, 1, 1): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1},
-        {(0, 0, 1, 1): 1, (0, 1, 0, 1): -2, (0, 1, 1, 0): -1, (1, 0, 0, 1): 2, (1, 0, 1, 0): 1},
-    ):
-        cls = cm.ChowClass.from_dict(P1xP1.times(P1xP1), terms)
-        projectors[P1xP1].append(cm.Correspondence(P1xP1, P1xP1, 0, cls))
+    projectors[P1xP1] += _NON_KUNNETH
     turn, ranks = 0, set()
     for x, y in itertools.product(spaces, repeat=2):
         for p in projectors[x]:

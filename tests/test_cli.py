@@ -347,7 +347,8 @@ def _wrong_decomposition(fault):
         if space.dims != (1, 1):
             return parts
         (m, w), rest = parts[0], parts[1:]
-        doubled = cm.Correspondence(space, space, 0, m.projector.cls + m.projector.cls)
+        twice = {mono: 2 * c for mono, c in m.projector.cls.terms}
+        doubled = cm.Correspondence(space, space, 0, cm.ChowClass.from_dict(m.projector.cls.space, twice))
         if fault == "weight":
             first = m, w + 1
         elif fault == "identity":  # idempotent, but the sum is not the diagonal

@@ -458,13 +458,17 @@ def test_negative_degrees_are_witt_groups(q):
 
 def _eta_surjective_by_subgroup(field, n):
     """Oracle: is eta * - : K^MW_n -> K^MW_(n-1) onto?  Generates the
-    image of eta inside the finite target."""
+    image of eta by breadth-first search.  The image of a homomorphism has
+    at most |source| elements, so with a finite source the search fails
+    once it holds more; otherwise it is capped at |target|.  One of the
+    two is finite in every degree."""
     tgt = mw.kmw_group(field, n - 1)
     if _order(tgt) == 1:
         return True
     src = mw.kmw_group(field, n)
     if not src.invariant_factors:
         return False
+    bound = _order(src) or _order(tgt)
     gen_images = []
     for idx in range(len(src.invariant_factors)):
         coords = tuple(int(j == idx) for j in range(len(src.invariant_factors)))
@@ -480,6 +484,7 @@ def _eta_surjective_by_subgroup(field, n):
                 if y.coords not in reached:
                     reached.add(y.coords)
                     new.append(y)
+            assert len(reached) <= bound, f"the image of eta in degree {n} outgrows {bound} elements"
         frontier = new
     return len(reached) == _order(tgt)
 
