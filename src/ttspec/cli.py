@@ -215,7 +215,7 @@ def cmd_witt_classify(args):
     form = quadratic_forms.diagonal(field, entries)
     h, kernel = quadratic_forms.witt_decompose(form)
     cls = quadratic_forms.kernel_class(kernel)
-    gwc = quadratic_forms.gw_class(form)
+    rank, disc = quadratic_forms.gw_class(form).coords
     return {
         "q": args.q,
         "form": entries,
@@ -224,23 +224,21 @@ def cmd_witt_classify(args):
         "hyperbolic_planes": h,
         "anisotropic_kernel": [a.value for a in kernel.entries],
         "witt_class": [a.value for a in cls.anisotropic_kernel.entries],
-        "gw_class": {"rank": gwc.rank, "disc": gwc.disc},
+        "gw_class": {"rank": rank, "disc": disc},
     }
 
 
 def cmd_gw(args):
-    from . import quadratic_forms
+    from . import milnor_witt, quadratic_forms
     field = _field_for(args.q)
     witt = quadratic_forms.witt_ring_structure(field)
-    h = quadratic_forms.hyperbolic_class(field)
+    rank, disc = milnor_witt.hyperbolic_kmw(field).coords
     return {
         "q": args.q,
         "gw": "Z (+) Z/2 as (rank, disc)",
         "witt": witt,
-        "hyperbolic": {"rank": h.rank, "disc": h.disc},
-        "fundamental_ideal_orders": {
-            n: quadratic_forms.fundamental_ideal_power(field, n)["order"] for n in range(4)
-        },
+        "hyperbolic": {"rank": rank, "disc": disc},
+        "fundamental_ideal_orders": {n: quadratic_forms.fundamental_ideal_order(n) for n in range(4)},
     }
 
 

@@ -20,9 +20,10 @@ defining relations plus the degree-2 vanishing, and checked by `verify
     eta^(j)[w] = 2 * eta^(j-1) when -1 is not a square (q = 3 mod 4).
 
 Degree 0 is GW(F_q) and degree -m < 0 is W(F_q) (Morel): 1 + eta[a] is <a>,
-so degree 0's coordinates are `GWClass`'s (rank, disc); eta^m is <1> and
-eta^(m+1)[w] is <w> - <1>, so degree -m's are `WittClass`'s (parity, disc),
-before the fold below.  GW, W and I^n add and multiply only here.  Whether
+so degree 0's coordinates are a form's (rank, disc), and GW's elements are
+these (`quadratic_forms.gw_class`); eta^m is <1> and eta^(m+1)[w] is
+<w> - <1>, so degree -m's are a Witt class's (parity, disc), before the fold
+below.  GW, W and I^n add and multiply only here.  Whether
 -1 is a square is read from `PrimePower.minus_one_is_square` by `_factors`,
 `KmwElement` and `hyperbolic_kmw`.
 
@@ -277,18 +278,17 @@ def to_milnor(x: KmwElement) -> MilnorKElement:
     return MilnorKElement(field, x.degree, None)
 
 
-def from_fundamental_ideal(field: PrimePower, n: int, w: Value) -> KmwElement:
+def from_fundamental_ideal(field: PrimePower, n: int, parity: int, disc: int) -> KmwElement:
     """The composite of the Pfister-form identification I^(n+1) ~ K^W_(n+1)
     with multiplication by eta, landing in K^MW_n.
 
-    w is a class of W(F_q) with a `parity` and a `disc` bit, the class
-    parity*<1> + disc*(<w> - <1>) (see `quadratic_forms.WittClass`), and
-    <a> = 1 + eta[a] in K^MW_0, so w maps to parity*eta^(-n) +
-    disc*eta^(1-n)[w] for n < 0, where I^(n+1) is all of W.  For n = 0 only
-    I = {0, <1,-w>}, the classes of parity 0, is accepted, and <1,-w> maps
-    to eta[w].  For n >= 1, I^(n+1) = 0.
+    (parity, disc) are the bits of the class parity*<1> + disc*(<w> - <1>)
+    of W(F_q), and <a> = 1 + eta[a] in K^MW_0, so the class maps to
+    parity*eta^(-n) + disc*eta^(1-n)[w] for n < 0, where I^(n+1) is all of
+    W.  For n = 0 only I = {0, <1,-w>}, the classes of parity 0, is
+    accepted, and <1,-w> maps to eta[w].  For n >= 1, I^(n+1) = 0.
     """
     _check_degree(n)
-    if n >= 0 and (w.parity or n >= 1 and w.disc):
+    if n >= 0 and (parity or n >= 1 and disc):
         raise InvalidArgument(f"class not in I^{n + 1}")
-    return KmwElement(field, n, (w.parity, w.disc))
+    return KmwElement(field, n, (parity, disc))

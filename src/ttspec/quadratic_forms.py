@@ -1,15 +1,16 @@
-"""Quadratic forms over F_q: Witt decomposition by isotropy descent, and
-the rings W(F_q) and GW(F_q) with the fundamental ideal filtration.
+"""Quadratic forms over F_q: Witt decomposition by isotropy descent, and a
+form's invariants read into K^MW (Morel; Lam, Ch. II).
 
 Forms are diagonal, <a_1, ..., a_n>, and so is every form the descent
-builds.  Both rings are stored by invariants (Lam, Ch. II).  GW(F_q) is
-Z (+) Z/2 as (rank, discriminant square class).  A class of W(F_q) =
-GW/(h) is keyed by the rank parity of its forms and the square class of
-their signed discriminant (-1)^(r(r-1)/2) det: adding h = <1,-1> changes
-neither, and the four keys name the four classes.  `GWClass` and
-`WittClass` record invariants; their sums and products are K^MW's (Morel).
-The canonical kernel of a class, <>, <1>, <w> or <1,-w> for the fixed
-generator w of F_q^*, is built only to be printed.
+builds.  GW(F_q) is K^MW_0: as <a> = 1 + eta[a], `gw_class` returns the
+degree-0 `KmwElement` with coordinates (rank, discriminant square class).
+W(F_q) = GW/(h) is K^MW_-n, n > 0, keyed by the rank parity of its forms and
+the square class of their signed discriminant (-1)^(r(r-1)/2) det: adding
+h = <1,-1> changes neither, and the four keys name the four classes.
+`WittClass` keeps that key only as W's printable record, whose canonical
+kernel <>, <1>, <w> or <1,-w> (w the fixed generator of F_q^*) is built only
+to be printed.  The orders |I^n| of the fundamental ideal's powers are a
+closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .finite_field import (
     primitive_element,
     square_class,
 )
+from .milnor_witt import KmwElement
 
 # exhaustive isotropy search is used up to this cardinality; beyond it the
 # rank >= 3 theorem (re-verified exhaustively in the tests) is applied
@@ -181,20 +183,15 @@ def kernel_class(f: DiagonalForm) -> WittClass:
     """The Witt class of f from its invariants: the rank parity, and the
     discriminant times (-1)^(r(r-1)/2), a nonsquare iff r = 2 or 3 mod 4
     and -1 is not a square."""
-    g = gw_class(f)
-    sign = bool(g.rank & 2) and not f.field.minus_one_is_square
-    return WittClass(f.field, g.rank, g.disc ^ sign)
+    rank, disc = gw_class(f).coords
+    sign = bool(rank & 2) and not f.field.minus_one_is_square
+    return WittClass(f.field, rank, disc ^ sign)
 
 
 def witt_class(f: DiagonalForm) -> WittClass:
     """The class of f's anisotropic kernel.  `kernel_class(f)` is the same
     class without the descent, and replaces it in ROADMAP item 3."""
     return kernel_class(witt_decompose(f)[1])
-
-
-def witt_elements(field: PrimePower) -> list[WittClass]:
-    """The four elements of W(F_q): 0, <1>, <w>, <1,-w>."""
-    return [WittClass(field, parity, disc) for parity, disc in ((0, 0), (1, 0), (1, 1), (0, 1))]
 
 
 def witt_ring_structure(field: PrimePower) -> dict:
@@ -217,52 +214,25 @@ def witt_ring_structure(field: PrimePower) -> dict:
     }
 
 
-class GWClass(Value):
-    """Element of GW(F_q) ~= Z (+) Z/2 as (virtual rank, discriminant bit),
-    the coordinates of K^MW_0, whose sums and products are GW's."""
-
-    __slots__ = ("field", "rank", "disc")
-
-    def __init__(self, field: PrimePower, rank: int, disc: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "disc", disc % 2)
-
-
-def gw_class(f: DiagonalForm) -> GWClass:
+def gw_class(f: DiagonalForm) -> KmwElement:
+    """The class of f in GW(F_q) = K^MW_0: (rank, discriminant square class)."""
     disc = 0
     for a in f.entries:
         disc ^= square_class(a)
-    return GWClass(f.field, f.rank, disc)
+    return KmwElement(f.field, 0, (f.rank, disc))
 
 
-def hyperbolic_class(field: PrimePower) -> GWClass:
-    """h = <1,-1>: rank 2, and a square discriminant iff -1 is a square."""
-    return GWClass(field, 2, int(not field.minus_one_is_square))
+def fundamental_ideal_order(n: int) -> int:
+    """The order of I^n in W(F_q), the same for every odd q.
 
-
-def fundamental_ideal_power(field: PrimePower, n: int) -> dict:
-    """The subgroup I^n of W(F_q), with explicit generators.
-
-    Closed form (Lam, Ch. II): I^0 = W; I = {0, <1,-w>}, generated by the
-    Pfister form <1,-w>, since <1,-1> is hyperbolic; I^n = 0 for n >= 2,
-    since <1,-w> (x) <1,-w> has rank 4 and square discriminant, hence is
-    hyperbolic over a finite field.
+    Closed form (Lam, Ch. II): I^0 = W has four classes; I = {0, <1,-w>},
+    generated by the Pfister form <1,-w>, since <1,-1> is hyperbolic;
+    I^n = 0 for n >= 2, since <1,-w> (x) <1,-w> has rank 4 and square
+    discriminant, hence is hyperbolic over a finite field.
     """
     if n < 0:
         raise InvalidArgument("n must be >= 0")
-    members = witt_elements(field)  # 0, <1>, <w>, <1,-w>
-    if n == 0:
-        generators = list(members)
-    else:
-        members = [members[0], members[3]] if n == 1 else [members[0]]
-        generators = members[1:]
-    return {
-        "n": n,
-        "order": len(members),
-        "members": members,
-        "generators": generators,
-    }
+    return (4, 2)[n] if n < 2 else 1
 
 
 def _witt_key(cls: WittClass):

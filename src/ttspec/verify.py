@@ -3,7 +3,8 @@ that shares no code path with them, and returns its failures:
 
   tables   K^MW against Morel's fiber product I^n x_(I^n/I^(n+1)) K^M_n
   witt     W(F_q) as K^MW_-1 against zero counts, descent and GW pairs
-  ses      exactness of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0
+  ses      0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0 exact and additive, with I^(n+1)
+           the (parity, disc) keys of the W model, and the |I^n| `gw` prints
   spech    the points of Spec^h against bounded primality certificates
   eta      eta^n against the W(F_q) model and the zero-count order of <1>
   motives  the Kunneth splitting and hom groups
@@ -44,7 +45,7 @@ def _witt_classes(field):
     key of a pair and one pair for each key.
     """
     from . import quadratic_forms
-    minus_one = quadratic_forms.gw_class(quadratic_forms.diagonal(field, [-1])).disc
+    minus_one = quadratic_forms.gw_class(quadratic_forms.diagonal(field, [-1])).coords[1]
 
     def key(c):
         rank, disc = c
@@ -91,7 +92,7 @@ def _suite_tables():
         omega = finite_field.primitive_element(field)
         # <a> - <1> for a = w^c: the Pfister map {a} -> I/I^2 on K^M_1
         units = [quadratic_forms.gw_class(quadratic_forms.diagonal(field, [omega ** c])) for c in range(q - 1)]
-        pfister = [key(_gw_add((g.rank, g.disc), (-1, 0))) for g in units]
+        pfister = [key(_gw_add(g.coords, (-1, 0))) for g in units]
 
         def milnor(n, coords):
             factors = milnor_witt.milnor_group(field, n).invariant_factors
@@ -185,46 +186,37 @@ def _unit_form_order_by_zero_counts(field):
     return order, counts
 
 
-def additive_order(x) -> int:
-    """The least n >= 1 with n * x = 0, by repeated `kmw_add`.  For x in
-    K^MW_-1 = W(F_q), which has exponent 4 (Lam, Ch. II), the search stops
-    with an error at 8."""
-    from . import milnor_witt
-    acc, n = x, 1
-    while not acc.is_zero():
-        if n == 8:
-            raise TtspecError(f"no multiple n * {x!r} with n <= 8 is zero")
-        acc, n = milnor_witt.kmw_add(acc, x), n + 1
-    return n
-
-
 def _suite_witt():
     """The closed-form W(F_q), read as K^MW_-1 (<1> is eta, and a class c
     has coordinates (c.parity, c.disc) there), against oracles that share no
     code with it.  For q <= 13: the order of <1> against the zero counts of
-    <1,1> and <1,1,1,1>; the multiples k<1> by `kmw_add` against the
-    generator table read back as forms, and against `witt_class` of <1>^k,
-    which runs the isotropy descent.  At q = 3 and q = 5: the four classes,
-    and `kmw_add` into K^MW_-1 and `kmw_mul` into K^MW_-2 of every pair,
-    against their (rank, disc) representatives in GW."""
+    <1,1> and <1,1,1,1>, and, up to that order, the multiples k<1> by
+    `kmw_add`: which of them `is_zero`, and each against the generator table
+    read back as forms and against `witt_class` of <1>^k, which runs the
+    isotropy descent.  At q = 3 and q = 5: the canonical kernel of each of
+    the four classes against the class's key, and `kmw_add` into K^MW_-1 and
+    `kmw_mul` into K^MW_-2 of every pair, against their (rank, disc)
+    representatives in GW."""
     from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field._field_for(q)
         structure = quadratic_forms.witt_ring_structure(field)
-        counted, counts = _unit_form_order_by_zero_counts(field)
-        if structure["order_of_unit_form"] != counted:
-            failures.append({"q": q, "zero_counts": counts, "got": structure["order_of_unit_form"], "want": counted})
-        one = milnor_witt.eta(field)
-        order = additive_order(one)
-        multiples, acc = {}, milnor_witt.kmw_zero(field, -1)
-        for k in range(order):
-            multiples[f"{k}*<1>"] = acc
+        order, counts = _unit_form_order_by_zero_counts(field)
+        if structure["order_of_unit_form"] != order:  # the order bounds the checks below
+            failures.append({"q": q, "zero_counts": counts, "got": structure["order_of_unit_form"], "want": order})
+            continue
+        one, zero = milnor_witt.eta(field), milnor_witt.kmw_zero(field, -1)
+        multiples = list(itertools.accumulate([one] * order, milnor_witt.kmw_add, initial=zero))
+        zeros = [k for k, m in enumerate(multiples) if m.is_zero()]
+        if zeros != [0, order]:
+            failures.append({"q": q, "zero_multiples": zeros, "want": [0, order]})
+        multiples = {f"{k}*<1>": m for k, m in enumerate(multiples[:order])}
+        for k, acc in enumerate(multiples.values()):
             by_descent = quadratic_forms.witt_class(quadratic_forms.diagonal(field, [1] * k))
             by_descent = milnor_witt.KmwElement(field, -1, (by_descent.parity, by_descent.disc))
             if by_descent != acc:
                 failures.append({"q": q, "descent": k, "got": by_descent.coords, "want": acc.coords})
-            acc = milnor_witt.kmw_add(acc, one)
         want = {"type": "Z/4" if order == 4 else "Z/2[e]/e^2", "order_of_unit_form": order}
         got = {key: structure[key] for key in want}
         # the table's kernels read back as forms, so that the two sides share no printing
@@ -238,10 +230,10 @@ def _suite_witt():
     for q in (3, 5):
         field = finite_field._field_for(q)
         key, reps = _witt_classes(field)
-        classes = quadratic_forms.witt_elements(field)
-        kernels = [quadratic_forms.gw_class(c.anisotropic_kernel) for c in classes]
-        if sorted(key((g.rank, g.disc)) for g in kernels) != sorted(reps):
-            failures.append({"q": q, "classes": [quadratic_forms._witt_key(c) for c in classes]})
+        for k in reps:
+            kernel = quadratic_forms.WittClass(field, *k).anisotropic_kernel
+            if key(quadratic_forms.gw_class(kernel).coords) != k:
+                failures.append({"q": q, "class": k, "kernel": [a.value for a in kernel.entries]})
         image = {(n, k): milnor_witt.KmwElement(field, n, k) for n in (-1, -2) for k in reps}
         for ka, kb in itertools.product(reps, repeat=2):
             a, b, pa, pb = image[-1, ka], image[-1, kb], reps[ka], reps[kb]
@@ -263,12 +255,19 @@ def _kmw_elements_for_check(field, n: int) -> list:
 def verify_ses(field, n: int) -> dict:
     """Exhaustive check of 0 -> I^(n+1) -> K^MW_n -> K^M_n -> 0.
 
+    I^(n+1) is the key set of `_witt_model`, whose (parity, disc) keys are
+    the coordinates `from_fundamental_ideal` takes; the first map must be
+    additive on it, and its order must be the |I^(n+1)| that `gw` prints.
     Torsion parts are checked element by element; the free parts (degree 0)
     are checked on generators.
     """
     from . import milnor_witt, quadratic_forms
-    members = quadratic_forms.fundamental_ideal_power(field, max(n + 1, 0))["members"]
-    image = {milnor_witt.from_fundamental_ideal(field, n, w).coords for w in members}
+    _, add, _, ideal = _witt_model(field)
+    members = ideal(n + 1)
+    image = {w: milnor_witt.from_fundamental_ideal(field, n, *w) for w in members}
+    additive = all(image[add[a, b]].coords == milnor_witt.kmw_add(image[a], image[b]).coords
+                   for a in members for b in members)
+    coords = {x.coords for x in image.values()}
     kernel = {x.coords for x in _kmw_elements_for_check(field, n) if n < 0 or milnor_witt.to_milnor(x).is_zero()}
     surjective = True  # onto K^M_n = 0 outside degrees 0 and 1
     if n == 0:
@@ -279,13 +278,16 @@ def verify_ses(field, n: int) -> dict:
     report = {
         "field": field.q,
         "degree": n,
-        "ideal_order": len(members),
-        "injective": len(image) == len(members),
-        "exact_middle": kernel == image,
+        "ideal_order": quadratic_forms.fundamental_ideal_order(max(n + 1, 0)),
+        "model_ideal_order": len(members),
+        "injective": len(coords) == len(members),
+        "additive": additive,
+        "exact_middle": kernel == coords,
         "surjective": surjective,
-        "witnesses": [] if kernel == image else [("kernel", sorted(kernel), sorted(image))],
+        "witnesses": [] if kernel == coords else [("kernel", sorted(kernel), sorted(coords))],
     }
-    report["ok"] = report["injective"] and report["exact_middle"] and surjective
+    report["ok"] = (report["ideal_order"] == len(members) and report["injective"] and additive
+                    and report["exact_middle"] and surjective)
     return report
 
 

@@ -20,6 +20,12 @@ def lefschetz(i):
     return cm.Motive(cm.POINT, cm.identity_correspondence(cm.POINT), -i)
 
 
+def witt_classes(field):
+    """The four classes of W(F_q), 0, <1>, <w> and <1,-w>, as the
+    `WittClass` records of their (parity, disc) keys."""
+    return [qf.WittClass(field, parity, disc) for parity, disc in ((0, 0), (1, 0), (1, 1), (0, 1))]
+
+
 def tensor_form(f, g):
     """The tensor product of two diagonal forms, <a_i b_j> in row order."""
     return qf.DiagonalForm(f.field, tuple(a * b for a in f.entries for b in g.entries))

@@ -20,7 +20,7 @@ from ttspec import tt_geometry as tg
 from ttspec import verify
 from ttspec.finite_field import make_field
 
-from helpers import field_units, tensor_form
+from helpers import field_units, tensor_form, witt_classes
 
 
 def criterion(number, label, budget=None):
@@ -144,7 +144,7 @@ def test_acceptance_3_ses():
 def test_acceptance_4_witt_oracle():
     for q in (3, 5, 7, 9):
         field = _field(q)
-        witt = qf.witt_elements(field)
+        witt = witt_classes(field)
         # degree 0: GW(F_q) on (rank, disc) coordinates, with the rules
         # of (rank, disc) for orthogonal sums and tensor products
         classes = [mw.KmwElement(field, 0, (m, s)) for m in range(-2, 3) for s in range(2)]
@@ -154,7 +154,7 @@ def test_acceptance_4_witt_oracle():
             assert mw.kmw_mul(x, y) == mw.KmwElement(field, 0, (m * n, (n * s + m * t) % 2))
         # negative degrees: additive bijection with W, multiplicative across degrees
         for n in (-1, -2, -3, -4):
-            images = {w: mw.from_fundamental_ideal(field, n, w) for w in witt}
+            images = {w: mw.from_fundamental_ideal(field, n, w.parity, w.disc) for w in witt}
             assert len({img.coords for img in images.values()}) == 4
             for w1, w2 in itertools.product(witt, repeat=2):
                 total = qf.witt_class(qf.DiagonalForm(
@@ -164,11 +164,11 @@ def test_acceptance_4_witt_oracle():
         for a, b in ((-1, -1), (-1, -2), (-2, -2)):
             for w1, w2 in itertools.product(witt, repeat=2):
                 lhs = mw.kmw_mul(
-                    mw.from_fundamental_ideal(field, a, w1),
-                    mw.from_fundamental_ideal(field, b, w2),
+                    mw.from_fundamental_ideal(field, a, w1.parity, w1.disc),
+                    mw.from_fundamental_ideal(field, b, w2.parity, w2.disc),
                 )
                 product = qf.witt_class(tensor_form(w1.anisotropic_kernel, w2.anisotropic_kernel))
-                assert lhs == mw.from_fundamental_ideal(field, a + b, product)
+                assert lhs == mw.from_fundamental_ideal(field, a + b, product.parity, product.disc)
 
 
 @criterion(5, "graded spectrum", budget=30.0)

@@ -16,7 +16,6 @@ from ttspec import finite_field
 from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms
-from ttspec import verify
 
 from helpers import eta_word, h_word, symbol_word, word_product, word_scale, word_sum
 
@@ -268,9 +267,11 @@ def test_verify_witt_fails_on_wrong_table(capsys, monkeypatch):
 
 
 def test_verify_witt_fails_on_the_zero_counts_when_descent_and_closed_form_agree(capsys, monkeypatch):
-    # at q = 3 both answers say <1> has order 2, so only the zero counts see
-    # that <1,1> is anisotropic there and <1> has order 4
-    right_structure, right_order = quadratic_forms.witt_ring_structure, verify.additive_order
+    # at q = 3 the closed form says <1> has order 2; the zero counts see that
+    # <1,1> is anisotropic there and <1> has order 4.  Their order bounds the
+    # multiples that `kmw_add` and the descent are checked on, so the wrong
+    # order is reported once, by the counts, and no multiple is compared
+    right_structure = quadratic_forms.witt_ring_structure
 
     def structure(field):
         out = right_structure(field)
@@ -279,11 +280,7 @@ def test_verify_witt_fails_on_the_zero_counts_when_descent_and_closed_form_agree
             out = dict(out, type="Z/2[e]/e^2", order_of_unit_form=2, generator_table=table)
         return out
 
-    def additive_order(cls):
-        return 2 if cls.field.q == 3 else right_order(cls)
-
     monkeypatch.setattr(quadratic_forms, "witt_ring_structure", structure)
-    monkeypatch.setattr(verify, "additive_order", additive_order)
     code, out = run(capsys, "verify", "--suite", "witt", "--json")
     assert code == 2
     failures = json.loads(out)["result"]["suites"]["witt"]["failures"]
@@ -326,14 +323,28 @@ def test_verify_eta_fails_on_a_product_that_vanishes_below_degree_minus_eight(ca
 def test_verify_ses_fails_when_the_class_of_i_maps_to_zero(capsys, monkeypatch):
     right = mw.from_fundamental_ideal
 
-    def wrong(field, n, w):
-        return mw.kmw_zero(field, 0) if n == 0 else right(field, n, w)
+    def wrong(field, n, parity, disc):
+        return mw.kmw_zero(field, 0) if n == 0 else right(field, n, parity, disc)
 
     monkeypatch.setattr(mw, "from_fundamental_ideal", wrong)
     code, out = run(capsys, "verify", "--suite", "ses", "--json")
     assert code == 2
     failures = json.loads(out)["result"]["suites"]["ses"]["failures"]
     assert [(f["field"], f["degree"], f["ok"]) for f in failures] == [(q, 0, False) for q in (3, 5, 7, 9)]
+
+
+def test_verify_ses_fails_when_the_printed_order_of_i_squared_is_two(capsys, monkeypatch):
+    """The |I^n| that `gw` prints are checked against the key sets of the W
+    model: a closed form with |I^2| = 2 fails in degree 1, where I^2 enters."""
+    right = quadratic_forms.fundamental_ideal_order
+    monkeypatch.setattr(quadratic_forms, "fundamental_ideal_order", lambda n: 2 if n == 2 else right(n))
+    code, out = run(capsys, "verify", "--suite", "ses", "--json")
+    assert code == 2
+    failures = json.loads(out)["result"]["suites"]["ses"]["failures"]
+    assert [(f["field"], f["degree"], f["ideal_order"], f["model_ideal_order"]) for f in failures] == [
+        (q, 1, 2, 1) for q in (3, 5, 7, 9)
+    ]
+    assert all(f["injective"] and f["additive"] and f["exact_middle"] and f["surjective"] for f in failures)
 
 
 def _wrong_decomposition(fault):
@@ -881,7 +892,7 @@ print(json.dumps([loaded, sorted(sys.modules)]))
 """
 
 _COMMAND_MODULES = [
-    (["gw", "--q", "3"], {"ttspec.quadratic_forms"}),
+    (["gw", "--q", "3"], {"ttspec.quadratic_forms", "ttspec.milnor_witt"}),
     (["kmw", "reduce", "--q", "7", "--word", "eta[2] + h"], {"ttspec.milnor_witt"}),
     (["milnor", "--q", "5", "--n", "1"], {"ttspec.milnor_witt"}),
     (["spech", "--q", "3"], {"ttspec.graded_spectrum"}),

@@ -15,7 +15,8 @@ from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 from ttspec import verify
 
-from helpers import eta_word, field_units, h_word, symbol_word, tensor_form, word_product, word_sum
+from helpers import eta_word, field_units, h_word, symbol_word, tensor_form, witt_classes, word_product, word_sum
+from test_quadratic_forms import _ideal_power_bfs
 
 QS = [3, 5, 7, 9]
 
@@ -144,8 +145,7 @@ def test_degree_zero_is_gw(q):
         assert mw.kmw_add(x, y) == mw.KmwElement(field, 0, (m + n, s ^ t))
         assert mw.kmw_mul(x, y) == mw.KmwElement(field, 0, (m * n, (n * s + m * t) % 2))
     # h corresponds to the hyperbolic form
-    h = qf.gw_class(qf.diagonal(field, [1, -1]))
-    assert mw.KmwElement(field, 0, (h.rank, h.disc)) == mw.hyperbolic_kmw(field)
+    assert qf.gw_class(qf.diagonal(field, [1, -1])) == mw.hyperbolic_kmw(field)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -166,8 +166,8 @@ def test_unit_is_identity(q):
 def test_negative_degrees_match_witt_model(q, n):
     # w |-> (sum (1 + eta[a_i])) eta^(-n) is an additive bijection W -> K^MW_n
     field = _field(q)
-    witt = qf.witt_elements(field)
-    images = {w_cls: mw.from_fundamental_ideal(field, n, w_cls) for w_cls in witt}
+    witt = witt_classes(field)
+    images = {w_cls: mw.from_fundamental_ideal(field, n, w_cls.parity, w_cls.disc) for w_cls in witt}
     assert len({img.coords for img in images.values()}) == 4
     group = mw.kmw_group(field, n)
     assert _order(group) == 4
@@ -182,15 +182,15 @@ def test_negative_degree_multiplication_matches_witt(q):
     # the Witt-model identifications are multiplicative across degrees, with
     # the product of W(F_q) the tensor product of the kernels
     field = _field(q)
-    witt = qf.witt_elements(field)
+    witt = witt_classes(field)
     for a, b in ((-1, -1), (-1, -2), (-2, -2)):
         for w1, w2 in itertools.product(witt, repeat=2):
             lhs = mw.kmw_mul(
-                mw.from_fundamental_ideal(field, a, w1),
-                mw.from_fundamental_ideal(field, b, w2),
+                mw.from_fundamental_ideal(field, a, w1.parity, w1.disc),
+                mw.from_fundamental_ideal(field, b, w2.parity, w2.disc),
             )
             product = qf.witt_class(tensor_form(w1.anisotropic_kernel, w2.anisotropic_kernel))
-            assert lhs == mw.from_fundamental_ideal(field, a + b, product)
+            assert lhs == mw.from_fundamental_ideal(field, a + b, product.parity, product.disc)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -392,26 +392,28 @@ def test_from_fundamental_ideal_membership():
     field = make_field(3)
     odd = qf.witt_class(qf.diagonal(field, [1]))  # rank 1, not in I
     with pytest.raises(InvalidArgument):
-        mw.from_fundamental_ideal(field, 0, odd)
+        mw.from_fundamental_ideal(field, 0, odd.parity, odd.disc)
     # the nonzero class of I maps to eta[w]
     pfister = qf.witt_class(qf.diagonal(field, [1, -2]))  # <1,-w> over F_3
     assert pfister != qf.WittClass(field, 0, 0)
-    assert mw.from_fundamental_ideal(field, 0, pfister) == mw.KmwElement(field, 0, (0, 1))
+    assert mw.from_fundamental_ideal(field, 0, pfister.parity, pfister.disc) == mw.KmwElement(field, 0, (0, 1))
 
 
 @pytest.mark.parametrize("q", QS)
 def test_from_fundamental_ideal_accepts_exactly_the_ideal_power(q):
-    """The membership rule on (parity, disc) against the member lists of
-    `fundamental_ideal_power`: every class of W in degrees -3..3."""
+    """The membership rule on (parity, disc) against the classes of I^(n+1)
+    that the breadth-first search over sums of Pfister products finds on
+    forms: every class of W in degrees -3..3."""
     field = _field(q)
     for n in range(-3, 4):
-        members = qf.fundamental_ideal_power(field, max(n + 1, 0))["members"]
-        for w_cls in qf.witt_elements(field):
+        members = _ideal_power_bfs(field, max(n + 1, 0))
+        for w_cls in witt_classes(field):
+            coords = w_cls.parity, w_cls.disc
             if w_cls in members:
-                assert mw.from_fundamental_ideal(field, n, w_cls) == mw.KmwElement(field, n, (w_cls.parity, w_cls.disc))
+                assert mw.from_fundamental_ideal(field, n, *coords) == mw.KmwElement(field, n, coords)
             else:
                 with pytest.raises(InvalidArgument, match=f"class not in I\\^{n + 1}"):
-                    mw.from_fundamental_ideal(field, n, w_cls)
+                    mw.from_fundamental_ideal(field, n, *coords)
 
 
 # ------------------------------------------------------------------- milnor

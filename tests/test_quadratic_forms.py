@@ -8,9 +8,8 @@ from ttspec.errors import BoundExceeded, InvalidArgument
 from ttspec.finite_field import make_field, primitive_element, square_class
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
-from ttspec import verify
 
-from helpers import field_units, tensor_form
+from helpers import field_units, tensor_form, witt_classes
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 
@@ -290,7 +289,7 @@ def test_witt_ring_structure(q):
     expected = "Z/4" if q % 4 == 3 else "Z/2[e]/e^2"
     assert structure["type"] == expected
     assert structure["order_of_unit_form"] == (4 if q % 4 == 3 else 2)
-    elements = qf.witt_elements(field)
+    elements = witt_classes(field)
     assert len({qf._witt_key(c) for c in elements}) == 4
     # group axioms on the 4-element addition table of W(F_q) = K^MW_-1
     images = [_in_kmw(c) for c in elements]
@@ -304,13 +303,13 @@ def test_witt_ring_structure(q):
 
 def _in_kmw(cls, n=-1):
     """The Witt class cls as an element of K^MW_n = W(F_q), n < 0."""
-    return mw.from_fundamental_ideal(cls.field, n, cls)
+    return mw.from_fundamental_ideal(cls.field, n, cls.parity, cls.disc)
 
 
-def _gw_in_kmw(cls):
-    """The GW class cls as an element of K^MW_0 = GW(F_q): <a> is 1 + eta[a],
-    so (rank, disc) are its coordinates on 1 and eta[w]."""
-    return mw.KmwElement(cls.field, 0, (cls.rank, cls.disc))
+def _additive_order(x):
+    """The least k >= 1 with k x = 0, by `kmw_add`; W(F_q) has exponent 4."""
+    multiples = itertools.accumulate([x] * 4, mw.kmw_add)
+    return next(k for k, m in enumerate(multiples, 1) if m.is_zero())
 
 
 def _concat(f, g):
@@ -334,7 +333,7 @@ def test_witt_add_and_mul_match_the_form_oracle(p, e):
     """All 16 sums of the four classes in K^MW_-1, and their products in
     K^MW_-2, against the descent of the concatenated or tensored kernels."""
     field = make_field(p, e)
-    for a, b in itertools.product(qf.witt_elements(field), repeat=2):
+    for a, b in itertools.product(witt_classes(field), repeat=2):
         x, y = _in_kmw(a), _in_kmw(b)
         assert mw.kmw_add(x, y) == _in_kmw(_oracle_add(a, b)), (a, b)
         assert mw.kmw_mul(x, y) == _in_kmw(_oracle_mul(a, b), -2), (a, b)
@@ -350,7 +349,7 @@ def test_witt_ring_structure_matches_witt_add_oracle(p, e):
     multiples = [zero]
     while _oracle_add(multiples[-1], one) != zero:
         multiples.append(_oracle_add(multiples[-1], one))
-    assert structure["order_of_unit_form"] == len(multiples) == verify.additive_order(_in_kmw(one))
+    assert structure["order_of_unit_form"] == len(multiples) == _additive_order(_in_kmw(one))
     assert structure["type"] == ("Z/4" if len(multiples) == 4 else "Z/2[e]/e^2")
     assert structure["generator_table"] == {
         f"{k}*<1>": qf._witt_key(c) for k, c in enumerate(multiples)
@@ -363,7 +362,7 @@ def test_witt_multiplication_ring_axioms(q):
     <1> = eta is the unit up to that shift, and `kmw_mul` is commutative,
     associative and distributes over `kmw_add`."""
     field = _field(q)
-    elements = qf.witt_elements(field)
+    elements = witt_classes(field)
     one = mw.eta(field)
     add, mul = mw.kmw_add, mw.kmw_mul
     for a, b, c in itertools.product(elements, repeat=3):
@@ -389,18 +388,52 @@ def test_gw_class_against_forms(q):
     ]
     for f, g in itertools.product(forms, repeat=2):
         # in K^MW_0, products are tensor products and sums orthogonal sums
-        x, y = _gw_in_kmw(qf.gw_class(f)), _gw_in_kmw(qf.gw_class(g))
-        assert _gw_in_kmw(qf.gw_class(tensor_form(f, g))) == mw.kmw_mul(x, y)
-        assert _gw_in_kmw(qf.gw_class(_concat(f, g))) == mw.kmw_add(x, y)
+        x, y = qf.gw_class(f), qf.gw_class(g)
+        assert x.degree == 0 and x.coords == (f.rank, sum(map(square_class, f.entries)) % 2)
+        assert qf.gw_class(tensor_form(f, g)) == mw.kmw_mul(x, y)
+        assert qf.gw_class(_concat(f, g)) == mw.kmw_add(x, y)
+
+
+def _morel_fields(full=False):
+    """(p, e) of the fields of the Morel-presentation oracle: q in {3, 5, 7,
+    9, 11, 13, 25, 27}, or in full every odd prime power q <= 243."""
+    if not full:
+        return [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
+    primes = [p for p in range(3, 244, 2) if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+    return [(p, e) for p in primes for e in range(1, 6) if p ** e <= 243]
+
+
+@pytest.mark.parametrize("p,e", _morel_fields())
+def test_gw_class_matches_morel_presentation(p, e, full=False):
+    """`gw_class(f)` against Morel's presentation of GW(F_q) = K^MW_0, where
+    <a> = 1 + eta[a]: the `kmw_add` sum over the entries a_i of f of
+    `kmw_one` + eta [a_i], with [a_i] from `symbol`, which reads
+    `discrete_log` rather than `square_class`; the empty form gives
+    `kmw_zero`.  Every diagonal form of rank 0-3 on up to four seeded
+    units, or in full of rank 0-5 over every odd prime power q <= 243,
+    81,963 forms: cd tests && PYTHONPATH=../src python -c "import
+    test_quadratic_forms as t; [t.test_gw_class_matches_morel_presentation(*f,
+    full=True) for f in t._morel_fields(full=True)]" """
+    field = make_field(p, e)
+    rng = random.Random(f"morel presentation {field.q}")
+    units = [field.from_index(v) for v in rng.sample(range(1, field.q), min(4, field.q - 1))]
+    one, eta = mw.kmw_one(field), mw.eta(field)
+    for rank in range(6 if full else 4):
+        for entries in itertools.product(units, repeat=rank):
+            want = mw.kmw_zero(field, 0)
+            for a in entries:
+                want = mw.kmw_add(want, mw.kmw_add(one, mw.kmw_mul(eta, mw.symbol(a))))
+            assert qf.gw_class(qf.DiagonalForm(field, entries)) == want, entries
 
 
 def _to_witt(c):
     """Canonical quotient GW -> W: the Witt class of the representative
-    form <1>^(rank - disc) + <w>^disc.  The exponent of <1> is reduced
-    mod 4 (the additive exponent of W)."""
+    form <1>^(rank - disc) + <w>^disc of the K^MW_0 element c.  The
+    exponent of <1> is reduced mod 4 (the additive exponent of W)."""
     field = c.field
-    ones = (field.one(),) * ((c.rank - c.disc) % 4)
-    omegas = (primitive_element(field),) * c.disc
+    rank, disc = c.coords
+    ones = (field.one(),) * ((rank - disc) % 4)
+    omegas = (primitive_element(field),) * disc
     return qf.witt_class(qf.DiagonalForm(field, ones + omegas))
 
 
@@ -420,37 +453,47 @@ def test_gw_to_witt_quotient(q):
 def test_hyperbolic_class():
     for q in (3, 5):
         field = _field(q)
-        h = qf.hyperbolic_class(field)
-        assert h.rank == 2
-        assert h.disc == (1 if q % 4 == 3 else 0)  # disc = -1 mod squares
-        assert _gw_in_kmw(h) == mw.hyperbolic_kmw(field)  # h = 2 + eta[-1] in K^MW_0
+        h = qf.gw_class(qf.diagonal(field, [1, -1]))
+        assert h.coords == (2, 1 if q % 4 == 3 else 0)  # rank 2, disc = -1 mod squares
+        assert h == mw.hyperbolic_kmw(field)  # h = 2 + eta[-1] in K^MW_0
         assert _in_kmw(qf.witt_class(qf.diagonal(field, [1, -1]))).is_zero()
 
 
 # ------------------------------------------------------- fundamental ideal
 
 
+def _in_ideal(cls, n):
+    """Whether `from_fundamental_ideal` accepts cls as a class of I^n,
+    n >= 0, placed in K^MW_(n-1)."""
+    try:
+        mw.from_fundamental_ideal(cls.field, n - 1, cls.parity, cls.disc)
+    except InvalidArgument:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_fundamental_ideal_filtration(q):
     field = _field(q)
-    orders = [qf.fundamental_ideal_power(field, n)["order"] for n in range(4)]
+    orders = [qf.fundamental_ideal_order(n) for n in range(4)]
     assert orders == [4, 2, 1, 1]
-    ideal = qf.fundamental_ideal_power(field, 1)
+    with pytest.raises(InvalidArgument):
+        qf.fundamental_ideal_order(-1)
+    ideal = [c for c in witt_classes(field) if _in_ideal(c, 1)]
+    assert len(ideal) == orders[1]
     # I = even-rank classes
-    for member in ideal["members"]:
+    for member in ideal:
         assert member.anisotropic_kernel.rank % 2 == 0
     # Pfister forms <1,-a> all land in I
     for a in field_units(field):
-        cls = qf.witt_class(qf.DiagonalForm(field, (field.one(), -a)))
-        assert qf._witt_key(cls) in {qf._witt_key(m) for m in ideal["members"]}
+        assert _in_ideal(qf.witt_class(qf.DiagonalForm(field, (field.one(), -a))), 1)
 
 
 def _ideal_power_bfs(field, n):
     """Oracle: the breadth-first search over sums of n-fold Pfister
-    products that `fundamental_ideal_power` replaced, on the form-based
-    Witt arithmetic."""
+    products, on the form-based Witt arithmetic."""
     if n == 0:
-        return qf.witt_elements(field)
+        return witt_classes(field)
     reps = [field.one(), primitive_element(field)]
     pfisters = [qf.witt_class(qf.DiagonalForm(field, (field.one(), -a))) for a in reps]
     generators = []
@@ -476,14 +519,13 @@ def _ideal_power_bfs(field, n):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_fundamental_ideal_power_matches_bfs_oracle(q):
+    """The closed-form orders |I^n| that `gw` prints, and the classes that
+    `from_fundamental_ideal` accepts as I^n, against the search."""
     field = _field(q)
     for n in range(4):
-        power = qf.fundamental_ideal_power(field, n)
         want = _ideal_power_bfs(field, n)
-        assert sorted(power) == ["generators", "members", "n", "order"]
-        assert power["n"] == n
-        assert power["order"] == len(want)
-        assert power["members"] == want
+        assert qf.fundamental_ideal_order(n) == len(want)
+        assert {c for c in witt_classes(field) if _in_ideal(c, n)} == set(want)
 
 
 # ---------------------------------------------------------------- isometry

@@ -36,8 +36,7 @@ a builtin exception class that `BUILTIN_RAISES` does not name with a
 reason, so every other error the package raises is a `TtspecError`.
 `test_every_refusal_is_invalid_argument_or_bound_exceeded` holds
 `errors.py` to its three classes and each such `raise` to the two
-subclasses, apart from the base-class raise of a `verify` check that
-cannot finish.
+subclasses.
 
 `PYTHONPATH=src python tests/test_reach.py` prints the functions that no
 command reaches, as a JSON list, and with `--without-verify` those that
@@ -293,9 +292,8 @@ def test_errors_are_typed():
 
 def test_every_refusal_is_invalid_argument_or_bound_exceeded():
     """`errors.py` defines three classes, and every `raise` of a package
-    error names `InvalidArgument` or `BoundExceeded`; only
-    `verify.additive_order`, a check that cannot finish, raises the base
-    class `TtspecError`."""
+    error names `InvalidArgument` or `BoundExceeded`; none raises the base
+    class `TtspecError`, which callers catch."""
     from ttspec.errors import BoundExceeded, InvalidArgument, TtspecError
 
     tree = ast.parse((PACKAGE / "errors.py").read_text())
@@ -305,7 +303,7 @@ def test_every_refusal_is_invalid_argument_or_bound_exceeded():
     assert issubclass(BoundExceeded, TtspecError)
     others = {(where, name) for where, name in named_raises()
               if name not in ("InvalidArgument", "BoundExceeded") and not _is_builtin_exception(name)}
-    assert sorted(others) == [("verify.py:additive_order", "TtspecError")]
+    assert sorted(others) == []
 
 
 def test_every_annotation_resolves():

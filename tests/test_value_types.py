@@ -36,7 +36,6 @@ FIELDS = {
     FieldElement: ("field", "coeffs"),
     qf.DiagonalForm: ("field", "entries"),
     qf.WittClass: ("field", "parity", "disc"),
-    qf.GWClass: ("field", "rank", "disc"),
     mw.GroupShape: ("invariant_factors", "generators"),
     mw.KmwElement: ("field", "degree", "coords"),
     mw.SymbolWord: ("field", "terms"),
@@ -106,8 +105,6 @@ def _samples():
                           qf.diagonal(f9, [1, 1, 1])],
         qf.WittClass: [qf.witt_class(form), qf.witt_class(qf.diagonal(f5, [1, 2])),
                        qf.witt_class(qf.diagonal(f5, [1])), qf.WittClass(f5, 0, 0)],
-        qf.GWClass: [qf.gw_class(form), qf.GWClass(f5, 2, 3), qf.GWClass(f5, 2, 1),
-                     qf.GWClass(f3, 2, 1)],
         mw.GroupShape: [mw.kmw_group(f3, n) for n in (-1, 0, 1, 2)]
         + [mw.kmw_group(f5, -1), mw.kmw_group(f5, 0)],
         mw.KmwElement: [mw.eta(f3), mw.KmwElement(f3, -1, (5,)), mw.kmw_one(f5),
@@ -147,7 +144,7 @@ SAMPLES = _samples()
 
 def test_every_value_type_has_samples():
     assert set(SAMPLES) == set(FIELDS)
-    assert len(FIELDS) == 20
+    assert len(FIELDS) == 19
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
