@@ -6,22 +6,21 @@ is exact polynomial bookkeeping.  h^n is the class of a point on P^n, so
 composition is a per-factor degree rule on monomials, and h^a . h^b is the
 point class exactly when a + b is the top monomial: the intersection
 pairing is an anti-identity on monomial bases.  Motives are triples
-(X, p, n) with p an idempotent correspondence; the Lefschetz motive L is
-the point with twist -1, and the dual of (X, id, n) is (X, id, dim X - n),
-which `motive dual` prints.
+(X, p, n) with p a sum of Kunneth projectors (see `Motive`); the Lefschetz
+motive L is the point with twist -1, and the dual of (X, id, n) is
+(X, id, dim X - n), which `motive dual` prints.
 
 hom((X, p, n), (Y, q, m)) is the subgroup of classes a in
-CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p.  The compression
-operator is idempotent, so the hom group is its image, computed as an
-integer column lattice; between identity motives it is the whole group,
-spanned by the monomials of that codimension.  `verify --suite motives`
-(in `ttspec.verify`) checks the splitting and these hom groups.
+CH^{dim X + m - n}(X x Y) fixed by a -> q o a o p, which fixes or kills
+each monomial (see `hom_group`).  `verify --suite motives` (in
+`ttspec.verify`) checks the splitting and these hom groups.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import sub
 
 from ._value import Value
 from .errors import BoundExceeded, InvalidArgument
@@ -30,7 +29,7 @@ from .errors import BoundExceeded, InvalidArgument
 # `motive hom` prints, one monomial class each: cold, P9xP9xP9 to P4xP4xP4
 # (3,812 monomials) prints 199 kB of `--json` in 0.13 s (median of 7, 2-CPU
 # x86-64 VM).  The library's `hom_group`, which only `verify` and lib-warm
-# call, takes 0.02 s in-process on the identity motives of that pair (best of 5)
+# call, takes 5-7 ms in-process on the identity motives of that pair (best of 3)
 HOM_BASIS_BOUND = 4_000
 # most monomials `parse_space` accepts on one space, and at most 16 factors,
 # since P0 factors lengthen a monomial without adding any.  It bounds what
@@ -74,11 +73,9 @@ class ProjSpaceProduct(Value):
         prefixes = [((), codim)]  # (exponents so far, codimension still to place)
         for n in self.dims:
             rest -= n
-            prefixes = [
-                (mono + (e,), left - e)
-                for mono, left in prefixes
-                for e in range(max(0, left - rest), min(n, left) + 1)
-            ]
+            # e from max(0, left - rest) to min(n, left), without the builtin calls
+            prefixes = [(mono + (e,), left - e) for mono, left in prefixes
+                        for e in range(left - rest if left > rest else 0, (n if n < left else left) + 1)]
         return [mono for mono, left in prefixes if not left]
 
     def monomial_counts(self) -> list[int]:
@@ -191,7 +188,10 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
 
 
 class Motive(Value):
-    """Triple (X, p, n): idempotent correspondence p and twist n."""
+    """Triple (X, p, n) with twist n: p is a sum of distinct Kunneth projectors
+    h^a (x) h^(dims - a) with coefficient 1, idempotent by the degree rule,
+    checked on its terms; any other projector is refused, idempotent or not.
+    Up to isomorphism that loses no motive of Tate type over X (Manin, 1968)."""
 
     __slots__ = ("space", "projector", "twist")
 
@@ -200,26 +200,28 @@ class Motive(Value):
         object.__setattr__(self, "projector", projector)
         object.__setattr__(self, "twist", twist)
         p = projector
-        if p.source != space or p.target != space or p.shift != 0:
+        if (p.source, p.target, p.shift) != (space, space, 0):
             raise InvalidArgument("projector must be a degree-0 endocorrespondence")
-        if compose(p, p) != p:
-            raise InvalidArgument("projector is not idempotent")
+        k, dims = space.factors, space.dims
+        sources = {mono[:k] for mono, c in p.cls.terms if c == 1 and len(mono) == 2 * k
+                   and min(mono, default=0) >= 0 and mono[k:] == tuple(map(sub, dims, mono))}
+        if len(sources) != len(p.cls.terms):  # a term that is no Kunneth projector, or one listed twice
+            raise InvalidArgument("projector is not a sum of distinct Kunneth projectors")
 
     def __repr__(self):
         return f"({self.space}, p, {self.twist})"
 
 
 def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
-    """Split the diagonal into Kunneth projectors; each summand is
-    isomorphic to a power of the Lefschetz motive, returned as
-    (motive, power) sorted by power."""
+    """Split the diagonal into Kunneth projectors h^a (x) h^(dims - a), each
+    isomorphic to L^w for the a of codimension dim - w: (motive, w) pairs by
+    w, and in lex order of a within one w."""
     product = space.times(space)
     out = []
-    for exps in space.monomials():
-        rest = tuple(n - a for n, a in zip(space.dims, exps))
-        proj = Correspondence(space, space, 0, ChowClass(product, ((exps + rest, 1),)))
-        out.append((Motive(space, proj, 0), sum(rest)))
-    out.sort(key=lambda pair: (pair[1], pair[0].projector.cls.terms))
+    for w in range(space.dimension + 1):
+        for exps in space.monomials(space.dimension - w):
+            term = (exps + tuple(map(sub, space.dims, exps)), 1)
+            out.append((Motive(space, Correspondence(space, space, 0, ChowClass(product, (term,))), 0), w))
     return out
 
 
@@ -228,50 +230,6 @@ def _kunneth_twists(space: ProjSpaceProduct) -> list[int]:
     ascending: one per monomial of codimension dim - w."""
     counts = space.monomial_counts()
     return [w for w, n in enumerate(reversed(counts)) for _ in range(n)]
-
-
-def _column_lattice_basis(cols):
-    """Hermite-style column reduction over Z on sparse {row: nonzero entry}
-    columns; returns basis columns.  Rows are taken in sorted order.  Row i is
-    gcd-reduced by the first column of least |c[i]| until one column, the
-    pivot, is nonzero there; the rest are then zero at every row up to i.
-    So the columns nonzero at row i are those whose least row is i: each
-    column waits in the bucket of its least row, with its position in
-    `cols`, and moves to its new least row's bucket after a reduction."""
-    buckets = {}
-    for pos, c in enumerate(cols):
-        if c:
-            buckets.setdefault(min(c), []).append((pos, dict(c)))
-    basis = []
-    for i in sorted({r for c in cols for r in c}):
-        live = buckets.pop(i, None)
-        if live is None:
-            continue
-        live.sort(key=lambda pc: pc[0])  # column order, as the reduction's ties need
-        while len(live) > 1:
-            small = min(live, key=lambda pc: abs(pc[1][i]))[1]
-            kept = []
-            for pos, c in live:
-                if c is not small:
-                    f = c[i] // small[i]
-                    for r, v in small.items():
-                        w = c.get(r, 0) - f * v
-                        if w:
-                            c[r] = w
-                        else:
-                            c.pop(r, None)
-                    if i not in c:
-                        if c:
-                            buckets.setdefault(min(c), []).append((pos, c))
-                        continue
-                kept.append((pos, c))
-            live = kept
-        pivot = live[0][1]
-        if pivot[i] < 0:
-            for r in pivot:
-                pivot[r] = -pivot[r]
-        basis.append(pivot)
-    return basis
 
 
 def hom_ambient_codim(space: ProjSpaceProduct, twist: int, target: ProjSpaceProduct, target_twist: int) -> int:
@@ -288,30 +246,18 @@ def hom_ambient_codim(space: ProjSpaceProduct, twist: int, target: ProjSpaceProd
 
 def hom_group(m: Motive, n: Motive) -> dict:
     """Free abelian basis of hom(m, n) inside CH^{dim X + twist(n) -
-    twist(m)}(X x Y), as the image of the idempotent compression
-    a -> q o a o p.  By the per-factor degree rule, x^c y^b meets only the
-    terms x^u x^v of p with v = dims(X) - c and the terms y^s y^t of q with
-    s = dims(Y) - b, and goes to the sum of p_uv q_st x^u y^t."""
+    twist(m)}(X x Y), the image of a -> q o a o p.  By the degree rule,
+    x^c y^b o p is x^c y^b if c is the source part of a term of the Kunneth
+    sum p, else 0, and q o x^c y^b likewise for b and the target parts of q:
+    the basis is the monomials of that codimension that both keep, in lex order."""
     codim = hom_ambient_codim(m.space, m.twist, n.space, n.twist)
     kx, ky = m.space.factors, n.space.factors
-    by_target, by_source = {}, {}
-    for mono, c in m.projector.cls.terms:
-        by_target.setdefault(mono[kx:], []).append((mono[:kx], c))
-    for mono, c in n.projector.cls.terms:
-        by_source.setdefault(mono[:ky], []).append((mono[ky:], c))
+    sources = {mono[:kx] for mono, _ in m.projector.cls.terms}
+    targets = {mono[ky:] for mono, _ in n.projector.cls.terms}
     product = m.space.times(n.space)
-    cols = []
-    for mono in product.monomials(codim):
-        v = tuple(d - e for d, e in zip(m.space.dims, mono[:kx]))
-        s = tuple(d - e for d, e in zip(n.space.dims, mono[kx:]))
-        cols.append({u + t: pc * qc for u, pc in by_target.get(v, ()) for t, qc in by_source.get(s, ())})
-    classes = [ChowClass(product, tuple(sorted(col.items()))) for col in _column_lattice_basis(cols)]
-    return {
-        "rank": len(classes),
-        "ambient_codim": codim,
-        "basis": classes,
-        "space": product,
-    }
+    classes = [ChowClass(product, ((mono, 1),)) for mono in product.monomials(codim)
+               if mono[:kx] in sources and mono[kx:] in targets]
+    return {"rank": len(classes), "ambient_codim": codim, "basis": classes, "space": product}
 
 
 def pairing_nondegenerate(space: ProjSpaceProduct) -> dict:

@@ -53,10 +53,11 @@ class HomogeneousPrime(Value):
 
     Generators are drawn from {[w], eta, 2} plus odd integer primes; [w]
     is always present (it generates the nilradical of K^MW).  `discrepancy`
-    flags the ([w], eta, 2) point absent from the usual list.
+    flags the ([w], eta, 2) point absent from the usual list.  `_gcd`, the
+    gcd of the integer generators, is set by the first `contains`.
     """
 
-    __slots__ = ("generators", "discrepancy")
+    __slots__ = ("generators", "discrepancy", "_gcd")
 
     def __init__(self, generators: frozenset[str], discrepancy: bool = False):
         object.__setattr__(self, "generators", generators)
@@ -90,7 +91,11 @@ class HomogeneousPrime(Value):
         """
         if x.is_zero():
             return True
-        g = math.gcd(*self.integer_generators)
+        try:
+            g = self._gcd
+        except AttributeError:
+            g = math.gcd(*self.integer_generators)
+            object.__setattr__(self, "_gcd", g)
         if x.degree == 0:
             return g != 0 and x.coeff % g == 0
         return self.has_eta or (g != 0 and g % 2 == 1)

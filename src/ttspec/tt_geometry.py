@@ -139,11 +139,11 @@ def enumerate_primes(universe: TateUniverse) -> dict:
     (see `ideal_closure`), and only zero is proper.  Zero is prime: in the
     semisimple model a (x) b = 0 forces a = 0 or b = 0, since the
     multiplicities of a tensor product are products of multiplicities.
-    So the answer is the zero ideal, read off without a search, plus a
+    So the answer is the zero ideal, the closure of no generators, plus a
     diagnostic for the degenerate window without a unit."""
     if not universe.contains(TATE_UNIT):
         return {"primes": [], "diagnostic": "window has no unit object; no proper prime exists"}
-    return {"primes": [ThickTensorIdeal(universe, frozenset())], "diagnostic": None}
+    return {"primes": [ideal_closure((), universe)], "diagnostic": None}
 
 
 class FiniteSpectralSpace(Value):

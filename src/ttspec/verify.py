@@ -428,13 +428,17 @@ def _summed_terms(classes) -> dict:
 def _suite_motives():
     """`motive_decompose` against the Kunneth twists read off the monomial
     counts, each projector idempotent and their sum the diagonal; and
-    `hom_group` of identity motives against the monomial basis.  A
-    decomposition or a hom group that raises (`Motive` refuses a projector
-    that is not idempotent) is a failure."""
+    `hom_group` of identity motives against the monomial basis.  The
+    identity and the Kunneth projectors of each decomposition that passed
+    then meet in turn, and the compression a -> q o a o p by `compose`,
+    which `hom_group` does not run, must fix each ambient monomial of the
+    basis and kill the others.  A decomposition or a hom group that raises
+    (`Motive` refuses a projector that is not a Kunneth sum) is a failure."""
     from . import chow_motives
-    failures = []
+    failures, kunneth = [], {}  # space -> its projectors, if they pass
     for text in ("P0", "P1", "P2", "P3", "P4", "P1xP1", "P2xP1", "P1xP1xP1"):
         space = chow_motives.parse_space(text)
+        passed = len(failures)
         try:
             parts = chow_motives.motive_decompose(space)
         except TtspecError as exc:
@@ -450,24 +454,35 @@ def _suite_motives():
                 failures.append({"space": text, "not_idempotent": repr(p.cls)})
         if _summed_terms(m.projector.cls for m, _ in parts) != dict(diagonal.terms):
             failures.append({"space": text, "fact": "projectors sum to the diagonal"})
+        if len(failures) == passed:
+            kunneth[text] = [m.projector for m, _ in parts]
     # hom of identity motives is all of CH^codim(X x Y): the basis `motive hom`
     # prints, here from a filtered walk over every monomial
     for source, target in (("P1xP1", "P2"), ("P2xP1", "P1xP1")):
         x, y = chow_motives.parse_space(source), chow_motives.parse_space(target)
+        ends = [[chow_motives.identity_correspondence(s), *kunneth.get(t, ())] for s, t in ((x, source), (y, target))]
+        pairs = list(zip(ends[0], itertools.cycle(ends[1])))  # the identities first
         for twist, target_twist in itertools.product(range(-1, 2), repeat=2):
             case = {"hom": [source, twist, target, target_twist]}
             codim = sum(x.dims) + target_twist - twist
             walk = itertools.product(*(range(n + 1) for n in x.dims + y.dims))
             want = [chow_motives.monomial_class(x.times(y), m) for m in walk if sum(m) == codim]
             try:
-                m = chow_motives.Motive(x, chow_motives.identity_correspondence(x), twist)
-                n = chow_motives.Motive(y, chow_motives.identity_correspondence(y), target_twist)
-                hom = chow_motives.hom_group(m, n)
+                homs = [chow_motives.hom_group(chow_motives.Motive(x, p, twist),
+                                               chow_motives.Motive(y, q, target_twist)) for p, q in pairs]
+                alphas = [chow_motives.Correspondence(x, y, target_twist - twist, a) for a in want]
+                images = [[chow_motives.compose(q, chow_motives.compose(alpha, p)).cls for alpha in alphas]
+                          for p, q in pairs]
             except TtspecError as exc:
                 failures.append({**case, "error": str(exc)})
                 continue
-            if (hom["ambient_codim"], hom["rank"], hom["basis"]) != (codim, len(want), want):
-                failures.append({**case, "rank": hom["rank"]})
+            if (homs[0]["ambient_codim"], homs[0]["rank"], homs[0]["basis"]) != (codim, len(want), want):
+                failures.append({**case, "rank": homs[0]["rank"]})
+            for (p, q), hom, row in zip(pairs, homs, images):
+                # each monomial is fixed if it is in the basis, else killed
+                wrong = [repr(a) for a, image in zip(want, row) if ((image != a) if a in hom["basis"] else image.terms)]
+                if wrong:
+                    failures.append({**case, "projectors": [repr(p.cls), repr(q.cls)], "compression": wrong})
     return failures
 
 

@@ -367,7 +367,7 @@ def _wrong_decomposition(fault):
         elif fault == "doubled":  # a summand not built through Motive's check
             first = types.SimpleNamespace(projector=doubled), w
         else:
-            first = cm.Motive(space, doubled, 0), w  # raises: not idempotent
+            first = cm.Motive(space, doubled, 0), w  # raises: coefficient 2
         return [first, *rest]
 
     return wrong
@@ -382,7 +382,7 @@ def _wrong_decomposition(fault):
             {"space": "P1xP1", "not_idempotent": "2*h1^1*h2^1 @P1xP1xP1xP1"},
             {"space": "P1xP1", "fact": "projectors sum to the diagonal"},
         ]),
-        ("raises", [{"space": "P1xP1", "error": "projector is not idempotent"}]),
+        ("raises", [{"space": "P1xP1", "error": "projector is not a sum of distinct Kunneth projectors"}]),
     ],
 )
 def test_verify_motives_fails_on_a_wrong_decomposition(capsys, monkeypatch, fault, want):
@@ -409,9 +409,14 @@ def test_verify_motives_fails_on_a_hom_group_missing_a_class(capsys, monkeypatch
     code, out = run(capsys, "verify", "--suite", "motives", "--json")
     assert code == 2
     failures = json.loads(out)["result"]["suites"]["motives"]["failures"]
-    assert [f["hom"] for f in failures] == [
-        ["P2xP1", t, "P1xP1", u] for t in range(-1, 2) for u in range(-1, 2)
-    ]
+    cases = [["P2xP1", t, "P1xP1", u] for t in range(-1, 2) for u in range(-1, 2)]
+    assert [f["hom"] for f in failures if "rank" in f] == cases
+    assert {tuple(f["hom"]) for f in failures} == set(map(tuple, cases))
+    # `compose` fixes the missing class: each other failure is one pair of
+    # projectors that fixes it, and names it alone
+    compressed = [f for f in failures if "rank" not in f]
+    assert compressed and all(set(f) == {"hom", "projectors", "compression"} for f in compressed)
+    assert all(len(f["compression"]) == 1 for f in compressed)
 
 
 _HOM_SPACES = [
@@ -424,7 +429,7 @@ _HOM_CASES = list(itertools.product(_HOM_SPACES, _HOM_SPACES, range(-2, 4), rang
 
 def test_motive_hom_matches_hom_group_of_identity_motives(capsys):
     """`motive hom` prints the monomials of the ambient codimension; the
-    library's compression and column reduction must find the same basis."""
+    library's `hom_group` must find the same basis."""
     from ttspec import chow_motives as cm
 
     for source, target, twist, target_twist in _HOM_CASES:

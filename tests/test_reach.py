@@ -83,7 +83,6 @@ _LIB_WARM = "a lib-warm layer: perfbench/libwarm.py calls it directly"
 _REPR = "its text appears only in error messages and debugging output, which no command prints"
 
 ALLOWLIST = {
-    "tt_geometry.py:ideal_closure": _LIB_WARM,
     "tt_geometry.py:_window": _LIB_WARM,
     "tt_geometry.py:FiniteSpectralSpace.from_edges": _LIB_WARM + "; `spc sh-top` writes its relation down, since "
     "closing the covers with it took `--primes 200000 --height 1` from 0.21 s to 0.29 s cold",
@@ -107,14 +106,15 @@ _TATE = "the `primes` of `spc tate`: a (x) a^dual = 1 and a (x) b != 0 in the wi
 # what their checks guard; like ALLOWLIST, it only shrinks
 VERIFY_ONLY = {
     "chow_motives.py:Correspondence.__init__": _LIB_WARM,
-    "chow_motives.py:Motive.__init__": _LIB_WARM,
-    "chow_motives.py:_column_lattice_basis": _LIB_WARM,
+    "chow_motives.py:Motive.__init__": _LIB_WARM + "; it checks that the projector is a sum of distinct Kunneth "
+    "projectors, and no command builds a motive, since each prints a closed form read off the spaces",
     "chow_motives.py:compose": _LIB_WARM,
-    "chow_motives.py:hom_group": _LIB_WARM + "; `motive hom` prints the monomials of the ambient codimension, "
-    "since routing it through `hom_group` took P1^16 (16 factors) from 0.05 s and 14 MB to 0.53 s and 101 MB cold",
+    "chow_motives.py:hom_group": _LIB_WARM + "; it keeps the monomials of the ambient codimension that both "
+    "projectors fix, and `motive hom` prints all of them, since routing it through `hom_group` (identity motives "
+    "and `Motive`'s check of the 65,536-term diagonal) took P1^16 to pt from 0.03 s and 15 MB to 0.44 s and 52 MB",
     "chow_motives.py:identity_correspondence": _LIB_WARM,
     "chow_motives.py:motive_decompose": _LIB_WARM + "; `motive decompose` reads the twists off the monomial "
-    "counts, since in-process it takes 1.2 s and 62 MB on P1^16, where `_kunneth_twists` takes 1.3 ms",
+    "counts, since in-process it takes 0.6 s and 58 MB on P1^16, where `_kunneth_twists` takes 1.3 ms",
     "finite_field.py:FieldElement.__hash__": "the W(F_q) dichotomy and the exact sequence: "
     "the zero counts and `ses` key sets by field element",
     "finite_field.py:PrimePower.__hash__": "the W(F_q) dichotomy and the exact sequence, "

@@ -47,6 +47,7 @@ ALLOWLIST = {
     "graded_spectrum.HomogeneousPrime.__init__": _BUILDER,
     "graded_spectrum.ReducedElement.__init__": _BUILDER,
     "chow_motives.Motive.__init__": _BUILDER,
+    "chow_motives.Correspondence.__init__": _BUILDER,
     "tt_geometry.TateUniverse.__init__": _BUILDER,
     "tt_geometry.ThickTensorIdeal.__init__": _BUILDER,
     "tt_geometry.FiniteSpectralSpace.__init__": _BUILDER,
