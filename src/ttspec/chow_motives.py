@@ -216,10 +216,13 @@ def motive_decompose(space: ProjSpaceProduct) -> list[tuple[Motive, int]]:
     """Split the diagonal into Kunneth projectors h^a (x) h^(dims - a), each
     isomorphic to L^w for the a of codimension dim - w: (motive, w) pairs by
     w, and in lex order of a within one w."""
-    product = space.times(space)
+    product, dim = space.times(space), space.dimension
+    by_twist = [[] for _ in range(dim + 1)]
+    for exps in space.monomials():  # one lex walk, bucketed stably by w
+        by_twist[dim - sum(exps)].append(exps)
     out = []
-    for w in range(space.dimension + 1):
-        for exps in space.monomials(space.dimension - w):
+    for w, monomials in enumerate(by_twist):
+        for exps in monomials:
             term = (exps + tuple(map(sub, space.dims, exps)), 1)
             out.append((Motive(space, Correspondence(space, space, 0, ChowClass(product, (term,))), 0), w))
     return out

@@ -1,11 +1,7 @@
 """Command-line front end: tables and JSON for every module.  `verify`
-runs the suites of `ttspec.verify`, which holds every check.
-
-Word expressions for `kmw reduce` follow a tiny grammar (see README):
-sums of monomials c eta^i [a1][a2]..., where each bracket entry is an
-integer representative or a power w^k of the fixed generator, and `h`
-abbreviates the hyperbolic element 2 + eta[-1].  The parser evaluates a
-word in K^MW as it reads it, so its cost grows linearly with the word.
+runs the suites of `ttspec.verify`, which holds every check, and `kmw
+reduce` hands its word to `milnor_witt.reduce_word`, which holds the word
+grammar.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import re
 import sys
 
 from .errors import InvalidArgument, TtspecError
-from .finite_field import _field_for, _prime_power, primitive_element
+from .finite_field import _field_for, _prime_power
 
 # The compute modules are imported by the functions that run them, so that
 # each command loads only what it uses.
@@ -25,135 +21,6 @@ from .finite_field import _field_for, _prime_power, primitive_element
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-
-# ---------------------------------------------------------------- word parser
-
-_TOKEN = re.compile(r"\s*(\[|\]|\^|\+|-|\*|eta|h|w|\d+)")
-
-
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InvalidArgument(f"cannot tokenize {text[pos:]!r}")
-            break
-        if len(m.group(1)) > 4000:  # int() refuses more than 4300 digits
-            raise InvalidArgument(f"a word integer may have at most 4000 digits, got {len(m.group(1))}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _WordParser:
-    """expr := term (('+'|'-') term)*
-    term := ['-'] factor (['*'] factor)*   (juxtaposition or '*' is product)
-    factor := INT | 'eta' ['^' INT] | 'h' | '[' entry ']'
-    entry := ['-'] INT | 'w' ['^' INT]
-
-    Each factor is read as a homogeneous element of K^MW, so a term, their
-    product, is one `KmwElement`, and the expression keeps one sum per
-    degree.  `KmwElement` refuses a degree outside [-DEGREE_BOUND,
-    DEGREE_BOUND], so every factor and every partial product of a term
-    must lie in that window, even where the whole term vanishes or lands
-    back inside it."""
-
-    def __init__(self, field, tokens):
-        self.field = field
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            want = f", expected {expected!r}" if expected else ""
-            raise InvalidArgument(f"expression ended early{want}")
-        if expected is not None and tok != expected:
-            raise InvalidArgument(f"unexpected token {tok!r}, expected {expected!r}")
-        self.pos += 1
-        return tok
-
-    def exponent(self):
-        if self.peek() != "^":
-            return 1
-        self.take()
-        tok = self.take()
-        if not tok.isdigit():
-            raise InvalidArgument(f"exponent must be a nonnegative integer, got {tok!r}")
-        return int(tok)
-
-    def parse(self):
-        """{degree: element} of the word's nonzero components."""
-        from . import milnor_witt
-        sums = {}
-        sign = 1
-        while True:
-            x = self.term(sign)
-            sums[x.degree] = milnor_witt.kmw_add(sums[x.degree], x) if x.degree in sums else x
-            if self.peek() is None:  # a term stops only at '+', '-' or the end
-                break
-            sign = 1 if self.take() == "+" else -1
-        return {n: x for n, x in sums.items() if not x.is_zero()}
-
-    def term(self, sign):
-        from . import milnor_witt
-        if self.peek() == "-":
-            self.take()
-            sign = -sign
-        result = self.factor()
-        while self.peek() not in (None, "+", "-"):
-            if self.peek() == "*":
-                self.take()
-            result = milnor_witt.kmw_mul(result, self.factor())
-        return -1 * result if sign == -1 else result
-
-    def factor(self):
-        from . import milnor_witt
-        tok = self.peek()
-        if tok is None:
-            raise InvalidArgument("expression ended early")
-        if tok.isdigit():
-            self.take()
-            return int(tok) * milnor_witt.kmw_one(self.field)
-        if tok == "eta":
-            self.take()
-            power = self.exponent()
-            return milnor_witt.eta(self.field, power) if power else milnor_witt.kmw_one(self.field)
-        if tok == "h":
-            self.take()
-            return milnor_witt.hyperbolic_kmw(self.field)
-        if tok == "[":
-            self.take()
-            entry = self.entry()
-            self.take("]")
-            return milnor_witt.symbol(entry)
-        raise InvalidArgument(f"unexpected token {tok!r}")
-
-    def entry(self):
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok = self.take()
-        if tok == "w":
-            value = primitive_element(self.field) ** self.exponent()
-        elif tok.isdigit():
-            value = self.field.element(int(tok))
-        else:
-            raise InvalidArgument(f"bad bracket entry {tok!r}")
-        return -value if sign == -1 else value
-
-
-def parse_word(field, text: str) -> dict:
-    """The word `text` evaluated in K^MW(F_q): {degree: KmwElement} of its
-    nonzero components."""
-    return _WordParser(field, _tokenize(text)).parse()
 
 
 # ------------------------------------------------------------------- commands
@@ -189,7 +56,7 @@ def cmd_kmw_table(args):
 def cmd_kmw_reduce(args):
     from . import milnor_witt
     field = _field_for(args.q)
-    reduced = parse_word(field, args.word)
+    reduced = milnor_witt.reduce_word(milnor_witt.SymbolWord(field, args.word))
     components = []
     for n in sorted(reduced, reverse=True):
         el = reduced[n]

@@ -31,14 +31,12 @@ Products use (plain, bracket) coordinates: in degree n <= 0, x = p *
 eta^(-n) + b * eta^(1-n)[w]; in degree 1, x = b * [w], with p = 0.  Since
 eta is central and [w][w] = 0, `kmw_mul` gives the product the plain
 coordinate p_x * p_y and the bracket coordinate p_x * b_y + b_x * p_y, the
-only one in degree 1.  `reduce_word` evaluates a formal word (a
-`SymbolWord`, built by `word`) as the `kmw reduce` parser evaluates its
-text: each monomial c * eta^i [a] is `eta` (or `kmw_one`) times `symbol`
-under `kmw_mul`, scaled by c, and the monomials of one degree are summed
-with `kmw_add`.  A monomial with c = 0 or with two or more brackets is 0
-and is skipped.  Every factor and partial product of every monomial must
-lie in the degree window, as in the parser, and `verify --suite tables`
-checks the result against Morel's fiber product.  `KmwElement`
+only one in degree 1.  `reduce_word` evaluates a word as written (a
+`SymbolWord` of text; `word` writes one from (coefficient, eta power,
+entries) triples) as it reads it, with `eta`, `symbol`, `kmw_mul` and
+`kmw_add`, so 40 factors h cost 40 products, not 2^40 monomials.  It holds
+the word grammar and is what `kmw reduce` runs; `verify --suite tables`
+checks its monomials against Morel's fiber product.  `KmwElement`
 reduces its coordinates by the degree's invariant factors: mod q - 1 in
 degree 1, the second mod 2 in degree 0, none above 1, and below 0 both
 mod 2 when -1 is a square; otherwise it folds eta^(m+1)[w] = 2 eta^m into
@@ -46,6 +44,8 @@ the first and keeps that mod 4.
 """
 
 from __future__ import annotations
+
+import re
 
 from ._value import Value
 from .errors import InvalidArgument
@@ -159,55 +159,6 @@ def hyperbolic_kmw(field: PrimePower) -> KmwElement:
     return KmwElement(field, 0, (2, int(not field.minus_one_is_square)))
 
 
-class SymbolWord(Value):
-    """Formal integer combination of monomials eta^i * [a_1]...[a_k], the
-    input of `reduce_word`."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: PrimePower, terms: tuple[tuple[int, int, tuple[FieldElement, ...]], ...]):
-        object.__setattr__(self, "field", field)
-        # each term: (coefficient, eta power i >= 0, bracket entries)
-        object.__setattr__(self, "terms", terms)
-        for coeff, i, entries in terms:
-            if i < 0:
-                raise InvalidArgument("eta power must be >= 0")
-            for a in entries:
-                if a.is_zero():
-                    raise InvalidArgument("[0] is not a symbol")
-
-
-def word(field: PrimePower, *terms) -> SymbolWord:
-    """Build a word from (coeff, eta_power, entries) triples; entries coerced."""
-    built = []
-    for coeff, i, entries in terms:
-        built.append((coeff, i, tuple(field.element(a) for a in entries)))
-    return SymbolWord(field, tuple(built))
-
-
-def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
-    """Reduce a formal word to canonical coordinates, one element per degree,
-    with the operations of the `kmw reduce` parser.
-
-    Only degrees with a nonzero result appear in the output map.
-    """
-    field = w.field
-    sums: dict[int, KmwElement] = {}
-    for coeff, i, entries in w.terms:
-        if coeff == 0 or len(entries) >= 2:
-            # the monomial is 0, as [a][b] lies in K^MW_2 = 0; the parser would
-            # still refuse eta^i or a partial product outside the window
-            _check_degree(-i)
-            _check_degree(len(entries) - i)
-            continue
-        x = eta(field, i) if i else kmw_one(field)
-        for a in entries:
-            x = kmw_mul(x, symbol(a))
-        x = coeff * x
-        sums[x.degree] = kmw_add(sums[x.degree], x) if x.degree in sums else x
-    return {n: x for n, x in sums.items() if not x.is_zero()}
-
-
 def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
     if x.field != y.field:
         raise InvalidArgument("elements over different fields")
@@ -235,6 +186,130 @@ def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     py, by = _plain_bracket(y)
     bracket = px * by + bx * py
     return KmwElement(field, degree, (bracket,) if degree == 1 else (px * py, bracket))
+
+
+# ---------------------------------------------------------------- words
+
+_TOKEN = re.compile(r"\s*(?:(\[|\]|\^|\+|-|\*|eta|h|w|\d+)|\S)")
+
+
+class SymbolWord(Value):
+    """A word in eta, h, integers and symbols [a] over `field`, as written;
+    `reduce_word` reads it and refuses what the grammar does not admit."""
+
+    __slots__ = ("field", "text")
+
+    def __init__(self, field: PrimePower, text: str):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "text", text)
+
+
+def word(field: PrimePower, *terms) -> SymbolWord:
+    """The word sum c eta^i [a_1]...[a_k] of (c, i, entries) triples, as text.
+    An entry is coerced into the field and written as its integer
+    representative over a prime field, as w^dlog(a) over an extension."""
+    texts = []
+    for coeff, i, entries in terms:
+        if i < 0:
+            raise InvalidArgument("eta power must be >= 0")
+        brackets = ""
+        for a in map(field.element, entries):
+            if a.is_zero():
+                raise InvalidArgument("[0] is not a symbol")
+            brackets += f"[{a.value}]" if field.e == 1 else f"[w^{discrete_log(a)}]"
+        texts.append(" ".join(filter(None, (str(coeff), f"eta^{i}" if i else "", brackets))))
+    return SymbolWord(field, " + ".join(texts) or "0")
+
+
+def _tokenize(text: str) -> list[str]:
+    out = []
+    for m in _TOKEN.finditer(text):  # matches follow each other: any non-space matches
+        tok = m.group(1)
+        if tok is None:
+            raise InvalidArgument(f"cannot tokenize {text[m.start():]!r}")
+        if len(tok) > 4000:  # int() refuses more than 4300 digits
+            raise InvalidArgument(f"a word integer may have at most 4000 digits, got {len(tok)}")
+        out.append(tok)
+    return out
+
+
+def reduce_word(w: SymbolWord) -> dict[int, KmwElement]:
+    """The word `w.text` evaluated in K^MW(F_q) as it is read: {degree:
+    element} of its nonzero components.
+
+        word   := term (('+'|'-') term)*
+        term   := ['-'] factor (['*'] factor)*   (juxtaposition or '*' is product)
+        factor := INT | 'eta' ['^' INT] | 'h' | '[' entry ']'
+        entry  := ['-'] INT | 'w' ['^' INT]
+
+    Each factor is a homogeneous element (INT times `kmw_one`, `eta`,
+    `hyperbolic_kmw` or `symbol`), a term is their product under `kmw_mul`,
+    and the terms are summed by `kmw_add` degree by degree.  `KmwElement`
+    refuses a degree outside [-DEGREE_BOUND, DEGREE_BOUND], so every factor
+    and every partial product of a term must lie in that window, even where
+    the whole term vanishes or lands back inside it."""
+    field = w.field
+    tokens = _tokenize(w.text)[::-1]  # the next token is tokens[-1]
+
+    def take(expected=None):
+        if not tokens:
+            raise InvalidArgument("expression ended early" + (f", expected {expected!r}" if expected else ""))
+        tok = tokens.pop()
+        if expected is not None and tok != expected:
+            raise InvalidArgument(f"unexpected token {tok!r}, expected {expected!r}")
+        return tok
+
+    def exponent():
+        if tokens[-1:] != ["^"]:
+            return 1
+        take()
+        tok = take()
+        if not tok.isdigit():
+            raise InvalidArgument(f"exponent must be a nonnegative integer, got {tok!r}")
+        return int(tok)
+
+    def factor():
+        tok = take()
+        if tok.isdigit():
+            return int(tok) * kmw_one(field)
+        if tok == "eta":
+            power = exponent()
+            return eta(field, power) if power else kmw_one(field)
+        if tok == "h":
+            return hyperbolic_kmw(field)
+        if tok != "[":
+            raise InvalidArgument(f"unexpected token {tok!r}")
+        negate = tokens[-1:] == ["-"]
+        if negate:
+            take()
+        tok = take()
+        if tok == "w":
+            entry = primitive_element(field) ** exponent()
+        elif tok.isdigit():
+            entry = field.element(int(tok))
+        else:
+            raise InvalidArgument(f"bad bracket entry {tok!r}")
+        take("]")
+        return symbol(-entry if negate else entry)
+
+    sums = {}
+    sign = 1
+    while True:
+        if tokens[-1:] == ["-"]:
+            take()
+            sign = -sign
+        x = factor()
+        while tokens and tokens[-1] not in ("+", "-"):
+            if tokens[-1] == "*":
+                take()
+            x = kmw_mul(x, factor())
+        if sign == -1:
+            x = -1 * x
+        sums[x.degree] = kmw_add(sums[x.degree], x) if x.degree in sums else x
+        if not tokens:  # a term stops only at '+', '-' or the end
+            break
+        sign = 1 if take() == "+" else -1
+    return {n: x for n, x in sums.items() if not x.is_zero()}
 
 
 class MilnorKElement(Value):

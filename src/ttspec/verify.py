@@ -80,9 +80,9 @@ def _suite_tables():
     (<w> - <1>, 0), eta^m -> (<1>, 0) and eta^(m+1)[w] -> (<w> - <1>, 0).
     Checked: each group order against the fiber product's; the map is
     well defined, injective and lands in the fiber product; every product
-    of generators by `kmw_mul`, and each monomial c eta^i [w^d] by `word`
-    and `reduce_word`, against the product of the factors' images in
-    W x K^M.  Degree 0 is GW(F_q), so this checks GW's products too."""
+    of generators by `kmw_mul`, and each monomial c eta^i [w^d], written as
+    text such as "-3 eta^2 [w^5]", by `reduce_word`, against the product
+    of the factors' images in W x K^M.  Degree 0 is GW(F_q), so this checks GW's products too."""
     from . import milnor_witt, quadratic_forms
     failures = []
     for q in (3, 5, 7, 9, 11, 13):
@@ -155,14 +155,14 @@ def _suite_tables():
                 z = milnor_witt.kmw_mul(x, y)
                 if to_model(z.degree, z.coords) != times(n1, to_model(n1, x.coords), n2, to_model(n2, y.coords)):
                     failures.append({"q": q, "product": [n1, list(x.coords), n2, list(y.coords)]})
-        brackets = [(d, [omega ** d], (pfister[d], milnor(1, (d,)))) for d in range(q - 1)]  # [w^d]
+        brackets = [(d, f" [w^{d}]", (pfister[d], milnor(1, (d,)))) for d in range(q - 1)]
         for c, i in itertools.product((1, -3), range(3)):  # i = 0, 1 and 2 put eta^i [w^d] in degrees 1, 0 and -1
             image = (scale(c, one), milnor(0, (c,)))
             if i:  # eta^i -> (<1>, 0)
                 image = times(0, image, -i, (one, ()))
-            for d, entries, bracket in [(None, [], None), *brackets]:
+            for d, entry, bracket in [(None, "", None), *brackets]:
                 n, want = (-i, image) if d is None else (1 - i, times(-i, image, 1, bracket))
-                reduced = milnor_witt.reduce_word(milnor_witt.word(field, (c, i, entries)))
+                reduced = milnor_witt.reduce_word(milnor_witt.SymbolWord(field, f"{c} eta^{i}{entry}"))
                 if set(reduced) - {n} or to_model(n, reduced[n].coords if n in reduced else ()) != want:
                     failures.append({"q": q, "monomial": [c, i, d]})
     return failures

@@ -429,6 +429,23 @@ def test_decompose_twists(dims, twists):
     assert [w for _, w in parts] == twists
 
 
+# the space labels of perfbench's motive commands, each once: SMALL_SPACES, then the rest of STRUCT_SPACES
+BENCH_SPACES = ("pt", "P1", "P2", "P3", "P1xP1", "P2xP1", "P2xP2", "P3xP1", "P1xP1xP1", "P2xP1xP1", "P3xP2xP1",
+                "P3xP3", "P4xP3", "P2xP2xP1", "P3xP2xP2", "P4xP3xP2")
+
+
+@pytest.mark.parametrize("label", BENCH_SPACES)
+def test_decompose_order_matches_walk_per_codimension(label):
+    """`motive_decompose` buckets one lex walk by codimension; its summands
+    come in the order of the walk of each codimension dim - w for w =
+    0..dim, which lib-warm's seeded choices and `verify --suite motives`
+    read."""
+    space = cm.parse_space(label)
+    want = [(exps, w) for w in range(space.dimension + 1) for exps in space.monomials(space.dimension - w)]
+    got = [(m.projector.cls.terms[0][0][:len(space.dims)], w) for m, w in cm.motive_decompose(space)]
+    assert got == want
+
+
 def test_decompose_orthogonal_complete():
     for dims in ((1,), (2,), (1, 1)):
         space = cm.ProjSpaceProduct(dims)

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from ttspec.cli import parse_word
 from ttspec.errors import InvalidArgument
 from ttspec.finite_field import discrete_log, make_field, primitive_element
 from ttspec import milnor_witt as mw
 from ttspec import quadratic_forms as qf
 from ttspec import verify
 
-from helpers import eta_word, field_units, h_word, symbol_word, tensor_form, witt_classes, word_product, word_sum
+from helpers import (eta_word, field_units, formal_reduce, h_word, symbol_word, tensor_form, witt_classes,
+                     word_product, word_sum)
 from test_quadratic_forms import _ideal_power_bfs
 
 QS = [3, 5, 7, 9]
@@ -23,6 +23,12 @@ QS = [3, 5, 7, 9]
 
 def _field(q):
     return make_field(3, 2) if q == 9 else make_field(q)
+
+
+def _reduced(field, terms):
+    """The formal word `terms` evaluated by the library: written as text by
+    `word`, then parsed by `reduce_word`."""
+    return mw.reduce_word(mw.word(field, *terms))
 
 
 def _order(shape):
@@ -57,7 +63,7 @@ def test_steinberg_relation(q):
         if a == one:
             continue
         w = word_product(symbol_word(a), symbol_word(one + -a))
-        assert mw.reduce_word(w) == {}
+        assert _reduced(field, w) == {}
 
 
 @pytest.mark.parametrize("q", QS)
@@ -66,24 +72,23 @@ def test_twisted_logarithm_relation(q):
     field = _field(q)
     for a, b in itertools.product(field_units(field), repeat=2):
         lhs = symbol_word(a * b)
-        rhs = word_sum(symbol_word(a), symbol_word(b),
-                       word_product(eta_word(field), symbol_word(a), symbol_word(b)))
-        assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
+        rhs = word_sum(symbol_word(a), symbol_word(b), word_product(eta_word(), symbol_word(a), symbol_word(b)))
+        assert _reduced(field, lhs) == _reduced(field, rhs)
 
 
 @pytest.mark.parametrize("q", QS)
 def test_eta_commutes_with_symbols(q):
     field = _field(q)
     for a in field_units(field):
-        lhs = word_product(eta_word(field), symbol_word(a))
-        rhs = word_product(symbol_word(a), eta_word(field))
-        assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
+        lhs = word_product(eta_word(), symbol_word(a))
+        rhs = word_product(symbol_word(a), eta_word())
+        assert _reduced(field, lhs) == _reduced(field, rhs)
 
 
 @pytest.mark.parametrize("q", QS)
 def test_eta_h_relation(q):
     field = _field(q)
-    assert mw.reduce_word(word_product(eta_word(field), h_word(field))) == {}
+    assert _reduced(field, word_product(eta_word(), h_word())) == {}
     # equivalently (q+1) eta = 0 in canonical coordinates
     assert ((q + 1) * mw.eta(field)).is_zero()
 
@@ -92,12 +97,12 @@ def test_eta_h_relation(q):
 def test_epsilon_commutation(q):
     # [a][b] = eps [b][a] with eps = -<-1> = -1 - eta[-1]
     field = _field(q)
-    eps = mw.word(field, (-1, 0, ()), (-1, 1, (-1,)))
+    eps = ((-1, 0, ()), (-1, 1, (-1,)))
     units = list(field_units(field))
     for a, b in itertools.product(units[:4], repeat=2):
         lhs = word_product(symbol_word(a), symbol_word(b))
         rhs = word_product(eps, symbol_word(b), symbol_word(a))
-        assert mw.reduce_word(lhs) == mw.reduce_word(rhs)
+        assert _reduced(field, lhs) == _reduced(field, rhs)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -105,7 +110,7 @@ def test_double_symbols_vanish(q):
     field = _field(q)
     units = list(field_units(field))
     for a, b in itertools.product(units[:5], repeat=2):
-        assert mw.reduce_word(word_product(symbol_word(a), symbol_word(b))) == {}
+        assert _reduced(field, word_product(symbol_word(a), symbol_word(b))) == {}
 
 
 @pytest.mark.parametrize("q", QS)
@@ -210,7 +215,7 @@ def _to_word(x):
     n = x.degree
     terms = []
     if n >= 2 or x.is_zero():
-        return mw.SymbolWord(field, ())
+        return ()
     if n == 1:
         terms.append((x.coords[0], 0, (omega,)))
     elif n == 0:
@@ -229,7 +234,7 @@ def _to_word(x):
                 terms.append((s, m, ()))
             if t:
                 terms.append((t, m + 1, (omega,)))
-    return mw.SymbolWord(field, tuple(terms))
+    return tuple(terms)
 
 
 def _bounded_elements(field, n):
@@ -240,9 +245,9 @@ def _bounded_elements(field, n):
     return [mw.KmwElement(field, n, coords) for coords in itertools.product(*ranges)]
 
 
-# The rules that `kmw_mul` and `reduce_word` replaced, kept as oracles: the
-# per-monomial table, the product of generator terms read off it, and word
-# reduction by adding table rows straight into coordinates.
+# The rules that `kmw_mul` and the monomial fold replaced, kept as oracles:
+# the per-monomial table, the product of generator terms read off it, and
+# word reduction by adding table rows straight into coordinates.
 
 
 def _monomial(c, i, bracket, d=1):
@@ -279,16 +284,16 @@ def _generator_term_product(x, y):
     return mw.KmwElement(x.field, x.degree + y.degree, acc)
 
 
-def _table_reduce_word(w):
+def _table_reduce_word(field, w):
     """Oracle: the table row of each monomial with at most one bracket,
     added into per-degree coordinates; two brackets kill a monomial."""
     acc = {}
-    for coeff, i, entries in w.terms:
+    for coeff, i, entries in w:
         if coeff and len(entries) < 2:
             d = discrete_log(entries[0]) if entries else 1
             degree, idx, c = _monomial(coeff, i, len(entries), d)
             acc.setdefault(degree, [0, 0])[idx] += c
-    reduced = {n: mw.KmwElement(w.field, n, coords) for n, coords in acc.items()}
+    reduced = {n: mw.KmwElement(field, n, coords) for n, coords in acc.items()}
     return {n: x for n, x in reduced.items() if not x.is_zero()}
 
 
@@ -301,7 +306,7 @@ def test_kmw_mul_matches_word_route(p, e):
     elements = [x for n in range(-4, 3) for x in _bounded_elements(field, n)]
     for x, y in itertools.product(elements, repeat=2):
         degree = x.degree + y.degree
-        want = _table_reduce_word(word_product(_to_word(x), _to_word(y))).get(degree, mw.kmw_zero(field, degree))
+        want = _table_reduce_word(field, word_product(_to_word(x), _to_word(y))).get(degree, mw.kmw_zero(field, degree))
         assert mw.kmw_mul(x, y) == want, (x, y)
 
 
@@ -331,9 +336,9 @@ def test_kmw_mul_matches_generator_term_product(p, e, full=False):
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)])
 def test_reduce_word_matches_monomial_table(p, e):
-    """`reduce_word`, which evaluates each nonzero monomial with `eta`,
-    `symbol`, `kmw_mul` and `kmw_add`, against the monomial table on seeded
-    words with up to three brackets per monomial."""
+    """`reduce_word` on the text that `word` writes, which it evaluates with
+    `eta`, `symbol`, `kmw_mul` and `kmw_add` as it reads, against the
+    monomial table on seeded words with up to three brackets per monomial."""
     field = make_field(p, e)
     rng = random.Random(f"reduce_word:{p}^{e}")
     units = list(field_units(field))
@@ -342,22 +347,37 @@ def test_reduce_word_matches_monomial_table(p, e):
         for _ in range(rng.randint(1, 5)):
             entries = [rng.choice(units) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
             terms.append((rng.randint(-4, 4), rng.randint(0, 6), entries))
-        w = mw.word(field, *terms)
-        assert mw.reduce_word(w) == _table_reduce_word(w), terms
+        assert _reduced(field, terms) == _table_reduce_word(field, terms), terms
+
+
+def test_word_writes_text():
+    """`word` writes an entry of a prime field as its representative and one
+    of an extension field as w^dlog, an empty word as 0, and refuses a
+    negative eta power and a zero entry before anything is parsed."""
+    f7, f9 = make_field(7), make_field(3, 2)
+    assert mw.word(f7, (-3, 2, [5]), (1, 0, [-1, 3]), (0, 1, [])).text == "-3 eta^2 [5] + 1 [6][3] + 0 eta^1"
+    assert mw.word(f9, (2, 0, [primitive_element(f9) ** 5, 1])).text == "2 [w^5][w^0]"
+    assert mw.word(f9) == mw.SymbolWord(f9, "0") and mw.reduce_word(mw.word(f9)) == {}
+    with pytest.raises(InvalidArgument, match="^eta power must be >= 0$"):
+        mw.word(f7, (1, -1, []))
+    with pytest.raises(InvalidArgument, match=r"^\[0\] is not a symbol$"):
+        mw.word(f7, (1, 0, [2, 7]))
 
 
 @pytest.mark.parametrize("i,k", [*itertools.product([64, 65, 66], range(3)), (0, 64), (0, 65), (1, 65), (1, 66)])
 @pytest.mark.parametrize("coeff", [1, 0])
 def test_reduce_word_and_parser_share_the_degree_window(coeff, i, k):
-    """A word of one monomial, c eta^i times k brackets, and its text are
-    accepted and refused alike: eta^i and every partial product must lie
-    in [-DEGREE_BOUND, DEGREE_BOUND], even where the whole product lands
-    back inside it or is 0 for its coefficient or its brackets."""
+    """The parser, `reduce_word` on the text of one monomial c eta^i times k
+    brackets, and the formal fold `formal_reduce` on its terms accept and
+    refuse it alike: eta^i and every partial product must lie in
+    [-DEGREE_BOUND, DEGREE_BOUND], even where the whole product lands back
+    inside it or is 0 for its coefficient or its brackets."""
     field = make_field(7)
     entries = [2 + j % 4 for j in range(k)]
     text = " ".join([str(coeff), f"eta^{i}", *(f"[{a}]" for a in entries)])
     outcomes = []
-    for evaluate in (lambda: mw.reduce_word(mw.word(field, (coeff, i, entries))), lambda: parse_word(field, text)):
+    for evaluate in (lambda: formal_reduce(field, [(coeff, i, entries)]),
+                     lambda: mw.reduce_word(mw.SymbolWord(field, text))):
         try:
             outcomes.append(evaluate())
         except InvalidArgument as exc:
@@ -544,7 +564,7 @@ def test_degree_bound_on_every_path(q):
         lambda: mw.KmwElement(field, -bound - 1, (0, 0)),
         lambda: mw.kmw_zero(field, bound + 1),
         lambda: mw.eta(field, bound + 1),
-        lambda: mw.reduce_word(eta_word(field, bound + 1)),
+        lambda: _reduced(field, eta_word(bound + 1)),
         lambda: mw.reduce_word(mw.word(field, (1, bound + 2, [2]))),
     ]
     for build in refused:

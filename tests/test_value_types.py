@@ -38,7 +38,7 @@ FIELDS = {
     qf.WittClass: ("field", "parity", "disc"),
     mw.GroupShape: ("invariant_factors", "generators"),
     mw.KmwElement: ("field", "degree", "coords"),
-    mw.SymbolWord: ("field", "terms"),
+    mw.SymbolWord: ("field", "text"),
     mw.MilnorKElement: ("field", "degree", "value"),
     gs.ReducedElement: ("degree", "coeff"),
     gs.HomogeneousPrime: ("generators", "discrepancy"),
@@ -110,7 +110,8 @@ def _samples():
         mw.KmwElement: [mw.eta(f3), mw.KmwElement(f3, -1, (5,)), mw.kmw_one(f5),
                         mw.KmwElement(f3, 1, (3,)), mw.hyperbolic_kmw(f9)],
         mw.SymbolWord: [mw.word(f5, (2, 0, []), (1, 1, [-1])), mw.word(f5, (2, 0, []), (1, 1, [4])),
-                        mw.word(f5, (1, 2, [])), mw.word(f9, (2, 1, [f9.from_index(4)]))],
+                        mw.SymbolWord(f5, "2 + eta^1 [4]"), mw.word(f5, (1, 2, [])),
+                        mw.word(f9, (2, 1, [f9.from_index(4)])), mw.SymbolWord(f9, "h")],
         mw.MilnorKElement: [mw.MilnorKElement(f5, 0, 3), mw.MilnorKElement(f5, 0, 3),
                             mw.MilnorKElement(f5, 1, f5.element(2)),
                             mw.MilnorKElement(f5, 2, None)],
