@@ -1,13 +1,16 @@
 """Immutable value records, the base of every ttspec value type.
 
 A subclass lists its fields in `__slots__` and sets them in its own
-`__init__` with `object.__setattr__`.  Slot names that start with `_` hold
-private state such as caches and are left out of equality, hashing and
-repr.  Instances are equal when they have the same class and equal field
-tuples, hash as their field tuple, print as `Name(field=value, ...)` unless
-the class defines its own repr, and refuse assignment and deletion.
-Nothing is generated at import time, so the value types add almost nothing
-to the start-up of a CLI process.
+`__init__` with `object.__setattr__`.  A hot class may do better, as
+`finite_field.FieldElement` keeps its own `__eq__` and `__hash__`:
+`milnor_witt.KmwElement`, which every K^MW operation builds, sets its slots
+through their bound `__set__` instead, in half the time.  Slot names that
+start with `_` hold private state such as caches and are left out of
+equality, hashing and repr.  Instances are equal when they have the same
+class and equal field tuples, hash as their field tuple, print as
+`Name(field=value, ...)` unless the class defines its own repr, and refuse
+assignment and deletion.  Nothing is generated at import time, so the value
+types add almost nothing to the start-up of a CLI process.
 """
 
 from operator import attrgetter

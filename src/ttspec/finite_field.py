@@ -12,22 +12,26 @@ F_p, and only the other l take a power in F_q.  Discrete logs come from a
 cached table of all q - 1 powers for q <= LOG_TABLE_BOUND = 2^12, and above
 it from baby-step giant-step over all of F_q^* (Shanks), with the
 m = ceil(sqrt(q-1)) <= 1024 baby steps cached on the field: at most m
-multiplications a log.  A product of two elements runs `_poly_mul_mod`:
+multiplications a log.  Off the table, a product runs `_poly_mul_mod`:
 for e >= 2 one integer product of the operands packed in bit slots
 (Kronecker substitution), with the high slots folded back through packed
 powers x^(e+j) mod the modulus, and for e = 1 a residue product.  For
 e >= 2 the table is built a block of powers at a time, one `bytes` column
 per coefficient, and the block doubles by a `bytes.translate` per pair of
 coefficients; the powers are kept beside the table.  A built table answers
-logs, inverses and squareness: a = w^k has inverse w^(-k), read off the
-kept powers, and is a square iff k is even.  Nothing but `discrete_log`
-builds it.  Without a table, the inverse is a^(q-2), and squareness comes
-from the norm N(a) = Res(modulus, a) in F_p, by the Euclidean remainder
-sequence: a is a square iff N(a)^((p-1)/2) = 1, since
-(q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).  Every
-power, `**` and a^(q-2) alike, runs the one ladder `_tuple_pow` on
-coefficient tuples, a single builtin `pow` on a prime field.  Every list
-of primes comes from one bytearray sieve of Eratosthenes, `_primes_upto`.
+logs, inverses, squareness, products (e >= 2) and powers: a = w^k has
+inverse w^(-k), read off the kept powers, is a square iff k is even, and
+has a^n = w^(kn mod q-1), and w^i * w^j = w^(i+j) when e >= 2, while a
+prime field keeps its residue product.  A zero operand or a tuple out of
+canonical form is no key of the table and takes the table-less path.
+Nothing but `discrete_log` builds the table.  Without one, the inverse is
+a^(q-2), and squareness comes from the norm N(a) = Res(modulus, a) in F_p,
+by the Euclidean remainder sequence: a is a square iff N(a)^((p-1)/2) = 1,
+since (q-1)/2 = ((q-1)/(p-1)) * ((p-1)/2) and N(a) = a^((q-1)/(p-1)).
+Every power off the table, `**` and a^(q-2) alike, runs the one ladder
+`_tuple_pow` on coefficient tuples, a single builtin `pow` on a prime
+field.  Every list of primes comes from one bytearray sieve of
+Eratosthenes, `_primes_upto`.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ CARDINALITY_BOUND = 1 << 20
 # us at 3^10 and 5^7.  A built table answers `inverse` and `is_square` too
 # (warm, 500 seeded units, ladder or norm -> table: inverse 24-38 -> 0.7-1.5
 # us at 243, 46-68 -> 1.3-1.5 us at 2187; is_square 8-15 -> 0.2-0.3, 13-21
-# -> 0.3-0.4 us).
+# -> 0.3-0.4 us), and `*` above F_p and `**` (timeit, packed product or
+# ladder -> table: a * b 3.2 -> 0.9 us at 2187, 1.6 -> 0.8 us at 9; a ** 100
+# 22 -> 0.8 us at 2187, 7.6 -> 0.7 us at 9).
 # The table's byte columns rely on the bound: e(p-1) <= 120 when e >= 2.
 LOG_TABLE_BOUND = 1 << 12
 # largest bound of a prime listing; the sieve is cheap, so this bounds output: a cold
@@ -336,6 +342,13 @@ class FieldElement(Value):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
             other = field.element(other)
+        if field.e > 1:  # a prime field keeps its residue product
+            logs = field._cache.get("logs")
+            if logs is not None:  # w^i * w^j = w^(i+j); zero and stray tuples are no keys
+                i, j = logs.get(self.coeffs), logs.get(other.coeffs)
+                if i is not None and j is not None:
+                    powers = field._cache["powers"]
+                    return FieldElement(field, powers[i + j - len(powers)])  # wraps: i + j < 2(q-1)
         return FieldElement(field, _poly_mul_mod(self.coeffs, other.coeffs, field.modulus, field.p))
 
     def inverse(self) -> "FieldElement":
@@ -359,8 +372,16 @@ class FieldElement(Value):
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        base = self.inverse() if n < 0 else self
+        """w^(kn mod q-1) for self = w^k when the field holds its log table,
+        else the power ladder (on the inverse for n < 0).  Never builds the
+        table."""
         field = self.field
+        logs = field._cache.get("logs")
+        k = None if logs is None else logs.get(self.coeffs)
+        if k is not None:
+            powers = field._cache["powers"]
+            return FieldElement(field, powers[k * n % len(powers)])
+        base = self.inverse() if n < 0 else self
         return FieldElement(field, _tuple_pow(base.coeffs, abs(n), field.modulus, field.p))
 
     def __repr__(self):
@@ -428,10 +449,10 @@ def primitive_element(field: PrimePower) -> FieldElement:
 
 def _log_table(field: PrimePower) -> dict[tuple[int, ...], int]:
     """coeffs of omega^k -> k for k in 0..q-2, in that order, with the keys
-    cached beside it as "powers", for `inverse`.  For e >= 2, 32 powers are
-    walked and kept as e byte columns, and the block of m powers doubles:
-    coefficient j of its product with c = omega^m is sum_i y_i (c*x^i)_j,
-    a `translate` of column i per term.  The e terms add as integers with
+    cached beside it as "powers", for `inverse`, `*` and `**`.  For e >= 2,
+    32 powers are walked and kept as e byte columns, and the block of m
+    powers doubles: coefficient j of its product with c = omega^m is
+    sum_i y_i (c*x^i)_j, a `translate` of column i per term.  The e terms add as integers with
     no carry out of a byte, since e(p-1) < 256 (see LOG_TABLE_BOUND), and
     one more `translate` reduces the sums mod p."""
     table = field._cache.get("logs")

@@ -115,15 +115,20 @@ class KmwElement(Value):
             coords = ((coords[0] + 2 * coords[1]) % 4,)
         else:
             coords = (coords[0] % 4,)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", coords)
+        _set_field(self, field)
+        _set_degree(self, degree)
+        _set_coords(self, coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def __rmul__(self, scalar: int):
         return KmwElement(self.field, self.degree, [scalar * c for c in self.coords])
+
+
+# every K^MW operation builds a KmwElement: its slots are set through their
+# own bound setters, half the cost of object.__setattr__ (see `_value`)
+_set_field, _set_degree, _set_coords = KmwElement.field.__set__, KmwElement.degree.__set__, KmwElement.coords.__set__
 
 
 def kmw_zero(field: PrimePower, n: int) -> KmwElement:
@@ -168,10 +173,9 @@ def kmw_add(x: KmwElement, y: KmwElement) -> KmwElement:
 
 
 def _plain_bracket(x: KmwElement) -> tuple[int, int]:
-    """x's (plain, bracket) coordinates; both 0 above degree 1."""
+    """(plain, bracket) coordinates of an x with fewer than two: [w]'s in
+    degree 1, the one Z/4 coordinate below degree 0, none above 1."""
     c = x.coords
-    if len(c) == 2:
-        return c
     if x.degree == 1:
         return 0, c[0]
     return (c[0], 0) if c else (0, 0)
@@ -182,8 +186,9 @@ def kmw_mul(x: KmwElement, y: KmwElement) -> KmwElement:
     if field is not y.field and field != y.field:
         raise InvalidArgument("elements over different fields")
     degree = x.degree + y.degree
-    px, bx = _plain_bracket(x)
-    py, by = _plain_bracket(y)
+    cx, cy = x.coords, y.coords
+    px, bx = cx if len(cx) == 2 else _plain_bracket(x)
+    py, by = cy if len(cy) == 2 else _plain_bracket(y)
     bracket = px * by + bx * py
     return KmwElement(field, degree, (bracket,) if degree == 1 else (px * py, bracket))
 

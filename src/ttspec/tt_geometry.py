@@ -123,13 +123,15 @@ def ideal_closure(generators, universe: TateUniverse) -> ThickTensorIdeal:
     whole window, because any nonzero line tensored with its inverse line
     (in the symmetric window) is the unit, which generates every line.
     """
-    nonzero = False
+    window = None  # built at the first nonzero generator: a zero one is in every window
     for g in generators:
-        if not universe.contains(g):
-            raise InvalidArgument(f"{g} is outside the window")
-        nonzero = nonzero or not g.is_zero()
-    lines = _window(universe.twist_radius, universe.shift_radius) if nonzero else frozenset()
-    return ThickTensorIdeal(universe, lines)
+        if g.slots:
+            if window is None:
+                window = _window(universe.twist_radius, universe.shift_radius)
+            for line, _ in g.slots:
+                if line not in window:
+                    raise InvalidArgument(f"{g} is outside the window")
+    return ThickTensorIdeal(universe, frozenset() if window is None else window)
 
 
 def enumerate_primes(universe: TateUniverse) -> dict:

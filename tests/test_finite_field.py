@@ -592,11 +592,63 @@ def test_inverse_and_is_square_never_build_the_log_table(p, e):
     for _ in range(64):
         a = field.from_index(rng.randrange(1, field.q))
         assert a * a.inverse() == field.one() == a * a ** -1 == a / a, a
+        assert a ** 3 == a * a * a and a ** (field.q - 1) == field.one(), a
         assert square_class(a) == (not is_square(a)), a
     assert "logs" not in field._cache and "powers" not in field._cache, field
 
 
-@pytest.mark.parametrize("p,e,coeffs", [(3, 1, (4,)), (3, 3, (4, 5, 7))])
+OUT_OF_CANONICAL_FORM = [(3, 1, (4,)), (3, 3, (4, 5, 7))]
+
+
+def _table_oracle_cases(field, full=False):
+    """(pairs, bases) for the table product and power oracle: every pair of
+    elements, zero included, and every element as a base for q <= 243;
+    500 seeded pairs, the first with a zero, and their first 64 left
+    operands as bases above it, or for every q when full."""
+    q = field.q
+    if q <= 243 and not full:
+        elements = [field.from_index(v) for v in range(q)]
+        return list(itertools.product(elements, repeat=2)), elements
+    rng = random.Random(f"table-products:{q}")
+    pairs = [(field.zero(), field.from_index(rng.randrange(1, q)))]
+    pairs += [(field.from_index(rng.randrange(q)), field.from_index(rng.randrange(q))) for _ in range(499)]
+    return pairs, [a for a, _ in pairs[:64]]
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_table_products_and_powers_match_the_packed_product_and_the_ladder(p, e, full=False):
+    """With the log table built, a * b against `_poly_mul_mod` and a ** k
+    against `_tuple_pow` (on the extended Euclid inverse for k < 0) for k
+    in {-3, -1, 0, 1, 2, q-2, q-1, q, 5q+7}; zero to a negative power
+    raises.  Pairs and bases come from `_table_oracle_cases`; the operand
+    out of canonical form of the field, if any, joins them and takes each
+    table-less path unchanged.  For seeded pairs and powers over every odd
+    prime power q <= LOG_TABLE_BOUND: cd tests && PYTHONPATH=../src python
+    -c "import test_finite_field as t;
+    [t.test_table_products_and_powers_match_the_packed_product_and_the_ladder(*f, full=True)
+    for f in t._log_table_fields(full=True)]" """
+    field = _fresh_field(p, e)
+    modulus, q = field.modulus, field.q
+    _log_table(field)
+    pairs, bases = _table_oracle_cases(field, full)
+    for fp, fe, coeffs in OUT_OF_CANONICAL_FORM:
+        if (fp, fe) == (p, e):
+            odd = FieldElement(field, coeffs)
+            pairs += [(odd, b) for b in bases[:64]] + [(b, odd) for b in bases[:64]]
+            bases = bases + [odd]
+    for a, b in pairs:
+        assert (a * b).coeffs == _poly_mul_mod(a.coeffs, b.coeffs, modulus, p), (a, b)
+    for a in bases:
+        for k in (-3, -1, 0, 1, 2, q - 2, q - 1, q, 5 * q + 7):
+            if k < 0 and not any(a.coeffs):
+                with pytest.raises(InvalidArgument):
+                    a ** k
+                continue
+            base = a.coeffs if k >= 0 else _poly_inverse(a.coeffs, modulus, p)
+            assert (a ** k).coeffs == _tuple_pow(base, abs(k), modulus, p), (a, k)
+
+
+@pytest.mark.parametrize("p,e,coeffs", OUT_OF_CANONICAL_FORM)
 def test_table_lookups_reduce_coefficients_out_of_canonical_form(p, e, coeffs):
     """An element built with coefficients outside 0..p-1 answers as its
     reduction does, before and after the log table is built; no lookup
